@@ -49,7 +49,6 @@ from .energy import (
     DilationRangeError,
     EnergyReport,
     ResidualStats,
-    diagnostics_report,
     energy,
     energy_with_potential,
     euler_lagrange_residual,

@@ -17,6 +17,7 @@ significant digits, so identical runs produce identical bytes.
 
 import argparse
 import json
+import math
 import os
 import sys
 
@@ -39,7 +40,7 @@ from .potential import (
     kernel_for,
     validate_core_potential,
 )
-from .scan import ScanSpec, run_scan, write_scan_csv
+from .scan import ScanSpec, fmt_num, run_scan, write_scan_csv
 from .solver import outcome_to_dict, solve
 
 _NUMERIC_ERRORS = (
@@ -95,10 +96,6 @@ def _emit_json(path, payload):
         fh.write("\n")
 
 
-def _num(x):
-    return "%.17g" % (float("nan") if x is None else x)
-
-
 def _write_trace_csv(path, trace):
     with open(path, "w", newline="") as fh:
         fh.write("iter,lambda,energy_total,update_norm\n")
@@ -106,20 +103,19 @@ def _write_trace_csv(path, trace):
             fh.write(
                 "%d,%s,%s,%s\n"
                 % (
-                    row["iteration"], _num(row["lambda"]),
-                    _num(row["energy_total"]), _num(row["update_norm"]),
+                    row["iteration"], fmt_num(row["lambda"]),
+                    fmt_num(row["energy_total"]), fmt_num(row["update_norm"]),
                 )
             )
 
 
-def _write_solve_outputs(outdir, eff, outcome, field):
+def _write_solve_outputs(outdir, eff, result, field):
+    """The four files of one solve; ``result`` is from ``outcome_to_dict``."""
     os.makedirs(outdir, exist_ok=True)
-    result = outcome_to_dict(outcome) if not isinstance(outcome, dict) else outcome
     _emit_json(os.path.join(outdir, "result.json"), result)
     _emit_json(os.path.join(outdir, "effective_config.json"), eff)
     write_field_csv(field, os.path.join(outdir, "field.csv"))
     _write_trace_csv(os.path.join(outdir, "trace.csv"), result["trace"])
-    return result
 
 
 def _cmd_solve(args):
@@ -132,7 +128,8 @@ def _cmd_solve(args):
         return 1
     spec, scf = build_problem(eff)
     outcome = solve(spec, scf)
-    result = _write_solve_outputs(args.out, eff, outcome, outcome.state.rho)
+    result = outcome_to_dict(outcome)
+    _write_solve_outputs(args.out, eff, result, outcome.state.rho)
     sys.stdout.write(
         "verdict=%s lambda=%s iterations=%d out=%s\n"
         % (result["verdict"], result["lambda"], result["iterations"], args.out)
@@ -152,13 +149,10 @@ def _cmd_scan(args):
     os.makedirs(args.out, exist_ok=True)
     write_scan_csv(table, os.path.join(args.out, "scan.csv"))
     for (i, j), record in sorted(table.cells.items()):
-        cell_dir = os.path.join(args.out, "cell_%02d_%02d" % (i, j))
-        os.makedirs(cell_dir, exist_ok=True)
-        cell_grid = build_grid(record["config"])
-        from .field import DensityField
-
-        fld = DensityField(cell_grid, record["field"])
-        _write_solve_outputs(cell_dir, record["config"], record["outcome"], fld)
+        _write_solve_outputs(
+            os.path.join(args.out, "cell_%02d_%02d" % (i, j)),
+            record["config"], record["outcome"], record["field"],
+        )
     for i, omega in enumerate(table.omega_values):
         row = " ".join(
             "%-17s" % table.verdict(i, j) for j in range(len(table.mu_values))
@@ -180,9 +174,6 @@ def _cmd_check(args):
     fine_int, fine_sup = ensemble_ratio_maxima(refined)
     chg_int = abs(fine_int - base_int) / base_int
     chg_sup = abs(fine_sup - base_sup) / base_sup
-
-    import math
-
     finite = all(map(math.isfinite, (base_int, base_sup, fine_int, fine_sup)))
     stable = chg_int <= 0.10 and chg_sup <= 0.10
 

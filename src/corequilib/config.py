@@ -7,6 +7,7 @@ the file dropped next to a run's outputs reproduces it with no version
 archaeology, and unknown keys are rejected by name instead of ignored.
 """
 
+import dataclasses
 import json
 
 from .eos import make_eos
@@ -15,18 +16,6 @@ from .potential import RotationLaw
 from .solver import InitialGuess, ProblemSpec, ScfConfig
 
 _SECTIONS = ("eos", "grid", "core", "rotation", "solver", "scan")
-
-_SOLVER_DEFAULTS = {
-    "mass": 1.0,
-    "alpha": 0.5,
-    "tol_density": 1e-8,
-    "tol_residual": 1e-3,
-    "max_iter": 500,
-    "lambda_bracket": [-10.0, 10.0],
-    "mass_tol": 1e-10,
-    "runoff_fraction": 0.05,
-    "runoff_margin_cells": 2,
-}
 
 
 class ConfigError(ValueError):
@@ -67,10 +56,10 @@ def _number(section, key, value, positive=False, nonneg=False):
     return value
 
 
-def _integer(section, key, value, minimum):
+def _integer(section, key, value, minimum=None):
     if isinstance(value, bool) or not isinstance(value, int):
         raise ConfigError("key '%s' in section '%s' must be an integer" % (key, section))
-    if value < minimum:
+    if minimum is not None and value < minimum:
         raise ConfigError(
             "key '%s' in section '%s' must be at least %d" % (key, section, minimum)
         )
@@ -214,33 +203,35 @@ def _eff_guess(value):
     return out
 
 
+#: type check of a ScfConfig field, chosen by the type of its default
+_SOLVER_TYPES = {int: _integer, float: _number, tuple: _number_list}
+
+
+def _scf_config(solver):
+    """ScfConfig from the keys of a materialized solver section."""
+    return ScfConfig(**{
+        f.name: solver[f.name] for f in dataclasses.fields(ScfConfig)
+    })
+
+
 def _eff_solver(sec):
+    """The solver section: ``mass``, ``initial_guess`` and every ScfConfig
+    field, whose ranges ScfConfig checks itself."""
     sec = {} if sec is None else sec
     if not isinstance(sec, dict):
         raise ConfigError("section 'solver' must be an object")
-    allowed = set(_SOLVER_DEFAULTS) | {"initial_guess"}
-    _reject_unknown("solver", sec, allowed)
-    out = {}
-    out["mass"] = _number("solver", "mass", sec.get("mass", _SOLVER_DEFAULTS["mass"]), positive=True)
-    out["alpha"] = _number("solver", "alpha", sec.get("alpha", _SOLVER_DEFAULTS["alpha"]), positive=True)
-    for key in ("tol_density", "tol_residual", "mass_tol"):
-        out[key] = _number("solver", key, sec.get(key, _SOLVER_DEFAULTS[key]), positive=True)
-    out["max_iter"] = _integer("solver", "max_iter", sec.get("max_iter", _SOLVER_DEFAULTS["max_iter"]), 1)
-    bracket = sec.get("lambda_bracket", _SOLVER_DEFAULTS["lambda_bracket"])
-    bracket = _number_list("solver", "lambda_bracket", bracket)
-    if len(bracket) != 2 or not bracket[0] < bracket[1]:
-        raise ConfigError(
-            "key 'lambda_bracket' in section 'solver' must be [lo, hi] with lo < hi"
-        )
-    out["lambda_bracket"] = bracket
-    out["runoff_fraction"] = _number(
-        "solver", "runoff_fraction",
-        sec.get("runoff_fraction", _SOLVER_DEFAULTS["runoff_fraction"]), positive=True,
+    fields = dataclasses.fields(ScfConfig)
+    _reject_unknown(
+        "solver", sec, {f.name for f in fields} | {"mass", "initial_guess"}
     )
-    out["runoff_margin_cells"] = _integer(
-        "solver", "runoff_margin_cells",
-        sec.get("runoff_margin_cells", _SOLVER_DEFAULTS["runoff_margin_cells"]), 1,
-    )
+    out = {"mass": _number("solver", "mass", sec.get("mass", 1.0), positive=True)}
+    for f in fields:
+        check = _SOLVER_TYPES[type(f.default)]
+        out[f.name] = check("solver", f.name, sec.get(f.name, f.default))
+    try:
+        _scf_config(out)
+    except ValueError as exc:
+        raise ConfigError("section 'solver': %s" % exc) from exc
     out["initial_guess"] = _eff_guess(sec.get("initial_guess"))
     return out
 
@@ -341,16 +332,7 @@ def build_problem(eff):
             mass=s["mass"],
             initial_guess=guess,
         )
-        scf = ScfConfig(
-            alpha=s["alpha"],
-            tol_density=s["tol_density"],
-            tol_residual=s["tol_residual"],
-            max_iter=s["max_iter"],
-            lambda_bracket=tuple(s["lambda_bracket"]),
-            mass_tol=s["mass_tol"],
-            runoff_fraction=s["runoff_fraction"],
-            runoff_margin_cells=s["runoff_margin_cells"],
-        )
+        scf = _scf_config(s)
     except ConfigError:
         raise
     except ValueError as exc:

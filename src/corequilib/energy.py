@@ -174,24 +174,3 @@ def scaling_energy_curve(fld, eos, t_values, kernel=None):
         out.append(internal - self_grav)
     return out
 
-
-def diagnostics_report(report, residual, lam, d_r, d_z, bound_margin):
-    """Assemble the fixed-key diagnostics dictionary for serialization.
-
-    Keys are stable so downstream tooling can rely on them; entries that a
-    non-converged run cannot provide are None.
-    """
-    return {
-        "internal": report.internal,
-        "self_gravity": report.self_gravity,
-        "rotation": report.rotation,
-        "core": report.core,
-        "total": report.total,
-        "el_residual_max": None if residual is None else residual.eq_max,
-        "el_residual_mean": None if residual is None else residual.eq_mean,
-        "ineq_violation": None if residual is None else residual.ineq_violation,
-        "lambda": lam,
-        "d_r": d_r,
-        "d_z": d_z,
-        "multiplier_bound_margin": bound_margin,
-    }

@@ -83,7 +83,7 @@ def _solve_cell(task):
         "mu": mu,
         "config": cfg,
         "outcome": outcome_to_dict(outcome),
-        "field": outcome.state.rho.values,
+        "field": outcome.state.rho,
         "first_verdict": outcome.verdict,
     }
 
@@ -173,12 +173,13 @@ def _monotonicity_warnings(table):
     return notes
 
 
+def fmt_num(x):
+    """17 significant digits, enough to round-trip a double; None as nan."""
+    return "%.17g" % (float("nan") if x is None else x)
+
+
 def write_scan_csv(table, path):
     """One row per cell: omega,mu,verdict,lambda,iters,d_r,d_z."""
-
-    def num(x):
-        return "%.17g" % (float("nan") if x is None else x)
-
     with open(path, "w", newline="") as fh:
         fh.write("omega,mu,verdict,lambda,iters,d_r,d_z\n")
         for i, omega in enumerate(table.omega_values):
@@ -187,8 +188,9 @@ def write_scan_csv(table, path):
                 fh.write(
                     "%s,%s,%s,%s,%d,%s,%s\n"
                     % (
-                        num(omega), num(mu), out["verdict"], num(out["lambda"]),
-                        out["iterations"], num(out["support"]["d_r"]),
-                        num(out["support"]["d_z"]),
+                        fmt_num(omega), fmt_num(mu), out["verdict"],
+                        fmt_num(out["lambda"]), out["iterations"],
+                        fmt_num(out["support"]["d_r"]),
+                        fmt_num(out["support"]["d_z"]),
                     )
                 )

@@ -31,7 +31,6 @@ from .field import (
 )
 from .potential import Environment, kernel_for
 from .energy import (
-    diagnostics_report,
     energy_with_potential,
     multiplier_bound_check,
     residual_with_potential,
@@ -78,7 +77,11 @@ class ProblemSpec:
 
 @dataclass(frozen=True)
 class ScfConfig:
-    """Iteration controls; the defaults are the tested operating point."""
+    """Iteration controls; the defaults are the tested operating point.
+
+    The field names are the keys of a config's ``solver`` section, and the
+    messages of the checks below name them.
+    """
 
     alpha: float = 0.5
     tol_density: float = 1e-8
@@ -90,16 +93,18 @@ class ScfConfig:
     runoff_margin_cells: int = 2
 
     def __post_init__(self):
+        object.__setattr__(self, "lambda_bracket", tuple(self.lambda_bracket))
         if not 0.0 < self.alpha <= 1.0:
-            raise ValueError("damping alpha must be in (0, 1]")
+            raise ValueError("alpha must be in (0, 1]")
         for name in ("tol_density", "tol_residual", "mass_tol"):
             if not getattr(self, name) > 0.0:
                 raise ValueError("%s must be positive" % name)
         if self.max_iter < 1:
             raise ValueError("max_iter must be at least 1")
-        lo, hi = self.lambda_bracket
-        if not lo < hi:
-            raise ValueError("lambda bracket must satisfy lo < hi")
+        if len(self.lambda_bracket) != 2 or not (
+            self.lambda_bracket[0] < self.lambda_bracket[1]
+        ):
+            raise ValueError("lambda_bracket must be [lo, hi] with lo < hi")
         if not 0.0 < self.runoff_fraction < 1.0:
             raise ValueError("runoff_fraction must be in (0, 1)")
         if self.runoff_margin_cells < 1:
@@ -136,19 +141,23 @@ class Outcome:
     retried: bool = False
 
 
+def _reconstruct(phi_tot, lam, eos, mask):
+    """Density whose enthalpy is ``phi_tot + lam``, cut off at zero."""
+    h = phi_tot + lam
+    if mask is not None:
+        # keep core cells out of the inversion so a bounded EOS table is
+        # not asked about enthalpies it will never see in the gas region
+        h = np.where(mask, -1.0, h)
+    return eos.enthalpy_inverse(h)
+
+
 def mass_of_lambda(phi_tot, lam, eos, mask, grid):
     """Mass of the density reconstructed at multiplier ``lam``.
 
     Monotone non-decreasing and continuous in ``lam``; that is what makes
     the bisection in ``solve_lambda`` safe.
     """
-    h = phi_tot + lam
-    if mask is not None:
-        # keep core cells out of the inversion so a bounded EOS table is
-        # not asked about enthalpies it will never see in the gas region
-        h = np.where(mask, -1.0, h)
-    rho_hat = eos.enthalpy_inverse(h)
-    return float(np.sum(rho_hat * grid.vol))
+    return float(np.sum(_reconstruct(phi_tot, lam, eos, mask) * grid.vol))
 
 
 def solve_lambda(phi_tot, mass, eos, mask, grid, bracket, mass_tol):
@@ -156,7 +165,9 @@ def solve_lambda(phi_tot, mass, eos, mask, grid, bracket, mass_tol):
 
     The starting bracket is expanded geometrically (up to 60 doublings each
     way) until it straddles the target, then bisected until the mass matches
-    to ``mass_tol`` relative.  ``LambdaBracketError`` means no representable
+    to ``mass_tol`` relative.  A multiplier whose enthalpies run past the top
+    of a table EOS counts as an upper bound, since the mass only grows with
+    the multiplier.  ``LambdaBracketError`` means no representable
     multiplier holds that much mass, either because the potential well is
     too shallow or because a table EOS runs out of range, both of which the
     caller reports as the bracket-failure verdict.
@@ -165,48 +176,46 @@ def solve_lambda(phi_tot, mass, eos, mask, grid, bracket, mass_tol):
     width = hi - lo
 
     def m_of(lam):
-        return mass_of_lambda(phi_tot, lam, eos, mask, grid)
+        try:
+            return mass_of_lambda(phi_tot, lam, eos, mask, grid)
+        except EosRangeError:
+            return np.inf
 
-    try:
+    m_hi = m_of(hi)
+    step = width
+    for _ in range(60):
+        if m_hi >= mass:
+            break
+        hi += step
+        step *= 2.0
         m_hi = m_of(hi)
-        step = width
-        for _ in range(60):
-            if m_hi >= mass:
-                break
-            hi += step
-            step *= 2.0
-            m_hi = m_of(hi)
-        else:
-            raise LambdaBracketError(
-                "no multiplier up to %g holds mass %g" % (hi, mass)
-            )
-        m_lo = m_of(lo)
-        step = width
-        for _ in range(60):
-            if m_lo <= mass:
-                break
-            lo -= step
-            step *= 2.0
-            m_lo = m_of(lo)
-        else:
-            raise LambdaBracketError(
-                "mass exceeds %g even at multiplier %g" % (mass, lo)
-            )
-        for _ in range(200):
-            mid = 0.5 * (lo + hi)
-            m_mid = m_of(mid)
-            if abs(m_mid - mass) <= mass_tol * mass:
-                return mid
-            if m_mid < mass:
-                lo = mid
-            else:
-                hi = mid
-            if hi - lo <= 1e-16 * max(1.0, abs(mid)):
-                break
-    except EosRangeError as exc:
+    else:
         raise LambdaBracketError(
-            "eos table exhausted while bracketing the multiplier: %s" % exc
-        ) from exc
+            "no multiplier up to %g holds mass %g" % (hi, mass)
+        )
+    m_lo = m_of(lo)
+    step = width
+    for _ in range(60):
+        if m_lo <= mass:
+            break
+        lo -= step
+        step *= 2.0
+        m_lo = m_of(lo)
+    else:
+        raise LambdaBracketError(
+            "mass exceeds %g even at multiplier %g" % (mass, lo)
+        )
+    for _ in range(200):
+        mid = 0.5 * (lo + hi)
+        m_mid = m_of(mid)
+        if abs(m_mid - mass) <= mass_tol * mass:
+            return mid
+        if m_mid < mass:
+            lo = mid
+        else:
+            hi = mid
+        if hi - lo <= 1e-16 * max(1.0, abs(mid)):
+            break
     raise LambdaBracketError("multiplier bisection stalled before mass_tol")
 
 
@@ -256,10 +265,7 @@ def scf_step(state, spec, config, kernel, env=None, alpha=None):
         phi_tot, spec.mass, spec.eos, rho.mask, grid,
         config.lambda_bracket, config.mass_tol,
     )
-    h = phi_tot + lam
-    if rho.mask is not None:
-        h = np.where(rho.mask, -1.0, h)
-    rho_hat = spec.eos.enthalpy_inverse(h)
+    rho_hat = _reconstruct(phi_tot, lam, spec.eos, rho.mask)
 
     mixed = DensityField(grid, damped_mix(rho.values, rho_hat, alpha), rho.mask)
     new_rho = rescale_to_mass(mixed, spec.mass)
@@ -408,18 +414,16 @@ def _finalize(verdict, state, spec, config, kernel, env, trace, mass_errs):
 
 
 def outcome_to_dict(outcome):
-    """JSON-ready view of an outcome (plain floats, fixed keys, no arrays)."""
+    """JSON-ready view of an outcome (plain floats, fixed keys, no arrays).
+
+    Each number appears once; ``schema_version`` counts the changes of this
+    layout.
+    """
     state = outcome.state
     bound = outcome.bound_check
-    diag = diagnostics_report(
-        state.energy,
-        state.residual,
-        state.lam,
-        outcome.d_r,
-        outcome.d_z,
-        None if bound is None else bound.margin,
-    )
+    resid = state.residual
     return {
+        "schema_version": 2,
         "verdict": outcome.verdict,
         "lambda": state.lam,
         "iterations": state.iteration,
@@ -439,7 +443,11 @@ def outcome_to_dict(outcome):
             "slack": bound.slack,
             "margin": bound.margin,
         },
-        "diagnostics": diag,
+        "diagnostics": {
+            "el_residual_max": None if resid is None else resid.eq_max,
+            "el_residual_mean": None if resid is None else resid.eq_mean,
+            "ineq_violation": None if resid is None else resid.ineq_violation,
+        },
         "trace": [
             {
                 "iteration": it,

@@ -6,9 +6,23 @@ stellar-structure ODE).  It is computed once per session and reused by the
 energy, residual, and solver tests.
 """
 
+import os
+
 import pytest
 
 import corequilib as cq
+
+
+@pytest.fixture(scope="session", autouse=True)
+def src_on_subprocess_path():
+    """Tests that run ``python -m corequilib`` in a subprocess import the
+    package from src/, as this process does through pyproject's pythonpath."""
+    src = os.path.join(
+        os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src"
+    )
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setenv("PYTHONPATH", src, prepend=os.pathsep)
+        yield
 
 
 @pytest.fixture(scope="session")

@@ -4,6 +4,7 @@ CLI tests call main() in-process for speed; byte-level determinism and the
 installed entry point are exercised through subprocesses.
 """
 
+import dataclasses
 import json
 import subprocess
 import sys
@@ -30,6 +31,14 @@ def base_raw(n=32, omega=0.0, mu=0.0, core_rho=0.0, core_a=0.02, extra=None):
     return raw
 
 
+#: solver values of the right type that ScfConfig's range checks reject
+OUT_OF_RANGE_SOLVER = [
+    ("alpha", 1.5),
+    ("runoff_fraction", 2.0),
+    ("lambda_bracket", [-10.0, 0.0, 10.0]),
+]
+
+
 def write_config(tmp_path, raw, name="config.json"):
     path = tmp_path / name
     path.write_text(json.dumps(raw))
@@ -50,6 +59,12 @@ class TestEffectiveConfig:
         assert eff["solver"]["max_iter"] == 500
         assert eff["solver"]["lambda_bracket"] == [-10.0, 10.0]
         assert eff["solver"]["initial_guess"] == {"kind": "gaussian-blob"}
+        # the solver defaults are ScfConfig's, stored with the bracket as a list
+        expected = dataclasses.asdict(cq.ScfConfig())
+        expected["lambda_bracket"] = list(expected["lambda_bracket"])
+        expected.update(mass=1.0, initial_guess={"kind": "gaussian-blob"})
+        assert eff["solver"] == expected
+        assert cq.build_problem(eff)[1] == cq.ScfConfig()
         assert eff["rotation"] == {"kind": "constant", "omega": 0.0}
         assert eff["core"]["rho"] == 0.0
         assert eff["core"]["mu"] == 0.0
@@ -99,8 +114,23 @@ class TestEffectiveConfig:
         with pytest.raises(cq.ConfigError, match="must be a number"):
             cq.effective_config(raw)
         raw = base_raw()
+        raw["solver"]["max_iter"] = 10.0
+        with pytest.raises(cq.ConfigError, match="'max_iter'.* must be an integer"):
+            cq.effective_config(raw)
+        raw = base_raw()
+        raw["solver"]["lambda_bracket"] = 3
+        with pytest.raises(cq.ConfigError, match="'lambda_bracket'.* array"):
+            cq.effective_config(raw)
+        raw = base_raw()
         raw["solver"]["lambda_bracket"] = [1.0, -1.0]
         with pytest.raises(cq.ConfigError, match="lambda_bracket"):
+            cq.effective_config(raw)
+
+    @pytest.mark.parametrize("key, value", OUT_OF_RANGE_SOLVER)
+    def test_solver_ranges_name_the_key(self, key, value):
+        raw = base_raw()
+        raw["solver"][key] = value
+        with pytest.raises(cq.ConfigError, match="section 'solver': %s" % key):
             cq.effective_config(raw)
 
     def test_core_shape_keys_are_exclusive(self):
@@ -239,8 +269,14 @@ class TestScanMachinery:
         table = cq.run_scan(cq.ScanSpec.from_config(eff), workers=1)
         record = table.cells[(0, 0)]
         spec, scf = cq.build_problem(cell_config(eff, 0.3, 2.0))
-        direct = cq.outcome_to_dict(cq.solve(spec, scf))
-        assert record["outcome"] == direct
+        solved = cq.solve(spec, scf)
+        assert record["outcome"] == cq.outcome_to_dict(solved)
+        core_mask = spec.core.mask(spec.grid)
+        assert np.any(core_mask)
+        np.testing.assert_array_equal(record["field"].mask, core_mask)
+        np.testing.assert_array_equal(
+            record["field"].values, solved.state.rho.values
+        )
 
     def test_retry_marks_and_grows_runoff_cells(self):
         eff = cq.effective_config(self.scan_raw(), need_scan=True)
@@ -271,6 +307,11 @@ class TestScanMachinery:
         assert sorted(serial.cells) == sorted(pooled.cells)
         for key in serial.cells:
             assert serial.cells[key]["outcome"] == pooled.cells[key]["outcome"]
+            for part in ("values", "mask"):
+                np.testing.assert_array_equal(
+                    getattr(serial.cells[key]["field"], part),
+                    getattr(pooled.cells[key]["field"], part),
+                )
 
     def test_monotonicity_warning_wording(self):
         def rec(verdict):
@@ -381,6 +422,19 @@ class TestCli:
         assert rc == 0
         printed = capsys.readouterr().out
         assert json.loads(printed) == cq.effective_config(base_raw())
+
+    @pytest.mark.parametrize("key, value", OUT_OF_RANGE_SOLVER)
+    def test_dump_rejects_out_of_range_solver_keys(
+        self, tmp_path, capsys, key, value
+    ):
+        raw = base_raw()
+        raw["solver"][key] = value
+        cfg = write_config(tmp_path, raw)
+        rc = main(["solve", "--config", cfg, "--dump-effective-config"])
+        assert rc == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "section 'solver': %s" % key in captured.err
 
     def test_oracle_output(self, capsys):
         rc = main(["oracle", "lane-emden", "--gamma", "2.0", "--k", "1.0"])

@@ -221,36 +221,3 @@ class TestDilation:
         rep = cq.energy(fld, eos, trivial_env(grid))
         assert f1 == pytest.approx(rep.internal - rep.self_gravity, rel=1e-13)
 
-
-def test_diagnostics_report_keys_and_wiring(le_problem, le_outcome):
-    env = cq.Environment.build(
-        le_problem.grid, le_problem.core, le_problem.mu, le_problem.rotation
-    )
-    rep = cq.energy(le_outcome.state.rho, le_problem.eos, env)
-    stats = le_outcome.state.residual
-    diag = cq.diagnostics_report(
-        rep, stats, le_outcome.state.lam, le_outcome.d_r, le_outcome.d_z, 0.25
-    )
-    assert sorted(diag) == sorted(
-        [
-            "internal",
-            "self_gravity",
-            "rotation",
-            "core",
-            "total",
-            "el_residual_max",
-            "el_residual_mean",
-            "ineq_violation",
-            "lambda",
-            "d_r",
-            "d_z",
-            "multiplier_bound_margin",
-        ]
-    )
-    assert diag["lambda"] == le_outcome.state.lam
-    assert diag["el_residual_max"] == stats.eq_max
-    assert diag["multiplier_bound_margin"] == 0.25
-
-    empty = cq.diagnostics_report(rep, None, None, None, None, None)
-    assert empty["el_residual_max"] is None
-    assert empty["ineq_violation"] is None

@@ -236,6 +236,8 @@ class TestScfStep:
             cq.ScfConfig(tol_density=0.0)
         with pytest.raises(ValueError):
             cq.ScfConfig(lambda_bracket=(2.0, -2.0))
+        with pytest.raises(ValueError, match="lambda_bracket"):
+            cq.ScfConfig(lambda_bracket=(-2.0, 0.0, 2.0))
         with pytest.raises(ValueError):
             cq.ScfConfig(max_iter=0)
         with pytest.raises(ValueError):
@@ -321,6 +323,40 @@ class TestSolve:
         assert out.verdict == "LambdaBracketFail"
         assert out.state.iteration == 0
         assert out.mass_err_max is None
+        payload = cq.outcome_to_dict(out)
+        assert payload["lambda"] is None
+        assert payload["multiplier_bound"] is None
+        assert payload["diagnostics"] == {
+            "el_residual_max": None,
+            "el_residual_mean": None,
+            "ineq_violation": None,
+        }
+
+    def test_short_table_past_the_first_probe_converges(self):
+        # h_max = 10 sits below max(phi) + 10, so the first multiplier probe
+        # at the top of the default bracket runs off the table; that probe
+        # must bound the bracket instead of failing the solve
+        def readme_table_solve(s_max):
+            s = np.geomspace(1e-4, s_max, 48)
+            spec = cq.ProblemSpec(
+                eos=cq.TabulatedEos(s, s**2),
+                grid=cq.CylGrid(2.0, 2.0, 32, 32),
+                core=cq.CoreRegion.spheroid(0.1, 0.1, 10.0),
+                mu=1.0,
+                rotation=cq.RotationLaw.constant(0.4),
+                mass=1.0,
+            )
+            return spec.eos, cq.solve(spec)
+
+        short_eos, short = readme_table_solve(5.0)
+        _, wide = readme_table_solve(100.0)
+        assert short_eos.h_max < 10.0 + 1e-9
+        assert short.verdict == wide.verdict == "Converged"
+        assert short.state.iteration == wide.state.iteration
+        assert short.state.lam == pytest.approx(wide.state.lam, rel=1e-8)
+        assert short.state.rho.values.max() == pytest.approx(
+            wide.state.rho.values.max(), rel=1e-8
+        )
 
     def test_uniform_shell_guess_reaches_the_same_solution(self, le_outcome):
         out = cq.solve(le_spec(48, guess=cq.InitialGuess(kind="uniform-shell")))
@@ -362,14 +398,28 @@ class TestSolve:
         payload = cq.outcome_to_dict(le_outcome)
         text = json.dumps(payload, sort_keys=True)
         back = json.loads(text)
+        assert sorted(back) == [
+            "diagnostics", "energy", "iterations", "lambda", "mass_err_max",
+            "multiplier_bound", "retried", "schema_version", "support",
+            "trace", "verdict",
+        ]
+        assert back["schema_version"] == 2
         assert back["verdict"] == "Converged"
         assert back["iterations"] == le_outcome.state.iteration
         assert back["lambda"] == le_outcome.state.lam
         assert sorted(back["energy"]) == [
             "core", "internal", "rotation", "self_gravity", "total",
         ]
+        assert back["energy"]["total"] == le_outcome.state.energy.total
         assert back["support"]["d_r"] == le_outcome.d_r
         assert back["multiplier_bound"]["passed"] is True
+        assert back["multiplier_bound"]["margin"] == le_outcome.bound_check.margin
+        stats = le_outcome.state.residual
+        assert back["diagnostics"] == {
+            "el_residual_max": stats.eq_max,
+            "el_residual_mean": stats.eq_mean,
+            "ineq_violation": stats.ineq_violation,
+        }
         assert len(back["trace"]) == le_outcome.state.iteration
         row = back["trace"][0]
         assert sorted(row) == ["energy_total", "iteration", "lambda", "update_norm"]
