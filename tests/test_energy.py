@@ -221,3 +221,40 @@ class TestDilation:
         rep = cq.energy(fld, eos, trivial_env(grid))
         assert f1 == pytest.approx(rep.internal - rep.self_gravity, rel=1e-13)
 
+
+
+def test_diagnostics_report_keys_and_wiring(le_problem, le_outcome):
+    import dataclasses
+
+    env = cq.Environment.build(
+        le_problem.grid, le_problem.core, le_problem.mu, le_problem.rotation
+    )
+    rep = cq.energy(le_outcome.state.rho, le_problem.eos, env)
+    stats = le_outcome.state.residual
+    diag = cq.outcome_to_dict(le_outcome)
+    assert diag["energy"] == {
+        "internal": rep.internal,
+        "self_gravity": rep.self_gravity,
+        "rotation": rep.rotation,
+        "core": rep.core,
+        "total": rep.total,
+    }
+    assert diag["diagnostics"] == {
+        "el_residual_max": stats.eq_max,
+        "el_residual_mean": stats.eq_mean,
+        "ineq_violation": stats.ineq_violation,
+    }
+    assert diag["lambda"] == le_outcome.state.lam
+    assert diag["support"] == {"d_r": le_outcome.d_r, "d_z": le_outcome.d_z}
+    assert diag["multiplier_bound"]["margin"] == le_outcome.bound_check.margin
+
+    bare = dataclasses.replace(
+        le_outcome,
+        state=dataclasses.replace(le_outcome.state, lam=None, residual=None),
+        bound_check=None,
+    )
+    empty = cq.outcome_to_dict(bare)
+    assert empty["lambda"] is None
+    assert empty["multiplier_bound"] is None
+    assert empty["diagnostics"]["el_residual_max"] is None
+    assert empty["diagnostics"]["ineq_violation"] is None
