@@ -65,6 +65,7 @@ from .lane_emden import (
 from .solver import (
     InitialGuess,
     LambdaBracketError,
+    MassDriftError,
     Outcome,
     ProblemSpec,
     ScfConfig,

@@ -41,7 +41,7 @@ from .potential import (
     validate_core_potential,
 )
 from .scan import ScanSpec, fmt_num, run_scan, write_scan_csv
-from .solver import outcome_to_dict, solve
+from .solver import MassDriftError, outcome_to_dict, solve
 
 _NUMERIC_ERRORS = (
     QuadratureError,
@@ -50,6 +50,7 @@ _NUMERIC_ERRORS = (
     GridError,
     DegenerateFieldError,
     DilationRangeError,
+    MassDriftError,
     FloatingPointError,
 )
 

@@ -265,14 +265,14 @@ def write_field_csv(fld, path):
     doubles exactly; masked cells appear with rho = 0.
     """
     grid = fld.grid
+    z_cols = ["%.17g," % z for z in grid.z.tolist()]
     with open(path, "w", newline="") as fh:
         fh.write("r,z,rho\n")
-        for i in range(grid.n_r):
-            r_i = grid.r[i]
-            for j in range(grid.n_z):
-                fh.write(
-                    "%.17g,%.17g,%.17g\n" % (r_i, grid.z[j], fld.values[i, j])
-                )
+        for r_i, row in zip(grid.r.tolist(), fld.values.tolist()):
+            head = "%.17g," % r_i
+            fh.write(
+                "".join([head + z + "%.17g\n" % v for z, v in zip(z_cols, row)])
+            )
 
 
 def read_field_csv(path, grid, mask=None):

@@ -44,6 +44,10 @@ class LambdaBracketError(RuntimeError):
     """No multiplier in (or beyond) the bracket holds the requested mass."""
 
 
+class MassDriftError(RuntimeError):
+    """Mass renormalization left an iterate off the requested mass."""
+
+
 @dataclass(frozen=True)
 class InitialGuess:
     kind: str = "gaussian-blob"
@@ -327,7 +331,7 @@ def solve(spec, config=None):
         )
         mass_errs.append(state.mass_err)
         if state.mass_err > config.mass_tol:
-            raise RuntimeError(
+            raise MassDriftError(
                 "mass renormalization drifted to %g relative" % state.mass_err
             )
 

@@ -6,6 +6,7 @@ installed entry point are exercised through subprocesses.
 
 import dataclasses
 import json
+import os
 import subprocess
 import sys
 
@@ -436,6 +437,32 @@ class TestCli:
         assert captured.out == ""
         assert "section 'solver': %s" % key in captured.err
 
+    def test_kernel_too_large_for_memory_exits_two(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        monkeypatch.setattr(cq.potential, "_physical_memory_bytes", lambda: 64)
+        cq.kernel_for.cache_clear()
+        cfg = write_config(tmp_path, base_raw(n=32))
+        rc = main(["solve", "--config", cfg, "--out", str(tmp_path / "o")])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith("numeric error: potential kernel for a 32 x 32 grid")
+        assert "needs 270336 bytes" in err and "the 64 bytes" in err
+
+    def test_mass_drift_exits_two(self, tmp_path, capsys, monkeypatch):
+        rescale = cq.solver.rescale_to_mass
+
+        def off_by_a_millionth(fld, mass):
+            return rescale(fld, mass * (1.0 + 1e-6))
+
+        monkeypatch.setattr(cq.solver, "rescale_to_mass", off_by_a_millionth)
+        cfg = write_config(tmp_path, base_raw(n=24))
+        rc = main(["solve", "--config", cfg, "--out", str(tmp_path / "o")])
+        assert rc == 2
+        assert capsys.readouterr().err.startswith(
+            "numeric error: mass renormalization drifted to 1e-06 relative"
+        )
+
     def test_oracle_output(self, capsys):
         rc = main(["oracle", "lane-emden", "--gamma", "2.0", "--k", "1.0"])
         assert rc == 0
@@ -524,4 +551,24 @@ class TestCli:
             assert proc.returncode == 0, proc.stderr
             outs.append(out)
         for name in ("result.json", "field.csv", "trace.csv", "effective_config.json"):
+            assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes()
+
+    def test_outputs_do_not_depend_on_blas_threads(self, tmp_path):
+        raw = base_raw(n=32, omega=0.4, mu=1.0, core_rho=10.0, core_a=0.1)
+        cfg = write_config(tmp_path, raw)
+        outs = []
+        for threads in ("1", "2"):
+            out = tmp_path / ("threads-" + threads)
+            proc = subprocess.run(
+                [
+                    sys.executable, "-m", "corequilib",
+                    "solve", "--config", cfg, "--out", str(out),
+                ],
+                capture_output=True,
+                text=True,
+                env=dict(os.environ, OPENBLAS_NUM_THREADS=threads),
+            )
+            assert proc.returncode == 0, proc.stderr
+            outs.append(out)
+        for name in ("result.json", "field.csv"):
             assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes()

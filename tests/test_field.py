@@ -291,6 +291,30 @@ class TestFieldCsv:
         header = path.read_text().splitlines()[0]
         assert header == "r,z,rho"
 
+    def test_bytes_equal_the_per_cell_writer(self, tmp_path):
+        def write_per_cell(fld, path):
+            grid = fld.grid
+            with open(path, "w", newline="") as fh:
+                fh.write("r,z,rho\n")
+                for i in range(grid.n_r):
+                    for j in range(grid.n_z):
+                        fh.write(
+                            "%.17g,%.17g,%.17g\n"
+                            % (grid.r[i], grid.z[j], fld.values[i, j])
+                        )
+
+        grid = cq.CylGrid(1.7, 0.3, 24, 18)
+        rng = np.random.default_rng(17)
+        exponents = rng.integers(-300, 300, (24, 18))
+        vals = rng.uniform(0.0, 1.0, (24, 18)) * 10.0**exponents
+        vals[rng.random((24, 18)) < 0.3] = 0.0
+        fld = cq.DensityField(grid, vals)
+        fast, slow = tmp_path / "fast.csv", tmp_path / "slow.csv"
+        cq.write_field_csv(fld, fast)
+        write_per_cell(fld, slow)
+        assert fast.read_bytes() == slow.read_bytes()
+        np.testing.assert_array_equal(cq.read_field_csv(fast, grid).values, vals)
+
     def test_grid_mismatch_detected(self, tmp_path):
         grid = cq.CylGrid(1.0, 1.0, 12, 10)
         other = cq.CylGrid(2.0, 1.0, 12, 10)

@@ -134,6 +134,17 @@ class TestKernelAgainstBall:
         with pytest.raises(ValueError):
             cq.newtonian_potential(cq.kernel_for(g1), fld)
 
+    def test_kernel_larger_than_physical_memory_is_refused(self, monkeypatch):
+        monkeypatch.setattr(cq.potential, "_physical_memory_bytes", lambda: 64)
+        with pytest.raises(cq.GridError, match=r"needs 270336 bytes.* 64 bytes"):
+            cq.AxiKernel(cq.CylGrid(1.0, 1.0, 32, 32))
+
+    def test_kernel_is_a_real_spectrum(self):
+        kernel = cq.kernel_for(cq.CylGrid(1.0, 2.0, 16, 24))
+        assert kernel._fw.dtype == np.float64
+        assert kernel._fw.shape == (25, 16, 16)
+        assert kernel._fw.flags["C_CONTIGUOUS"]
+
     def test_kernel_cache_returns_same_object(self):
         k1 = cq.kernel_for(cq.CylGrid(1.0, 1.0, 16, 16))
         k2 = cq.kernel_for(cq.CylGrid(1.0, 1.0, 16, 16))

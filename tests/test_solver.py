@@ -302,6 +302,16 @@ class TestSolve:
         assert out.bound_check is None
         assert not out.retried
 
+    def test_mass_drift_is_a_typed_error(self, monkeypatch):
+        rescale = cq.solver.rescale_to_mass
+
+        def off_by_a_millionth(fld, mass):
+            return rescale(fld, mass * (1.0 + 1e-6))
+
+        monkeypatch.setattr(cq.solver, "rescale_to_mass", off_by_a_millionth)
+        with pytest.raises(cq.MassDriftError, match="drifted to 1e-06 relative"):
+            cq.solve(le_spec(24))
+
     def test_iteration_cap(self):
         out = cq.solve(le_spec(32), cq.ScfConfig(max_iter=5))
         assert out.verdict == "IterationCap"
