@@ -9,6 +9,7 @@ non-existence structure of the underlying variational problem.
 
 from .eos import (
     EosDomainError,
+    EosInversionError,
     EosRangeError,
     Polytrope,
     QuadratureError,

@@ -30,7 +30,9 @@ from .config import (
     effective_config,
     load_config_file,
 )
-from .eos import EosDomainError, EosRangeError, QuadratureError, make_eos
+from .eos import (
+    EosDomainError, EosInversionError, EosRangeError, QuadratureError, make_eos,
+)
 from .energy import DilationRangeError
 from .field import DegenerateFieldError, GridError, write_field_csv
 from .lane_emden import polytrope_structure
@@ -47,6 +49,7 @@ _NUMERIC_ERRORS = (
     QuadratureError,
     EosRangeError,
     EosDomainError,
+    EosInversionError,
     GridError,
     DegenerateFieldError,
     DilationRangeError,

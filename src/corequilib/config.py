@@ -204,7 +204,7 @@ def _eff_guess(value):
 
 
 #: type check of a ScfConfig field, chosen by the type of its default
-_SOLVER_TYPES = {int: _integer, float: _number, tuple: _number_list}
+_SOLVER_TYPES = {int: _integer, float: _number}
 
 
 def _scf_config(solver):

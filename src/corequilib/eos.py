@@ -33,6 +33,10 @@ class EosRangeError(ValueError):
     """Inversion requested above the sampled enthalpy range."""
 
 
+class EosInversionError(RuntimeError):
+    """Newton inversion of a table EOS's enthalpy missed its tolerance."""
+
+
 class QuadratureError(RuntimeError):
     """Adaptive quadrature failed to converge while building a table EOS."""
 
@@ -63,6 +67,9 @@ class Polytrope:
     """
 
     kind = "polytrope"
+
+    #: top of the enthalpy range ``enthalpy_inverse`` accepts
+    h_max = np.inf
 
     def __init__(self, k, gamma):
         if not k > 0.0:
@@ -296,10 +303,14 @@ class TabulatedEos:
             s = np.exp(u)
             val = self._I(u) + np.exp(self._logf(u) - u) - target
             if np.all(np.abs(val) <= tol):
-                break
+                return s
             slope = self._enthalpy_slope_u(u) / s  # dA'/ds
             u = np.clip(u - val / (slope * s), self._u_min, self._u_max)
-        return np.exp(u)
+        raise EosInversionError(
+            "enthalpy inversion did not reach its tolerance in 60 Newton "
+            "steps (residual up to %g times it)"
+            % float(np.max(np.abs(val) / tol))
+        )
 
     def growth_conditions_known(self):
         """Finite samples cannot settle the limits behind the run-off regime."""

@@ -1,10 +1,11 @@
 """Self-consistent-field iteration for the constrained equilibrium problem.
 
 One step of the scheme: evaluate the total potential of the current density,
-solve a 1-d bisection for the multiplier that makes the reconstructed density
-carry the right mass, reconstruct through the inverse enthalpy (with its
-cutoff at non-positive argument), damp, and renormalize the mass.  Fixed
-points of the map are exactly the discrete equilibria.
+find the multiplier that makes the reconstructed density carry the right
+mass (Brent's method on a bracket read off the potential, see
+``solve_lambda``), reconstruct through the inverse enthalpy (with its cutoff
+at non-positive argument), damp, and renormalize the mass.  Fixed points of
+the map are exactly the discrete equilibria.
 
 Failure modes are data, not exceptions: the returned ``Outcome`` carries one
 of the verdicts Converged / MassRunoff / LambdaBracketFail / IterationCap.
@@ -18,8 +19,8 @@ from dataclasses import dataclass, field as dc_field
 from typing import Optional
 
 import numpy as np
+from scipy.optimize import brentq
 
-from .eos import EosRangeError
 from .field import (
     DensityField,
     GridError,
@@ -29,7 +30,7 @@ from .field import (
     support_extent,
     total_mass,
 )
-from .potential import Environment, kernel_for
+from .potential import Environment
 from .energy import (
     energy_with_potential,
     multiplier_bound_check,
@@ -41,7 +42,7 @@ VERDICTS = ("Converged", "MassRunoff", "LambdaBracketFail", "IterationCap")
 
 
 class LambdaBracketError(RuntimeError):
-    """No multiplier in (or beyond) the bracket holds the requested mass."""
+    """No multiplier the EOS can represent holds the requested mass."""
 
 
 class MassDriftError(RuntimeError):
@@ -91,13 +92,11 @@ class ScfConfig:
     tol_density: float = 1e-8
     tol_residual: float = 1e-3
     max_iter: int = 500
-    lambda_bracket: tuple = (-10.0, 10.0)
     mass_tol: float = 1e-10
     runoff_fraction: float = 0.05
     runoff_margin_cells: int = 2
 
     def __post_init__(self):
-        object.__setattr__(self, "lambda_bracket", tuple(self.lambda_bracket))
         if not 0.0 < self.alpha <= 1.0:
             raise ValueError("alpha must be in (0, 1]")
         for name in ("tol_density", "tol_residual", "mass_tol"):
@@ -105,10 +104,6 @@ class ScfConfig:
                 raise ValueError("%s must be positive" % name)
         if self.max_iter < 1:
             raise ValueError("max_iter must be at least 1")
-        if len(self.lambda_bracket) != 2 or not (
-            self.lambda_bracket[0] < self.lambda_bracket[1]
-        ):
-            raise ValueError("lambda_bracket must be [lo, hi] with lo < hi")
         if not 0.0 < self.runoff_fraction < 1.0:
             raise ValueError("runoff_fraction must be in (0, 1)")
         if self.runoff_margin_cells < 1:
@@ -158,69 +153,59 @@ def _reconstruct(phi_tot, lam, eos, mask):
 def mass_of_lambda(phi_tot, lam, eos, mask, grid):
     """Mass of the density reconstructed at multiplier ``lam``.
 
-    Monotone non-decreasing and continuous in ``lam``; that is what makes
-    the bisection in ``solve_lambda`` safe.
+    Continuous and non-decreasing in ``lam``, because the inverse enthalpy
+    is; that is what lets ``solve_lambda`` bracket its root.
     """
     return float(np.sum(_reconstruct(phi_tot, lam, eos, mask) * grid.vol))
 
 
-def solve_lambda(phi_tot, mass, eos, mask, grid, bracket, mass_tol):
+def _mass_excess(lam, phi_tot, mass, eos, mask, grid):
+    # module level, with the arrays in brentq's args: scipy wraps the
+    # objective in a self-referencing closure, which would keep a closure's
+    # phi_tot alive until the cyclic collector runs
+    return mass_of_lambda(phi_tot, lam, eos, mask, grid) - mass
+
+
+def solve_lambda(phi_tot, mass, eos, mask, grid, mass_tol):
     """Multiplier at which the reconstructed density carries ``mass``.
 
-    The starting bracket is expanded geometrically (up to 60 doublings each
-    way) until it straddles the target, then bisected until the mass matches
-    to ``mass_tol`` relative.  A multiplier whose enthalpies run past the top
-    of a table EOS counts as an upper bound, since the mass only grows with
-    the multiplier.  ``LambdaBracketError`` means no representable
-    multiplier holds that much mass, either because the potential well is
-    too shallow or because a table EOS runs out of range, both of which the
-    caller reports as the bracket-failure verdict.
+    Both ends of the bracket follow from the gas cells (those ``mask``
+    leaves free) of volume ``V``:
+
+    * ``lo = -max(phi)`` puts every gas enthalpy at or below zero, so the
+      mass there is exactly 0;
+    * ``hi = min(A'(mass / V) - min(phi), h_max - max(phi))``: the first
+      term puts the density at or above ``mass / V`` in every gas cell, so
+      the mass there is at least ``mass``; the second keeps every enthalpy
+      inside a table EOS's range (a polytrope's ``h_max`` is infinite).
+
+    ``hi`` is probed once.  If its mass falls short, the table ends before
+    the enthalpy the mass needs and ``LambdaBracketError`` is raised, which
+    the caller reports as the bracket-failure verdict.  Otherwise Brent's
+    method finds the root on ``[lo, hi]``.  The returned multiplier
+    reconstructs ``mass`` to ``mass_tol`` relative, or the call raises
+    ``LambdaBracketError``.
     """
-    lo, hi = float(bracket[0]), float(bracket[1])
-    width = hi - lo
-
-    def m_of(lam):
-        try:
-            return mass_of_lambda(phi_tot, lam, eos, mask, grid)
-        except EosRangeError:
-            return np.inf
-
-    m_hi = m_of(hi)
-    step = width
-    for _ in range(60):
-        if m_hi >= mass:
-            break
-        hi += step
-        step *= 2.0
-        m_hi = m_of(hi)
-    else:
+    gas, vol = phi_tot, np.broadcast_to(grid.vol, phi_tot.shape)
+    if mask is not None:
+        gas, vol = gas[~mask], vol[~mask]
+    phi_max = float(np.max(gas))
+    mean_h = float(eos.enthalpy(mass / float(np.sum(vol))))
+    hi = min(mean_h - float(np.min(gas)), eos.h_max - phi_max)
+    args = (phi_tot, mass, eos, mask, grid)
+    excess = _mass_excess(hi, *args)
+    if excess < -mass_tol * mass:
         raise LambdaBracketError(
-            "no multiplier up to %g holds mass %g" % (hi, mass)
+            "EOS table ends at enthalpy %g, short of mass %g" % (eos.h_max, mass)
         )
-    m_lo = m_of(lo)
-    step = width
-    for _ in range(60):
-        if m_lo <= mass:
-            break
-        lo -= step
-        step *= 2.0
-        m_lo = m_of(lo)
-    else:
-        raise LambdaBracketError(
-            "mass exceeds %g even at multiplier %g" % (mass, lo)
-        )
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        m_mid = m_of(mid)
-        if abs(m_mid - mass) <= mass_tol * mass:
-            return mid
-        if m_mid < mass:
-            lo = mid
-        else:
-            hi = mid
-        if hi - lo <= 1e-16 * max(1.0, abs(mid)):
-            break
-    raise LambdaBracketError("multiplier bisection stalled before mass_tol")
+    if excess <= mass_tol * mass:
+        return hi
+    # tolerances: 1e-13 absolute, relative at the floor scipy allows
+    lam = brentq(_mass_excess, -phi_max, hi, args=args, xtol=1e-13,
+                 rtol=4.0 * np.finfo(float).eps)
+    if abs(_mass_excess(lam, *args)) > mass_tol * mass:
+        raise LambdaBracketError("multiplier root misses mass_tol")
+    return lam
 
 
 def initial_field(spec, mask):
@@ -252,22 +237,15 @@ def damped_mix(old_values, new_values, alpha):
     return (1.0 - alpha) * old_values + alpha * new_values
 
 
-def scf_step(state, spec, config, kernel, env=None, alpha=None):
+def scf_step(state, spec, config, env, alpha):
     """Advance one iteration; see the module docstring for the scheme."""
-    if env is None:
-        env = Environment.build(
-            spec.grid, spec.core, spec.mu, spec.rotation, kernel
-        )
-    if alpha is None:
-        alpha = config.alpha
     rho = state.rho
     grid = spec.grid
 
-    b_rho = kernel.apply(rho.values)
+    b_rho = env.kernel.apply(rho.values)
     phi_tot = b_rho + env.J + env.phi_core
     lam = solve_lambda(
-        phi_tot, spec.mass, spec.eos, rho.mask, grid,
-        config.lambda_bracket, config.mass_tol,
+        phi_tot, spec.mass, spec.eos, rho.mask, grid, config.mass_tol
     )
     rho_hat = _reconstruct(phi_tot, lam, spec.eos, rho.mask)
 
@@ -307,8 +285,7 @@ def solve(spec, config=None):
     """Iterate to a verdict; never raises for physical failure modes."""
     config = config if config is not None else ScfConfig()
     grid = spec.grid
-    kernel = kernel_for(grid)
-    env = Environment.build(grid, spec.core, spec.mu, spec.rotation, kernel)
+    env = Environment.build(grid, spec.core, spec.mu, spec.rotation)
     mask = env.core.mask(grid)
 
     state = ScfState(0, initial_field(spec, mask), None, None, None, None, None)
@@ -322,7 +299,7 @@ def solve(spec, config=None):
 
     for _ in range(config.max_iter):
         try:
-            state = scf_step(state, spec, config, kernel, env, alpha)
+            state = scf_step(state, spec, config, env, alpha)
         except LambdaBracketError:
             verdict = "LambdaBracketFail"
             break
@@ -360,14 +337,14 @@ def solve(spec, config=None):
             verdict = "Converged"
             break
 
-    return _finalize(verdict, state, spec, config, kernel, env, trace, mass_errs)
+    return _finalize(verdict, state, spec, config, env, trace, mass_errs)
 
 
-def _finalize(verdict, state, spec, config, kernel, env, trace, mass_errs):
+def _finalize(verdict, state, spec, config, env, trace, mass_errs):
     """Recompute diagnostics for the final field so the reported numbers are
     self-consistent (the in-loop statistics describe the previous iterate)."""
     rho = state.rho
-    b_rho = kernel.apply(rho.values)
+    b_rho = env.kernel.apply(rho.values)
     phi_tot = b_rho + env.J + env.phi_core
 
     lam = state.lam
@@ -375,7 +352,7 @@ def _finalize(verdict, state, spec, config, kernel, env, trace, mass_errs):
         try:
             lam = solve_lambda(
                 phi_tot, spec.mass, spec.eos, rho.mask, spec.grid,
-                config.lambda_bracket, config.mass_tol,
+                config.mass_tol,
             )
         except LambdaBracketError:
             pass  # keep the last in-loop multiplier

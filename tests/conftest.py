@@ -9,8 +9,13 @@ energy, residual, and solver tests.
 import os
 
 import pytest
+from hypothesis import settings
 
 import corequilib as cq
+
+# one bound for every property test: each example builds a kernel or a table
+settings.register_profile("corequilib", max_examples=25, deadline=None)
+settings.load_profile("corequilib")
 
 
 @pytest.fixture(scope="session", autouse=True)

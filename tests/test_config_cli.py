@@ -36,7 +36,6 @@ def base_raw(n=32, omega=0.0, mu=0.0, core_rho=0.0, core_a=0.02, extra=None):
 OUT_OF_RANGE_SOLVER = [
     ("alpha", 1.5),
     ("runoff_fraction", 2.0),
-    ("lambda_bracket", [-10.0, 0.0, 10.0]),
 ]
 
 
@@ -58,11 +57,9 @@ class TestEffectiveConfig:
         assert eff["solver"]["alpha"] == 0.5
         assert eff["solver"]["tol_density"] == 1e-8
         assert eff["solver"]["max_iter"] == 500
-        assert eff["solver"]["lambda_bracket"] == [-10.0, 10.0]
         assert eff["solver"]["initial_guess"] == {"kind": "gaussian-blob"}
-        # the solver defaults are ScfConfig's, stored with the bracket as a list
+        # the solver defaults are ScfConfig's
         expected = dataclasses.asdict(cq.ScfConfig())
-        expected["lambda_bracket"] = list(expected["lambda_bracket"])
         expected.update(mass=1.0, initial_guess={"kind": "gaussian-blob"})
         assert eff["solver"] == expected
         assert cq.build_problem(eff)[1] == cq.ScfConfig()
@@ -118,14 +115,6 @@ class TestEffectiveConfig:
         raw["solver"]["max_iter"] = 10.0
         with pytest.raises(cq.ConfigError, match="'max_iter'.* must be an integer"):
             cq.effective_config(raw)
-        raw = base_raw()
-        raw["solver"]["lambda_bracket"] = 3
-        with pytest.raises(cq.ConfigError, match="'lambda_bracket'.* array"):
-            cq.effective_config(raw)
-        raw = base_raw()
-        raw["solver"]["lambda_bracket"] = [1.0, -1.0]
-        with pytest.raises(cq.ConfigError, match="lambda_bracket"):
-            cq.effective_config(raw)
 
     @pytest.mark.parametrize("key, value", OUT_OF_RANGE_SOLVER)
     def test_solver_ranges_name_the_key(self, key, value):
@@ -178,7 +167,6 @@ class TestEffectiveConfig:
         assert spec.mu == 2.0
         assert spec.core.rho_core == 5.0
         assert spec.rotation.omega == 0.4
-        assert scf.lambda_bracket == (-10.0, 10.0)
 
     def test_build_problem_wraps_construction_errors(self):
         raw = base_raw()
@@ -437,6 +425,16 @@ class TestCli:
         assert captured.out == ""
         assert "section 'solver': %s" % key in captured.err
 
+    def test_removed_lambda_bracket_key_exits_one(self, tmp_path, capsys):
+        raw = base_raw()
+        raw["solver"]["lambda_bracket"] = [-10.0, 10.0]
+        cfg = write_config(tmp_path, raw)
+        rc = main(["solve", "--config", cfg, "--out", str(tmp_path / "o")])
+        assert rc == 1
+        assert "unknown key 'lambda_bracket' in section 'solver'" in (
+            capsys.readouterr().err
+        )
+
     def test_kernel_too_large_for_memory_exits_two(
         self, tmp_path, capsys, monkeypatch
     ):
@@ -461,6 +459,27 @@ class TestCli:
         assert rc == 2
         assert capsys.readouterr().err.startswith(
             "numeric error: mass renormalization drifted to 1e-06 relative"
+        )
+
+    def test_eos_inversion_failure_exits_two(self, tmp_path, capsys, monkeypatch):
+        slope = cq.TabulatedEos._enthalpy_slope_u
+        monkeypatch.setattr(
+            cq.TabulatedEos,
+            "_enthalpy_slope_u",
+            lambda self, u: 1e6 * slope(self, u),
+        )
+        s = np.geomspace(1e-3, 10.0, 24)
+        raw = base_raw(n=24)
+        raw["eos"] = {
+            "kind": "tabulated-generic",
+            "s": s.tolist(),
+            "f": (s**2).tolist(),
+        }
+        cfg = write_config(tmp_path, raw)
+        rc = main(["solve", "--config", cfg, "--out", str(tmp_path / "o")])
+        assert rc == 2
+        assert capsys.readouterr().err.startswith(
+            "numeric error: enthalpy inversion did not reach its tolerance"
         )
 
     def test_oracle_output(self, capsys):

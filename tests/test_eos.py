@@ -12,6 +12,7 @@ from scipy.integrate import quad
 
 from corequilib import (
     EosDomainError,
+    EosInversionError,
     EosRangeError,
     Polytrope,
     TabulatedEos,
@@ -191,6 +192,18 @@ class TestTabulatedEos:
         tab = TabulatedEos(s_tab, f_tab)
         with pytest.raises(EosRangeError):
             tab.enthalpy_inverse(tab.h_max * 4.0)
+
+    def test_inversion_that_misses_its_tolerance_is_an_error(self, monkeypatch):
+        s_tab, f_tab = gamma2_table()
+        tab = TabulatedEos(s_tab, f_tab)
+        h = tab.enthalpy(np.array([0.37, 3.1]))
+        slope = TabulatedEos._enthalpy_slope_u
+        # a slope 1e6 times too steep makes every Newton step crawl
+        monkeypatch.setattr(
+            TabulatedEos, "_enthalpy_slope_u", lambda self, u: 1e6 * slope(self, u)
+        )
+        with pytest.raises(EosInversionError, match="60 Newton steps"):
+            tab.enthalpy_inverse(h)
 
     def test_inverse_of_nonpositive_is_zero(self):
         s_tab, f_tab = gamma2_table()

@@ -9,11 +9,9 @@ spectrum and contracted with einsum.
 """
 
 import numpy as np
-from hypothesis import given, settings, strategies as st
+from hypothesis import given, strategies as st
 
 import corequilib as cq
-
-PROPERTY = settings(max_examples=25, deadline=None)
 
 grids = st.builds(
     cq.CylGrid,
@@ -67,7 +65,6 @@ def reference_apply(grid, values):
     return np.fft.irfft(conv, n=2 * n_z, axis=1)[:, :n_z]
 
 
-@PROPERTY
 @given(grid=grids, seed=seeds, a=st.floats(-3.0, 3.0), b=st.floats(-3.0, 3.0))
 def test_apply_is_linear(grid, seed, a, b):
     kernel = cq.AxiKernel(grid)
@@ -79,7 +76,6 @@ def test_apply_is_linear(grid, seed, a, b):
     assert np.max(np.abs(combined - (a * bu + b * bv))) <= 1e-13 * scale
 
 
-@PROPERTY
 @given(grid=grids, seed=seeds)
 def test_apply_is_self_adjoint_in_the_volume_inner_product(grid, seed):
     kernel = cq.AxiKernel(grid)
@@ -90,7 +86,6 @@ def test_apply_is_self_adjoint_in_the_volume_inner_product(grid, seed):
     assert abs(left - right) <= 1e-12 * max(abs(left), abs(right))
 
 
-@PROPERTY
 @given(grid=grids, s=st.floats(0.25, 4.0))
 def test_kernel_of_a_grown_domain_scales_as_s_squared(grid, s):
     grown = cq.CylGrid(s * grid.r_max, s * grid.z_max, grid.n_r, grid.n_z)
@@ -98,7 +93,6 @@ def test_kernel_of_a_grown_domain_scales_as_s_squared(grid, s):
     assert rel_err(cq.AxiKernel(grown)._fw, s**2 * base) <= 1e-13
 
 
-@PROPERTY
 @given(grid=grids, seed=seeds)
 def test_apply_matches_the_reference_operator(grid, seed):
     values = random_density(grid, seed)

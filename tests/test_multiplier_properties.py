@@ -1,0 +1,128 @@
+"""Property tests of the multiplier solve on random grids and equations of state.
+
+Hypothesis draws small grids (8 to 20 cells a side), a potential made by the
+ring kernel from a few Gaussian blobs and shifted by a constant, with or
+without a core mask, and either a polytrope with gamma in (4/3, 3] or a
+random admissible table (a sum of two power laws with exponents above 4/3,
+sampled on a jittered log grid).  With ``lo = -max(phi_gas)`` and
+``hi = min(A'(M / V_gas) - min(phi_gas), h_max - max(phi_gas))``:
+
+* the mass is non-decreasing in the multiplier;
+* it is exactly zero at ``lo``;
+* ``solve_lambda`` returns a multiplier in ``[lo, hi]`` that reconstructs the
+  mass to ``mass_tol``, or raises ``LambdaBracketError``, and only when the
+  table edge sets ``hi`` and cannot hold the mass.
+"""
+
+import numpy as np
+import pytest
+from hypothesis import given, strategies as st
+
+import corequilib as cq
+
+MASS_TOL = 1e-10
+
+grids = st.builds(
+    cq.CylGrid,
+    r_max=st.floats(0.5, 3.0),
+    z_max=st.floats(0.5, 3.0),
+    n_r=st.integers(8, 20),
+    n_z=st.integers(8, 20),
+)
+seeds = st.integers(0, 2**32 - 1)
+polytropes = st.builds(
+    cq.Polytrope,
+    k=st.floats(0.2, 5.0),
+    gamma=st.floats(4.0 / 3.0, 3.0, exclude_min=True),
+)
+
+
+@st.composite
+def tables(draw):
+    """Admissible table: f = c1 s^g1 + c2 s^g2, both exponents above 4/3."""
+    g1, g2 = (draw(st.floats(1.4, 3.0)) for _ in range(2))
+    c1, c2 = (draw(st.floats(0.1, 3.0)) for _ in range(2))
+    s_min = 10.0 ** draw(st.floats(-4.0, -2.0))
+    s_max = 10.0 ** draw(st.floats(-1.0, 1.5))
+    n = draw(st.integers(8, 32))
+    u = np.linspace(np.log(s_min), np.log(s_max), n)
+    rng = np.random.default_rng(draw(seeds))
+    u[1:-1] += rng.uniform(-0.3, 0.3, n - 2) * (u[1] - u[0])
+    s = np.exp(u)
+    return cq.TabulatedEos(s, c1 * s**g1 + c2 * s**g2)
+
+
+eoses = st.one_of(polytropes, tables())
+
+
+@st.composite
+def problems(draw):
+    """(phi, mask, grid): a blob potential, with or without a core mask."""
+    grid = draw(grids)
+    rng = np.random.default_rng(draw(seeds))
+    blob = cq.random_blob_field(grid, rng).values
+    phi = cq.AxiKernel(grid).apply(blob) + draw(st.floats(-2.0, 2.0))
+    mask = None
+    if draw(st.booleans()):
+        a = draw(st.floats(0.1, 0.5)) * min(grid.r_max, grid.z_max)
+        mask = cq.CoreRegion.spheroid(a, a, 0.0).mask(grid)
+    return phi, mask, grid
+
+
+def gas_cells(phi, mask, grid):
+    """Potential and volume of the cells the mask leaves free."""
+    vol = np.broadcast_to(grid.vol, phi.shape)
+    if mask is None:
+        return phi.ravel(), vol.ravel()
+    return phi[~mask], vol[~mask]
+
+
+def bracket(phi, mass, eos, mask, grid):
+    """(lo, hi, whether the table edge sets hi)."""
+    gas, vol = gas_cells(phi, mask, grid)
+    by_density = float(eos.enthalpy(mass / float(np.sum(vol)))) - gas.min()
+    by_table = eos.h_max - gas.max()
+    return -gas.max(), min(by_density, by_table), by_table < by_density
+
+
+@given(problem=problems(), eos=eoses, ts=st.lists(st.floats(0.0, 1.0), max_size=12))
+def test_mass_is_non_decreasing_in_lambda(problem, eos, ts):
+    phi, mask, grid = problem
+    gas, _ = gas_cells(phi, mask, grid)
+    lo = -gas.max()
+    # up to the top of a table's range, or 3 above lo for a polytrope
+    top = min(eos.h_max, 3.0) - gas.max()
+    lams = sorted(set([lo - 1.0, lo, top] + [lo + t * (top - lo) for t in ts]))
+    masses = [cq.mass_of_lambda(phi, lam, eos, mask, grid) for lam in lams]
+    assert all(b >= a for a, b in zip(masses, masses[1:]))
+
+
+@given(problem=problems(), eos=eoses)
+def test_mass_is_zero_at_minus_the_largest_gas_potential(problem, eos):
+    phi, mask, grid = problem
+    gas, _ = gas_cells(phi, mask, grid)
+    assert cq.mass_of_lambda(phi, -float(gas.max()), eos, mask, grid) == 0.0
+
+
+@given(problem=problems(), eos=eoses, scale=st.floats(-3.0, 1.0))
+def test_solve_lambda_meets_mass_tol_inside_the_bracket(problem, eos, scale):
+    phi, mask, grid = problem
+    gas, vol = gas_cells(phi, mask, grid)
+    # the most mass the EOS can hold on this potential (infinite for a
+    # polytrope), so that tables are asked for more than they hold at times
+    cap = np.inf
+    if np.isfinite(eos.h_max):
+        cap = cq.mass_of_lambda(phi, eos.h_max - gas.max(), eos, mask, grid)
+        mass = cap * 10.0**scale
+    else:
+        mass = float(np.sum(vol)) * 10.0**scale
+    lo, hi, table_sets_hi = bracket(phi, mass, eos, mask, grid)
+    try:
+        lam = cq.solve_lambda(phi, mass, eos, mask, grid, MASS_TOL)
+    except cq.LambdaBracketError:
+        assert table_sets_hi
+        assert cap < mass * (1.0 - MASS_TOL)
+        return
+    assert lo <= lam <= hi
+    got = cq.mass_of_lambda(phi, lam, eos, mask, grid)
+    assert got == pytest.approx(mass, rel=MASS_TOL, abs=0.0)

@@ -7,6 +7,9 @@ algebra, verdict taxonomy, determinism, and grid-refinement consistency of
 the converged radius against that oracle.
 """
 
+import gc
+import weakref
+
 import numpy as np
 import pytest
 
@@ -138,9 +141,7 @@ class TestMultiplierSolve:
         phi = np.full((24, 24), 0.7)
         volume = float(np.sum(self.grid.vol * np.ones((24, 24))))
         target = 0.8 * volume          # rho = 0.8 needs phi + lambda = 1.6
-        lam = cq.solve_lambda(
-            phi, target, self.eos, self.mask, self.grid, (-10.0, 10.0), 1e-10
-        )
+        lam = cq.solve_lambda(phi, target, self.eos, self.mask, self.grid, 1e-10)
         assert lam == pytest.approx(0.9, abs=1e-9)
         recovered = cq.mass_of_lambda(phi, lam, self.eos, self.mask, self.grid)
         assert abs(recovered - target) <= 1e-10 * target
@@ -149,17 +150,31 @@ class TestMultiplierSolve:
         phi = cq.kernel_for(self.grid).apply(
             cq.random_blob_field(self.grid, np.random.default_rng(3)).values
         )
-        args = (phi, 0.25, self.eos, self.mask, self.grid, (-10.0, 10.0), 1e-10)
+        args = (phi, 0.25, self.eos, self.mask, self.grid, 1e-10)
         assert cq.solve_lambda(*args) == cq.solve_lambda(*args)
+
+    def test_solve_lambda_holds_no_reference_to_the_potential(self):
+        # without the cyclic collector, a potential kept alive by the root
+        # finder would pile up, one per SCF iteration
+        phi = cq.kernel_for(self.grid).apply(
+            cq.random_blob_field(self.grid, np.random.default_rng(4)).values
+        )
+        ref = weakref.ref(phi)
+        gc.collect()
+        gc.disable()
+        try:
+            cq.solve_lambda(phi, 0.25, self.eos, self.mask, self.grid, 1e-10)
+            del phi
+            assert ref() is None
+        finally:
+            gc.enable()
 
     def test_bounded_table_cannot_hold_huge_mass(self):
         s = np.geomspace(1e-3, 5e-2, 24)
         table = cq.TabulatedEos(s, s**2)
         phi = np.full((24, 24), 0.01)
         with pytest.raises(cq.LambdaBracketError):
-            cq.solve_lambda(
-                phi, 1e6, table, self.mask, self.grid, (-10.0, 10.0), 1e-10
-            )
+            cq.solve_lambda(phi, 1e6, table, self.mask, self.grid, 1e-10)
 
     def test_converged_potential_holds_target_mass(self, le_problem, le_outcome):
         rho = le_outcome.state.rho
@@ -177,11 +192,13 @@ class TestMultiplierSolve:
 class TestScfStep:
     def test_fixed_point_makes_a_tiny_update(self, le_problem, le_outcome):
         config = cq.ScfConfig()
-        kernel = cq.kernel_for(le_problem.grid)
+        env = cq.Environment.build(
+            le_problem.grid, le_problem.core, le_problem.mu, le_problem.rotation
+        )
         state = cq.ScfState(
             0, le_outcome.state.rho, le_outcome.state.lam, None, None, None, None
         )
-        nxt = cq.scf_step(state, le_problem, config, kernel)
+        nxt = cq.scf_step(state, le_problem, config, env, config.alpha)
         assert nxt.update_norm <= 3.0 * config.tol_density
         assert nxt.iteration == 1
         assert nxt.mass_err <= config.mass_tol
@@ -197,16 +214,14 @@ class TestScfStep:
         phi_tot = kernel.apply(rho.values) + env.J + env.phi_core
         lam = cq.solve_lambda(
             phi_tot, le_problem.mass, le_problem.eos, rho.mask,
-            le_problem.grid, config.lambda_bracket, config.mass_tol,
+            le_problem.grid, config.mass_tol,
         )
         h = np.where(rho.mask, -1.0, phi_tot + lam)
         rho_hat = le_problem.eos.enthalpy_inverse(h)
 
         state = cq.ScfState(0, rho, None, None, None, None, None)
         for alpha, mix in ((1.0, rho_hat), (0.5, 0.5 * rho.values + 0.5 * rho_hat)):
-            stepped = cq.scf_step(
-                state, le_problem, config, kernel, env, alpha=alpha
-            )
+            stepped = cq.scf_step(state, le_problem, config, env, alpha)
             expected = cq.rescale_to_mass(
                 cq.DensityField(le_problem.grid, mix, rho.mask), le_problem.mass
             )
@@ -223,7 +238,7 @@ class TestScfStep:
         )
         rho = le_outcome.state.rho
         state = cq.ScfState(5, rho, None, None, None, None, None)
-        nxt = cq.scf_step(state, le_problem, config, kernel, env)
+        nxt = cq.scf_step(state, le_problem, config, env, config.alpha)
         assert nxt.energy == cq.energy(rho, le_problem.eos, env)
         assert nxt.iteration == 6
 
@@ -234,10 +249,6 @@ class TestScfStep:
             cq.ScfConfig(alpha=1.5)
         with pytest.raises(ValueError):
             cq.ScfConfig(tol_density=0.0)
-        with pytest.raises(ValueError):
-            cq.ScfConfig(lambda_bracket=(2.0, -2.0))
-        with pytest.raises(ValueError, match="lambda_bracket"):
-            cq.ScfConfig(lambda_bracket=(-2.0, 0.0, 2.0))
         with pytest.raises(ValueError):
             cq.ScfConfig(max_iter=0)
         with pytest.raises(ValueError):
@@ -343,9 +354,9 @@ class TestSolve:
         }
 
     def test_short_table_past_the_first_probe_converges(self):
-        # h_max = 10 sits below max(phi) + 10, so the first multiplier probe
-        # at the top of the default bracket runs off the table; that probe
-        # must bound the bracket instead of failing the solve
+        # h_max = 10 sits below max(phi) + 10, so a multiplier of 10 would
+        # run off this table; the bracket read off the potential stops far
+        # below that, and the short table must give the wide table's solution
         def readme_table_solve(s_max):
             s = np.geomspace(1e-4, s_max, 48)
             spec = cq.ProblemSpec(
