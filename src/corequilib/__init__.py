@@ -2,9 +2,10 @@
 
 The package builds discrete equilibrium densities rho(r, z) that balance
 pressure, self-gravity, centrifugal lift, and the pull of a rigid central
-core, under a fixed total mass.  The workhorse is a damped self-consistent-
-field iteration; convergence and its typed failure modes map the existence /
-non-existence structure of the underlying variational problem.
+core, under a fixed total mass.  The workhorse is a self-consistent-field
+iteration with Anderson mixing; convergence and its typed failure modes map
+the existence / non-existence structure of the underlying variational
+problem.
 """
 
 from .eos import (

@@ -7,6 +7,10 @@ Every other component talks to an EOS through four maps:
 * ``enthalpy``           A'(rho) = int_0^rho f(t)/t^2 dt + f(rho)/rho
 * ``enthalpy_inverse``   rho = (A')^(-1)(h), with rho = 0 for h <= 0
 
+and ``density_slope`` gives d rho / dh of that inverse from a density it has
+already returned, so the multiplier solve gets its Newton slope without a
+second inversion.
+
 ``Polytrope`` (f = k*rho**gamma) implements all four in closed form and is the
 first-class law. ``TabulatedEos`` accepts a monotone sample table of f and
 builds the integral maps by adaptive quadrature; the forward maps extrapolate
@@ -51,6 +55,16 @@ def _prepared(s):
 
 def _ret(values, scalar):
     return float(values) if scalar else values
+
+
+def _slope_where_positive(rho, h, slope):
+    """``slope(rho, h)`` on the cells with h > 0, and 0 on the rest."""
+    rho = np.asarray(rho, dtype=float)
+    h = np.asarray(h, dtype=float)
+    out = np.zeros_like(h)
+    pos = h > 0.0
+    out[pos] = slope(rho[pos], h[pos])
+    return _ret(out, out.ndim == 0)
 
 
 class Polytrope:
@@ -106,6 +120,13 @@ class Polytrope:
         g = self.gamma
         scaled = np.maximum(arr, 0.0) * ((g - 1.0) / (g * self.k))
         return _ret(scaled ** (1.0 / (g - 1.0)), scalar)
+
+    def density_slope(self, rho, h):
+        """d rho / dh = rho / ((gamma - 1) h) at ``rho = enthalpy_inverse(h)``;
+        0 where h <= 0."""
+        return _slope_where_positive(
+            rho, h, lambda r, x: r / ((self.gamma - 1.0) * x)
+        )
 
     def growth_conditions_known(self):
         """Whether the fast-growth conditions behind the run-off regime hold.
@@ -176,6 +197,7 @@ class TabulatedEos:
 
         u = np.log(s)
         self._logf = PchipInterpolator(u, np.log(f))
+        self._dlogf = self._logf.derivative()
         self._build_integral_tables(u)
 
     # -- construction helpers -------------------------------------------------
@@ -266,9 +288,10 @@ class TabulatedEos:
         return _ret(out, scalar)
 
     def _enthalpy_slope_u(self, u):
-        """d(A')/du at u = log s (used by the Newton refinement)."""
+        """d(A')/du at u = log s (Newton's slope in inversion and in
+        ``density_slope``)."""
         fs = np.exp(self._logf(u) - u)  # f/s
-        return self._dI(u) + fs * (self._logf.derivative()(u) - 1.0)
+        return self._dI(u) + fs * (self._dlogf(u) - 1.0)
 
     def enthalpy_inverse(self, h):
         arr = np.asarray(h, dtype=float)
@@ -293,6 +316,23 @@ class TabulatedEos:
         if scalar:
             return float(out[0])
         return out.reshape(arr.shape)
+
+    def density_slope(self, rho, h):
+        """d rho / dh at ``rho = enthalpy_inverse(h)``; 0 where h <= 0.
+
+        On the power-law head (h up to ``h_min``) it is
+        ``rho / ((beta_lo - 1) h)``; inside the table it is
+        ``1 / A''(rho) = rho / (dA'/du)`` at ``u = log rho``.
+        """
+        def slope(r, x):
+            out = np.empty_like(r)
+            head = x <= self.h_min
+            out[head] = r[head] / ((self._beta_lo - 1.0) * x[head])
+            r_mid = r[~head]
+            out[~head] = r_mid / self._enthalpy_slope_u(np.log(r_mid))
+            return out
+
+        return _slope_where_positive(rho, h, slope)
 
     def _invert_in_table(self, h):
         """Vector Newton on A'(e^u) = h, seeded by the inverse interpolant."""

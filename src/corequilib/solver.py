@@ -2,24 +2,24 @@
 
 One step of the scheme: evaluate the total potential of the current density,
 find the multiplier that makes the reconstructed density carry the right
-mass (Brent's method on a bracket read off the potential, see
-``solve_lambda``), reconstruct through the inverse enthalpy (with its cutoff
-at non-positive argument), damp, and renormalize the mass.  Fixed points of
-the map are exactly the discrete equilibria.
+mass (safeguarded Newton on a bracket read off the potential, warm-started
+from the previous multiplier, see ``solve_lambda``), reconstruct through the
+inverse enthalpy (with its cutoff at non-positive argument), mix with
+Anderson's method (``AndersonMixer``), and renormalize the mass.  Fixed
+points of the map are exactly the discrete equilibria.
 
 Failure modes are data, not exceptions: the returned ``Outcome`` carries one
 of the verdicts Converged / MassRunoff / LambdaBracketFail / IterationCap.
-Run-off (mass piling against the outer boundary for three consecutive
-iterations) and bracket failure (no multiplier can hold the requested mass)
-are the numerical signatures of the parameter regime where no equilibrium
-exists.
+Run-off (the reconstructed density piling against the outer boundary for
+three consecutive iterations) and bracket failure (no multiplier can hold
+the requested mass) are the numerical signatures of the parameter regime
+where no equilibrium exists.
 """
 
 from dataclasses import dataclass, field as dc_field
 from typing import Optional
 
 import numpy as np
-from scipy.optimize import brentq
 
 from .field import (
     DensityField,
@@ -43,6 +43,15 @@ VERDICTS = ("Converged", "MassRunoff", "LambdaBracketFail", "IterationCap")
 
 class LambdaBracketError(RuntimeError):
     """No multiplier the EOS can represent holds the requested mass."""
+
+    #: ``mass_of_lambda`` calls the failed solve made
+    evals = 0
+
+
+def _bracket_error(message, evals):
+    err = LambdaBracketError(message)
+    err.evals = evals
+    return err
 
 
 class MassDriftError(RuntimeError):
@@ -115,8 +124,11 @@ class ScfState:
     """One iterate: the density plus the step's byproducts.
 
     ``energy`` and ``residual`` describe the density the step started from
-    (its potential is what the step computed); ``rho`` and ``update_norm``
-    describe where it landed.
+    (its potential is what the step computed), and so do ``runoff``,
+    whether the density reconstructed from that potential holds more than
+    ``runoff_fraction`` of the mass in the boundary margin, and
+    ``mass_evals``, the ``mass_of_lambda`` calls the multiplier took;
+    ``rho`` and ``update_norm`` describe where it landed.
     """
 
     iteration: int
@@ -126,6 +138,8 @@ class ScfState:
     energy: object
     residual: object
     mass_err: Optional[float]
+    runoff: bool = False
+    mass_evals: int = 0
 
 
 @dataclass
@@ -137,40 +151,50 @@ class Outcome:
     bound_check: object          # BoundCheck for converged constant rotation
     trace: list                  # rows (iteration, lambda, energy_total, update_norm)
     mass_err_max: float
+    mass_evals: int = 0          # mass_of_lambda calls, final re-solve included
+    history_resets: int = 0      # clears of the Anderson history
     retried: bool = False
 
 
-def _reconstruct(phi_tot, lam, eos, mask):
-    """Density whose enthalpy is ``phi_tot + lam``, cut off at zero."""
+def _enthalpy(phi_tot, lam, mask):
+    """``phi_tot + lam``, with the core cells held at -1."""
     h = phi_tot + lam
     if mask is not None:
         # keep core cells out of the inversion so a bounded EOS table is
         # not asked about enthalpies it will never see in the gas region
         h = np.where(mask, -1.0, h)
-    return eos.enthalpy_inverse(h)
+    return h
 
 
-def mass_of_lambda(phi_tot, lam, eos, mask, grid):
+def _reconstruct(phi_tot, lam, eos, mask):
+    """Density whose enthalpy is ``phi_tot + lam``, cut off at zero."""
+    return eos.enthalpy_inverse(_enthalpy(phi_tot, lam, mask))
+
+
+def mass_of_lambda(phi_tot, lam, eos, mask, grid, slope=False):
     """Mass of the density reconstructed at multiplier ``lam``.
 
     Continuous and non-decreasing in ``lam``, because the inverse enthalpy
-    is; that is what lets ``solve_lambda`` bracket its root.
+    is; that is what lets ``solve_lambda`` bracket its root.  With
+    ``slope=True`` the result is the pair ``(mass, dmass/dlam)``, the slope
+    being ``sum(vol * drho/dh)`` over the cells with ``h > 0``, taken from
+    the density this call has already inverted.
     """
-    return float(np.sum(_reconstruct(phi_tot, lam, eos, mask) * grid.vol))
+    h = _enthalpy(phi_tot, lam, mask)
+    rho = eos.enthalpy_inverse(h)
+    mass = float(np.sum(rho * grid.vol))
+    if not slope:
+        return mass
+    return mass, float(np.sum(eos.density_slope(rho, h) * grid.vol))
 
 
-def _mass_excess(lam, phi_tot, mass, eos, mask, grid):
-    # module level, with the arrays in brentq's args: scipy wraps the
-    # objective in a self-referencing closure, which would keep a closure's
-    # phi_tot alive until the cyclic collector runs
-    return mass_of_lambda(phi_tot, lam, eos, mask, grid) - mass
-
-
-def solve_lambda(phi_tot, mass, eos, mask, grid, mass_tol):
+def solve_lambda(phi_tot, mass, eos, mask, grid, mass_tol, lam0=None):
     """Multiplier at which the reconstructed density carries ``mass``.
 
-    Both ends of the bracket follow from the gas cells (those ``mask``
-    leaves free) of volume ``V``:
+    Returns ``(lam, evals)``: a multiplier that reconstructs ``mass`` to
+    ``mass_tol`` relative, and the number of ``mass_of_lambda`` calls it
+    took.  Both ends of the bracket follow from the gas cells (those
+    ``mask`` leaves free) of volume ``V``:
 
     * ``lo = -max(phi)`` puts every gas enthalpy at or below zero, so the
       mass there is exactly 0;
@@ -179,33 +203,49 @@ def solve_lambda(phi_tot, mass, eos, mask, grid, mass_tol):
       the mass there is at least ``mass``; the second keeps every enthalpy
       inside a table EOS's range (a polytrope's ``h_max`` is infinite).
 
-    ``hi`` is probed once.  If its mass falls short, the table ends before
-    the enthalpy the mass needs and ``LambdaBracketError`` is raised, which
-    the caller reports as the bracket-failure verdict.  Otherwise Brent's
-    method finds the root on ``[lo, hi]``.  The returned multiplier
-    reconstructs ``mass`` to ``mass_tol`` relative, or the call raises
-    ``LambdaBracketError``.
+    Newton's method starts from ``lam0`` (the previous SCF iteration's
+    multiplier) when it lies inside the bracket, and from ``hi`` otherwise.
+    Each evaluation shrinks the bracket, and a Newton step that leaves it is
+    replaced by the midpoint.  ``hi`` is evaluated before the iteration
+    relies on it: if its mass falls short, the table ends before the
+    enthalpy the mass needs and ``LambdaBracketError`` is raised, which the
+    caller reports as the bracket-failure verdict.
     """
     gas, vol = phi_tot, np.broadcast_to(grid.vol, phi_tot.shape)
     if mask is not None:
         gas, vol = gas[~mask], vol[~mask]
     phi_max = float(np.max(gas))
     mean_h = float(eos.enthalpy(mass / float(np.sum(vol))))
+    lo = -phi_max
     hi = min(mean_h - float(np.min(gas)), eos.h_max - phi_max)
-    args = (phi_tot, mass, eos, mask, grid)
-    excess = _mass_excess(hi, *args)
-    if excess < -mass_tol * mass:
-        raise LambdaBracketError(
-            "EOS table ends at enthalpy %g, short of mass %g" % (eos.h_max, mass)
-        )
-    if excess <= mass_tol * mass:
-        return hi
-    # tolerances: 1e-13 absolute, relative at the floor scipy allows
-    lam = brentq(_mass_excess, -phi_max, hi, args=args, xtol=1e-13,
-                 rtol=4.0 * np.finfo(float).eps)
-    if abs(_mass_excess(lam, *args)) > mass_tol * mass:
-        raise LambdaBracketError("multiplier root misses mass_tol")
-    return lam
+    hi_known = False  # whether the mass at hi is known to reach ``mass``
+    tol = mass_tol * mass
+    lam = lam0 if lam0 is not None and lo < lam0 < hi else hi
+    evals = 0
+    while True:
+        got, slope = mass_of_lambda(phi_tot, lam, eos, mask, grid, slope=True)
+        evals += 1
+        excess = got - mass
+        if abs(excess) <= tol:
+            return lam, evals
+        if excess > 0.0:
+            hi, hi_known = lam, True
+        elif lam == hi:
+            raise _bracket_error(
+                "EOS table ends at enthalpy %g, short of mass %g"
+                % (eos.h_max, mass), evals,
+            )
+        else:
+            lo = lam
+        step = lam - excess / slope if slope > 0.0 else np.nan
+        if lo < step < hi:
+            lam = step
+        elif step >= hi and not hi_known:
+            lam = hi
+        else:
+            lam = 0.5 * (lo + hi)
+            if not lo < lam < hi:
+                raise _bracket_error("multiplier root misses mass_tol", evals)
 
 
 def initial_field(spec, mask):
@@ -232,25 +272,101 @@ def initial_field(spec, mask):
     return rescale_to_mass(DensityField(grid, vals, mask), spec.mass)
 
 
-def damped_mix(old_values, new_values, alpha):
-    """Convex combination (1 - alpha) * old + alpha * new."""
-    return (1.0 - alpha) * old_values + alpha * new_values
+#: number of earlier iterates the Anderson mixer draws on
+ANDERSON_DEPTH = 5
 
 
-def scf_step(state, spec, config, env, alpha):
-    """Advance one iteration; see the module docstring for the scheme."""
+class AndersonMixer:
+    """Anderson mixing of the SCF map (Anderson 1965; Walker & Ni 2011).
+
+    ``next_iterate(x, g)`` takes the iterate ``x`` and its image
+    ``g = rho_hat``, with residual ``f = g - x``, and returns
+    ``x + beta f - (dX + beta dF) gamma``, where ``dX`` and ``dF`` hold the
+    differences of the last ``depth`` iterates and residuals and ``gamma``
+    minimizes the volume-weighted norm of ``f - dF gamma``.  With no
+    history it is the damped mix ``x + beta (g - x)``.
+
+    The history is cleared whenever the residual norm rises: a near-critical
+    iterate drifting towards the boundary must not be extrapolated further.
+    ``resets`` counts the clears.  The differences live in two preallocated
+    ``(depth, n_cells)`` ring buffers, and the small Gram matrix of ``dF`` is
+    updated one row per iteration.
+    """
+
+    def __init__(self, vol, shape, beta, depth=ANDERSON_DEPTH):
+        self.beta = beta
+        self.resets = 0
+        self._w = np.broadcast_to(vol, shape).ravel()
+        self._dx = np.empty((depth, self._w.size))
+        self._df = np.empty((depth, self._w.size))
+        self._gram = np.empty((depth, depth))
+        self._size = 0      # rows of the buffers in use
+        self._slot = 0      # row the next difference goes to
+        self._x = self._f = None
+        self._norm = np.inf
+
+    def next_iterate(self, x, g):
+        x = np.ravel(x)
+        f = np.ravel(g) - x
+        wf = self._w * f
+        norm = float(np.sum(wf * f))
+        if self._x is not None:
+            if norm > self._norm:
+                self._size = self._slot = 0
+                self.resets += 1
+            else:
+                self._push(x, f)
+        self._x, self._f, self._norm = x, f, norm
+
+        out = x + self.beta * f
+        m = self._size
+        if m:
+            # no BLAS reductions here: a threaded dot product would make
+            # the iterates depend on the thread count
+            b = np.einsum("ij,j->i", self._df[:m], wf)
+            gamma = np.linalg.lstsq(self._gram[:m, :m], b, rcond=None)[0]
+            tmp = wf  # wf is not needed again: reuse it as the axpy buffer
+            for i in range(m):
+                np.multiply(self._dx[i], gamma[i], out=tmp)
+                out -= tmp
+                np.multiply(self._df[i], self.beta * gamma[i], out=tmp)
+                out -= tmp
+        return out.reshape(np.shape(g))
+
+    def _push(self, x, f):
+        """Add the differences from the last iterate as one history row."""
+        k = self._slot
+        np.subtract(x, self._x, out=self._dx[k])
+        np.subtract(f, self._f, out=self._df[k])
+        self._size = min(self._size + 1, len(self._dx))
+        self._slot = (k + 1) % len(self._dx)
+        m = self._size
+        row = np.einsum("ij,j->i", self._df[:m], self._w * self._df[k])
+        self._gram[k, :m] = row
+        self._gram[:m, k] = row
+
+
+def scf_step(state, spec, config, env, mixer=None):
+    """Advance one iteration; see the module docstring for the scheme.
+
+    ``mixer`` is the solve's ``AndersonMixer``; without one the step is the
+    damped mix with ``beta = config.alpha``.
+    """
     rho = state.rho
     grid = spec.grid
 
     b_rho = env.kernel.apply(rho.values)
     phi_tot = b_rho + env.J + env.phi_core
-    lam = solve_lambda(
-        phi_tot, spec.mass, spec.eos, rho.mask, grid, config.mass_tol
+    lam, evals = solve_lambda(
+        phi_tot, spec.mass, spec.eos, rho.mask, grid, config.mass_tol,
+        state.lam,
     )
     rho_hat = _reconstruct(phi_tot, lam, spec.eos, rho.mask)
 
-    mixed = DensityField(grid, damped_mix(rho.values, rho_hat, alpha), rho.mask)
-    new_rho = rescale_to_mass(mixed, spec.mass)
+    if mixer is None:
+        mixer = AndersonMixer(grid.vol, rho.values.shape, config.alpha)
+    mixed = np.maximum(mixer.next_iterate(rho.values, rho_hat), 0.0)
+    new_rho = rescale_to_mass(DensityField(grid, mixed, rho.mask), spec.mass)
     update_norm = float(
         np.sum(np.abs(new_rho.values - rho.values) * grid.vol)
     ) / spec.mass
@@ -266,16 +382,31 @@ def scf_step(state, spec, config, env, alpha):
         energy=report,
         residual=resid,
         mass_err=mass_err,
+        # judged on the reconstruction: the mixed iterate lags behind it
+        runoff=boundary_mass_exceeds(
+            DensityField(grid, rho_hat, rho.mask),
+            config.runoff_margin_cells, config.runoff_fraction,
+        ),
+        mass_evals=evals,
     )
 
 
-def _is_converged(state, config):
+def _is_converged(state, config, eos):
+    """Small update, and residuals small against ``max(|lambda|, <A'>)``.
+
+    ``<A'>`` is the mass-weighted mean enthalpy of the iterate, so that a
+    solve with ``lambda = 0`` can converge too.  On the converged cells of
+    the acceptance sweep it stays below ``|lambda|``.
+    """
     if state.update_norm is None or state.update_norm > config.tol_density:
         return False
     r = state.residual
     if r is None or r.eq_max is None or state.lam is None:
         return False
-    tol = config.tol_residual * abs(state.lam)
+    rho = state.rho.values
+    weights = rho * state.rho.grid.vol
+    mean_h = float(np.sum(weights * eos.enthalpy(rho)) / np.sum(weights))
+    tol = config.tol_residual * max(abs(state.lam), mean_h)
     if r.eq_max > tol:
         return False
     return r.ineq_violation is None or r.ineq_violation >= -tol
@@ -289,32 +420,31 @@ def solve(spec, config=None):
     mask = env.core.mask(grid)
 
     state = ScfState(0, initial_field(spec, mask), None, None, None, None, None)
-    alpha = config.alpha
+    mixer = AndersonMixer(grid.vol, state.rho.values.shape, config.alpha)
     trace = []
     mass_errs = []
+    mass_evals = 0
     runoff_streak = 0
-    rising_streak = 0
-    prev_update = np.inf
     verdict = "IterationCap"
 
     for _ in range(config.max_iter):
         try:
-            state = scf_step(state, spec, config, env, alpha)
-        except LambdaBracketError:
+            state = scf_step(state, spec, config, env, mixer)
+        except LambdaBracketError as err:
+            mass_evals += err.evals
             verdict = "LambdaBracketFail"
             break
         trace.append(
             (state.iteration, state.lam, state.energy.total, state.update_norm)
         )
         mass_errs.append(state.mass_err)
+        mass_evals += state.mass_evals
         if state.mass_err > config.mass_tol:
             raise MassDriftError(
                 "mass renormalization drifted to %g relative" % state.mass_err
             )
 
-        if boundary_mass_exceeds(
-            state.rho, config.runoff_margin_cells, config.runoff_fraction
-        ):
+        if state.runoff:
             runoff_streak += 1
             if runoff_streak >= 3:
                 verdict = "MassRunoff"
@@ -322,22 +452,14 @@ def solve(spec, config=None):
         else:
             runoff_streak = 0
 
-        # oscillation guard: three rising update norms in a row halve the
-        # damping (floor 0.05); undamped iteration rings near critical spin
-        if state.update_norm > prev_update:
-            rising_streak += 1
-            if rising_streak >= 3:
-                alpha = max(0.5 * alpha, 0.05)
-                rising_streak = 0
-        else:
-            rising_streak = 0
-        prev_update = state.update_norm
-
-        if _is_converged(state, config):
+        if _is_converged(state, config, spec.eos):
             verdict = "Converged"
             break
 
-    return _finalize(verdict, state, spec, config, env, trace, mass_errs)
+    outcome = _finalize(verdict, state, spec, config, env, trace, mass_errs)
+    outcome.mass_evals += mass_evals
+    outcome.history_resets = mixer.resets
+    return outcome
 
 
 def _finalize(verdict, state, spec, config, env, trace, mass_errs):
@@ -348,14 +470,15 @@ def _finalize(verdict, state, spec, config, env, trace, mass_errs):
     phi_tot = b_rho + env.J + env.phi_core
 
     lam = state.lam
+    evals = 0
     if verdict != "LambdaBracketFail":
         try:
-            lam = solve_lambda(
+            lam, evals = solve_lambda(
                 phi_tot, spec.mass, spec.eos, rho.mask, spec.grid,
-                config.mass_tol,
+                config.mass_tol, state.lam,
             )
-        except LambdaBracketError:
-            pass  # keep the last in-loop multiplier
+        except LambdaBracketError as err:
+            evals = err.evals  # and keep the last in-loop multiplier
 
     report = energy_with_potential(rho, spec.eos, env, b_rho)
     resid = None
@@ -391,6 +514,7 @@ def _finalize(verdict, state, spec, config, env, trace, mass_errs):
         bound_check=bound,
         trace=trace,
         mass_err_max=float(np.max(mass_errs)) if mass_errs else None,
+        mass_evals=evals,
     )
 
 
@@ -404,12 +528,14 @@ def outcome_to_dict(outcome):
     bound = outcome.bound_check
     resid = state.residual
     return {
-        "schema_version": 2,
+        "schema_version": 3,
         "verdict": outcome.verdict,
         "lambda": state.lam,
         "iterations": state.iteration,
         "retried": outcome.retried,
         "mass_err_max": outcome.mass_err_max,
+        "mass_evals": outcome.mass_evals,
+        "history_resets": outcome.history_resets,
         "energy": {
             "internal": state.energy.internal,
             "self_gravity": state.energy.self_gravity,

@@ -11,12 +11,15 @@ sampled on a jittered log grid).  With ``lo = -max(phi_gas)`` and
 * it is exactly zero at ``lo``;
 * ``solve_lambda`` returns a multiplier in ``[lo, hi]`` that reconstructs the
   mass to ``mass_tol``, or raises ``LambdaBracketError``, and only when the
-  table edge sets ``hi`` and cannot hold the mass.
+  table edge sets ``hi`` and cannot hold the mass; with or without a warm
+  start, inside or outside ``[lo, hi]``;
+* ``density_slope``, the Newton slope's ingredient, matches a central
+  difference of ``enthalpy_inverse``.
 """
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import assume, given, strategies as st
 
 import corequilib as cq
 
@@ -104,8 +107,13 @@ def test_mass_is_zero_at_minus_the_largest_gas_potential(problem, eos):
     assert cq.mass_of_lambda(phi, -float(gas.max()), eos, mask, grid) == 0.0
 
 
-@given(problem=problems(), eos=eoses, scale=st.floats(-3.0, 1.0))
-def test_solve_lambda_meets_mass_tol_inside_the_bracket(problem, eos, scale):
+@given(
+    problem=problems(),
+    eos=eoses,
+    scale=st.floats(-3.0, 1.0),
+    start=st.one_of(st.none(), st.floats(-1.0, 2.0)),
+)
+def test_solve_lambda_meets_mass_tol_inside_the_bracket(problem, eos, scale, start):
     phi, mask, grid = problem
     gas, vol = gas_cells(phi, mask, grid)
     # the most mass the EOS can hold on this potential (infinite for a
@@ -117,12 +125,35 @@ def test_solve_lambda_meets_mass_tol_inside_the_bracket(problem, eos, scale):
     else:
         mass = float(np.sum(vol)) * 10.0**scale
     lo, hi, table_sets_hi = bracket(phi, mass, eos, mask, grid)
+    # a warm start at lo + start (hi - lo): inside the bracket for start in
+    # (0, 1), outside it otherwise
+    lam0 = None if start is None else lo + start * (hi - lo)
     try:
-        lam = cq.solve_lambda(phi, mass, eos, mask, grid, MASS_TOL)
+        lam, evals = cq.solve_lambda(phi, mass, eos, mask, grid, MASS_TOL, lam0)
     except cq.LambdaBracketError:
         assert table_sets_hi
         assert cap < mass * (1.0 - MASS_TOL)
         return
     assert lo <= lam <= hi
+    assert evals >= 1
     got = cq.mass_of_lambda(phi, lam, eos, mask, grid)
     assert got == pytest.approx(mass, rel=MASS_TOL, abs=0.0)
+
+
+@given(eos=eoses, t=st.floats(0.0, 1.0))
+def test_density_slope_matches_a_central_difference(eos, t):
+    # a density from a tenth of a table's first sample to half its last,
+    # so that h +- eps stays inside its range (0.01 to 10 for a polytrope)
+    lo, hi = 0.01, 10.0
+    if np.isfinite(eos.h_max):
+        lo, hi = eos.s_min / 10.0, eos.s_max / 2.0
+    h = float(eos.enthalpy(lo * (hi / lo) ** t))
+    eps = 1e-5 * h
+    # the slope of a table jumps where its power-law head meets the table
+    assume(not h - eps <= getattr(eos, "h_min", -1.0) <= h + eps)
+    rho = eos.enthalpy_inverse(np.array([h]))
+    got = eos.density_slope(rho, np.array([h]))[0]
+    diff = (eos.enthalpy_inverse(h + eps) - eos.enthalpy_inverse(h - eps)) / (2.0 * eps)
+    assert got == pytest.approx(diff, rel=1e-5)
+    # no density, no slope, below the cutoff
+    assert eos.density_slope(np.zeros(1), np.array([-h]))[0] == 0.0

@@ -141,7 +141,7 @@ class TestMultiplierSolve:
         phi = np.full((24, 24), 0.7)
         volume = float(np.sum(self.grid.vol * np.ones((24, 24))))
         target = 0.8 * volume          # rho = 0.8 needs phi + lambda = 1.6
-        lam = cq.solve_lambda(phi, target, self.eos, self.mask, self.grid, 1e-10)
+        lam, _ = cq.solve_lambda(phi, target, self.eos, self.mask, self.grid, 1e-10)
         assert lam == pytest.approx(0.9, abs=1e-9)
         recovered = cq.mass_of_lambda(phi, lam, self.eos, self.mask, self.grid)
         assert abs(recovered - target) <= 1e-10 * target
@@ -198,12 +198,13 @@ class TestScfStep:
         state = cq.ScfState(
             0, le_outcome.state.rho, le_outcome.state.lam, None, None, None, None
         )
-        nxt = cq.scf_step(state, le_problem, config, env, config.alpha)
+        nxt = cq.scf_step(state, le_problem, config, env)
         assert nxt.update_norm <= 3.0 * config.tol_density
         assert nxt.iteration == 1
         assert nxt.mass_err <= config.mass_tol
 
     def test_half_damping_is_the_midpoint_mix(self, le_problem, le_outcome):
+        # a step with no Anderson history is the beta-damped mix
         config = cq.ScfConfig()
         kernel = cq.kernel_for(le_problem.grid)
         rho = le_outcome.state.rho
@@ -212,7 +213,7 @@ class TestScfStep:
             le_problem.rotation, kernel,
         )
         phi_tot = kernel.apply(rho.values) + env.J + env.phi_core
-        lam = cq.solve_lambda(
+        lam, _ = cq.solve_lambda(
             phi_tot, le_problem.mass, le_problem.eos, rho.mask,
             le_problem.grid, config.mass_tol,
         )
@@ -221,7 +222,9 @@ class TestScfStep:
 
         state = cq.ScfState(0, rho, None, None, None, None, None)
         for alpha, mix in ((1.0, rho_hat), (0.5, 0.5 * rho.values + 0.5 * rho_hat)):
-            stepped = cq.scf_step(state, le_problem, config, env, alpha)
+            stepped = cq.scf_step(
+                state, le_problem, cq.ScfConfig(alpha=alpha), env
+            )
             expected = cq.rescale_to_mass(
                 cq.DensityField(le_problem.grid, mix, rho.mask), le_problem.mass
             )
@@ -238,9 +241,19 @@ class TestScfStep:
         )
         rho = le_outcome.state.rho
         state = cq.ScfState(5, rho, None, None, None, None, None)
-        nxt = cq.scf_step(state, le_problem, config, env, config.alpha)
+        nxt = cq.scf_step(state, le_problem, config, env)
         assert nxt.energy == cq.energy(rho, le_problem.eos, env)
         assert nxt.iteration == 6
+
+    def test_zero_multiplier_can_converge(self, le_outcome):
+        # the residual tolerance scales with the mean enthalpy, not only |lambda|
+        stats = cq.ResidualStats(1e-12, 1e-12, 0.0, None, 1)
+        state = cq.ScfState(
+            7, le_outcome.state.rho, 0.0, 1e-12, None, stats, 0.0
+        )
+        assert cq.solver._is_converged(
+            state, cq.ScfConfig(), cq.Polytrope(1.0, 2.0)
+        )
 
     def test_config_validation(self):
         with pytest.raises(ValueError):
@@ -277,10 +290,17 @@ class TestSolve:
         assert le_outcome.state.lam < 0.0
         assert le_outcome.mass_err_max <= 1e-10
 
-    def test_update_norms_fall_over_early_iterations(self, le_outcome):
-        updates = [row[3] for row in le_outcome.trace[:10]]
-        assert len(updates) == 10
-        assert all(b < a for a, b in zip(updates, updates[1:]))
+    def test_anderson_reaches_the_tight_fixed_point_quickly(
+        self, le_problem, le_outcome
+    ):
+        # damped iteration took 56 iterations here, and its multiplier sat
+        # 2e-9 from the tight-tolerance one
+        assert le_outcome.state.iteration <= 28
+        tight = cq.solve(
+            le_problem, cq.ScfConfig(tol_density=1e-13, tol_residual=1e-9)
+        )
+        assert tight.verdict == "Converged"
+        assert abs(le_outcome.state.lam - tight.state.lam) <= 1e-9
 
     def test_determinism(self):
         a = cq.solve(le_spec(32))
@@ -322,6 +342,35 @@ class TestSolve:
         monkeypatch.setattr(cq.solver, "rescale_to_mass", off_by_a_millionth)
         with pytest.raises(cq.MassDriftError, match="drifted to 1e-06 relative"):
             cq.solve(le_spec(24))
+
+    def test_mass_evals_counts_every_multiplier_evaluation(self, monkeypatch):
+        calls = []
+        evaluate = cq.solver.mass_of_lambda
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return evaluate(*args, **kwargs)
+
+        monkeypatch.setattr(cq.solver, "mass_of_lambda", counted)
+        s = np.geomspace(1e-3, 5e-2, 24)
+        bounded = cq.ProblemSpec(
+            eos=cq.TabulatedEos(s, s**2),
+            grid=cq.CylGrid(1.0, 1.0, 24, 24),
+            core=cq.CoreRegion.spheroid(1e-3, 1e-3, 0.0),
+            mu=0.0,
+            rotation=cq.RotationLaw.constant(0.0),
+            mass=1.0,
+        )
+        outcomes = {}
+        for spec in (le_spec(32), bounded):
+            del calls[:]
+            out = cq.solve(spec)
+            assert out.mass_evals == len(calls) > 0
+            outcomes[out.verdict] = out
+        assert sorted(outcomes) == ["Converged", "LambdaBracketFail"]
+        # the final one included, a warm-started solve takes at most 4 per step
+        converged = outcomes["Converged"]
+        assert converged.mass_evals <= 4 * (converged.state.iteration + 1)
 
     def test_iteration_cap(self):
         out = cq.solve(le_spec(32), cq.ScfConfig(max_iter=5))
@@ -420,11 +469,14 @@ class TestSolve:
         text = json.dumps(payload, sort_keys=True)
         back = json.loads(text)
         assert sorted(back) == [
-            "diagnostics", "energy", "iterations", "lambda", "mass_err_max",
-            "multiplier_bound", "retried", "schema_version", "support",
-            "trace", "verdict",
+            "diagnostics", "energy", "history_resets", "iterations", "lambda",
+            "mass_err_max", "mass_evals", "multiplier_bound", "retried",
+            "schema_version", "support", "trace", "verdict",
         ]
-        assert back["schema_version"] == 2
+        assert back["schema_version"] == 3
+        assert back["mass_evals"] == le_outcome.mass_evals
+        assert back["mass_evals"] >= le_outcome.state.iteration + 1
+        assert back["history_resets"] == le_outcome.history_resets
         assert back["verdict"] == "Converged"
         assert back["iterations"] == le_outcome.state.iteration
         assert back["lambda"] == le_outcome.state.lam
