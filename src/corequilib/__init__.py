@@ -51,9 +51,7 @@ from .energy import (
     DilationRangeError,
     EnergyReport,
     ResidualStats,
-    energy,
     energy_with_potential,
-    euler_lagrange_residual,
     multiplier_bound_check,
     resample_dilated,
     residual_with_potential,

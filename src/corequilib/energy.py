@@ -36,17 +36,13 @@ class EnergyReport:
     total: float
 
 
-def energy(fld, eos, env):
-    """Evaluate the energy terms of a density field.
-
-    ``env`` supplies the kernel and the precomputed rotation and core
-    potentials; see ``potential.Environment``.
-    """
-    return energy_with_potential(fld, eos, env, env.kernel.apply(fld.values))
-
-
 def energy_with_potential(fld, eos, env, b_rho):
-    """Energy terms reusing an already computed B(rho) sample."""
+    """Energy terms of a density field, given its potential B(rho).
+
+    ``env`` supplies the precomputed rotation and core potentials; see
+    ``potential.Environment``.  ``b_rho`` is ``env.kernel.apply(fld.values)``
+    or a sample the caller already holds.
+    """
     vol = fld.grid.vol
     rho = fld.values
     internal = float(np.sum(eos.internal_energy(rho) * vol))
@@ -81,16 +77,11 @@ class ResidualStats:
     support_cells: int
 
 
-def euler_lagrange_residual(fld, lam, eos, env, threshold=None):
-    """Residual statistics of the equilibrium relation at multiplier lam."""
-    b_rho = env.kernel.apply(fld.values)
-    return residual_with_potential(
-        fld, lam, eos, b_rho + env.J + env.phi_core, threshold
-    )
-
-
 def residual_with_potential(fld, lam, eos, phi_tot, threshold=None):
-    """Residual statistics reusing an already assembled total potential."""
+    """Residual statistics of the equilibrium relation at multiplier lam.
+
+    ``phi_tot`` is the total potential B(rho) + J + core potential.
+    """
     rho = fld.values
     if threshold is None:
         threshold = 1e-8 * float(np.max(rho))

@@ -17,6 +17,7 @@ import corequilib as cq
 from corequilib.cli import main
 from corequilib.config import dump_effective, load_config_file
 from corequilib.scan import ScanTable, _monotonicity_warnings, cell_config, worker_count
+from test_eos import scaled_rule
 
 
 def base_raw(n=32, omega=0.0, mu=0.0, core_rho=0.0, core_a=0.02, extra=None):
@@ -480,6 +481,39 @@ class TestCli:
         assert rc == 2
         assert capsys.readouterr().err.startswith(
             "numeric error: enthalpy inversion did not reach its tolerance"
+        )
+
+    def test_log_uniform_table_solve_converges(self, tmp_path, capsys):
+        # an admissible log-uniform table: each sample must be one knot of
+        # the fine integration grid, not two a rounding error apart
+        s = np.logspace(-4.0, 2.0, 9)
+        raw = base_raw(n=32)
+        raw["eos"] = {
+            "kind": "tabulated-generic",
+            "s": s.tolist(),
+            "f": (s**2).tolist(),
+        }
+        cfg = write_config(tmp_path, raw)
+        rc = main(["solve", "--config", cfg, "--out", str(tmp_path / "o")])
+        assert rc == 0
+        assert "verdict=Converged" in capsys.readouterr().out
+
+    def test_quadrature_failure_exits_two(self, tmp_path, capsys, monkeypatch):
+        # a 10-point rule off by 1e-9 disagrees with the 20-point rule on
+        # every piece of the table's integral
+        monkeypatch.setattr(cq.eos, "leggauss", scaled_rule(10, 1.0 + 1e-9))
+        s = np.geomspace(1e-3, 10.0, 24)
+        raw = base_raw(n=24)
+        raw["eos"] = {
+            "kind": "tabulated-generic",
+            "s": s.tolist(),
+            "f": (s**2).tolist(),
+        }
+        cfg = write_config(tmp_path, raw)
+        rc = main(["solve", "--config", cfg, "--out", str(tmp_path / "o")])
+        assert rc == 2
+        assert capsys.readouterr().err.startswith(
+            "numeric error: quadrature of f(t)/t^2 missed its tolerance on ["
         )
 
     def test_oracle_output(self, capsys):

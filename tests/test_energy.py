@@ -30,8 +30,10 @@ class TestEnergyReport:
     def test_zero_field_zero_energy(self):
         grid = cq.CylGrid(1.0, 1.0, 32, 32)
         env = trivial_env(grid)
-        rep = cq.energy(
-            cq.DensityField(grid, np.zeros((32, 32))), cq.Polytrope(1.0, 2.0), env
+        zero = np.zeros((32, 32))
+        rep = cq.energy_with_potential(
+            cq.DensityField(grid, zero), cq.Polytrope(1.0, 2.0), env,
+            env.kernel.apply(zero),
         )
         assert rep.internal == 0.0
         assert rep.self_gravity == 0.0
@@ -45,7 +47,9 @@ class TestEnergyReport:
         a, rho0 = 0.2, 1.0
         fld = ball_field(grid, a, rho0)
         mass = (4.0 / 3.0) * np.pi * a**3 * rho0
-        rep = cq.energy(fld, cq.Polytrope(1.0, 2.0), env)
+        rep = cq.energy_with_potential(
+            fld, cq.Polytrope(1.0, 2.0), env, env.kernel.apply(fld.values)
+        )
         assert rep.self_gravity == pytest.approx(0.6 * mass**2 / a, rel=0.02)
 
     def test_total_is_the_stored_combination(self):
@@ -53,7 +57,9 @@ class TestEnergyReport:
         core = cq.CoreRegion.spheroid(0.2, 0.2, 1.5)
         env = cq.Environment.build(grid, core, 1.0, cq.RotationLaw.constant(0.5))
         fld = cq.random_blob_field(grid, np.random.default_rng(8), mask=core.mask(grid))
-        rep = cq.energy(fld, cq.Polytrope(1.0, 2.0), env)
+        rep = cq.energy_with_potential(
+            fld, cq.Polytrope(1.0, 2.0), env, env.kernel.apply(fld.values)
+        )
         assert rep.total == rep.internal - rep.self_gravity - rep.rotation - rep.core
         assert rep.internal > 0.0
         assert rep.self_gravity > 0.0
@@ -64,10 +70,18 @@ class TestEnergyReport:
         grid = cq.CylGrid(1.0, 1.0, 48, 48)
         env = trivial_env(grid)
         fld = cq.random_blob_field(grid, np.random.default_rng(8))
-        direct = cq.energy(fld, cq.Polytrope(1.0, 2.0), env)
-        reused = cq.energy_with_potential(
-            fld, cq.Polytrope(1.0, 2.0), env, env.kernel.apply(fld.values)
+        eos = cq.Polytrope(1.0, 2.0)
+        b_rho = env.kernel.apply(fld.values)
+        rho, vol = fld.values, grid.vol
+        internal = float(np.sum(eos.internal_energy(rho) * vol))
+        self_grav = 0.5 * float(np.sum(rho * b_rho * vol))
+        rotation = float(np.sum(rho * env.J * vol))
+        core = float(np.sum(rho * env.phi_core * vol))
+        direct = cq.EnergyReport(
+            internal, self_grav, rotation, core,
+            internal - self_grav - rotation - core,
         )
+        reused = cq.energy_with_potential(fld, eos, env, b_rho)
         assert direct == reused
 
     def test_core_term_linear_in_mu(self):
@@ -76,8 +90,10 @@ class TestEnergyReport:
         law = cq.RotationLaw.constant(0.0)
         fld = cq.random_blob_field(grid, np.random.default_rng(4), mask=core.mask(grid))
         eos = cq.Polytrope(1.0, 2.0)
-        rep1 = cq.energy(fld, eos, cq.Environment.build(grid, core, 1.0, law))
-        rep2 = cq.energy(fld, eos, cq.Environment.build(grid, core, 2.0, law))
+        env1 = cq.Environment.build(grid, core, 1.0, law)
+        env2 = cq.Environment.build(grid, core, 2.0, law)
+        rep1 = cq.energy_with_potential(fld, eos, env1, env1.kernel.apply(fld.values))
+        rep2 = cq.energy_with_potential(fld, eos, env2, env2.kernel.apply(fld.values))
         assert rep2.core == pytest.approx(2.0 * rep1.core, rel=1e-13)
         assert rep2.internal == rep1.internal
         assert rep2.self_gravity == rep1.self_gravity
@@ -92,7 +108,9 @@ class TestEnergyReport:
             cq.RotationLaw.constant(omega),
         )
         fld = cq.random_blob_field(grid, np.random.default_rng(4))
-        rep = cq.energy(fld, cq.Polytrope(1.0, 2.0), env)
+        rep = cq.energy_with_potential(
+            fld, cq.Polytrope(1.0, 2.0), env, env.kernel.apply(fld.values)
+        )
         R, _ = grid.meshes()
         expected = float(np.sum(fld.values * 0.5 * omega**2 * R**2 * grid.vol))
         assert rep.rotation == pytest.approx(expected, rel=1e-12)
@@ -105,7 +123,8 @@ class TestEnergyReport:
 
         def total(omega, mu):
             env = cq.Environment.build(grid, core, mu, cq.RotationLaw.constant(omega))
-            return cq.energy(fld, eos, env).total
+            b_rho = env.kernel.apply(fld.values)
+            return cq.energy_with_potential(fld, eos, env, b_rho).total
 
         assert total(0.6, 1.0) < total(0.3, 1.0) < total(0.0, 1.0)
         assert total(0.3, 2.0) < total(0.3, 1.0) < total(0.3, 0.0)
@@ -118,7 +137,10 @@ class TestResiduals:
         env = cq.Environment.build(grid, core, 1.0, cq.RotationLaw.constant(0.5))
         fld = cq.DensityField(grid, np.zeros((32, 32)), core.mask(grid))
         lam = -float(np.max(env.J + env.phi_core)) - 1.0
-        stats = cq.euler_lagrange_residual(fld, lam, cq.Polytrope(1.0, 2.0), env)
+        phi_tot = env.kernel.apply(fld.values) + env.J + env.phi_core
+        stats = cq.residual_with_potential(
+            fld, lam, cq.Polytrope(1.0, 2.0), phi_tot
+        )
         assert stats.eq_max is None
         assert stats.eq_mean is None
         assert stats.eq_mean_signed is None
@@ -165,8 +187,9 @@ class TestResiduals:
         env = cq.Environment.build(
             le_problem.grid, le_problem.core, le_problem.mu, le_problem.rotation
         )
-        low = cq.euler_lagrange_residual(rho, lam - 2.0 * eps, le_problem.eos, env)
-        high = cq.euler_lagrange_residual(rho, lam + 2.0 * eps, le_problem.eos, env)
+        phi_tot = env.kernel.apply(rho.values) + env.J + env.phi_core
+        low = cq.residual_with_potential(rho, lam - 2.0 * eps, le_problem.eos, phi_tot)
+        high = cq.residual_with_potential(rho, lam + 2.0 * eps, le_problem.eos, phi_tot)
         assert low.eq_mean_signed > 0.0
         assert high.eq_mean_signed < 0.0
 
@@ -218,7 +241,8 @@ class TestDilation:
         fld = ball_field(grid, 0.3, 2.0)
         eos = cq.Polytrope(1.0, 2.0)
         (f1,) = cq.scaling_energy_curve(fld, eos, [1.0])
-        rep = cq.energy(fld, eos, trivial_env(grid))
+        env = trivial_env(grid)
+        rep = cq.energy_with_potential(fld, eos, env, env.kernel.apply(fld.values))
         assert f1 == pytest.approx(rep.internal - rep.self_gravity, rel=1e-13)
 
 
@@ -229,7 +253,10 @@ def test_diagnostics_report_keys_and_wiring(le_problem, le_outcome):
     env = cq.Environment.build(
         le_problem.grid, le_problem.core, le_problem.mu, le_problem.rotation
     )
-    rep = cq.energy(le_outcome.state.rho, le_problem.eos, env)
+    rho = le_outcome.state.rho
+    rep = cq.energy_with_potential(
+        rho, le_problem.eos, env, env.kernel.apply(rho.values)
+    )
     stats = le_outcome.state.residual
     diag = cq.outcome_to_dict(le_outcome)
     assert diag["energy"] == {

@@ -4,20 +4,35 @@ The internal-energy density is defined by an improper integral of the
 pressure law; the oracle below evaluates it with adaptive quadrature after a
 logarithmic substitution, independently of the closed forms used in the
 package.  The enthalpy is its derivative, checked by central differences.
+Hypothesis draws random admissible tables: single power laws, which must
+reproduce the matching ``Polytrope``, and sums of two power laws (the
+strategy of the multiplier property tests), whose enthalpy inverse must
+round-trip.
 """
+
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 from scipy.integrate import quad
 
+import corequilib.eos
 from corequilib import (
     EosDomainError,
     EosInversionError,
     EosRangeError,
     Polytrope,
+    QuadratureError,
     TabulatedEos,
     make_eos,
 )
+from test_multiplier_properties import tables
+
+#: log-uniform tables whose samples lie within a rounding error of a point
+#: of the uniform fine grid: each must still be one knot, not two
+LOG_UNIFORM = [(-4.0, 2.0, 9), (-4.0, 1.5, 6), (-4.0, 2.0, 11),
+               (-2.0, 1.0, 11), (-4.0, 1.5, 11)]
 
 
 def internal_energy_by_quadrature(f, s):
@@ -52,6 +67,17 @@ def gamma2_table(n=40):
     """Sample table drawn from the k = 1, gamma = 2 power law."""
     s = np.geomspace(1e-3, 1e2, n)
     return s, s ** 2
+
+
+def scaled_rule(points, scale):
+    """``leggauss`` with the weights of its ``points``-point rule scaled."""
+    rule = corequilib.eos.leggauss
+
+    def scaled(n):
+        nodes, weights = rule(n)
+        return nodes, (scale if n == points else 1.0) * weights
+
+    return scaled
 
 
 class TestPolytrope:
@@ -242,6 +268,41 @@ class TestTabulatedEos:
         s_tab, f_tab = gamma2_table()
         assert TabulatedEos(s_tab, f_tab).growth_conditions_known() is None
 
+    @pytest.mark.parametrize("lo, hi, n", LOG_UNIFORM)
+    def test_log_uniform_table_matches_generating_polytrope(self, lo, hi, n):
+        s_tab = np.logspace(lo, hi, n)
+        tab = TabulatedEos(s_tab, s_tab**2)
+        ref = Polytrope(1.0, 2.0)
+        for s in np.geomspace(s_tab[0], s_tab[-1], 15):
+            s = float(s)
+            assert tab.pressure(s) == pytest.approx(ref.pressure(s), rel=1e-10)
+            assert tab.internal_energy(s) == pytest.approx(
+                ref.internal_energy(s), rel=1e-8
+            )
+            assert tab.enthalpy(s) == pytest.approx(ref.enthalpy(s), rel=1e-8)
+
+    @pytest.mark.parametrize(
+        "points, scale",
+        [(10, 1.0 + 1e-9), (20, np.inf)],
+        ids=["rules-disagree", "piece-not-finite"],
+    )
+    def test_quadrature_that_misses_its_tolerance_is_an_error(
+        self, monkeypatch, points, scale
+    ):
+        monkeypatch.setattr(
+            corequilib.eos, "leggauss", scaled_rule(points, scale)
+        )
+        s_tab, f_tab = gamma2_table()
+        with pytest.raises(QuadratureError, match="missed its tolerance on"):
+            TabulatedEos(s_tab, f_tab)
+
+    def test_table_over_two_hundred_decades_builds_without_warning(self):
+        s_tab = np.logspace(-100.0, 100.0, 6)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            tab = TabulatedEos(s_tab, s_tab**3)
+        assert tab.h_max == pytest.approx(1.5e200, rel=1e-6)
+
 
 def test_factory_dispatch():
     assert isinstance(make_eos("polytrope", k=1.0, gamma=2.0), Polytrope)
@@ -251,3 +312,35 @@ def test_factory_dispatch():
     )
     with pytest.raises(ValueError):
         make_eos("mystery")
+
+
+@st.composite
+def power_law_tables(draw):
+    """(k, gamma, table): f = k s^gamma sampled log-uniformly or jittered."""
+    k = draw(st.floats(0.2, 5.0))
+    gamma = draw(st.floats(1.4, 3.0))
+    lo = draw(st.floats(-4.0, -2.0))
+    hi = draw(st.floats(-1.0, 1.5))
+    n = draw(st.integers(4, 40))
+    u = np.log(np.logspace(lo, hi, n))
+    if draw(st.booleans()):
+        rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+        u[1:-1] += rng.uniform(-0.4, 0.4, n - 2) * (u[1] - u[0])
+    s = np.exp(u)
+    return k, gamma, TabulatedEos(s, k * s**gamma)
+
+
+@given(law=power_law_tables(), t=st.lists(st.floats(0.0, 1.0), min_size=1))
+def test_power_law_table_reproduces_polytrope_enthalpy(law, t):
+    k, gamma, tab = law
+    s = tab.s_min * (tab.s_max / tab.s_min) ** np.array(t)
+    ref = Polytrope(k, gamma)
+    np.testing.assert_allclose(tab.enthalpy(s), ref.enthalpy(s), rtol=1e-8)
+
+
+@given(eos=tables(), t=st.floats(0.0, 1.0))
+def test_table_enthalpy_inverse_round_trips(eos, t):
+    # from the power-law head below the table to the top of its range
+    h_lo = eos.enthalpy(eos.s_min / 10.0)
+    h = float(h_lo * (eos.h_max / h_lo) ** t)
+    assert abs(eos.enthalpy(eos.enthalpy_inverse(h)) - h) <= 1e-10 * max(1.0, h)

@@ -242,7 +242,9 @@ class TestScfStep:
         rho = le_outcome.state.rho
         state = cq.ScfState(5, rho, None, None, None, None, None)
         nxt = cq.scf_step(state, le_problem, config, env)
-        assert nxt.energy == cq.energy(rho, le_problem.eos, env)
+        assert nxt.energy == cq.energy_with_potential(
+            rho, le_problem.eos, env, env.kernel.apply(rho.values)
+        )
         assert nxt.iteration == 6
 
     def test_zero_multiplier_can_converge(self, le_outcome):
