@@ -78,6 +78,7 @@ from .solver import (
     solve_lambda,
 )
 from .config import ConfigError, build_problem, effective_config, load_config_file
+from .output import write_solve_outputs
 from .scan import ScanSpec, ScanTable, run_scan, write_scan_csv
 
 __version__ = "0.1.0"

@@ -34,7 +34,7 @@ from .eos import (
     EosDomainError, EosInversionError, EosRangeError, QuadratureError, make_eos,
 )
 from .energy import DilationRangeError
-from .field import DegenerateFieldError, GridError, write_field_csv
+from .field import DegenerateFieldError, GridError
 from .lane_emden import polytrope_structure
 from .potential import (
     core_potential,
@@ -42,7 +42,8 @@ from .potential import (
     kernel_for,
     validate_core_potential,
 )
-from .scan import ScanSpec, fmt_num, run_scan, write_scan_csv
+from .output import write_solve_outputs
+from .scan import ScanSpec, run_scan, write_scan_csv
 from .solver import MassDriftError, outcome_to_dict, solve
 
 _NUMERIC_ERRORS = (
@@ -94,34 +95,6 @@ def _build_parser():
     return parser
 
 
-def _emit_json(path, payload):
-    with open(path, "w", newline="") as fh:
-        fh.write(json.dumps(payload, sort_keys=True, indent=2))
-        fh.write("\n")
-
-
-def _write_trace_csv(path, trace):
-    with open(path, "w", newline="") as fh:
-        fh.write("iter,lambda,energy_total,update_norm\n")
-        for row in trace:
-            fh.write(
-                "%d,%s,%s,%s\n"
-                % (
-                    row["iteration"], fmt_num(row["lambda"]),
-                    fmt_num(row["energy_total"]), fmt_num(row["update_norm"]),
-                )
-            )
-
-
-def _write_solve_outputs(outdir, eff, result, field):
-    """The four files of one solve; ``result`` is from ``outcome_to_dict``."""
-    os.makedirs(outdir, exist_ok=True)
-    _emit_json(os.path.join(outdir, "result.json"), result)
-    _emit_json(os.path.join(outdir, "effective_config.json"), eff)
-    write_field_csv(field, os.path.join(outdir, "field.csv"))
-    _write_trace_csv(os.path.join(outdir, "trace.csv"), result["trace"])
-
-
 def _cmd_solve(args):
     eff = effective_config(load_config_file(args.config))
     if args.dump_effective_config:
@@ -133,7 +106,7 @@ def _cmd_solve(args):
     spec, scf = build_problem(eff)
     outcome = solve(spec, scf)
     result = outcome_to_dict(outcome)
-    _write_solve_outputs(args.out, eff, result, outcome.state.rho)
+    write_solve_outputs(args.out, eff, result, outcome.state.rho)
     sys.stdout.write(
         "verdict=%s lambda=%s iterations=%d out=%s\n"
         % (result["verdict"], result["lambda"], result["iterations"], args.out)
@@ -149,14 +122,8 @@ def _cmd_scan(args):
     if not args.out:
         sys.stderr.write("scan: --out is required\n")
         return 1
-    table = run_scan(ScanSpec.from_config(eff))
-    os.makedirs(args.out, exist_ok=True)
+    table = run_scan(ScanSpec.from_config(eff), args.out)
     write_scan_csv(table, os.path.join(args.out, "scan.csv"))
-    for (i, j), record in sorted(table.cells.items()):
-        _write_solve_outputs(
-            os.path.join(args.out, "cell_%02d_%02d" % (i, j)),
-            record["config"], record["outcome"], record["field"],
-        )
     for i, omega in enumerate(table.omega_values):
         row = " ".join(
             "%-17s" % table.verdict(i, j) for j in range(len(table.mu_values))

@@ -169,6 +169,9 @@ class TabulatedEos:
 
     #: relative tolerance for each piece of the quadrature of f(t)/t^2
     quad_rtol = 1e-12
+    #: widest fine-grid step in u = log s; the Hermite interpolant of I
+    #: errs by about (step * (gamma - 1))^4 / 384 relative to I
+    max_fine_step = 0.01
 
     def __init__(self, s_table, f_table):
         s = np.asarray(s_table, dtype=float)
@@ -219,7 +222,10 @@ class TabulatedEos:
         between two samples.  Each sample interval is split into equal
         sub-intervals no wider than a common step, so the samples are knots
         of the fine grid exactly once and no piece straddles a sample, where
-        the interpolant's second derivative jumps.  All pieces are integrated in one vectorized pass by
+        the interpolant's second derivative jumps.  The step spreads at
+        least ``max(801, 60 n)`` knots over the table and is at most
+        ``max_fine_step``, so a table over many decades is as accurate as a
+        short one.  All pieces are integrated in one vectorized pass by
         the 20-point Gauss-Legendre rule and checked against the 10-point
         rule.  The head of the integral (0, s_min] is the fitted power law,
         integrated in closed form.  I is interpolated between the fine knots
@@ -227,7 +233,8 @@ class TabulatedEos:
         the exact dI/du.
         """
         n_fine = max(801, 60 * u_samples.size)
-        step = (u_samples[-1] - u_samples[0]) / (n_fine - 1)
+        step = min((u_samples[-1] - u_samples[0]) / (n_fine - 1),
+                   self.max_fine_step)
         n_sub = np.ceil(np.diff(u_samples) / step).astype(int)
         u_fine = np.concatenate([
             np.linspace(a, b, m, endpoint=False)

@@ -8,7 +8,7 @@ falls inside it.  All integrals use the axisymmetric volume weight
 """
 
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -258,21 +258,25 @@ def random_blob_field(grid, rng, n_blobs=4, mask=None):
 
 # -- dump format ---------------------------------------------------------------
 
+@lru_cache(maxsize=4)
+def _field_template(grid):
+    """The whole ``field.csv`` of ``grid`` with a ``%.17g`` for each rho."""
+    tails = ["%.17g,%%.17g\n" % z for z in grid.z.tolist()]
+    heads = ["%.17g," % r for r in grid.r.tolist()]
+    # head + head.join(tails) is the row "r,z_0,%.17g\nr,z_1,%.17g\n..."
+    return "r,z,rho\n" + "".join([head + head.join(tails) for head in heads])
+
+
 def write_field_csv(fld, path):
     """Write the field as ``r,z,rho`` rows, row-major over (r, z) cells.
 
     Values carry 17 significant digits, enough to reproduce the binary
-    doubles exactly; masked cells appear with rho = 0.
+    doubles exactly; masked cells appear with rho = 0.  The coordinates
+    come from a per-grid template, so a file costs one string format.
     """
-    grid = fld.grid
-    z_cols = ["%.17g," % z for z in grid.z.tolist()]
+    text = _field_template(fld.grid) % tuple(fld.values.ravel().tolist())
     with open(path, "w", newline="") as fh:
-        fh.write("r,z,rho\n")
-        for r_i, row in zip(grid.r.tolist(), fld.values.tolist()):
-            head = "%.17g," % r_i
-            fh.write(
-                "".join([head + z + "%.17g\n" % v for z, v in zip(z_cols, row)])
-            )
+        fh.write(text)
 
 
 def read_field_csv(path, grid, mask=None):

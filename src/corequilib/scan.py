@@ -1,22 +1,28 @@
 """Parameter sweeps over rotation speed and core strength.
 
 Each (omega, mu) cell is an independent solve of the base problem with those
-two values substituted.  Cells whose verdict is MassRunoff get one retry on a
-domain grown by the configured factor, which screens out finite-box false
-negatives: genuine no-equilibrium cells run off again on the larger grid.
+two values substituted.  A cell whose verdict is MassRunoff is solved once
+more, in the same worker, on a domain grown by the configured factor, which
+screens out finite-box false negatives: genuine no-equilibrium cells run off
+again on the larger grid.
 
 Cells run in a process pool sized by the COREQUILIB_THREADS environment
-variable (default: all cores); results are deterministic either way because a
-cell's outcome depends only on its own configuration, and the table is
+variable (default: all cores).  Each worker writes its cells' run
+directories itself and hands back only a small record, so no density field
+crosses the process boundary.  Results are deterministic either way because
+a cell's outcome depends only on its own configuration, and the table is
 assembled in a fixed order.
 """
 
 import copy
 import os
+import sys
+import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field as dc_field
 
 from .config import ConfigError, build_problem
+from .output import fmt_num, write_solve_outputs
 from .solver import outcome_to_dict, solve
 
 # TODO: sweep families of rotation profiles, not just constant omega, once
@@ -74,17 +80,29 @@ def cell_config(base, omega, mu, grow=None):
 
 
 def _solve_cell(task):
-    """Worker body: one independent solve from a plain config dict."""
-    omega, mu, cfg = task
-    spec, scf = build_problem(cfg)
-    outcome = solve(spec, scf)
+    """Worker body: solve one cell, retry a run-off once on the grown
+    domain, write the cell's run directory and return its record."""
+    (i, j), omega, mu, cfg, retry_factor, out = task
+    start = time.perf_counter()
+    outcome = solve(*build_problem(cfg))
+    first_verdict = outcome.verdict
+    if first_verdict == "MassRunoff":
+        cfg = cell_config(cfg, omega, mu, grow=retry_factor)
+        outcome = solve(*build_problem(cfg))
+        outcome.retried = True
+    result = outcome_to_dict(outcome)
+    write_solve_outputs(
+        os.path.join(out, "cell_%02d_%02d" % (i, j)), cfg, result,
+        outcome.state.rho,
+    )
     return {
         "omega": omega,
         "mu": mu,
         "config": cfg,
-        "outcome": outcome_to_dict(outcome),
-        "field": outcome.state.rho,
-        "first_verdict": outcome.verdict,
+        "outcome": result,
+        "first_verdict": first_verdict,
+        "retried": outcome.retried,
+        "seconds": time.perf_counter() - start,
     }
 
 
@@ -101,49 +119,37 @@ def worker_count():
     return os.cpu_count() or 1
 
 
-def _run_tasks(tasks, workers):
+def _cell_records(tasks, workers):
+    """Each task's record, in task order, as the cells finish."""
     if workers == 1 or len(tasks) == 1:
-        return [_solve_cell(task) for task in tasks]
+        yield from map(_solve_cell, tasks)
+        return
     with ProcessPoolExecutor(max_workers=min(workers, len(tasks))) as pool:
-        return list(pool.map(_solve_cell, tasks))
+        yield from pool.map(_solve_cell, tasks)
 
 
-def run_scan(scan_spec, workers=None):
-    """Solve every cell, retry run-off cells once on a grown domain."""
+def run_scan(scan_spec, out, workers=None):
+    """Solve every cell into ``out/cell_II_JJ/``, retrying run-off cells.
+
+    One line per cell goes to stderr as its record arrives.
+    """
     workers = worker_count() if workers is None else workers
-    base = scan_spec.base
-    keys = [
-        (i, j)
-        for i in range(len(scan_spec.omega_values))
-        for j in range(len(scan_spec.mu_values))
-    ]
+    os.makedirs(out, exist_ok=True)
     tasks = [
-        (scan_spec.omega_values[i], scan_spec.mu_values[j],
-         cell_config(base, scan_spec.omega_values[i], scan_spec.mu_values[j]))
-        for (i, j) in keys
+        ((i, j), omega, mu, cell_config(scan_spec.base, omega, mu),
+         scan_spec.retry_factor, out)
+        for i, omega in enumerate(scan_spec.omega_values)
+        for j, mu in enumerate(scan_spec.mu_values)
     ]
-    records = _run_tasks(tasks, workers)
-    cells = dict(zip(keys, records))
-    for record in records:
-        record["retried"] = False
-
-    retry_keys = [
-        key for key in keys
-        if cells[key]["outcome"]["verdict"] == "MassRunoff"
-    ]
-    if retry_keys:
-        retry_tasks = [
-            (cells[key]["omega"], cells[key]["mu"],
-             cell_config(base, cells[key]["omega"], cells[key]["mu"],
-                         grow=scan_spec.retry_factor))
-            for key in retry_keys
-        ]
-        retried = _run_tasks(retry_tasks, workers)
-        for key, record in zip(retry_keys, retried):
-            record["retried"] = True
-            record["first_verdict"] = "MassRunoff"
-            record["outcome"]["retried"] = True
-            cells[key] = record
+    cells = {}
+    for task, record in zip(tasks, _cell_records(tasks, workers)):
+        cells[task[0]] = record
+        sys.stderr.write(
+            "cell %02d %02d: %s, %d iterations, retried %s, %.2f s\n"
+            % (*task[0], record["outcome"]["verdict"],
+               record["outcome"]["iterations"],
+               "yes" if record["retried"] else "no", record["seconds"])
+        )
 
     table = ScanTable(scan_spec.omega_values, scan_spec.mu_values, cells)
     table.warnings = _monotonicity_warnings(table)
@@ -171,11 +177,6 @@ def _monotonicity_warnings(table):
                 )
         # a row that never converges is covered by the verdict table itself
     return notes
-
-
-def fmt_num(x):
-    """17 significant digits, enough to round-trip a double; None as nan."""
-    return "%.17g" % (float("nan") if x is None else x)
 
 
 def write_scan_csv(table, path):

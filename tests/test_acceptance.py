@@ -72,10 +72,11 @@ def le_runs(tmp_path_factory):
 
 
 @pytest.fixture(scope="module")
-def scan_result():
+def scan_result(tmp_path_factory):
     eff = cq.effective_config(SCAN_CONFIG, need_scan=True)
+    out = tmp_path_factory.mktemp("sweep")
     start = time.perf_counter()
-    table = cq.run_scan(cq.ScanSpec.from_config(eff), workers=1)
+    table = cq.run_scan(cq.ScanSpec.from_config(eff), out, workers=1)
     return table, time.perf_counter() - start
 
 

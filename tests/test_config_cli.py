@@ -246,7 +246,7 @@ class TestScanMachinery:
         assert grown["grid"]["z_max"] == pytest.approx(3.0)
         assert grown["grid"]["n_r"] == eff["grid"]["n_r"]
 
-    def test_single_cell_scan_equals_direct_solve(self):
+    def test_single_cell_scan_equals_direct_solve(self, tmp_path):
         eff = cq.effective_config(
             base_raw(
                 n=24,
@@ -256,21 +256,20 @@ class TestScanMachinery:
             ),
             need_scan=True,
         )
-        table = cq.run_scan(cq.ScanSpec.from_config(eff), workers=1)
+        table = cq.run_scan(cq.ScanSpec.from_config(eff), tmp_path, workers=1)
         record = table.cells[(0, 0)]
         spec, scf = cq.build_problem(cell_config(eff, 0.3, 2.0))
         solved = cq.solve(spec, scf)
         assert record["outcome"] == cq.outcome_to_dict(solved)
         core_mask = spec.core.mask(spec.grid)
         assert np.any(core_mask)
-        np.testing.assert_array_equal(record["field"].mask, core_mask)
-        np.testing.assert_array_equal(
-            record["field"].values, solved.state.rho.values
-        )
+        written = cq.read_field_csv(tmp_path / "cell_00_00" / "field.csv", spec.grid)
+        np.testing.assert_array_equal(written.values, solved.state.rho.values)
+        assert np.all(written.values[core_mask] == 0.0)
 
-    def test_retry_marks_and_grows_runoff_cells(self):
+    def test_retry_marks_and_grows_runoff_cells(self, tmp_path):
         eff = cq.effective_config(self.scan_raw(), need_scan=True)
-        table = cq.run_scan(cq.ScanSpec.from_config(eff), workers=1)
+        table = cq.run_scan(cq.ScanSpec.from_config(eff), tmp_path, workers=1)
         calm = table.cells[(0, 0)]
         windy = table.cells[(1, 0)]
         assert calm["outcome"]["verdict"] == "Converged"
@@ -281,7 +280,24 @@ class TestScanMachinery:
         assert windy["outcome"]["verdict"] != "Converged"
         assert windy["config"]["grid"]["r_max"] == pytest.approx(2.0 * 1.5)
 
-    def test_pool_results_match_serial(self):
+    def test_pooled_retry_writes_the_grown_cell(self, tmp_path):
+        eff = cq.effective_config(self.scan_raw(), need_scan=True)
+        table = cq.run_scan(cq.ScanSpec.from_config(eff), tmp_path, workers=2)
+        assert table.cells[(1, 0)]["retried"] is True
+
+        def read(cell, name):
+            return json.loads((tmp_path / cell / name).read_text())
+
+        grown = read("cell_01_00", "effective_config.json")["grid"]
+        assert grown["r_max"] == pytest.approx(2.0 * 1.5)
+        assert grown["z_max"] == pytest.approx(2.0 * 1.5)
+        assert read("cell_01_00", "result.json")["retried"] is True
+        assert read("cell_00_00", "effective_config.json")["grid"]["r_max"] == 2.0
+        assert read("cell_00_00", "result.json")["retried"] is False
+        # plain data only: json refuses a numpy array
+        json.dumps(list(table.cells.values()))
+
+    def test_pool_results_match_serial(self, tmp_path):
         eff = cq.effective_config(
             base_raw(
                 n=24,
@@ -292,16 +308,21 @@ class TestScanMachinery:
             need_scan=True,
         )
         spec = cq.ScanSpec.from_config(eff)
-        serial = cq.run_scan(spec, workers=1)
-        pooled = cq.run_scan(spec, workers=2)
+        serial = cq.run_scan(spec, tmp_path / "serial", workers=1)
+        pooled = cq.run_scan(spec, tmp_path / "pooled", workers=2)
         assert sorted(serial.cells) == sorted(pooled.cells)
         for key in serial.cells:
             assert serial.cells[key]["outcome"] == pooled.cells[key]["outcome"]
-            for part in ("values", "mask"):
-                np.testing.assert_array_equal(
-                    getattr(serial.cells[key]["field"], part),
-                    getattr(pooled.cells[key]["field"], part),
-                )
+
+        def tree(root):
+            return {
+                str(path.relative_to(root)): path.read_bytes()
+                for path in root.rglob("*") if path.is_file()
+            }
+
+        written = tree(tmp_path / "serial")
+        assert len(written) == 8
+        assert written == tree(tmp_path / "pooled")
 
     def test_monotonicity_warning_wording(self):
         def rec(verdict):
@@ -323,7 +344,7 @@ class TestScanMachinery:
 
     def test_scan_csv_format(self, tmp_path):
         eff = cq.effective_config(self.scan_raw(), need_scan=True)
-        table = cq.run_scan(cq.ScanSpec.from_config(eff), workers=1)
+        table = cq.run_scan(cq.ScanSpec.from_config(eff), tmp_path / "sweep", workers=1)
         path = tmp_path / "scan.csv"
         cq.write_scan_csv(table, str(path))
         lines = path.read_text().splitlines()

@@ -296,6 +296,19 @@ class TestTabulatedEos:
         with pytest.raises(QuadratureError, match="missed its tolerance on"):
             TabulatedEos(s_tab, f_tab)
 
+    @pytest.mark.parametrize(
+        "lo, hi, gamma", [(-30.0, 30.0, 2.0), (-100.0, 100.0, 3.0)],
+        ids=["sixty-decades", "two-hundred-decades"],
+    )
+    def test_long_table_enthalpy_matches_generating_polytrope(self, lo, hi, gamma):
+        s_tab = np.logspace(lo, hi, 6)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            tab = TabulatedEos(s_tab, s_tab**gamma)
+        s = np.geomspace(s_tab[0], s_tab[-1], 2001)
+        exact = Polytrope(1.0, gamma).enthalpy(s)
+        assert np.max(np.abs(tab.enthalpy(s) / exact - 1.0)) <= 1e-9
+
     def test_table_over_two_hundred_decades_builds_without_warning(self):
         s_tab = np.logspace(-100.0, 100.0, 6)
         with warnings.catch_warnings():

@@ -315,6 +315,34 @@ class TestFieldCsv:
         assert fast.read_bytes() == slow.read_bytes()
         np.testing.assert_array_equal(cq.read_field_csv(fast, grid).values, vals)
 
+    def test_grids_in_turn_match_the_per_cell_writer(self, tmp_path):
+        def write_per_cell(fld, path):
+            grid = fld.grid
+            with open(path, "w", newline="") as fh:
+                fh.write("r,z,rho\n")
+                for i in range(grid.n_r):
+                    for j in range(grid.n_z):
+                        fh.write(
+                            "%.17g,%.17g,%.17g\n"
+                            % (grid.r[i], grid.z[j], fld.values[i, j])
+                        )
+
+        rng = np.random.default_rng(23)
+        square = cq.CylGrid(2.0, 2.0, 24, 24)
+        tall = cq.CylGrid(1.3, 0.7, 24, 40)
+        core = cq.CoreRegion.spheroid(0.4, 0.2, 5.0)
+        for k, (grid, masked) in enumerate(
+            [(square, False), (tall, False), (square, True), (tall, True)]
+        ):
+            mask = core.mask(grid) if masked else None
+            fld = cq.DensityField(grid, rng.uniform(0.0, 1.0, (grid.n_r, grid.n_z)), mask)
+            if masked:
+                assert np.any(mask) and np.all(fld.values[mask] == 0.0)
+            fast, slow = tmp_path / ("fast%d.csv" % k), tmp_path / ("slow%d.csv" % k)
+            cq.write_field_csv(fld, fast)
+            write_per_cell(fld, slow)
+            assert fast.read_bytes() == slow.read_bytes()
+
     def test_grid_mismatch_detected(self, tmp_path):
         grid = cq.CylGrid(1.0, 1.0, 12, 10)
         other = cq.CylGrid(2.0, 1.0, 12, 10)
