@@ -17,7 +17,9 @@ builds the integral maps by fixed Gauss-Legendre quadrature on a fine grid,
 each piece checked against a lower-order rule; the forward maps extrapolate
 past the table with the power laws fitted at its ends, while the inverse
 refuses enthalpies above the sampled range, where inversion would be pure
-extrapolation.
+extrapolation.  Its interpolants are ``CubicHermite`` pieces with
+``pchip_slopes`` where the slopes are not known exactly, so the module needs
+numpy alone.
 
 The cutoff branch of ``enthalpy_inverse`` (zero density at non-positive
 enthalpy) is what turns the equilibrium relation into a free-boundary problem:
@@ -27,7 +29,6 @@ multiplier is positive.
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
-from scipy.interpolate import CubicHermiteSpline, PchipInterpolator
 
 
 class EosDomainError(ValueError):
@@ -67,6 +68,114 @@ def _slope_where_positive(rho, h, slope):
     pos = h > 0.0
     out[pos] = slope(rho[pos], h[pos])
     return _ret(out, out.ndim == 0)
+
+
+def pchip_slopes(x, y):
+    """Knot slopes of the monotone piecewise cubic interpolant of y(x).
+
+    Fritsch and Carlson (SIAM J. Numer. Anal. 17, 238, 1980): an interior
+    slope is the weighted harmonic mean of the two neighbouring secant
+    slopes, or 0 where they differ in sign or one vanishes; an end slope is
+    the one-sided three-point estimate, limited to keep the data's shape.
+    The same slopes as ``scipy.interpolate.PchipInterpolator``.  ``x`` is
+    strictly increasing with at least three knots.
+    """
+    h = np.diff(x)
+    m = np.diff(y) / h
+    d = np.zeros_like(y)
+    k = np.flatnonzero(np.sign(m[:-1]) * np.sign(m[1:]) > 0.0)
+    w1 = 2.0 * h[k + 1] + h[k]
+    w2 = h[k + 1] + 2.0 * h[k]
+    d[k + 1] = 1.0 / ((w1 / m[k] + w2 / m[k + 1]) / (w1 + w2))
+    d[0] = _pchip_end_slope(h[0], h[1], m[0], m[1])
+    d[-1] = _pchip_end_slope(h[-1], h[-2], m[-1], m[-2])
+    return d
+
+
+def _pchip_end_slope(h0, h1, m0, m1):
+    d = ((2.0 * h0 + h1) * m0 - h0 * m1) / (h0 + h1)
+    if np.sign(d) != np.sign(m0):
+        return 0.0
+    if np.sign(m0) != np.sign(m1) and abs(d) > 3.0 * abs(m0):
+        return 3.0 * m0
+    return d
+
+
+class CubicHermite:
+    """Piecewise cubic Hermite interpolant through knot values and slopes.
+
+    On knot interval i, at offset ``dx = u - x[i]``, the cubic is
+    ``((c0 dx + c1) dx + c2) dx + c3`` with the coefficients of
+    ``scipy.interpolate.CubicHermiteSpline``; past the ends the end cubics
+    continue.  ``locate`` gives ``(i, dx)``, and ``value`` and ``slope``
+    evaluate the cubic or its derivative there, so a caller that needs
+    both, or needs another interpolant whose knots are a subset of these,
+    looks the point up once.
+
+    Interval lookup costs a few array operations whatever the number of
+    knots: the knot range is cut into uniform buckets as wide as the
+    smallest knot spacing (or an eighth of the mean spacing, if that is
+    wider, which bounds the table's length), a table gives the last knot
+    before each bucket, and as many ``+1`` steps follow as the fullest
+    bucket holds knots: one for a grid of near-equal spacing.
+    """
+
+    def __init__(self, x, y, dydx):
+        x = np.asarray(x, dtype=float)
+        y = np.asarray(y, dtype=float)
+        dydx = np.asarray(dydx, dtype=float)
+        dx = np.diff(x)
+        slope = np.diff(y) / dx
+        t = (dydx[:-1] + dydx[1:] - 2.0 * slope) / dx
+        self.x = x
+        # highest degree first, one contiguous array per degree: a gather
+        # with ``take`` from each is several times faster than one of rows
+        self._c = (t / dx, (slope - dydx[:-1]) / dx - t, dydx[:-1], y[:-1])
+        self._dc = (3.0 * self._c[0], 2.0 * self._c[1], self._c[2])
+
+        n = x.size
+        self._inv_width = 1.0 / max(float(np.min(dx)), (x[-1] - x[0]) / (8 * n))
+        self._last_bucket = int((x[-1] - x[0]) * self._inv_width)
+        knot_bucket = self._bucket(x)
+        self._first = np.clip(
+            np.searchsorted(knot_bucket, np.arange(self._last_bucket + 1)) - 1,
+            0, n - 2,
+        )
+        self._steps = int(np.max(np.bincount(knot_bucket)))
+        self._right = np.append(x[1:-1], np.inf)  # right end of interval i
+
+    def _bucket(self, u):
+        # monotone in u, so knots in a lower bucket lie below every u in
+        # this one; ``locate`` relies on that
+        return np.clip(
+            (u - self.x[0]) * self._inv_width, 0.0, self._last_bucket
+        ).astype(np.intp)
+
+    def locate(self, u):
+        """Interval i with ``x[i] <= u < x[i + 1]`` (the end intervals for
+        u outside the knots) and the offset ``u - x[i]``."""
+        u = np.asarray(u, dtype=float)
+        i = self._first.take(self._bucket(u))
+        for _ in range(self._steps):
+            i += u >= self._right.take(i)
+        return i, u - self.x.take(i)
+
+    @staticmethod
+    def _horner(coeffs, i, dx):
+        out = coeffs[0].take(i)
+        for c in coeffs[1:]:
+            out *= dx
+            out += c.take(i)
+        return out
+
+    def value(self, i, dx):
+        return self._horner(self._c, i, dx)
+
+    def slope(self, i, dx):
+        return self._horner(self._dc, i, dx)
+
+    def __call__(self, u):
+        return self.value(*self.locate(u))
 
 
 class Polytrope:
@@ -155,14 +264,17 @@ class TabulatedEos:
     the table endpoints: the fitted end slopes must both exceed 4/3.  That
     is a necessary, not sufficient, validation and is documented as such.
 
-    Inside the table f is interpolated monotonically in log-log space, so a
-    power-law table reproduces the corresponding ``Polytrope`` to quadrature
-    accuracy.  The integral of f(t)/t^2 is summed from pieces on a fine log
-    grid that has every sample as a knot.  Each piece is a 20-point
-    Gauss-Legendre sum, accepted only when it is finite and a 10-point sum
-    agrees with it to ``quad_rtol``; otherwise the build raises
-    ``QuadratureError``.  Between the fine knots the integral is a cubic
-    Hermite interpolant built on its exact slope f(s)/s.
+    Inside the table f is interpolated monotonically in log-log space, by
+    cubic Hermite pieces with PCHIP slopes, so a power-law table reproduces
+    the corresponding ``Polytrope`` to quadrature accuracy.  The integral of
+    f(t)/t^2 is summed from pieces on a fine log grid that has every sample
+    as a knot.  Each piece is a 20-point Gauss-Legendre sum, accepted only
+    when it is finite and a 10-point sum agrees with it to ``quad_rtol``;
+    otherwise the build raises ``QuadratureError``.  Between the fine knots
+    the integral is a cubic Hermite interpolant built on its exact slope
+    f(s)/s.  Because the samples are fine knots, one interval lookup on the
+    fine grid places a point for both interpolants: the Newton inversion
+    makes one for the residual and one for the slope per step.
     """
 
     kind = "tabulated-generic"
@@ -206,8 +318,8 @@ class TabulatedEos:
         self.s_max = float(s[-1])
 
         u = np.log(s)
-        self._logf = PchipInterpolator(u, np.log(f))
-        self._dlogf = self._logf.derivative()
+        log_f = np.log(f)
+        self._logf = CubicHermite(u, log_f, pchip_slopes(u, log_f))
         self._build_integral_tables(u)
 
     # -- construction helpers -------------------------------------------------
@@ -240,6 +352,8 @@ class TabulatedEos:
             np.linspace(a, b, m, endpoint=False)
             for a, b, m in zip(u_samples[:-1], u_samples[1:], n_sub)
         ] + [u_samples[-1:]])
+        # sample interval of each fine interval
+        self._coarse_of_fine = np.repeat(np.arange(n_sub.size), n_sub)
 
         def integrand(u):
             return np.exp(self._logf(u) - u)
@@ -270,13 +384,13 @@ class TabulatedEos:
         i_fine = np.cumsum(np.concatenate(([head], g20)))
 
         fs_fine = integrand(u_fine)  # f/s, which is also dI/du
-        self._I = CubicHermiteSpline(u_fine, i_fine, fs_fine)
-        self._dI = self._I.derivative()
+        self._I = CubicHermite(u_fine, i_fine, fs_fine)
         h_fine = i_fine + fs_fine  # I + f/s on the fine grid
         self.h_min = float(h_fine[0])
         self.h_max = float(h_fine[-1])
         self._u_min, self._u_max = float(u_fine[0]), float(u_fine[-1])
-        self._inv_seed = PchipInterpolator(np.log(h_fine), u_fine)
+        log_h = np.log(h_fine)
+        self._inv_seed = CubicHermite(log_h, u_fine, pchip_slopes(log_h, u_fine))
 
     # -- the four maps --------------------------------------------------------
 
@@ -321,11 +435,20 @@ class TabulatedEos:
         out[pos] = self._integral(sp) + self.pressure(sp) / sp
         return _ret(out, scalar)
 
+    def _locate(self, u):
+        """One lookup for both interpolants at u in the table: the fine
+        interval of I and offset into it, and the same for log f, whose
+        knots (the samples) are fine knots."""
+        fine = self._I.locate(u)
+        j = self._coarse_of_fine.take(fine[0])
+        return fine, (j, u - self._logf.x.take(j))
+
     def _enthalpy_slope_u(self, u):
         """d(A')/du at u = log s (Newton's slope in inversion and in
         ``density_slope``)."""
-        fs = np.exp(self._logf(u) - u)  # f/s
-        return self._dI(u) + fs * (self._dlogf(u) - 1.0)
+        fine, coarse = self._locate(u)
+        fs = np.exp(self._logf.value(*coarse) - u)  # f/s
+        return self._I.slope(*fine) + fs * (self._logf.slope(*coarse) - 1.0)
 
     def enthalpy_inverse(self, h):
         arr = np.asarray(h, dtype=float)
@@ -374,12 +497,13 @@ class TabulatedEos:
         u = np.clip(self._inv_seed(np.log(target)), self._u_min, self._u_max)
         tol = 1e-13 * np.maximum(1.0, target)
         for _ in range(60):
-            s = np.exp(u)
-            val = self._I(u) + np.exp(self._logf(u) - u) - target
+            fine, coarse = self._locate(u)
+            val = self._I.value(*fine) + np.exp(self._logf.value(*coarse) - u)
+            val -= target
             if np.all(np.abs(val) <= tol):
-                return s
-            slope = self._enthalpy_slope_u(u) / s  # dA'/ds
-            u = np.clip(u - val / (slope * s), self._u_min, self._u_max)
+                return np.exp(u)
+            u = np.clip(u - val / self._enthalpy_slope_u(u),
+                        self._u_min, self._u_max)
         raise EosInversionError(
             "enthalpy inversion did not reach its tolerance in 60 Newton "
             "steps (residual up to %g times it)"

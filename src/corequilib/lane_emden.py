@@ -15,7 +15,6 @@ share no code with the grid pipeline.
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import solve_ivp
 
 
 @dataclass(frozen=True)
@@ -61,6 +60,9 @@ def integrate_lane_emden(n, xi_end=50.0):
     """
     if n < 0.0:
         raise ValueError("polytrope index must be non-negative")
+    # imported here: solve, scan and check run without scipy
+    from scipy.integrate import solve_ivp
+
     xi0 = 1e-3
     theta0 = 1.0 - xi0**2 / 6.0 + n * xi0**4 / 120.0
     dtheta0 = -xi0 / 3.0 + n * xi0**3 / 30.0

@@ -30,23 +30,52 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy.interpolate import CubicSpline
-from scipy.special import ellipk
 
 from .field import GridError, random_blob_field
+
+# Coefficients of Cephes ``ellpk`` (S. L. Moshier, Methods and Programs for
+# Mathematical Functions, 1989), highest degree first.
+_ELLPK_P = (
+    1.37982864606273237150e-4, 2.28025724005875567385e-3,
+    7.97404013220415179367e-3, 9.85821379021226008714e-3,
+    6.87489687449949877925e-3, 6.18901033637687613229e-3,
+    8.79078273952743772254e-3, 1.49380448916805252718e-2,
+    3.08851465246711995998e-2, 9.65735902811690126535e-2,
+    1.38629436111989062502e0,
+)
+_ELLPK_Q = (
+    2.94078955048598507511e-5, 9.14184723865917226571e-4,
+    5.94058303753167793257e-3, 1.54850516649762399335e-2,
+    2.39089602715924892727e-2, 3.01204715227604046988e-2,
+    3.73774314173823228969e-2, 4.88280347570998239232e-2,
+    7.03124996963957469739e-2, 1.24999999999870820058e-1,
+    4.99999999999999999821e-1,
+)
 
 
 def elliptic_k(m):
     """Complete elliptic integral of the first kind, parameter convention.
 
-    A domain-checked wrapper around ``scipy.special.ellipk``: it refuses
-    parameters outside 0 <= m < 1 instead of returning inf or nan, and gives
-    a Python float for a scalar argument.
+    Evaluates the Cephes ``ellpk`` approximation
+    ``K(m) = P(1 - m) - log(1 - m) Q(1 - m)`` with two degree-10
+    polynomials, the same one ``scipy.special.ellipk`` evaluates; its
+    relative error is a few 1e-16 on all of 0 <= m < 1, the logarithmic
+    singularity at m = 1 included.  Parameters outside 0 <= m < 1 are
+    refused instead of returning inf or nan, and a scalar argument gives a
+    Python float.
     """
     arr = np.asarray(m, dtype=float)
     if np.any(arr < 0.0) or np.any(arr >= 1.0):
         raise ValueError("elliptic parameter must satisfy 0 <= m < 1")
-    out = ellipk(arr)
+    x = 1.0 - arr
+    p = np.full_like(x, _ELLPK_P[0])
+    q = np.full_like(x, _ELLPK_Q[0])
+    for a, b in zip(_ELLPK_P[1:], _ELLPK_Q[1:]):
+        p *= x
+        p += a
+        q *= x
+        q += b
+    out = p - np.log(x) * q
     return float(out) if arr.ndim == 0 else out
 
 
@@ -68,8 +97,13 @@ class AxiKernel:
 
     The kernel takes ``(n_z + 1) * n_r**2 * 8`` bytes.  That size is checked
     against physical memory before anything is allocated, and the build
-    fills the array one target radius at a time, so no larger intermediate
-    ever exists.
+    fills the array one target radius at a time and then finishes it one
+    frequency at a time, so no intermediate larger than a row of the weight
+    table or one ``(n_r, n_r)`` block ever exists.  The weight per unit
+    source radius, ``4 K(m) / sqrt(sep2)``, is symmetric in target and
+    source, so row i computes it and its transform only for the sources
+    k >= i; the lower triangle is mirrored from the upper one before every
+    entry is multiplied by r[k].
     """
 
     def __init__(self, grid):
@@ -89,7 +123,6 @@ class AxiKernel:
         dr, dz = grid.dr, grid.dz
         n_r, n_z = grid.n_r, grid.n_z
         offsets = dz * np.arange(n_z)
-        r_s = r[:, None]                # source ring radius
         # Self-potential of the coincident ring cell: uniform rectangular
         # rod cross section dr x dz, integrated in closed form.
         self_weight = 2.0 * (np.arcsinh(dz / dr) + np.arcsinh(dr / dz)) * dr * dz
@@ -97,14 +130,23 @@ class AxiKernel:
         fw = np.empty((n_z + 1, n_r, n_r))
         circ = np.zeros((n_r, 2 * n_z))
         for i in range(n_r):            # target ring radius r[i]
+            r_s = r[i:, None]           # source ring radii r[k], k >= i
             sep2 = (r[i] + r_s) ** 2 + offsets**2
             m = 4.0 * r[i] * r_s / sep2
-            m[i, 0] = 0.0               # placeholder; replaced below
-            w = 4.0 * r_s * elliptic_k(m) / np.sqrt(sep2) * (dr * dz)
-            w[i, 0] = self_weight
-            circ[:, :n_z] = w
-            circ[:, n_z + 1:] = w[:, :0:-1]
-            fw[:, i, :] = np.fft.rfft(circ, axis=1).real.T
+            m[0, 0] = 0.0               # placeholder; replaced below
+            w = (4.0 * dr * dz) * elliptic_k(m) / np.sqrt(sep2)
+            w[0, 0] = self_weight / r[i]
+            c = circ[: n_r - i]
+            c[:, :n_z] = w
+            c[:, n_z + 1:] = w[:, :0:-1]
+            fw[:, i, i:] = np.fft.rfft(c, axis=1).real.T
+        # Mirror the upper triangle and apply the source radius factor one
+        # frequency at a time: a block is small enough to stay in cache,
+        # where writing the mirrored column of each row is not.
+        lower = np.tri(n_r, k=-1, dtype=bool)
+        for block in fw:
+            np.copyto(block, block.T, where=lower)
+            block *= r
         return fw
 
     def apply(self, values):
@@ -220,6 +262,9 @@ class RotationLaw:
             self.kind = kind
             self.omega = None
             self._s_max = float(s[-1])
+            # imported here: solve, scan and check run without scipy
+            from scipy.interpolate import CubicSpline
+
             self._j_of = CubicSpline(s, s * om**2).antiderivative()
         else:
             raise ValueError("unknown rotation kind %r" % (kind,))

@@ -7,7 +7,8 @@ package.  The enthalpy is its derivative, checked by central differences.
 Hypothesis draws random admissible tables: single power laws, which must
 reproduce the matching ``Polytrope``, and sums of two power laws (the
 strategy of the multiplier property tests), whose enthalpy inverse must
-round-trip.
+round-trip.  The numpy interpolants behind a table are checked against the
+scipy ones they stand in for.
 """
 
 import warnings
@@ -16,6 +17,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 from scipy.integrate import quad
+from scipy.interpolate import CubicHermiteSpline, PchipInterpolator
 
 import corequilib.eos
 from corequilib import (
@@ -27,6 +29,7 @@ from corequilib import (
     TabulatedEos,
     make_eos,
 )
+from corequilib.eos import CubicHermite, pchip_slopes
 from test_multiplier_properties import tables
 
 #: log-uniform tables whose samples lie within a rounding error of a point
@@ -357,3 +360,48 @@ def test_table_enthalpy_inverse_round_trips(eos, t):
     h_lo = eos.enthalpy(eos.s_min / 10.0)
     h = float(h_lo * (eos.h_max / h_lo) ** t)
     assert abs(eos.enthalpy(eos.enthalpy_inverse(h)) - h) <= 1e-10 * max(1.0, h)
+
+
+@st.composite
+def knot_data(draw):
+    """(x, y, dydx, queries): strictly increasing knots with spacings over
+    four decades, values and slopes of either sign or zero, and queries at
+    every knot, at random points between the ends and a little past them."""
+    n = draw(st.integers(3, 12))
+    steps = draw(st.lists(st.floats(1e-3, 10.0), min_size=n - 1, max_size=n - 1))
+    x = draw(st.floats(-10.0, 10.0)) + np.concatenate(([0.0], np.cumsum(steps)))
+    values = st.lists(st.integers(-10**6, 10**6), min_size=n, max_size=n)
+    y = np.array(draw(values)) / 1e4
+    dydx = np.array(draw(values)) / 1e4
+    t = np.array(draw(st.lists(st.floats(-0.05, 1.05), min_size=1, max_size=20)))
+    queries = np.concatenate((x, x[0] + t * (x[-1] - x[0])))
+    return x, y, dydx, queries
+
+
+@given(data=knot_data())
+def test_numpy_interpolants_match_scipy(data):
+    # round-off is relative to the size of the cubic's terms, bounded by
+    # the largest value and slope over the knots
+    x, y, dydx, q = data
+    ref = PchipInterpolator(x, y)
+    slopes = pchip_slopes(x, y)
+    slope_of_y = np.max(np.abs(y)) / np.min(np.diff(x))
+    np.testing.assert_allclose(
+        slopes, ref.derivative()(x), rtol=1e-13, atol=1e-13 * slope_of_y
+    )
+    for ours, theirs, d in (
+        (CubicHermite(x, y, slopes), ref, slopes),
+        (CubicHermite(x, y, dydx), CubicHermiteSpline(x, y, dydx), dydx),
+    ):
+        i, dx = ours.locate(q)
+        inside = np.clip(np.searchsorted(x, q, side="right") - 1, 0, x.size - 2)
+        np.testing.assert_array_equal(i, inside)
+        np.testing.assert_array_equal(dx, q - x[i])
+        size = np.max(np.abs(y)) + np.max(np.abs(d)) * np.max(np.diff(x))
+        np.testing.assert_allclose(
+            ours.value(i, dx), theirs(q), rtol=1e-13, atol=1e-13 * size
+        )
+        np.testing.assert_allclose(
+            ours.slope(i, dx), theirs.derivative()(q),
+            rtol=1e-13, atol=1e-13 * (np.max(np.abs(d)) + slope_of_y),
+        )

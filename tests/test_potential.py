@@ -3,7 +3,8 @@
 The kernel is checked against the closed-form potential of a uniform ball
 (interior and exterior), operator symmetry, and the far-field point-mass
 limit with a quadrupole-sized envelope.  The complete elliptic integral is
-checked against its power series and the scipy special function.
+checked against its power series and, to round-off, against the scipy
+special function, which evaluates the same Cephes approximation.
 """
 
 import numpy as np
@@ -66,6 +67,13 @@ class TestEllipticK:
     def test_array_input(self):
         m = np.array([0.0, 0.3, 0.8])
         np.testing.assert_allclose(cq.elliptic_k(m), ellipk(m), rtol=1e-12)
+
+    def test_matches_scipy_to_round_off(self):
+        # uniform in [0, 1), then up to the logarithmic singularity at m = 1
+        m = np.random.default_rng(20261018).random(100_000)
+        np.testing.assert_allclose(cq.elliptic_k(m), ellipk(m), rtol=1e-15, atol=0)
+        m = 1.0 - np.logspace(-15.0, 0.0, 3001)
+        np.testing.assert_allclose(cq.elliptic_k(m), ellipk(m), rtol=1e-15, atol=0)
 
 
 class TestKernelAgainstBall:
