@@ -44,7 +44,7 @@ from .potential import (
 )
 from .output import write_solve_outputs
 from .scan import ScanSpec, run_scan, write_scan_csv
-from .solver import MassDriftError, outcome_to_dict, solve
+from .solver import MassDriftError, solve
 
 _NUMERIC_ERRORS = (
     QuadratureError,
@@ -103,10 +103,7 @@ def _cmd_solve(args):
     if not args.out:
         sys.stderr.write("solve: --out is required\n")
         return 1
-    spec, scf = build_problem(eff)
-    outcome = solve(spec, scf)
-    result = outcome_to_dict(outcome)
-    write_solve_outputs(args.out, eff, result, outcome.state.rho)
+    result = write_solve_outputs(args.out, eff, solve(*build_problem(eff)))
     sys.stdout.write(
         "verdict=%s lambda=%s iterations=%d out=%s\n"
         % (result["verdict"], result["lambda"], result["iterations"], args.out)

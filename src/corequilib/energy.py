@@ -146,7 +146,7 @@ def resample_dilated(fld, t):
     return DensityField(grid, vals, fld.mask)
 
 
-def scaling_energy_curve(fld, eos, t_values, kernel=None):
+def scaling_energy_curve(fld, eos, t_values):
     """F(rho_t) = internal - self-gravity along the dilation family.
 
     For a density with negative F at moderate dilation the self-gravity term
@@ -154,7 +154,7 @@ def scaling_energy_curve(fld, eos, t_values, kernel=None):
     is negative with |F|*t rising; that shape is what the acceptance test
     asserts.
     """
-    kernel = kernel if kernel is not None else kernel_for(fld.grid)
+    kernel = kernel_for(fld.grid)
     mass = field_ops.total_mass(fld)
     vol = fld.grid.vol
     out = []

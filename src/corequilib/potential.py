@@ -298,42 +298,35 @@ def rotation_potential(law, grid):
 
 @dataclass(eq=False)
 class Environment:
-    """Fixed context of one problem: core, rotation, and their potentials.
+    """Fixed context of one problem: the kernel and the potentials of the
+    rotation and the core.
 
     ``phi_core`` already carries the strength factor mu, so the total
     potential a density feels is B(rho) + J + phi_core.
     """
 
-    grid: object
-    core: object
-    mu: float
-    rotation: RotationLaw
     kernel: AxiKernel
     J: np.ndarray
     phi_core: np.ndarray
 
     @classmethod
-    def build(cls, grid, core, mu, rotation, kernel=None):
-        kernel = kernel if kernel is not None else kernel_for(grid)
+    def build(cls, grid, core, mu, rotation):
+        kernel = kernel_for(grid)
         return cls(
-            grid=grid,
-            core=core,
-            mu=float(mu),
-            rotation=rotation,
             kernel=kernel,
             J=rotation_potential(rotation, grid),
             phi_core=core_potential(kernel, core, mu),
         )
 
 
-def ensemble_ratio_maxima(grid, n_fields=100, seed=20240901, kernel=None):
+def ensemble_ratio_maxima(grid, n_fields=100, seed=20240901):
     """Maxima of the two bound ratios over a seeded ensemble of blob fields.
 
     Field number i is drawn from a generator seeded with seed + i, so the
     ensemble is reproducible and, because the blobs are smooth functions of
     position, consistent across grid refinements.
     """
-    kernel = kernel if kernel is not None else kernel_for(grid)
+    kernel = kernel_for(grid)
     max_int = 0.0
     max_sup = 0.0
     for i in range(n_fields):

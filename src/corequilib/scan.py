@@ -8,9 +8,11 @@ again on the larger grid.
 
 Cells run in a process pool sized by the COREQUILIB_THREADS environment
 variable (default: all cores).  Each worker writes its cells' run
-directories itself and hands back only a small record, so no density field
-crosses the process boundary.  Results are deterministic either way because
-a cell's outcome depends only on its own configuration, and the table is
+directories itself and hands back only a small record: the cell's omega and
+mu, its ``result.json`` payload and its seconds.  No density field crosses
+the process boundary, and a retried cell's grown domain is read from its
+``effective_config.json``.  Results are deterministic either way because a
+cell's outcome depends only on its own configuration, and the table is
 assembled in a fixed order.
 """
 
@@ -18,12 +20,11 @@ import copy
 import os
 import sys
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field as dc_field
 
 from .config import ConfigError, build_problem
 from .output import fmt_num, write_solve_outputs
-from .solver import outcome_to_dict, solve
+from .solver import solve
 
 # TODO: sweep families of rotation profiles, not just constant omega, once
 # there is a concrete profile parametrization worth scanning.
@@ -85,23 +86,17 @@ def _solve_cell(task):
     (i, j), omega, mu, cfg, retry_factor, out = task
     start = time.perf_counter()
     outcome = solve(*build_problem(cfg))
-    first_verdict = outcome.verdict
-    if first_verdict == "MassRunoff":
+    if outcome.verdict == "MassRunoff":
         cfg = cell_config(cfg, omega, mu, grow=retry_factor)
         outcome = solve(*build_problem(cfg))
         outcome.retried = True
-    result = outcome_to_dict(outcome)
-    write_solve_outputs(
-        os.path.join(out, "cell_%02d_%02d" % (i, j)), cfg, result,
-        outcome.state.rho,
+    result = write_solve_outputs(
+        os.path.join(out, "cell_%02d_%02d" % (i, j)), cfg, outcome
     )
     return {
         "omega": omega,
         "mu": mu,
-        "config": cfg,
         "outcome": result,
-        "first_verdict": first_verdict,
-        "retried": outcome.retried,
         "seconds": time.perf_counter() - start,
     }
 
@@ -124,6 +119,9 @@ def _cell_records(tasks, workers):
     if workers == 1 or len(tasks) == 1:
         yield from map(_solve_cell, tasks)
         return
+    # imported here: solve and check run without loading multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
+
     with ProcessPoolExecutor(max_workers=min(workers, len(tasks))) as pool:
         yield from pool.map(_solve_cell, tasks)
 
@@ -148,7 +146,8 @@ def run_scan(scan_spec, out, workers=None):
             "cell %02d %02d: %s, %d iterations, retried %s, %.2f s\n"
             % (*task[0], record["outcome"]["verdict"],
                record["outcome"]["iterations"],
-               "yes" if record["retried"] else "no", record["seconds"])
+               "yes" if record["outcome"]["retried"] else "no",
+               record["seconds"])
         )
 
     table = ScanTable(scan_spec.omega_values, scan_spec.mu_values, cells)

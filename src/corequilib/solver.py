@@ -1,10 +1,10 @@
 """Self-consistent-field iteration for the constrained equilibrium problem.
 
 One step of the scheme: evaluate the total potential of the current density,
-find the multiplier that makes the reconstructed density carry the right
+find the multiplier that makes the density reconstructed through the
+inverse enthalpy (with its cutoff at non-positive argument) carry the right
 mass (safeguarded Newton on a bracket read off the potential, warm-started
-from the previous multiplier, see ``solve_lambda``), reconstruct through the
-inverse enthalpy (with its cutoff at non-positive argument), mix with
+from the previous multiplier, see ``solve_lambda``), mix that density with
 Anderson's method (``AndersonMixer``), and renormalize the mass.  Fixed
 points of the map are exactly the discrete equilibria.
 
@@ -149,52 +149,45 @@ class Outcome:
     d_r: float
     d_z: float
     bound_check: object          # BoundCheck for converged constant rotation
-    trace: list                  # rows (iteration, lambda, energy_total, update_norm)
+    # rows (iteration, lambda, energy_total, update_norm); trace.csv is
+    # their only copy on disk
+    trace: list
     mass_err_max: float
     mass_evals: int = 0          # mass_of_lambda calls, final re-solve included
     history_resets: int = 0      # clears of the Anderson history
     retried: bool = False
 
 
-def _enthalpy(phi_tot, lam, mask):
-    """``phi_tot + lam``, with the core cells held at -1."""
+def mass_of_lambda(phi_tot, lam, eos, mask, grid, slope=False):
+    """Mass of the density reconstructed at multiplier ``lam``.
+
+    The density is the inverse enthalpy of ``phi_tot + lam``, with the core
+    cells held at enthalpy -1.  It is continuous and non-decreasing in
+    ``lam``, because the inverse enthalpy is; that is what lets
+    ``solve_lambda`` bracket its root.  With ``slope=True`` the result is
+    ``(mass, dmass/dlam, rho)``: the slope is ``sum(vol * drho/dh)`` over
+    the cells with ``h > 0``, taken from the density ``rho`` this call has
+    inverted.
+    """
     h = phi_tot + lam
     if mask is not None:
         # keep core cells out of the inversion so a bounded EOS table is
         # not asked about enthalpies it will never see in the gas region
         h = np.where(mask, -1.0, h)
-    return h
-
-
-def _reconstruct(phi_tot, lam, eos, mask):
-    """Density whose enthalpy is ``phi_tot + lam``, cut off at zero."""
-    return eos.enthalpy_inverse(_enthalpy(phi_tot, lam, mask))
-
-
-def mass_of_lambda(phi_tot, lam, eos, mask, grid, slope=False):
-    """Mass of the density reconstructed at multiplier ``lam``.
-
-    Continuous and non-decreasing in ``lam``, because the inverse enthalpy
-    is; that is what lets ``solve_lambda`` bracket its root.  With
-    ``slope=True`` the result is the pair ``(mass, dmass/dlam)``, the slope
-    being ``sum(vol * drho/dh)`` over the cells with ``h > 0``, taken from
-    the density this call has already inverted.
-    """
-    h = _enthalpy(phi_tot, lam, mask)
     rho = eos.enthalpy_inverse(h)
     mass = float(np.sum(rho * grid.vol))
     if not slope:
         return mass
-    return mass, float(np.sum(eos.density_slope(rho, h) * grid.vol))
+    return mass, float(np.sum(eos.density_slope(rho, h) * grid.vol)), rho
 
 
 def solve_lambda(phi_tot, mass, eos, mask, grid, mass_tol, lam0=None):
     """Multiplier at which the reconstructed density carries ``mass``.
 
-    Returns ``(lam, evals)``: a multiplier that reconstructs ``mass`` to
-    ``mass_tol`` relative, and the number of ``mass_of_lambda`` calls it
-    took.  Both ends of the bracket follow from the gas cells (those
-    ``mask`` leaves free) of volume ``V``:
+    Returns ``(lam, rho, evals)``: a multiplier that reconstructs ``mass``
+    to ``mass_tol`` relative, the density reconstructed there, and the
+    number of ``mass_of_lambda`` calls it took.  Both ends of the bracket
+    follow from the gas cells (those ``mask`` leaves free) of volume ``V``:
 
     * ``lo = -max(phi)`` puts every gas enthalpy at or below zero, so the
       mass there is exactly 0;
@@ -223,11 +216,13 @@ def solve_lambda(phi_tot, mass, eos, mask, grid, mass_tol, lam0=None):
     lam = lam0 if lam0 is not None and lo < lam0 < hi else hi
     evals = 0
     while True:
-        got, slope = mass_of_lambda(phi_tot, lam, eos, mask, grid, slope=True)
+        got, slope, rho = mass_of_lambda(
+            phi_tot, lam, eos, mask, grid, slope=True
+        )
         evals += 1
         excess = got - mass
         if abs(excess) <= tol:
-            return lam, evals
+            return lam, rho, evals
         if excess > 0.0:
             hi, hi_known = lam, True
         elif lam == hi:
@@ -282,24 +277,24 @@ class AndersonMixer:
     ``next_iterate(x, g)`` takes the iterate ``x`` and its image
     ``g = rho_hat``, with residual ``f = g - x``, and returns
     ``x + beta f - (dX + beta dF) gamma``, where ``dX`` and ``dF`` hold the
-    differences of the last ``depth`` iterates and residuals and ``gamma``
-    minimizes the volume-weighted norm of ``f - dF gamma``.  With no
-    history it is the damped mix ``x + beta (g - x)``.
+    differences of the last ``ANDERSON_DEPTH`` iterates and residuals and
+    ``gamma`` minimizes the volume-weighted norm of ``f - dF gamma``.  With
+    no history it is the damped mix ``x + beta (g - x)``.
 
     The history is cleared whenever the residual norm rises: a near-critical
     iterate drifting towards the boundary must not be extrapolated further.
     ``resets`` counts the clears.  The differences live in two preallocated
-    ``(depth, n_cells)`` ring buffers, and the small Gram matrix of ``dF`` is
-    updated one row per iteration.
+    ``(ANDERSON_DEPTH, n_cells)`` ring buffers, and the small Gram matrix of
+    ``dF`` is updated one row per iteration.
     """
 
-    def __init__(self, vol, shape, beta, depth=ANDERSON_DEPTH):
+    def __init__(self, vol, shape, beta):
         self.beta = beta
         self.resets = 0
         self._w = np.broadcast_to(vol, shape).ravel()
-        self._dx = np.empty((depth, self._w.size))
-        self._df = np.empty((depth, self._w.size))
-        self._gram = np.empty((depth, depth))
+        self._dx = np.empty((ANDERSON_DEPTH, self._w.size))
+        self._df = np.empty((ANDERSON_DEPTH, self._w.size))
+        self._gram = np.empty((ANDERSON_DEPTH, ANDERSON_DEPTH))
         self._size = 0      # rows of the buffers in use
         self._slot = 0      # row the next difference goes to
         self._x = self._f = None
@@ -357,11 +352,10 @@ def scf_step(state, spec, config, env, mixer=None):
 
     b_rho = env.kernel.apply(rho.values)
     phi_tot = b_rho + env.J + env.phi_core
-    lam, evals = solve_lambda(
+    lam, rho_hat, evals = solve_lambda(
         phi_tot, spec.mass, spec.eos, rho.mask, grid, config.mass_tol,
         state.lam,
     )
-    rho_hat = _reconstruct(phi_tot, lam, spec.eos, rho.mask)
 
     if mixer is None:
         mixer = AndersonMixer(grid.vol, rho.values.shape, config.alpha)
@@ -417,7 +411,7 @@ def solve(spec, config=None):
     config = config if config is not None else ScfConfig()
     grid = spec.grid
     env = Environment.build(grid, spec.core, spec.mu, spec.rotation)
-    mask = env.core.mask(grid)
+    mask = spec.core.mask(grid)
 
     state = ScfState(0, initial_field(spec, mask), None, None, None, None, None)
     mixer = AndersonMixer(grid.vol, state.rho.values.shape, config.alpha)
@@ -473,7 +467,7 @@ def _finalize(verdict, state, spec, config, env, trace, mass_errs):
     evals = 0
     if verdict != "LambdaBracketFail":
         try:
-            lam, evals = solve_lambda(
+            lam, _, evals = solve_lambda(
                 phi_tot, spec.mass, spec.eos, rho.mask, spec.grid,
                 config.mass_tol, state.lam,
             )
@@ -528,7 +522,7 @@ def outcome_to_dict(outcome):
     bound = outcome.bound_check
     resid = state.residual
     return {
-        "schema_version": 3,
+        "schema_version": 4,
         "verdict": outcome.verdict,
         "lambda": state.lam,
         "iterations": state.iteration,
@@ -555,13 +549,4 @@ def outcome_to_dict(outcome):
             "el_residual_mean": None if resid is None else resid.eq_mean,
             "ineq_violation": None if resid is None else resid.ineq_violation,
         },
-        "trace": [
-            {
-                "iteration": it,
-                "lambda": lam,
-                "energy_total": e_tot,
-                "update_norm": upd,
-            }
-            for (it, lam, e_tot, upd) in outcome.trace
-        ],
     }

@@ -208,7 +208,7 @@ def test_criterion_6_phase_structure(scan_result):
     omega_star = omegas[min(failed)] if failed else None
     suffix = all(column[i] != "Converged" for i in range(min(failed), len(omegas))) if failed else False
     all_retried = all(
-        table.cells[(i, 0)]["retried"] for i in failed
+        table.cells[(i, 0)]["outcome"]["retried"] for i in failed
     ) if failed else False
 
     top = len(omegas) - 1

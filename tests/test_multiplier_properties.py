@@ -10,9 +10,10 @@ sampled on a jittered log grid).  With ``lo = -max(phi_gas)`` and
 * the mass is non-decreasing in the multiplier;
 * it is exactly zero at ``lo``;
 * ``solve_lambda`` returns a multiplier in ``[lo, hi]`` that reconstructs the
-  mass to ``mass_tol``, or raises ``LambdaBracketError``, and only when the
-  table edge sets ``hi`` and cannot hold the mass; with or without a warm
-  start, inside or outside ``[lo, hi]``;
+  mass to ``mass_tol``, with the density reconstructed there, or raises
+  ``LambdaBracketError``, and only when the table edge sets ``hi`` and
+  cannot hold the mass; with or without a warm start, inside or outside
+  ``[lo, hi]``;
 * ``density_slope``, the Newton slope's ingredient, matches a central
   difference of ``enthalpy_inverse``.
 """
@@ -129,7 +130,9 @@ def test_solve_lambda_meets_mass_tol_inside_the_bracket(problem, eos, scale, sta
     # (0, 1), outside it otherwise
     lam0 = None if start is None else lo + start * (hi - lo)
     try:
-        lam, evals = cq.solve_lambda(phi, mass, eos, mask, grid, MASS_TOL, lam0)
+        lam, rho, evals = cq.solve_lambda(
+            phi, mass, eos, mask, grid, MASS_TOL, lam0
+        )
     except cq.LambdaBracketError:
         assert table_sets_hi
         assert cap < mass * (1.0 - MASS_TOL)
@@ -138,6 +141,8 @@ def test_solve_lambda_meets_mass_tol_inside_the_bracket(problem, eos, scale, sta
     assert evals >= 1
     got = cq.mass_of_lambda(phi, lam, eos, mask, grid)
     assert got == pytest.approx(mass, rel=MASS_TOL, abs=0.0)
+    # the returned density is the one reconstructed at lam
+    assert float(np.sum(rho * grid.vol)) == got
 
 
 @given(eos=eoses, t=st.floats(0.0, 1.0))

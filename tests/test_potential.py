@@ -282,18 +282,6 @@ class TestEnvironment:
             env.phi_core, cq.core_potential(env.kernel, core, 1.5)
         )
 
-    def test_passed_kernel_is_reused(self):
-        grid = cq.CylGrid(1.0, 1.0, 32, 32)
-        kernel = cq.kernel_for(grid)
-        env = cq.Environment.build(
-            grid,
-            cq.CoreRegion.spheroid(0.1, 0.1, 0.0),
-            0.0,
-            cq.RotationLaw.constant(0.0),
-            kernel,
-        )
-        assert env.kernel is kernel
-
 
 class TestBoundRatios:
     def test_ensemble_is_deterministic(self):
@@ -305,12 +293,9 @@ class TestBoundRatios:
 
     def test_maxima_dominate_single_field(self):
         grid = cq.CylGrid(1.0, 1.0, 24, 24)
-        kernel = cq.kernel_for(grid)
-        max_int, max_sup = cq.ensemble_ratio_maxima(
-            grid, n_fields=6, seed=77, kernel=kernel
-        )
+        max_int, max_sup = cq.ensemble_ratio_maxima(grid, n_fields=6, seed=77)
         fld = cq.random_blob_field(grid, np.random.default_rng(77))
-        ratio_int, ratio_sup = cq.bound_ratios(fld, kernel)
+        ratio_int, ratio_sup = cq.bound_ratios(fld, cq.kernel_for(grid))
         assert max_int >= ratio_int
         assert max_sup >= ratio_sup
 

@@ -2,7 +2,8 @@
 
 scipy is loaded only by the two paths that need it, ``oracle`` (the
 Lane-Emden ODE) and a sampled ``profile`` rotation law, and only when they
-run.  Each case starts a fresh interpreter, because this one has scipy
+run.  The process pool's modules are loaded only by a scan on more than one
+worker.  Each case starts a fresh interpreter, because this one has scipy
 loaded already.
 """
 
@@ -30,11 +31,16 @@ for argv in json.loads(sys.argv[1]):
     rc = corequilib.cli.main(argv)
     if rc != 0:
         sys.exit("%r exited %d" % (argv, rc))
-print(json.dumps(sorted(m for m in sys.modules if m.split(".")[0] == "scipy")))
+print(json.dumps(sorted(
+    m for m in sys.modules
+    if m.split(".")[0] in ("scipy", "multiprocessing")
+    or m.startswith("concurrent.futures")
+)))
 """
 
 
 def test_solve_scan_and_check_load_no_scipy(tmp_path):
+    # the scan runs serially, so it needs no process pool either
     s = np.geomspace(1e-3, 10.0, 24)
     table = base_raw(n=24, core_rho=10.0, core_a=0.1, mu=1.0, omega=0.4)
     table["eos"] = {"kind": "tabulated-generic", "s": s.tolist(), "f": (s**2).tolist()}

@@ -141,7 +141,9 @@ class TestMultiplierSolve:
         phi = np.full((24, 24), 0.7)
         volume = float(np.sum(self.grid.vol * np.ones((24, 24))))
         target = 0.8 * volume          # rho = 0.8 needs phi + lambda = 1.6
-        lam, _ = cq.solve_lambda(phi, target, self.eos, self.mask, self.grid, 1e-10)
+        lam, _, _ = cq.solve_lambda(
+            phi, target, self.eos, self.mask, self.grid, 1e-10
+        )
         assert lam == pytest.approx(0.9, abs=1e-9)
         recovered = cq.mass_of_lambda(phi, lam, self.eos, self.mask, self.grid)
         assert abs(recovered - target) <= 1e-10 * target
@@ -151,7 +153,10 @@ class TestMultiplierSolve:
             cq.random_blob_field(self.grid, np.random.default_rng(3)).values
         )
         args = (phi, 0.25, self.eos, self.mask, self.grid, 1e-10)
-        assert cq.solve_lambda(*args) == cq.solve_lambda(*args)
+        lam_a, rho_a, evals_a = cq.solve_lambda(*args)
+        lam_b, rho_b, evals_b = cq.solve_lambda(*args)
+        assert (lam_a, evals_a) == (lam_b, evals_b)
+        np.testing.assert_array_equal(rho_a, rho_b)
 
     def test_solve_lambda_holds_no_reference_to_the_potential(self):
         # without the cyclic collector, a potential kept alive by the root
@@ -206,14 +211,12 @@ class TestScfStep:
     def test_half_damping_is_the_midpoint_mix(self, le_problem, le_outcome):
         # a step with no Anderson history is the beta-damped mix
         config = cq.ScfConfig()
-        kernel = cq.kernel_for(le_problem.grid)
         rho = le_outcome.state.rho
         env = cq.Environment.build(
-            le_problem.grid, le_problem.core, le_problem.mu,
-            le_problem.rotation, kernel,
+            le_problem.grid, le_problem.core, le_problem.mu, le_problem.rotation
         )
-        phi_tot = kernel.apply(rho.values) + env.J + env.phi_core
-        lam, _ = cq.solve_lambda(
+        phi_tot = env.kernel.apply(rho.values) + env.J + env.phi_core
+        lam, _, _ = cq.solve_lambda(
             phi_tot, le_problem.mass, le_problem.eos, rho.mask,
             le_problem.grid, config.mass_tol,
         )
@@ -234,10 +237,8 @@ class TestScfStep:
 
     def test_step_reports_energy_of_incoming_iterate(self, le_problem, le_outcome):
         config = cq.ScfConfig()
-        kernel = cq.kernel_for(le_problem.grid)
         env = cq.Environment.build(
-            le_problem.grid, le_problem.core, le_problem.mu,
-            le_problem.rotation, kernel,
+            le_problem.grid, le_problem.core, le_problem.mu, le_problem.rotation
         )
         rho = le_outcome.state.rho
         state = cq.ScfState(5, rho, None, None, None, None, None)
@@ -473,9 +474,9 @@ class TestSolve:
         assert sorted(back) == [
             "diagnostics", "energy", "history_resets", "iterations", "lambda",
             "mass_err_max", "mass_evals", "multiplier_bound", "retried",
-            "schema_version", "support", "trace", "verdict",
+            "schema_version", "support", "verdict",
         ]
-        assert back["schema_version"] == 3
+        assert back["schema_version"] == 4
         assert back["mass_evals"] == le_outcome.mass_evals
         assert back["mass_evals"] >= le_outcome.state.iteration + 1
         assert back["history_resets"] == le_outcome.history_resets
@@ -495,6 +496,20 @@ class TestSolve:
             "el_residual_mean": stats.eq_mean,
             "ineq_violation": stats.ineq_violation,
         }
-        assert len(back["trace"]) == le_outcome.state.iteration
-        row = back["trace"][0]
-        assert sorted(row) == ["energy_total", "iteration", "lambda", "update_norm"]
+
+    def test_trace_csv_is_the_outcome_trace(self, le_outcome, tmp_path):
+        import json
+
+        payload = cq.write_solve_outputs(tmp_path, {}, le_outcome)
+        assert payload == cq.outcome_to_dict(le_outcome)
+        assert json.loads((tmp_path / "result.json").read_text()) == payload
+        lines = (tmp_path / "trace.csv").read_text().splitlines()
+        assert lines[0] == "iter,lambda,energy_total,update_norm"
+        rows = [
+            (int(it), float(lam), float(e_tot), float(upd))
+            for it, lam, e_tot, upd in (line.split(",") for line in lines[1:])
+        ]
+        assert rows == le_outcome.trace
+        assert [row[0] for row in rows] == list(
+            range(1, le_outcome.state.iteration + 1)
+        )
