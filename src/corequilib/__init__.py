@@ -42,7 +42,6 @@ from .potential import (
     elliptic_k,
     ensemble_ratio_maxima,
     kernel_for,
-    newtonian_potential,
     rotation_potential,
     validate_core_potential,
 )

@@ -7,9 +7,12 @@ Subcommands:
 * ``check --config c.json``            diagnostic inequality ensemble
 * ``oracle lane-emden --gamma G --k K [--mass M]``  ODE reference constants
 
-Exit codes: 0 success, 1 usage or config problem, 2 numeric failure, 3 when
-a solve finishes with a non-Converged verdict (the scripting hook for
-existence scans driven from the shell).
+Exit codes: 0 success, 1 usage or config problem, 2 numeric failure or a
+scan worker that died, 3 when a solve finishes with a non-Converged verdict
+(the scripting hook for existence scans driven from the shell).
+
+``COREQUILIB_THREADS`` is the command's CPU budget (default: the CPU count);
+see ``config.cpu_budget``.
 
 All emitted files are deterministic: fixed key order, no timestamps, 17
 significant digits, so identical runs produce identical bytes.
@@ -26,6 +29,7 @@ from .config import (
     build_core,
     build_grid,
     build_problem,
+    cpu_budget,
     dump_effective,
     effective_config,
     load_config_file,
@@ -43,7 +47,7 @@ from .potential import (
     validate_core_potential,
 )
 from .output import write_solve_outputs
-from .scan import ScanSpec, run_scan, write_scan_csv
+from .scan import ScanSpec, WorkerDiedError, run_scan, write_scan_csv
 from .solver import MassDriftError, solve
 
 _NUMERIC_ERRORS = (
@@ -103,7 +107,8 @@ def _cmd_solve(args):
     if not args.out:
         sys.stderr.write("solve: --out is required\n")
         return 1
-    result = write_solve_outputs(args.out, eff, solve(*build_problem(eff)))
+    outcome = solve(*build_problem(eff), threads=cpu_budget())
+    result = write_solve_outputs(args.out, eff, outcome)
     sys.stdout.write(
         "verdict=%s lambda=%s iterations=%d out=%s\n"
         % (result["verdict"], result["lambda"], result["iterations"], args.out)
@@ -136,10 +141,11 @@ def _cmd_check(args):
     if args.dump_effective_config:
         sys.stdout.write(dump_effective(eff))
         return 0
+    threads = cpu_budget()
     grid = build_grid(eff)
     refined = type(grid)(grid.r_max, grid.z_max, 2 * grid.n_r, 2 * grid.n_z)
-    base_int, base_sup = ensemble_ratio_maxima(grid)
-    fine_int, fine_sup = ensemble_ratio_maxima(refined)
+    base_int, base_sup = ensemble_ratio_maxima(grid, threads=threads)
+    fine_int, fine_sup = ensemble_ratio_maxima(refined, threads=threads)
     chg_int = abs(fine_int - base_int) / base_int
     chg_sup = abs(fine_sup - base_sup) / base_sup
     finite = all(map(math.isfinite, (base_int, base_sup, fine_int, fine_sup)))
@@ -153,7 +159,7 @@ def _cmd_check(args):
     core_report = None
     core_ok = True
     if core.rho_core > 0.0:
-        phi = core_potential(kernel_for(grid), core, 1.0)
+        phi = core_potential(kernel_for(grid, threads), core, 1.0)
         report = validate_core_potential(phi, core, grid)
         core_ok = report.passed
         core_report = {
@@ -215,6 +221,9 @@ def main(argv=None):
         return 1
     except _NUMERIC_ERRORS as exc:
         sys.stderr.write("numeric error: %s\n" % exc)
+        return 2
+    except WorkerDiedError as exc:
+        sys.stderr.write("scan error: %s\n" % exc)
         return 2
     except ValueError as exc:
         sys.stderr.write("numeric error: %s\n" % exc)

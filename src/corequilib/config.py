@@ -9,6 +9,7 @@ archaeology, and unknown keys are rejected by name instead of ignored.
 
 import dataclasses
 import json
+import os
 
 from .eos import make_eos
 from .field import CoreRegion, CylGrid
@@ -33,6 +34,24 @@ def load_config_file(path):
     if not isinstance(raw, dict):
         raise ConfigError("config must be a JSON object")
     return raw
+
+
+def cpu_budget():
+    """The command's CPU budget: ``COREQUILIB_THREADS``, or the CPU count.
+
+    A scan spends it on worker processes and a solve or check on the
+    potential kernel's threads; see ``scan.run_scan`` and ``AxiKernel``.
+    """
+    raw = os.environ.get("COREQUILIB_THREADS", "").strip()
+    if raw:
+        try:
+            n = int(raw)
+        except ValueError as exc:
+            raise ConfigError("COREQUILIB_THREADS must be an integer") from exc
+        if n < 1:
+            raise ConfigError("COREQUILIB_THREADS must be at least 1")
+        return n
+    return os.cpu_count() or 1
 
 
 # -- validation helpers --------------------------------------------------------

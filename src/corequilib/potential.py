@@ -23,9 +23,17 @@ O(n_r^2 n_z^2).  The circulant embedding of the weights is even in the z
 offset, so their transform is real: the kernel is stored as float64 and the
 products run through BLAS on the real and imaginary parts of the density's
 transform at once.
+
+Building and applying a large kernel is split across threads, up to the CPU
+budget its caller passes (``COREQUILIB_THREADS`` on the command line): the
+products are bound by memory bandwidth and run in BLAS with the interpreter
+lock released, so the frequencies split into contiguous blocks, one per
+thread.  A block's arithmetic does not depend on the thread that runs it,
+so neither does any result bit.
 """
 
 import os
+import threading
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -83,6 +91,49 @@ def _physical_memory_bytes():
     return os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
 
 
+#: a kernel gets one thread per this many of its bytes, up to the caller's
+#: budget.  Starting and joining a thread costs about 0.1 ms, which a small
+#: kernel's work does not repay: on a 2-CPU box two threads lost on a 96^2
+#: kernel (7.2 MB) and won on a 120^2 one (13.9 MB), so two start at 12 MB.
+KERNEL_BYTES_PER_THREAD = 6_000_000
+
+
+def _split(n, parts):
+    """``parts`` contiguous (lo, hi) ranges covering range(n)."""
+    edges = [n * p // parts for p in range(parts + 1)]
+    return list(zip(edges[:-1], edges[1:]))
+
+
+def _in_threads(work, parts):
+    """Call ``work(part)`` for every entry of ``parts`` at once.
+
+    The first part runs in the calling thread and every other in a helper
+    thread, and all helpers are joined before this returns or raises, so no
+    thread outlives the call.  An exception raised in a helper is raised
+    again here.
+    """
+    errors = []
+
+    def run(part):
+        try:
+            work(part)
+        except BaseException as exc:  # handed to the calling thread
+            errors.append(exc)
+
+    started = []
+    try:
+        for part in parts[1:]:
+            helper = threading.Thread(target=run, args=(part,))
+            helper.start()
+            started.append(helper)
+        work(parts[0])
+    finally:
+        for helper in started:
+            helper.join()
+    if errors:
+        raise errors[0]
+
+
 class AxiKernel:
     """Precomputed ring-reduction weights for one grid, FFT-ready.
 
@@ -91,22 +142,31 @@ class AxiKernel:
     radius i and source radius k.  The embedding is even in the offset, so
     its transform is real and is stored as float64, shape
     ``(n_z + 1, n_r, n_r)``.  ``apply`` multiplies it, one frequency at a
-    time, against the real and imaginary parts of the transformed density in
-    one batched matmul.  Weights include the source ring volume factor, so
+    time, against the real and imaginary parts of the transformed density
+    in batched matmuls.  Weights include the source ring volume factor, so
     the product is directly the potential at cell centers.
 
     The kernel takes ``(n_z + 1) * n_r**2 * 8`` bytes.  That size is checked
     against physical memory before anything is allocated, and the build
     fills the array one target radius at a time and then finishes it one
     frequency at a time, so no intermediate larger than a row of the weight
-    table or one ``(n_r, n_r)`` block ever exists.  The weight per unit
-    source radius, ``4 K(m) / sqrt(sep2)``, is symmetric in target and
-    source, so row i computes it and its transform only for the sources
+    table or one ``(n_r, n_r)`` block ever exists per thread.  The weight
+    per unit source radius, ``4 K(m) / sqrt(sep2)``, is symmetric in target
+    and source, so row i computes it and its transform only for the sources
     k >= i; the lower triangle is mirrored from the upper one before every
     entry is multiplied by r[k].
+
+    ``threads`` is the CPU budget the kernel may spend.  It uses one thread
+    per ``KERNEL_BYTES_PER_THREAD`` bytes of kernel, at least one and at
+    most ``threads``: the build deals the target rows out to the threads,
+    each with its own row buffer, and then splits the mirror pass into
+    contiguous frequency blocks, and ``apply`` splits its product the same
+    way.  Every row and every frequency is computed by the same arithmetic
+    whichever thread runs it, so the kernel and the potential do not depend
+    on the thread count, bit for bit.
     """
 
-    def __init__(self, grid):
+    def __init__(self, grid, threads=1):
         self.grid = grid
         need = (grid.n_z + 1) * grid.n_r**2 * 8
         have = _physical_memory_bytes()
@@ -115,10 +175,17 @@ class AxiKernel:
                 "potential kernel for a %d x %d grid needs %d bytes, more than "
                 "the %d bytes of physical memory" % (grid.n_r, grid.n_z, need, have)
             )
-        self._fw = self._build(grid)
+        # at most one thread per target row, so each has a row to build
+        share = need // KERNEL_BYTES_PER_THREAD
+        self.threads = max(1, min(threads, grid.n_r, share))
+        self._blocks = _split(grid.n_z + 1, self.threads)
+        self._fw = np.empty((grid.n_z + 1, grid.n_r, grid.n_r))
+        _in_threads(self._build_rows, range(self.threads))
+        _in_threads(self._finish_block, self._blocks)
 
-    @staticmethod
-    def _build(grid):
+    def _build_rows(self, first):
+        """Rows first, first + threads, ... of the upper triangle."""
+        grid, fw = self.grid, self._fw
         r = grid.r
         dr, dz = grid.dr, grid.dz
         n_r, n_z = grid.n_r, grid.n_z
@@ -127,9 +194,8 @@ class AxiKernel:
         # rod cross section dr x dz, integrated in closed form.
         self_weight = 2.0 * (np.arcsinh(dz / dr) + np.arcsinh(dr / dz)) * dr * dz
 
-        fw = np.empty((n_z + 1, n_r, n_r))
-        circ = np.zeros((n_r, 2 * n_z))
-        for i in range(n_r):            # target ring radius r[i]
+        circ = np.zeros((n_r - first, 2 * n_z))
+        for i in range(first, n_r, self.threads):  # target ring radius r[i]
             r_s = r[i:, None]           # source ring radii r[k], k >= i
             sep2 = (r[i] + r_s) ** 2 + offsets**2
             m = 4.0 * r[i] * r_s / sep2
@@ -140,14 +206,17 @@ class AxiKernel:
             c[:, :n_z] = w
             c[:, n_z + 1:] = w[:, :0:-1]
             fw[:, i, i:] = np.fft.rfft(c, axis=1).real.T
-        # Mirror the upper triangle and apply the source radius factor one
-        # frequency at a time: a block is small enough to stay in cache,
-        # where writing the mirrored column of each row is not.
-        lower = np.tri(n_r, k=-1, dtype=bool)
-        for block in fw:
-            np.copyto(block, block.T, where=lower)
-            block *= r
-        return fw
+
+    def _finish_block(self, block):
+        """Mirror the upper triangle and apply the source radius factor
+        for the frequencies in ``block``, one frequency at a time: a
+        frequency's matrix is small enough to stay in cache, where writing
+        the mirrored column of each row is not."""
+        lower = np.tri(self.grid.n_r, k=-1, dtype=bool)
+        for f in range(*block):
+            w = self._fw[f]
+            np.copyto(w, w.T, where=lower)
+            w *= self.grid.r
 
     def apply(self, values):
         """Potential of the density sample array, shape (n_r, n_z)."""
@@ -156,21 +225,21 @@ class AxiKernel:
         # (f, k, 2): per frequency, the real and imaginary parts of the
         # source spectrum as two columns of a real matrix
         pairs = np.ascontiguousarray(spec.T).view(np.float64).reshape(-1, n_r, 2)
-        conv = (self._fw @ pairs).view(np.complex128)[:, :, 0]
+        prod = np.empty_like(pairs)
+
+        def product(block):
+            lo, hi = block
+            np.matmul(self._fw[lo:hi], pairs[lo:hi], out=prod[lo:hi])
+
+        _in_threads(product, self._blocks)
+        conv = prod.view(np.complex128)[:, :, 0]
         return np.fft.irfft(conv.T, n=2 * n_z, axis=1)[:, :n_z]
 
 
 @lru_cache(maxsize=4)
-def kernel_for(grid):
+def kernel_for(grid, threads=1):
     """Shared kernel cache; building one is the expensive part of a solve."""
-    return AxiKernel(grid)
-
-
-def newtonian_potential(kernel, fld):
-    """B(rho) at cell centers for a density field on the kernel's grid."""
-    if fld.grid != kernel.grid:
-        raise ValueError("field grid does not match kernel grid")
-    return kernel.apply(fld.values)
+    return AxiKernel(grid, threads)
 
 
 def core_potential(kernel, core, mu):
@@ -182,10 +251,9 @@ def core_potential(kernel, core, mu):
     if mu < 0.0:
         raise ValueError("core strength mu must be non-negative")
     grid = kernel.grid
-    rho_k = np.where(core.mask(grid), core.rho_core, 0.0)
     if mu == 0.0 or core.rho_core == 0.0:
         return np.zeros((grid.n_r, grid.n_z))
-    return mu * kernel.apply(rho_k)
+    return mu * kernel.apply(np.where(core.mask(grid), core.rho_core, 0.0))
 
 
 @dataclass
@@ -310,8 +378,8 @@ class Environment:
     phi_core: np.ndarray
 
     @classmethod
-    def build(cls, grid, core, mu, rotation):
-        kernel = kernel_for(grid)
+    def build(cls, grid, core, mu, rotation, threads=1):
+        kernel = kernel_for(grid, threads)
         return cls(
             kernel=kernel,
             J=rotation_potential(rotation, grid),
@@ -319,14 +387,14 @@ class Environment:
         )
 
 
-def ensemble_ratio_maxima(grid, n_fields=100, seed=20240901):
+def ensemble_ratio_maxima(grid, n_fields=100, seed=20240901, threads=1):
     """Maxima of the two bound ratios over a seeded ensemble of blob fields.
 
     Field number i is drawn from a generator seeded with seed + i, so the
     ensemble is reproducible and, because the blobs are smooth functions of
     position, consistent across grid refinements.
     """
-    kernel = kernel_for(grid)
+    kernel = kernel_for(grid, threads)
     max_int = 0.0
     max_sup = 0.0
     for i in range(n_fields):

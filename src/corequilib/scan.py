@@ -6,14 +6,18 @@ more, in the same worker, on a domain grown by the configured factor, which
 screens out finite-box false negatives: genuine no-equilibrium cells run off
 again on the larger grid.
 
-Cells run in a process pool sized by the COREQUILIB_THREADS environment
-variable (default: all cores).  Each worker writes its cells' run
-directories itself and hands back only a small record: the cell's omega and
-mu, its ``result.json`` payload and its seconds.  No density field crosses
-the process boundary, and a retried cell's grown domain is read from its
+Cells run in a process pool sized by the command's CPU budget, the
+COREQUILIB_THREADS environment variable (default: all cores), with at most
+one worker per cell; each worker's potential kernel gets ``budget //
+workers`` threads.  Each worker writes its cells' run directories itself
+and hands back only a small record: the cell's omega and mu, its
+``result.json`` payload and its seconds.  No density field crosses the
+process boundary, and a retried cell's grown domain is read from its
 ``effective_config.json``.  Results are deterministic either way because a
-cell's outcome depends only on its own configuration, and the table is
-assembled in a fixed order.
+cell's outcome depends only on its own configuration, not on the thread or
+worker count, and the table is assembled in a fixed order.  A worker that
+dies, killed by the operating system for instance, ends the scan with
+``WorkerDiedError``.
 """
 
 import copy
@@ -22,7 +26,7 @@ import sys
 import time
 from dataclasses import dataclass, field as dc_field
 
-from .config import ConfigError, build_problem
+from .config import ConfigError, build_problem, cpu_budget
 from .output import fmt_num, write_solve_outputs
 from .solver import solve
 
@@ -83,12 +87,12 @@ def cell_config(base, omega, mu, grow=None):
 def _solve_cell(task):
     """Worker body: solve one cell, retry a run-off once on the grown
     domain, write the cell's run directory and return its record."""
-    (i, j), omega, mu, cfg, retry_factor, out = task
+    (i, j), omega, mu, cfg, retry_factor, out, threads = task
     start = time.perf_counter()
-    outcome = solve(*build_problem(cfg))
+    outcome = solve(*build_problem(cfg), threads=threads)
     if outcome.verdict == "MassRunoff":
         cfg = cell_config(cfg, omega, mu, grow=retry_factor)
-        outcome = solve(*build_problem(cfg))
+        outcome = solve(*build_problem(cfg), threads=threads)
         outcome.retried = True
     result = write_solve_outputs(
         os.path.join(out, "cell_%02d_%02d" % (i, j)), cfg, outcome
@@ -101,41 +105,41 @@ def _solve_cell(task):
     }
 
 
-def worker_count():
-    raw = os.environ.get("COREQUILIB_THREADS", "").strip()
-    if raw:
-        try:
-            n = int(raw)
-        except ValueError as exc:
-            raise ConfigError("COREQUILIB_THREADS must be an integer") from exc
-        if n < 1:
-            raise ConfigError("COREQUILIB_THREADS must be at least 1")
-        return n
-    return os.cpu_count() or 1
+class WorkerDiedError(RuntimeError):
+    """A worker process of the scan's pool ended before its cells did."""
 
 
 def _cell_records(tasks, workers):
     """Each task's record, in task order, as the cells finish."""
-    if workers == 1 or len(tasks) == 1:
+    if workers == 1:
         yield from map(_solve_cell, tasks)
         return
     # imported here: solve and check run without loading multiprocessing
     from concurrent.futures import ProcessPoolExecutor
+    from concurrent.futures.process import BrokenProcessPool
 
-    with ProcessPoolExecutor(max_workers=min(workers, len(tasks))) as pool:
-        yield from pool.map(_solve_cell, tasks)
+    try:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            yield from pool.map(_solve_cell, tasks)
+    except BrokenProcessPool as exc:
+        raise WorkerDiedError("a worker process died: %s" % exc) from exc
 
 
-def run_scan(scan_spec, out, workers=None):
+def run_scan(scan_spec, out, budget=None):
     """Solve every cell into ``out/cell_II_JJ/``, retrying run-off cells.
 
-    One line per cell goes to stderr as its record arrives.
+    ``budget`` is the CPU budget, ``cpu_budget()`` by default.  It sets the
+    number of workers, at most one per cell, and each worker's kernel gets
+    an equal share of it.  One line per cell goes to stderr as its record
+    arrives.
     """
-    workers = worker_count() if workers is None else workers
+    budget = cpu_budget() if budget is None else budget
     os.makedirs(out, exist_ok=True)
+    n_cells = len(scan_spec.omega_values) * len(scan_spec.mu_values)
+    workers = min(budget, n_cells)
     tasks = [
         ((i, j), omega, mu, cell_config(scan_spec.base, omega, mu),
-         scan_spec.retry_factor, out)
+         scan_spec.retry_factor, out, budget // workers)
         for i, omega in enumerate(scan_spec.omega_values)
         for j, mu in enumerate(scan_spec.mu_values)
     ]

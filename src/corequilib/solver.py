@@ -406,11 +406,15 @@ def _is_converged(state, config, eos):
     return r.ineq_violation is None or r.ineq_violation >= -tol
 
 
-def solve(spec, config=None):
-    """Iterate to a verdict; never raises for physical failure modes."""
+def solve(spec, config=None, threads=1):
+    """Iterate to a verdict; never raises for physical failure modes.
+
+    ``threads`` is the CPU budget of the potential kernel (``AxiKernel``);
+    the outcome does not depend on it.
+    """
     config = config if config is not None else ScfConfig()
     grid = spec.grid
-    env = Environment.build(grid, spec.core, spec.mu, spec.rotation)
+    env = Environment.build(grid, spec.core, spec.mu, spec.rotation, threads)
     mask = spec.core.mask(grid)
 
     state = ScfState(0, initial_field(spec, mask), None, None, None, None, None)

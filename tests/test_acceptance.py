@@ -76,7 +76,7 @@ def scan_result(tmp_path_factory):
     eff = cq.effective_config(SCAN_CONFIG, need_scan=True)
     out = tmp_path_factory.mktemp("sweep")
     start = time.perf_counter()
-    table = cq.run_scan(cq.ScanSpec.from_config(eff), out, workers=1)
+    table = cq.run_scan(cq.ScanSpec.from_config(eff), out, budget=1)
     return table, time.perf_counter() - start
 
 
@@ -106,7 +106,7 @@ def test_criterion_1_uniform_ball_potential():
         kernel = kernel_for(grid)
         radius = np.hypot(grid.r[:, None], grid.z[None, :])
         fld = cq.DensityField(grid, np.where(radius <= a, rho0, 0.0))
-        phi = cq.newtonian_potential(kernel, fld)
+        phi = kernel.apply(fld.values)
         took = time.perf_counter() - start
         interior = mass * (3.0 * a**2 - radius**2) / (2.0 * a**3)
         exterior = mass / radius

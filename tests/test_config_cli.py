@@ -15,8 +15,8 @@ import pytest
 
 import corequilib as cq
 from corequilib.cli import main
-from corequilib.config import dump_effective, load_config_file
-from corequilib.scan import ScanTable, _monotonicity_warnings, cell_config, worker_count
+from corequilib.config import cpu_budget, dump_effective, load_config_file
+from corequilib.scan import ScanTable, _monotonicity_warnings, cell_config
 from test_eos import scaled_rule
 
 
@@ -256,7 +256,7 @@ class TestScanMachinery:
             ),
             need_scan=True,
         )
-        table = cq.run_scan(cq.ScanSpec.from_config(eff), tmp_path, workers=1)
+        table = cq.run_scan(cq.ScanSpec.from_config(eff), tmp_path, budget=1)
         record = table.cells[(0, 0)]
         spec, scf = cq.build_problem(cell_config(eff, 0.3, 2.0))
         solved = cq.solve(spec, scf)
@@ -269,7 +269,7 @@ class TestScanMachinery:
 
     def test_retry_marks_and_grows_runoff_cells(self, tmp_path):
         eff = cq.effective_config(self.scan_raw(), need_scan=True)
-        table = cq.run_scan(cq.ScanSpec.from_config(eff), tmp_path, workers=1)
+        table = cq.run_scan(cq.ScanSpec.from_config(eff), tmp_path, budget=1)
         calm = table.cells[(0, 0)]
         windy = table.cells[(1, 0)]
         assert calm["outcome"]["verdict"] == "Converged"
@@ -285,7 +285,7 @@ class TestScanMachinery:
 
     def test_pooled_retry_writes_the_grown_cell(self, tmp_path):
         eff = cq.effective_config(self.scan_raw(), need_scan=True)
-        table = cq.run_scan(cq.ScanSpec.from_config(eff), tmp_path, workers=2)
+        table = cq.run_scan(cq.ScanSpec.from_config(eff), tmp_path, budget=2)
         assert table.cells[(1, 0)]["outcome"]["retried"] is True
 
         def read(cell, name):
@@ -311,8 +311,8 @@ class TestScanMachinery:
             need_scan=True,
         )
         spec = cq.ScanSpec.from_config(eff)
-        serial = cq.run_scan(spec, tmp_path / "serial", workers=1)
-        pooled = cq.run_scan(spec, tmp_path / "pooled", workers=2)
+        serial = cq.run_scan(spec, tmp_path / "serial", budget=1)
+        pooled = cq.run_scan(spec, tmp_path / "pooled", budget=2)
         assert sorted(serial.cells) == sorted(pooled.cells)
         for key in serial.cells:
             assert serial.cells[key]["outcome"] == pooled.cells[key]["outcome"]
@@ -347,7 +347,7 @@ class TestScanMachinery:
 
     def test_scan_csv_format(self, tmp_path):
         eff = cq.effective_config(self.scan_raw(), need_scan=True)
-        table = cq.run_scan(cq.ScanSpec.from_config(eff), tmp_path / "sweep", workers=1)
+        table = cq.run_scan(cq.ScanSpec.from_config(eff), tmp_path / "sweep", budget=1)
         path = tmp_path / "scan.csv"
         cq.write_scan_csv(table, str(path))
         lines = path.read_text().splitlines()
@@ -357,17 +357,37 @@ class TestScanMachinery:
         assert first[0] == "0" and first[2] == "Converged"
         assert float(first[3]) < 0.0
 
-    def test_worker_count_env(self, monkeypatch):
+    def test_worker_count_env(self, monkeypatch, tmp_path, capsys):
         monkeypatch.setenv("COREQUILIB_THREADS", "3")
-        assert worker_count() == 3
-        monkeypatch.setenv("COREQUILIB_THREADS", "0")
-        with pytest.raises(cq.ConfigError):
-            worker_count()
-        monkeypatch.setenv("COREQUILIB_THREADS", "abc")
-        with pytest.raises(cq.ConfigError):
-            worker_count()
+        assert cpu_budget() == 3
+        cfg = write_config(tmp_path, base_raw(n=16))
+        for raw, message in (("0", "at least 1"), ("abc", "an integer")):
+            monkeypatch.setenv("COREQUILIB_THREADS", raw)
+            with pytest.raises(cq.ConfigError):
+                cpu_budget()
+            rc = main(["solve", "--config", cfg, "--out", str(tmp_path / "run")])
+            assert rc == 1
+            assert capsys.readouterr().err == (
+                "config error: COREQUILIB_THREADS must be %s\n" % message
+            )
         monkeypatch.delenv("COREQUILIB_THREADS")
-        assert worker_count() >= 1
+        assert cpu_budget() >= 1
+
+    def test_scan_worker_that_dies_exits_two(self, monkeypatch, tmp_path, capsys):
+        monkeypatch.setenv("COREQUILIB_THREADS", "2")
+        monkeypatch.setattr(cq.scan, "_solve_cell", _die)
+        sweep = {"scan": {"omega_values": [0.0, 0.3], "mu_values": [0.0]}}
+        raw = base_raw(n=16, extra=sweep)
+        cfg = write_config(tmp_path, raw)
+        assert main(["scan", "--config", cfg, "--out", str(tmp_path / "sweep")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("scan error: a worker process died: ")
+        assert err.count("\n") == 1
+
+
+def _die(task):
+    """Stands in for a scan cell whose worker is killed."""
+    os._exit(9)
 
 
 class TestCli:
@@ -629,6 +649,22 @@ class TestCli:
             outs.append(out)
         for name in ("result.json", "field.csv", "trace.csv", "effective_config.json"):
             assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes()
+
+    def test_outputs_do_not_depend_on_the_cpu_budget(self, tmp_path, monkeypatch):
+        # a 128 x 96 grid, whose kernel runs on two threads out of two
+        raw = base_raw(omega=0.4, mu=1.0, core_rho=10.0, core_a=0.1)
+        raw["grid"] = {"r_max": 2.0, "z_max": 1.5, "n_r": 128, "n_z": 96}
+        cfg = write_config(tmp_path, raw)
+        for threads in ("1", "2"):
+            monkeypatch.setenv("COREQUILIB_THREADS", threads)
+            out = tmp_path / ("threads-" + threads)
+            assert main(["solve", "--config", cfg, "--out", str(out)]) == 0
+        hits = cq.kernel_for.cache_info().hits
+        assert cq.kernel_for(cq.CylGrid(2.0, 1.5, 128, 96), 2).threads == 2
+        assert cq.kernel_for.cache_info().hits == hits + 1  # the solve's kernel
+        for name in ("result.json", "field.csv", "trace.csv", "effective_config.json"):
+            one = (tmp_path / "threads-1" / name).read_bytes()
+            assert one == (tmp_path / "threads-2" / name).read_bytes()
 
     def test_outputs_do_not_depend_on_blas_threads(self, tmp_path):
         raw = base_raw(n=32, omega=0.4, mu=1.0, core_rho=10.0, core_a=0.1)

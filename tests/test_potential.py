@@ -2,10 +2,14 @@
 
 The kernel is checked against the closed-form potential of a uniform ball
 (interior and exterior), operator symmetry, and the far-field point-mass
-limit with a quadrupole-sized envelope.  The complete elliptic integral is
+limit with a quadrupole-sized envelope; built and applied in threads it must
+give the same bits as on one thread.  The complete elliptic integral is
 checked against its power series and, to round-off, against the scipy
 special function, which evaluates the same Cephes approximation.
 """
+
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -80,7 +84,7 @@ class TestKernelAgainstBall:
     def test_interior_and_exterior_match_closed_form(self):
         grid = cq.CylGrid(1.0, 1.0, 128, 128)
         fld = ball_field(grid, 0.2, 1.0)
-        phi = cq.newtonian_potential(cq.kernel_for(grid), fld)
+        phi = cq.kernel_for(grid).apply(fld.values)
         R, Z = grid.meshes()
         exact = ball_potential_exact(0.2, 1.0, np.sqrt(R**2 + Z**2))
         rel = np.abs(phi - exact) / exact
@@ -88,9 +92,7 @@ class TestKernelAgainstBall:
 
     def test_zero_field_zero_potential(self):
         grid = cq.CylGrid(1.0, 1.0, 32, 32)
-        phi = cq.newtonian_potential(
-            cq.kernel_for(grid), cq.DensityField(grid, np.zeros((32, 32)))
-        )
+        phi = cq.kernel_for(grid).apply(np.zeros((32, 32)))
         assert np.all(phi == 0.0)
 
     def test_operator_symmetry(self):
@@ -135,13 +137,6 @@ class TestKernelAgainstBall:
         assert dev_c <= (a_r / d_c) ** 2
         assert dev_b < dev_a
 
-    def test_grid_mismatch_rejected(self):
-        g1 = cq.CylGrid(1.0, 1.0, 32, 32)
-        g2 = cq.CylGrid(1.0, 1.0, 48, 48)
-        fld = cq.DensityField(g2, np.ones((48, 48)))
-        with pytest.raises(ValueError):
-            cq.newtonian_potential(cq.kernel_for(g1), fld)
-
     def test_kernel_larger_than_physical_memory_is_refused(self, monkeypatch):
         monkeypatch.setattr(cq.potential, "_physical_memory_bytes", lambda: 64)
         with pytest.raises(cq.GridError, match=r"needs 270336 bytes.* 64 bytes"):
@@ -159,13 +154,83 @@ class TestKernelAgainstBall:
         assert k1 is k2
 
 
+#: a grid whose kernel (12.7 MB) is above the two-thread threshold
+THREADED_GRID = cq.CylGrid(2.0, 1.5, 128, 96)
+
+
+class TestKernelThreads:
+    def test_threshold_follows_the_kernel_size(self):
+        assert cq.AxiKernel(cq.CylGrid(2.0, 2.0, 96, 96), threads=2).threads == 1
+        assert cq.AxiKernel(THREADED_GRID, threads=2).threads == 2
+        assert cq.AxiKernel(THREADED_GRID, threads=1).threads == 1
+
+    @pytest.mark.parametrize("grid,threads,bytes_per_thread", [
+        (THREADED_GRID, 2, cq.potential.KERNEL_BYTES_PER_THREAD),
+        # more threads than cores, on blocks of unequal length
+        (cq.CylGrid(1.0, 1.0, 24, 40), 5, 1),
+    ])
+    def test_thread_count_changes_no_bits(
+        self, monkeypatch, grid, threads, bytes_per_thread
+    ):
+        monkeypatch.setattr(cq.potential, "KERNEL_BYTES_PER_THREAD", bytes_per_thread)
+        values = cq.random_blob_field(grid, np.random.default_rng(3)).values
+        alive = threading.active_count()
+        serial = cq.AxiKernel(grid, threads=1)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threaded = cq.AxiKernel(grid, threads=threads)
+            applied = threaded.apply(values)
+        finally:
+            sys.setswitchinterval(interval)
+        assert threaded.threads == threads
+        np.testing.assert_array_equal(threaded._fw, serial._fw)
+        np.testing.assert_array_equal(applied, serial.apply(values))
+        assert threading.active_count() == alive
+
+    def test_helper_thread_error_reaches_the_caller(self, monkeypatch):
+        real = cq.potential.elliptic_k
+
+        def fails_in_helpers(m):
+            if threading.current_thread() is not threading.main_thread():
+                raise ValueError("raised in a helper thread")
+            return real(m)
+
+        monkeypatch.setattr(cq.potential, "elliptic_k", fails_in_helpers)
+        alive = threading.active_count()
+        with pytest.raises(ValueError, match="raised in a helper thread"):
+            cq.AxiKernel(THREADED_GRID, threads=2)
+        assert threading.active_count() == alive
+
+    def test_started_helpers_are_joined_when_a_start_fails(self, monkeypatch):
+        monkeypatch.setattr(cq.potential, "KERNEL_BYTES_PER_THREAD", 1)
+        start = threading.Thread.start
+        started = []
+
+        def start_once(thread):
+            if started:
+                raise RuntimeError("can't start new thread")
+            started.append(thread)
+            start(thread)
+
+        monkeypatch.setattr(threading.Thread, "start", start_once)
+        with pytest.raises(RuntimeError, match="can't start new thread"):
+            cq.AxiKernel(cq.CylGrid(1.0, 1.0, 24, 40), threads=3)
+        assert len(started) == 1 and not started[0].is_alive()
+
+
 class TestCorePotential:
-    def test_zero_when_mu_or_density_vanishes(self):
+    def test_zero_when_mu_or_density_vanishes(self, monkeypatch):
         grid = cq.CylGrid(1.0, 1.0, 32, 32)
         kernel = cq.kernel_for(grid)
         core = cq.CoreRegion.spheroid(0.15, 0.15, 2.0)
-        assert np.all(cq.core_potential(kernel, core, 0.0) == 0.0)
         hollow = cq.CoreRegion.spheroid(0.15, 0.15, 0.0)
+
+        def no_mask(self, grid):
+            raise AssertionError("a vanishing core potential built the mask")
+
+        monkeypatch.setattr(cq.CoreRegion, "mask", no_mask)
+        assert np.all(cq.core_potential(kernel, core, 0.0) == 0.0)
         assert np.all(cq.core_potential(kernel, hollow, 1.0) == 0.0)
 
     def test_negative_mu_rejected(self):

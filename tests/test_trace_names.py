@@ -58,7 +58,7 @@ import layertrace
 tracer = layertrace.install(trace_dir)
 with open(config) as fh:
     eff = cq.effective_config(json.load(fh), need_scan=True)
-cq.run_scan(cq.ScanSpec.from_config(eff), out, workers=2)
+cq.run_scan(cq.ScanSpec.from_config(eff), out, budget=2)
 tracer.flush()
 print(os.getpid())
 """
