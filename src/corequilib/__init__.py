@@ -24,7 +24,6 @@ from .field import (
     DensityField,
     GridError,
     boundary_mass_exceeds,
-    mask_is_radially_convex,
     random_blob_field,
     read_field_csv,
     rescale_to_mass,

@@ -34,11 +34,7 @@ from .config import (
     effective_config,
     load_config_file,
 )
-from .eos import (
-    EosDomainError, EosInversionError, EosRangeError, QuadratureError, make_eos,
-)
-from .energy import DilationRangeError
-from .field import DegenerateFieldError, GridError
+from .eos import EosInversionError, QuadratureError, make_eos
 from .lane_emden import polytrope_structure
 from .potential import (
     core_potential,
@@ -50,16 +46,10 @@ from .output import write_solve_outputs
 from .scan import ScanSpec, WorkerDiedError, run_scan, write_scan_csv
 from .solver import MassDriftError, solve
 
+#: numeric failures that are not ValueErrors; ``main`` gives a ValueError
+#: (other than a ConfigError) the same message and exit code
 _NUMERIC_ERRORS = (
-    QuadratureError,
-    EosRangeError,
-    EosDomainError,
-    EosInversionError,
-    GridError,
-    DegenerateFieldError,
-    DilationRangeError,
-    MassDriftError,
-    FloatingPointError,
+    QuadratureError, EosInversionError, MassDriftError, FloatingPointError,
 )
 
 
@@ -99,33 +89,42 @@ def _build_parser():
     return parser
 
 
-def _cmd_solve(args):
+def _run(args):
+    """``solve``, ``scan`` or ``check``: load the config, then dump it or run.
+
+    Before a dump, ``solve`` and ``scan`` build what their run builds, so the
+    dump exits 1 on the same config errors as the run.
+    """
     eff = effective_config(load_config_file(args.config))
+    sweep = ScanSpec.from_config(eff) if args.command == "scan" else None
     if args.dump_effective_config:
+        if args.command != "check":
+            build_problem(eff)
         sys.stdout.write(dump_effective(eff))
         return 0
+    if args.command == "check":
+        return _cmd_check(eff)
     if not args.out:
-        sys.stderr.write("solve: --out is required\n")
+        sys.stderr.write("%s: --out is required\n" % args.command)
         return 1
+    if sweep is not None:
+        return _cmd_scan(sweep, args.out)
+    return _cmd_solve(eff, args.out)
+
+
+def _cmd_solve(eff, out):
     outcome = solve(*build_problem(eff), threads=cpu_budget())
-    result = write_solve_outputs(args.out, eff, outcome)
+    result = write_solve_outputs(out, eff, outcome)
     sys.stdout.write(
         "verdict=%s lambda=%s iterations=%d out=%s\n"
-        % (result["verdict"], result["lambda"], result["iterations"], args.out)
+        % (result["verdict"], result["lambda"], result["iterations"], out)
     )
     return 0 if result["verdict"] == "Converged" else 3
 
 
-def _cmd_scan(args):
-    eff = effective_config(load_config_file(args.config), need_scan=True)
-    if args.dump_effective_config:
-        sys.stdout.write(dump_effective(eff))
-        return 0
-    if not args.out:
-        sys.stderr.write("scan: --out is required\n")
-        return 1
-    table = run_scan(ScanSpec.from_config(eff), args.out)
-    write_scan_csv(table, os.path.join(args.out, "scan.csv"))
+def _cmd_scan(scan_spec, out):
+    table = run_scan(scan_spec, out)
+    write_scan_csv(table, os.path.join(out, "scan.csv"))
     for i, omega in enumerate(table.omega_values):
         row = " ".join(
             "%-17s" % table.verdict(i, j) for j in range(len(table.mu_values))
@@ -136,11 +135,7 @@ def _cmd_scan(args):
     return 0
 
 
-def _cmd_check(args):
-    eff = effective_config(load_config_file(args.config))
-    if args.dump_effective_config:
-        sys.stdout.write(dump_effective(eff))
-        return 0
+def _cmd_check(eff):
     threads = cpu_budget()
     grid = build_grid(eff)
     refined = type(grid)(grid.r_max, grid.z_max, 2 * grid.n_r, 2 * grid.n_z)
@@ -204,18 +199,10 @@ def _cmd_oracle(args):
     return 0
 
 
-_COMMANDS = {
-    "solve": _cmd_solve,
-    "scan": _cmd_scan,
-    "check": _cmd_check,
-    "oracle": _cmd_oracle,
-}
-
-
 def main(argv=None):
     args = _build_parser().parse_args(argv)
     try:
-        return _COMMANDS[args.command](args)
+        return _cmd_oracle(args) if args.command == "oracle" else _run(args)
     except ConfigError as exc:
         sys.stderr.write("config error: %s\n" % exc)
         return 1

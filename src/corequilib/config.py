@@ -8,6 +8,7 @@ archaeology, and unknown keys are rejected by name instead of ignored.
 """
 
 import dataclasses
+import functools
 import json
 import os
 
@@ -54,15 +55,7 @@ def cpu_budget():
     return os.cpu_count() or 1
 
 
-# -- validation helpers --------------------------------------------------------
-
-def _reject_unknown(section, given, allowed):
-    for key in given:
-        if key not in allowed:
-            raise ConfigError(
-                "unknown key '%s' in section '%s'" % (key, section)
-            )
-
+# -- value checks: (section, key, value) -> checked value ----------------------
 
 def _number(section, key, value, positive=False, nonneg=False):
     if isinstance(value, bool) or not isinstance(value, (int, float)):
@@ -93,110 +86,30 @@ def _number_list(section, key, value, nonneg=False):
     return [_number(section, key, v, nonneg=nonneg) for v in value]
 
 
-# -- per-section materialization ----------------------------------------------
-
-def _eff_eos(sec):
-    if not isinstance(sec, dict) or "kind" not in sec:
-        raise ConfigError("section 'eos' needs a 'kind' key")
-    kind = sec["kind"]
-    if kind == "polytrope":
-        _reject_unknown("eos", sec, {"kind", "k", "gamma"})
-        for key in ("k", "gamma"):
-            if key not in sec:
-                raise ConfigError("missing key '%s' in section 'eos'" % key)
-        return {
-            "kind": kind,
-            "k": _number("eos", "k", sec["k"], positive=True),
-            "gamma": _number("eos", "gamma", sec["gamma"], positive=True),
-        }
-    if kind == "tabulated-generic":
-        _reject_unknown("eos", sec, {"kind", "s", "f"})
-        for key in ("s", "f"):
-            if key not in sec:
-                raise ConfigError("missing key '%s' in section 'eos'" % key)
-        return {
-            "kind": kind,
-            "s": _number_list("eos", "s", sec["s"]),
-            "f": _number_list("eos", "f", sec["f"]),
-        }
-    raise ConfigError("unknown eos kind %r" % (kind,))
+_POSITIVE = functools.partial(_number, positive=True)
+_NONNEG = functools.partial(_number, nonneg=True)
+_NONNEG_LIST = functools.partial(_number_list, nonneg=True)
+_CELLS = functools.partial(_integer, minimum=8)
 
 
-def _eff_grid(sec):
-    if not isinstance(sec, dict):
-        raise ConfigError("section 'grid' must be an object")
-    _reject_unknown("grid", sec, {"r_max", "z_max", "n_r", "n_z"})
-    for key in ("r_max", "z_max", "n_r", "n_z"):
-        if key not in sec:
-            raise ConfigError("missing key '%s' in section 'grid'" % key)
-    return {
-        "r_max": _number("grid", "r_max", sec["r_max"], positive=True),
-        "z_max": _number("grid", "z_max", sec["z_max"], positive=True),
-        "n_r": _integer("grid", "n_r", sec["n_r"], 8),
-        "n_z": _integer("grid", "n_z", sec["n_z"], 8),
-    }
+def _increasing(section, key, value):
+    values = _NONNEG_LIST(section, key, value)
+    if any(b <= a for a, b in zip(values, values[1:])):
+        raise ConfigError(
+            "key '%s' in section '%s' must be strictly increasing" % (key, section)
+        )
+    return values
 
 
-def _eff_core(sec, grid):
-    if sec is None:
-        # pinpoint placeholder: masks nothing, carries no mass
-        tiny = 1e-3 * grid["r_max"]
-        return {"a_r": tiny, "a_z": tiny, "rho": 0.0, "mu": 0.0}
-    if not isinstance(sec, dict):
-        raise ConfigError("section 'core' must be an object")
-    _reject_unknown(
-        "core", sec, {"a_r", "a_z", "rho", "mu", "profile_z", "profile_a"}
-    )
-    out = {
-        "rho": _number("core", "rho", sec.get("rho", 0.0), nonneg=True),
-        "mu": _number("core", "mu", sec.get("mu", 0.0), nonneg=True),
-    }
-    has_profile = "profile_z" in sec or "profile_a" in sec
-    if has_profile:
-        if "a_r" in sec or "a_z" in sec:
-            raise ConfigError(
-                "section 'core' mixes spheroid keys with profile keys"
-            )
-        for key in ("profile_z", "profile_a"):
-            if key not in sec:
-                raise ConfigError("missing key '%s' in section 'core'" % key)
-        out["profile_z"] = _number_list("core", "profile_z", sec["profile_z"])
-        out["profile_a"] = _number_list("core", "profile_a", sec["profile_a"], nonneg=True)
-    else:
-        for key in ("a_r", "a_z"):
-            if key not in sec:
-                raise ConfigError("missing key '%s' in section 'core'" % key)
-        out["a_r"] = _number("core", "a_r", sec["a_r"], positive=True)
-        out["a_z"] = _number("core", "a_z", sec["a_z"], positive=True)
-    return out
+def _growth(section, key, value):
+    value = _POSITIVE(section, key, value)
+    if not value > 1.0:
+        raise ConfigError("key '%s' in section '%s' must exceed 1" % (key, section))
+    return value
 
 
-def _eff_rotation(sec):
-    if sec is None:
-        return {"kind": "constant", "omega": 0.0}
-    if not isinstance(sec, dict) or "kind" not in sec:
-        raise ConfigError("section 'rotation' needs a 'kind' key")
-    kind = sec["kind"]
-    if kind == "constant":
-        _reject_unknown("rotation", sec, {"kind", "omega"})
-        return {
-            "kind": kind,
-            "omega": _number("rotation", "omega", sec.get("omega", 0.0), nonneg=True),
-        }
-    if kind == "profile":
-        _reject_unknown("rotation", sec, {"kind", "s", "omega"})
-        for key in ("s", "omega"):
-            if key not in sec:
-                raise ConfigError("missing key '%s' in section 'rotation'" % key)
-        return {
-            "kind": kind,
-            "s": _number_list("rotation", "s", sec["s"], nonneg=True),
-            "omega": _number_list("rotation", "omega", sec["omega"], nonneg=True),
-        }
-    raise ConfigError("unknown rotation kind %r" % (kind,))
-
-
-def _eff_guess(value):
+def _guess(section, key, value):
+    """``solver.initial_guess``: a kind string, or an object with a kind."""
     if value is None:
         return {"kind": "gaussian-blob"}
     if isinstance(value, str):
@@ -206,10 +119,13 @@ def _eff_guess(value):
             "key 'initial_guess' in section 'solver' must be a kind string "
             "or an object with a 'kind'"
         )
-    _reject_unknown("solver.initial_guess", value, {"kind", "path"})
-    kind = value["kind"]
-    out = {"kind": kind}
-    if kind == "from-file":
+    for name in value:
+        if name not in ("kind", "path"):
+            raise ConfigError(
+                "unknown key '%s' in section 'solver.initial_guess'" % name
+            )
+    out = {"kind": value["kind"]}
+    if out["kind"] == "from-file":
         if "path" not in value:
             raise ConfigError(
                 "missing key 'path' in section 'solver.initial_guess'"
@@ -222,8 +138,87 @@ def _eff_guess(value):
     return out
 
 
-#: type check of a ScfConfig field, chosen by the type of its default
-_SOLVER_TYPES = {int: _integer, float: _number}
+# -- key tables: key -> (check, default or REQUIRED) ---------------------------
+
+REQUIRED = object()
+
+_EOS = {
+    "polytrope": {"k": (_POSITIVE, REQUIRED), "gamma": (_POSITIVE, REQUIRED)},
+    "tabulated-generic": {
+        "s": (_number_list, REQUIRED), "f": (_number_list, REQUIRED),
+    },
+}
+_GRID = {
+    "r_max": (_POSITIVE, REQUIRED),
+    "z_max": (_POSITIVE, REQUIRED),
+    "n_r": (_CELLS, REQUIRED),
+    "n_z": (_CELLS, REQUIRED),
+}
+_STRENGTH = {"rho": (_NONNEG, 0.0), "mu": (_NONNEG, 0.0)}
+_SPHEROID = {"a_r": (_POSITIVE, REQUIRED), "a_z": (_POSITIVE, REQUIRED), **_STRENGTH}
+_PROFILE = {
+    "profile_z": (_number_list, REQUIRED),
+    "profile_a": (_NONNEG_LIST, REQUIRED),
+    **_STRENGTH,
+}
+_ROTATION = {
+    "constant": {"omega": (_NONNEG, 0.0)},
+    "profile": {"s": (_NONNEG_LIST, REQUIRED), "omega": (_NONNEG_LIST, REQUIRED)},
+}
+#: ``mass``, ``initial_guess`` and every ScfConfig field, type-checked by its
+#: default's type; ScfConfig checks the fields' ranges itself
+_SOLVER = {
+    "mass": (_POSITIVE, 1.0),
+    **{
+        f.name: ({int: _integer, float: _number}[type(f.default)], f.default)
+        for f in dataclasses.fields(ScfConfig)
+    },
+    "initial_guess": (_guess, None),
+}
+_SCAN = {
+    "omega_values": (_increasing, REQUIRED),
+    "mu_values": (_increasing, REQUIRED),
+    "retry_factor": (_growth, 1.5),
+}
+
+
+def _keys(section, given, table):
+    """``given`` checked against ``table``, with every default filled in."""
+    if not isinstance(given, dict):
+        raise ConfigError("section '%s' must be an object" % section)
+    for key in given:
+        if key not in table:
+            raise ConfigError(
+                "unknown key '%s' in section '%s'" % (key, section)
+            )
+    out = {}
+    for key, (check, default) in table.items():
+        if key not in given and default is REQUIRED:
+            raise ConfigError("missing key '%s' in section '%s'" % (key, section))
+        out[key] = check(section, key, given.get(key, default))
+    return out
+
+
+def _kind(section, given, tables):
+    """A section whose ``kind`` picks its key table from ``tables``."""
+    if not isinstance(given, dict) or "kind" not in given:
+        raise ConfigError("section '%s' needs a 'kind' key" % section)
+    kind = given["kind"]
+    if not isinstance(kind, str) or kind not in tables:
+        raise ConfigError("unknown %s kind %r" % (section, kind))
+    rest = {key: value for key, value in given.items() if key != "kind"}
+    return {"kind": kind, **_keys(section, rest, tables[kind])}
+
+
+def _core(sec, grid):
+    if sec is None:
+        # pinpoint placeholder: masks nothing, carries no mass
+        tiny = 1e-3 * grid["r_max"]
+        return {"a_r": tiny, "a_z": tiny, "rho": 0.0, "mu": 0.0}
+    profile = isinstance(sec, dict) and ("profile_z" in sec or "profile_a" in sec)
+    if profile and ("a_r" in sec or "a_z" in sec):
+        raise ConfigError("section 'core' mixes spheroid keys with profile keys")
+    return _keys("core", sec, _PROFILE if profile else _SPHEROID)
 
 
 def _scf_config(solver):
@@ -233,53 +228,16 @@ def _scf_config(solver):
     })
 
 
-def _eff_solver(sec):
-    """The solver section: ``mass``, ``initial_guess`` and every ScfConfig
-    field, whose ranges ScfConfig checks itself."""
-    sec = {} if sec is None else sec
-    if not isinstance(sec, dict):
-        raise ConfigError("section 'solver' must be an object")
-    fields = dataclasses.fields(ScfConfig)
-    _reject_unknown(
-        "solver", sec, {f.name for f in fields} | {"mass", "initial_guess"}
-    )
-    out = {"mass": _number("solver", "mass", sec.get("mass", 1.0), positive=True)}
-    for f in fields:
-        check = _SOLVER_TYPES[type(f.default)]
-        out[f.name] = check("solver", f.name, sec.get(f.name, f.default))
+def _solver(sec):
+    out = _keys("solver", {} if sec is None else sec, _SOLVER)
     try:
         _scf_config(out)
     except ValueError as exc:
         raise ConfigError("section 'solver': %s" % exc) from exc
-    out["initial_guess"] = _eff_guess(sec.get("initial_guess"))
     return out
 
 
-def _eff_scan(sec):
-    if not isinstance(sec, dict):
-        raise ConfigError("section 'scan' must be an object")
-    _reject_unknown("scan", sec, {"omega_values", "mu_values", "retry_factor"})
-    for key in ("omega_values", "mu_values"):
-        if key not in sec:
-            raise ConfigError("missing key '%s' in section 'scan'" % key)
-        values = _number_list("scan", key, sec[key], nonneg=True)
-        if any(b <= a for a, b in zip(values, values[1:])):
-            raise ConfigError(
-                "key '%s' in section 'scan' must be strictly increasing" % key
-            )
-    factor = _number(
-        "scan", "retry_factor", sec.get("retry_factor", 1.5), positive=True
-    )
-    if not factor > 1.0:
-        raise ConfigError("key 'retry_factor' in section 'scan' must exceed 1")
-    return {
-        "omega_values": _number_list("scan", "omega_values", sec["omega_values"]),
-        "mu_values": _number_list("scan", "mu_values", sec["mu_values"]),
-        "retry_factor": factor,
-    }
-
-
-def effective_config(raw, need_scan=False):
+def effective_config(raw):
     """Validate ``raw`` and return the fully materialized configuration."""
     if not isinstance(raw, dict):
         raise ConfigError("config must be a JSON object")
@@ -290,16 +248,18 @@ def effective_config(raw, need_scan=False):
         if required not in raw:
             raise ConfigError("missing section '%s'" % required)
     eff = {
-        "eos": _eff_eos(raw["eos"]),
-        "grid": _eff_grid(raw["grid"]),
+        "eos": _kind("eos", raw["eos"], _EOS),
+        "grid": _keys("grid", raw["grid"], _GRID),
     }
-    eff["core"] = _eff_core(raw.get("core"), eff["grid"])
-    eff["rotation"] = _eff_rotation(raw.get("rotation"))
-    eff["solver"] = _eff_solver(raw.get("solver"))
-    if need_scan and "scan" not in raw:
-        raise ConfigError("missing section 'scan'")
+    eff["core"] = _core(raw.get("core"), eff["grid"])
+    rotation = raw.get("rotation")
+    eff["rotation"] = _kind(
+        "rotation", {"kind": "constant"} if rotation is None else rotation,
+        _ROTATION,
+    )
+    eff["solver"] = _solver(raw.get("solver"))
     if "scan" in raw:
-        eff["scan"] = _eff_scan(raw["scan"])
+        eff["scan"] = _keys("scan", raw["scan"], _SCAN)
     return eff
 
 

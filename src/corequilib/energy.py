@@ -63,18 +63,15 @@ class ResidualStats:
     """Equilibrium-relation residuals split by the support threshold.
 
     ``eq_max``/``eq_mean`` summarize |A'(rho) - potential - lambda| on cells
-    above the threshold (None when the support is empty).  ``eq_mean_signed``
-    keeps the sign, which is what moves when lambda is perturbed.
-    ``ineq_violation`` is the most negative value of the same expression on
-    the sub-threshold cells: the variational inequality wants it >= 0, so
-    values below roughly -tolerance flag a broken solution.
+    above the threshold (None when the support is empty).  ``ineq_violation``
+    is the most negative value of the same expression on the sub-threshold
+    cells: the variational inequality wants it >= 0, so values below roughly
+    -tolerance flag a broken solution.
     """
 
     eq_max: float
     eq_mean: float
-    eq_mean_signed: float
     ineq_violation: float
-    support_cells: int
 
 
 def residual_with_potential(fld, lam, eos, phi_tot, threshold=None):
@@ -90,14 +87,13 @@ def residual_with_potential(fld, lam, eos, phi_tot, threshold=None):
         resid = resid[~fld.mask]
         rho = rho[~fld.mask]
     on = rho > threshold
-    eq_max = eq_mean = eq_signed = None
+    eq_max = eq_mean = None
     if np.any(on):
         eq_max = float(np.max(np.abs(resid[on])))
         eq_mean = float(np.mean(np.abs(resid[on])))
-        eq_signed = float(np.mean(resid[on]))
     off = ~on
     ineq = float(np.min(resid[off])) if np.any(off) else None
-    return ResidualStats(eq_max, eq_mean, eq_signed, ineq, int(np.sum(on)))
+    return ResidualStats(eq_max, eq_mean, ineq)
 
 
 @dataclass(frozen=True)

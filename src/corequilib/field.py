@@ -73,8 +73,7 @@ class CoreRegion:
     axisymmetric shape can be given as a radial profile a(z): the region is
     then {(r, z): r < a(z)}.  Both representations are star-shaped along
     outward radial rays, so the no-trapping requirement (exterior radial rays
-    never re-enter the region) holds by construction; ``no_trapping_holds``
-    re-checks it on the realized mask anyway.
+    never re-enter the region) holds by construction.
     """
 
     def __init__(self, a_r, a_z, rho_core, profile=None):
@@ -142,22 +141,6 @@ class CoreRegion:
         if self._profile is not None:
             return R < self._profile(Z)
         return (R / self.a_r) ** 2 + (Z / self.a_z) ** 2 <= 1.0
-
-    def no_trapping_holds(self, grid):
-        """Check that masked cells form an r-prefix in every z row."""
-        return mask_is_radially_convex(self.mask(grid))
-
-
-def mask_is_radially_convex(mask):
-    """True if, in each z row, masked cells are a contiguous run from r=0.
-
-    This is the grid version of the no-trapping condition: starting from any
-    unmasked cell and walking outward in r never re-enters the mask.
-    """
-    mask = np.asarray(mask, dtype=bool)
-    counts = mask.sum(axis=0)
-    prefix_sums = np.array([mask[: c, j].sum() for j, c in enumerate(counts)])
-    return bool(np.all(prefix_sums == counts))
 
 
 @dataclass(eq=False)

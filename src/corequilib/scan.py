@@ -30,9 +30,6 @@ from .config import ConfigError, build_problem, cpu_budget
 from .output import fmt_num, write_solve_outputs
 from .solver import solve
 
-# TODO: sweep families of rotation profiles, not just constant omega, once
-# there is a concrete profile parametrization worth scanning.
-
 
 @dataclass(frozen=True)
 class ScanSpec:

@@ -73,7 +73,7 @@ def le_runs(tmp_path_factory):
 
 @pytest.fixture(scope="module")
 def scan_result(tmp_path_factory):
-    eff = cq.effective_config(SCAN_CONFIG, need_scan=True)
+    eff = cq.effective_config(SCAN_CONFIG)
     out = tmp_path_factory.mktemp("sweep")
     start = time.perf_counter()
     table = cq.run_scan(cq.ScanSpec.from_config(eff), out, budget=1)

@@ -7,6 +7,7 @@ installed entry point are exercised through subprocesses.
 import dataclasses
 import json
 import os
+import re
 import subprocess
 import sys
 
@@ -14,6 +15,7 @@ import numpy as np
 import pytest
 
 import corequilib as cq
+from corequilib import config
 from corequilib.cli import main
 from corequilib.config import cpu_budget, dump_effective, load_config_file
 from corequilib.scan import ScanTable, _monotonicity_warnings, cell_config
@@ -76,8 +78,8 @@ class TestEffectiveConfig:
                 "scan": {"omega_values": [0.0, 0.5], "mu_values": [0.0, 1.0]}
             }
         )
-        eff = cq.effective_config(raw, need_scan=True)
-        again = cq.effective_config(eff, need_scan=True)
+        eff = cq.effective_config(raw)
+        again = cq.effective_config(eff)
         assert again == eff
         assert eff["scan"]["retry_factor"] == 1.5
 
@@ -147,17 +149,17 @@ class TestEffectiveConfig:
     def test_scan_section_validation(self):
         raw = base_raw()
         with pytest.raises(cq.ConfigError, match="missing section 'scan'"):
-            cq.effective_config(raw, need_scan=True)
+            cq.ScanSpec.from_config(cq.effective_config(raw))
         raw["scan"] = {"omega_values": [0.5, 0.5], "mu_values": [0.0]}
         with pytest.raises(cq.ConfigError, match="strictly increasing"):
-            cq.effective_config(raw, need_scan=True)
+            cq.effective_config(raw)
         raw["scan"] = {
             "omega_values": [0.0, 0.5],
             "mu_values": [0.0],
             "retry_factor": 1.0,
         }
         with pytest.raises(cq.ConfigError, match="must exceed 1"):
-            cq.effective_config(raw, need_scan=True)
+            cq.effective_config(raw)
 
     def test_build_problem_values(self):
         eff = cq.effective_config(base_raw(omega=0.4, mu=2.0, core_rho=5.0))
@@ -232,10 +234,10 @@ class TestScanMachinery:
             "omega": [0.1, 0.1, 0.1, 0.1],
         }
         with pytest.raises(cq.ConfigError, match="constant"):
-            cq.ScanSpec.from_config(cq.effective_config(raw, need_scan=True))
+            cq.ScanSpec.from_config(cq.effective_config(raw))
 
     def test_cell_config_substitution_and_growth(self):
-        eff = cq.effective_config(self.scan_raw(), need_scan=True)
+        eff = cq.effective_config(self.scan_raw())
         cfg = cell_config(eff, 0.7, 3.0)
         assert "scan" not in cfg
         assert cfg["rotation"] == {"kind": "constant", "omega": 0.7}
@@ -254,7 +256,6 @@ class TestScanMachinery:
                 core_a=0.1,
                 extra={"scan": {"omega_values": [0.3], "mu_values": [2.0]}},
             ),
-            need_scan=True,
         )
         table = cq.run_scan(cq.ScanSpec.from_config(eff), tmp_path, budget=1)
         record = table.cells[(0, 0)]
@@ -268,7 +269,7 @@ class TestScanMachinery:
         assert np.all(written.values[core_mask] == 0.0)
 
     def test_retry_marks_and_grows_runoff_cells(self, tmp_path):
-        eff = cq.effective_config(self.scan_raw(), need_scan=True)
+        eff = cq.effective_config(self.scan_raw())
         table = cq.run_scan(cq.ScanSpec.from_config(eff), tmp_path, budget=1)
         calm = table.cells[(0, 0)]
         windy = table.cells[(1, 0)]
@@ -284,7 +285,7 @@ class TestScanMachinery:
         assert grown["grid"]["r_max"] == pytest.approx(2.0 * 1.5)
 
     def test_pooled_retry_writes_the_grown_cell(self, tmp_path):
-        eff = cq.effective_config(self.scan_raw(), need_scan=True)
+        eff = cq.effective_config(self.scan_raw())
         table = cq.run_scan(cq.ScanSpec.from_config(eff), tmp_path, budget=2)
         assert table.cells[(1, 0)]["outcome"]["retried"] is True
 
@@ -308,7 +309,6 @@ class TestScanMachinery:
                 core_a=0.1,
                 extra={"scan": {"omega_values": [0.0, 0.3], "mu_values": [1.0]}},
             ),
-            need_scan=True,
         )
         spec = cq.ScanSpec.from_config(eff)
         serial = cq.run_scan(spec, tmp_path / "serial", budget=1)
@@ -346,7 +346,7 @@ class TestScanMachinery:
         assert "mu=10" in notes[0]
 
     def test_scan_csv_format(self, tmp_path):
-        eff = cq.effective_config(self.scan_raw(), need_scan=True)
+        eff = cq.effective_config(self.scan_raw())
         table = cq.run_scan(cq.ScanSpec.from_config(eff), tmp_path / "sweep", budget=1)
         path = tmp_path / "scan.csv"
         cq.write_scan_csv(table, str(path))
@@ -685,3 +685,367 @@ class TestCli:
             outs.append(out)
         for name in ("result.json", "field.csv"):
             assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes()
+
+
+# -- every config message, pinned -----------------------------------------------
+
+POLY = {"kind": "polytrope", "k": 1.0, "gamma": 2.0}
+TABLE = {
+    "kind": "tabulated-generic",
+    "s": [1e-3, 1e-2, 1e-1, 1.0, 10.0],
+    "f": [1e-6, 1e-4, 1e-2, 1.0, 100.0],
+}
+CORE = {"a_r": 0.02, "a_z": 0.02, "rho": 0.0, "mu": 0.0}
+PROFILE_CORE = {
+    "profile_z": [-0.1, 0.0, 0.1], "profile_a": [0.0, 0.1, 0.0],
+    "rho": 10.0, "mu": 1.0,
+}
+PROFILE_ROTATION = {
+    "kind": "profile", "s": [0.0, 1.0, 2.0, 3.0], "omega": [0.3, 0.2, 0.1, 0.0],
+}
+SWEEP = {"omega_values": [0.0, 0.5], "mu_values": [0.0, 1.0]}
+DROP = "<dropped>"
+
+
+def faulty(section, value, scan=False):
+    """base_raw() with one section replaced, or dropped by DROP."""
+    raw = base_raw(extra={"scan": dict(SWEEP)} if scan else None)
+    if value == DROP:
+        del raw[section]
+    else:
+        raw[section] = value
+    return raw
+
+
+def check_config(command, raw):
+    """What a run of ``command`` checks before it solves; the effective config."""
+    eff = cq.effective_config(raw)
+    if command == "scan":
+        cq.ScanSpec.from_config(eff)
+    cq.build_problem(eff)
+    return eff
+
+
+#: (command, config, message): each config breaks exactly one rule; a
+#: string is the config file's text and None a file that does not exist
+CONFIG_FAULTS = [
+    ("solve", None, "cannot read config file: [Errno 2] No such file or "
+     "directory: '<path>'"),
+    ("solve", "{not json", "config is not valid JSON: Expecting property name "
+     "enclosed in double quotes: line 1 column 2 (char 1)"),
+    ("solve", "[1, 2]", "config must be a JSON object"),
+    ("solve", faulty("extra", {}), "unknown section 'extra'"),
+    ("solve", faulty("eos", DROP), "missing section 'eos'"),
+    ("solve", faulty("grid", DROP), "missing section 'grid'"),
+    ("scan", base_raw(), "missing section 'scan'"),
+    # eos
+    ("solve", faulty("eos", None), "section 'eos' needs a 'kind' key"),
+    ("solve", faulty("eos", {"k": 1.0, "gamma": 2.0}),
+     "section 'eos' needs a 'kind' key"),
+    ("solve", faulty("eos", dict(POLY, kind="ideal")), "unknown eos kind 'ideal'"),
+    ("solve", faulty("eos", dict(POLY, kind=[1])), "unknown eos kind [1]"),
+    ("solve", faulty("eos", {"kind": "polytrope", "gamma": 2.0}),
+     "missing key 'k' in section 'eos'"),
+    ("solve", faulty("eos", {"kind": "polytrope", "k": 1.0}),
+     "missing key 'gamma' in section 'eos'"),
+    ("solve", faulty("eos", dict(POLY, s=[1.0])), "unknown key 's' in section 'eos'"),
+    ("solve", faulty("eos", dict(POLY, k="1")),
+     "key 'k' in section 'eos' must be a number"),
+    ("solve", faulty("eos", dict(POLY, k=True)),
+     "key 'k' in section 'eos' must be a number"),
+    ("solve", faulty("eos", dict(POLY, k=0)), "key 'k' in section 'eos' must be positive"),
+    ("solve", faulty("eos", dict(POLY, gamma=-2.0)),
+     "key 'gamma' in section 'eos' must be positive"),
+    ("solve", faulty("eos", dict(POLY, gamma=1.2)),
+     "polytrope exponent gamma must exceed 4/3, got 1.2"),
+    ("solve", faulty("eos", {"kind": "tabulated-generic", "s": TABLE["s"]}),
+     "missing key 'f' in section 'eos'"),
+    ("solve", faulty("eos", {"kind": "tabulated-generic", "f": TABLE["f"]}),
+     "missing key 's' in section 'eos'"),
+    ("solve", faulty("eos", dict(TABLE, gamma=2.0)),
+     "unknown key 'gamma' in section 'eos'"),
+    ("solve", faulty("eos", dict(TABLE, s=[])),
+     "key 's' in section 'eos' must be a non-empty array"),
+    ("solve", faulty("eos", dict(TABLE, s="abc")),
+     "key 's' in section 'eos' must be a non-empty array"),
+    ("solve", faulty("eos", dict(TABLE, f=[1e-6, "x", 1e-2, 1.0, 100.0])),
+     "key 'f' in section 'eos' must be a number"),
+    ("solve", faulty("eos", dict(TABLE, s=TABLE["s"][:4])),
+     "s_table and f_table must be 1-d and equal length"),
+    ("solve", faulty("eos", dict(TABLE, s=TABLE["s"][:3], f=TABLE["f"][:3])),
+     "need at least 4 table samples"),
+    ("solve", faulty("eos", dict(TABLE, s=[1e-3, 1e-2, 1e-2, 1.0, 10.0])),
+     "s_table must be positive and strictly increasing"),
+    ("solve", faulty("eos", dict(TABLE, f=[1e-6, 1e-4, 1e-5, 1.0, 100.0])),
+     "f_table must be positive and strictly increasing"),
+    ("solve", faulty("eos", dict(TABLE, s=[1.0, 2.0, 4.0, 8.0], f=[1.0, 2.0, 8.0, 32.0])),
+     "table slope near zero density is 1.000, must exceed 4/3"),
+    ("solve", faulty("eos", dict(TABLE, s=[1.0, 2.0, 4.0, 8.0], f=[1.0, 4.0, 16.0, 20.0])),
+     "table slope at high density is 0.322, must exceed 4/3"),
+    # grid
+    ("solve", faulty("grid", [2.0, 2.0, 32, 32]), "section 'grid' must be an object"),
+    ("solve", faulty("grid", {"r_max": 2.0, "z_max": 2.0, "n_r": 32}),
+     "missing key 'n_z' in section 'grid'"),
+    ("solve", faulty("grid", dict(base_raw()["grid"], n=32)),
+     "unknown key 'n' in section 'grid'"),
+    ("solve", faulty("grid", dict(base_raw()["grid"], r_max="2")),
+     "key 'r_max' in section 'grid' must be a number"),
+    ("solve", faulty("grid", dict(base_raw()["grid"], z_max=0.0)),
+     "key 'z_max' in section 'grid' must be positive"),
+    ("solve", faulty("grid", dict(base_raw()["grid"], n_r=32.5)),
+     "key 'n_r' in section 'grid' must be an integer"),
+    ("solve", faulty("grid", dict(base_raw()["grid"], n_r=True)),
+     "key 'n_r' in section 'grid' must be an integer"),
+    ("solve", faulty("grid", dict(base_raw()["grid"], n_z=4)),
+     "key 'n_z' in section 'grid' must be at least 8"),
+    # core
+    ("solve", faulty("core", "sphere"), "section 'core' must be an object"),
+    ("solve", faulty("core", dict(CORE, radius=0.1)),
+     "unknown key 'radius' in section 'core'"),
+    ("solve", faulty("core", {"a_r": 0.02}), "missing key 'a_z' in section 'core'"),
+    ("solve", faulty("core", dict(CORE, a_r=0.0)),
+     "key 'a_r' in section 'core' must be positive"),
+    ("solve", faulty("core", dict(CORE, rho=-1.0)),
+     "key 'rho' in section 'core' must be non-negative"),
+    ("solve", faulty("core", dict(CORE, mu="1")),
+     "key 'mu' in section 'core' must be a number"),
+    ("solve", faulty("core", dict(PROFILE_CORE, a_r=0.1)),
+     "section 'core' mixes spheroid keys with profile keys"),
+    ("solve", faulty("core", {"profile_z": [0.0, 0.1]}),
+     "missing key 'profile_a' in section 'core'"),
+    ("solve", faulty("core", dict(PROFILE_CORE, profile_z=0.1)),
+     "key 'profile_z' in section 'core' must be a non-empty array"),
+    ("solve", faulty("core", dict(PROFILE_CORE, profile_a=[0.0, -0.1, 0.0])),
+     "key 'profile_a' in section 'core' must be non-negative"),
+    ("solve", faulty("core", dict(CORE, a_r=5.0, a_z=5.0)),
+     "core does not fit strictly inside the grid"),
+    ("solve", faulty("core", dict(PROFILE_CORE, profile_z=[0.1, 0.0, -0.1])),
+     "profile z samples must be strictly increasing"),
+    ("solve", faulty("core", dict(PROFILE_CORE, profile_a=[0.0, 0.1])),
+     "profile arrays must be 1-d and equal length"),
+    ("solve", faulty("core", dict(PROFILE_CORE, profile_a=[0.0, 0.0, 0.0])),
+     "profile radii must be >= 0 and not all zero"),
+    # rotation
+    ("solve", faulty("rotation", {"omega": 0.4}),
+     "section 'rotation' needs a 'kind' key"),
+    ("solve", faulty("rotation", {"kind": "differential"}),
+     "unknown rotation kind 'differential'"),
+    ("solve", faulty("rotation", {"kind": "constant", "s": [0.0]}),
+     "unknown key 's' in section 'rotation'"),
+    ("solve", faulty("rotation", {"kind": "constant", "omega": -0.1}),
+     "key 'omega' in section 'rotation' must be non-negative"),
+    ("solve", faulty("rotation", {"kind": "profile", "omega": [0.1]}),
+     "missing key 's' in section 'rotation'"),
+    ("solve", faulty("rotation", dict(PROFILE_ROTATION, omega=0.3)),
+     "key 'omega' in section 'rotation' must be a non-empty array"),
+    ("solve", faulty("rotation", dict(PROFILE_ROTATION, s=[0.0, -1.0, 2.0, 3.0])),
+     "key 's' in section 'rotation' must be non-negative"),
+    ("solve", faulty("rotation", {"kind": "profile", "s": [0.0, 1.0], "omega": [0.1, 0.1]}),
+     "profile needs matching 1-d arrays, >= 4 samples"),
+    ("solve", faulty("rotation", dict(PROFILE_ROTATION, s=[0.5, 1.0, 2.0, 3.0])),
+     "profile s samples must start at 0 and increase"),
+    ("scan", faulty("rotation", PROFILE_ROTATION, scan=True),
+     "scans sweep constant rotation; section 'rotation' must have kind 'constant'"),
+    # solver
+    ("solve", faulty("solver", [1.0]), "section 'solver' must be an object"),
+    ("solve", faulty("solver", {"lambda_bracket": [-1.0, 1.0]}),
+     "unknown key 'lambda_bracket' in section 'solver'"),
+    ("solve", faulty("solver", {"mass": 0.0}),
+     "key 'mass' in section 'solver' must be positive"),
+    ("solve", faulty("solver", {"mass": True}),
+     "key 'mass' in section 'solver' must be a number"),
+    ("solve", faulty("solver", {"max_iter": 10.0}),
+     "key 'max_iter' in section 'solver' must be an integer"),
+    ("solve", faulty("solver", {"alpha": "0.5"}),
+     "key 'alpha' in section 'solver' must be a number"),
+    ("solve", faulty("solver", {"alpha": 1.5}),
+     "section 'solver': alpha must be in (0, 1]"),
+    ("solve", faulty("solver", {"tol_density": 0.0}),
+     "section 'solver': tol_density must be positive"),
+    ("solve", faulty("solver", {"max_iter": 0}),
+     "section 'solver': max_iter must be at least 1"),
+    ("solve", faulty("solver", {"runoff_fraction": 2.0}),
+     "section 'solver': runoff_fraction must be in (0, 1)"),
+    ("solve", faulty("solver", {"runoff_margin_cells": 0}),
+     "section 'solver': runoff_margin_cells must be >= 1"),
+    ("solve", faulty("solver", {"initial_guess": 3}),
+     "key 'initial_guess' in section 'solver' must be a kind string or an "
+     "object with a 'kind'"),
+    ("solve", faulty("solver", {"initial_guess": {"path": "field.csv"}}),
+     "key 'initial_guess' in section 'solver' must be a kind string or an "
+     "object with a 'kind'"),
+    ("solve", faulty("solver", {"initial_guess": {"kind": "from-file"}}),
+     "missing key 'path' in section 'solver.initial_guess'"),
+    ("solve", faulty("solver", {"initial_guess": {"kind": "gaussian-blob", "path": "x"}}),
+     "key 'path' in section 'solver.initial_guess' only applies to from-file"),
+    ("solve", faulty("solver", {"initial_guess": {"kind": "from-file", "path": "x",
+                                                  "at": 1}}),
+     "unknown key 'at' in section 'solver.initial_guess'"),
+    ("solve", faulty("solver", {"initial_guess": "bogus"}),
+     "unknown initial guess kind 'bogus'"),
+    ("solve", faulty("solver", {"initial_guess": {"kind": "from-file", "path": ""}}),
+     "from-file initial guess needs a path"),
+    # scan
+    ("scan", faulty("scan", [0.0, 0.5]), "section 'scan' must be an object"),
+    ("scan", faulty("scan", {"omega_values": [0.0]}),
+     "missing key 'mu_values' in section 'scan'"),
+    ("scan", faulty("scan", dict(SWEEP, steps=4)), "unknown key 'steps' in section 'scan'"),
+    ("scan", faulty("scan", dict(SWEEP, omega_values=[])),
+     "key 'omega_values' in section 'scan' must be a non-empty array"),
+    ("scan", faulty("scan", dict(SWEEP, omega_values=[0.5, 0.5])),
+     "key 'omega_values' in section 'scan' must be strictly increasing"),
+    ("scan", faulty("scan", dict(SWEEP, mu_values=[-1.0, 0.0])),
+     "key 'mu_values' in section 'scan' must be non-negative"),
+    ("scan", faulty("scan", dict(SWEEP, retry_factor=1.0)),
+     "key 'retry_factor' in section 'scan' must exceed 1"),
+    ("scan", faulty("scan", dict(SWEEP, retry_factor=0)),
+     "key 'retry_factor' in section 'scan' must be positive"),
+    ("scan", faulty("scan", dict(SWEEP, retry_factor="2")),
+     "key 'retry_factor' in section 'scan' must be a number"),
+]
+
+
+@pytest.mark.parametrize("command, raw, message", CONFIG_FAULTS)
+def test_every_config_fault_has_its_message(tmp_path, command, raw, message):
+    path = tmp_path / "config.json"
+    if raw is not None:
+        path.write_text(raw if isinstance(raw, str) else json.dumps(raw))
+    with pytest.raises(cq.ConfigError) as err:
+        check_config(command, load_config_file(str(path)))
+    assert str(err.value) == message.replace("<path>", str(path))
+
+
+#: the effective form of MINIMAL, byte for byte
+MINIMAL_DUMP = """\
+{
+  "core": {
+    "a_r": 0.002,
+    "a_z": 0.002,
+    "mu": 0.0,
+    "rho": 0.0
+  },
+  "eos": {
+    "gamma": 2.0,
+    "k": 1.0,
+    "kind": "polytrope"
+  },
+  "grid": {
+    "n_r": 32,
+    "n_z": 32,
+    "r_max": 2.0,
+    "z_max": 2.0
+  },
+  "rotation": {
+    "kind": "constant",
+    "omega": 0.0
+  },
+  "solver": {
+    "alpha": 0.5,
+    "initial_guess": {
+      "kind": "gaussian-blob"
+    },
+    "mass": 1.0,
+    "mass_tol": 1e-10,
+    "max_iter": 500,
+    "runoff_fraction": 0.05,
+    "runoff_margin_cells": 2,
+    "tol_density": 1e-08,
+    "tol_residual": 0.001
+  }
+}
+"""
+MINIMAL = {
+    "eos": {"kind": "polytrope", "k": 1, "gamma": 2},
+    "grid": {"r_max": 2, "z_max": 2, "n_r": 32, "n_z": 32},
+}
+EFF = json.loads(MINIMAL_DUMP)
+
+
+def with_guess(guess):
+    return dict(EFF["solver"], initial_guess=guess)
+
+
+#: (command, config, its effective config)
+VALID_FORMS = [
+    ("solve", MINIMAL, EFF),
+    ("solve", dict(MINIMAL, core=None, rotation=None, solver=None), EFF),
+    ("solve", dict(MINIMAL, eos=TABLE), dict(EFF, eos=TABLE)),
+    ("solve", dict(MINIMAL, core={"a_r": 1, "a_z": 0.5, "rho": 10, "mu": 1}),
+     dict(EFF, core={"a_r": 1.0, "a_z": 0.5, "rho": 10.0, "mu": 1.0})),
+    ("solve", dict(MINIMAL, core=PROFILE_CORE), dict(EFF, core=PROFILE_CORE)),
+    ("solve", dict(MINIMAL, rotation=PROFILE_ROTATION),
+     dict(EFF, rotation=PROFILE_ROTATION)),
+    ("solve", dict(MINIMAL, solver={"mass": 2, "max_iter": 100, "tol_residual": 1}),
+     dict(EFF, solver=dict(EFF["solver"], mass=2.0, max_iter=100, tol_residual=1.0))),
+    ("solve", dict(MINIMAL, solver={"initial_guess": "uniform-shell"}),
+     dict(EFF, solver=with_guess({"kind": "uniform-shell"}))),
+    ("solve", dict(MINIMAL, solver={"initial_guess": {"kind": "from-file",
+                                                      "path": "f.csv"}}),
+     dict(EFF, solver=with_guess({"kind": "from-file", "path": "f.csv"}))),
+    ("scan", dict(MINIMAL, scan=SWEEP), dict(EFF, scan=dict(SWEEP, retry_factor=1.5))),
+    ("scan", dict(MINIMAL, scan=dict(SWEEP, retry_factor=2)),
+     dict(EFF, scan=dict(SWEEP, retry_factor=2.0))),
+]
+
+
+@pytest.mark.parametrize("command, raw, expected", VALID_FORMS)
+def test_valid_forms_dump_their_effective_config(command, raw, expected):
+    text = dump_effective(check_config(command, raw))
+    assert text == json.dumps(expected, sort_keys=True, indent=2) + "\n"
+    if expected is EFF:
+        assert text == MINIMAL_DUMP
+
+
+@pytest.mark.parametrize("command, raw, message", [
+    ("solve", faulty("eos", dict(POLY, gamma=1.2)),
+     "polytrope exponent gamma must exceed 4/3, got 1.2"),
+    ("solve", faulty("core", dict(CORE, a_r=5.0, a_z=5.0)),
+     "core does not fit strictly inside the grid"),
+    ("solve", faulty("solver", {"initial_guess": "bogus"}),
+     "unknown initial guess kind 'bogus'"),
+    ("solve", faulty("eos", dict(TABLE, f=[1e-6, 1e-4, 1e-5, 1.0, 100.0])),
+     "f_table must be positive and strictly increasing"),
+    ("scan", faulty("eos", dict(POLY, gamma=1.2), scan=True),
+     "polytrope exponent gamma must exceed 4/3, got 1.2"),
+    ("scan", faulty("rotation", PROFILE_ROTATION, scan=True),
+     "scans sweep constant rotation; section 'rotation' must have kind 'constant'"),
+])
+def test_dump_fails_where_the_run_fails(tmp_path, capsys, command, raw, message):
+    cfg = write_config(tmp_path, raw)
+    assert main([command, "--config", cfg, "--dump-effective-config"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "config error: %s\n" % message
+
+
+@pytest.mark.parametrize("error", [
+    cq.QuadratureError, cq.EosRangeError, cq.EosDomainError,
+    cq.EosInversionError, cq.GridError, cq.DegenerateFieldError,
+    cq.DilationRangeError, cq.MassDriftError, FloatingPointError,
+])
+def test_numeric_errors_exit_two(tmp_path, capsys, monkeypatch, error):
+    def fail(*args, **kwargs):
+        raise error("broken on purpose")
+
+    monkeypatch.setattr(cq.cli, "solve", fail)
+    cfg = write_config(tmp_path, base_raw(n=16))
+    assert main(["solve", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+    assert capsys.readouterr().err == "numeric error: broken on purpose\n"
+
+
+def test_readme_names_every_config_key_and_kind():
+    readme = os.path.join(os.path.dirname(__file__), os.pardir, "README.md")
+    with open(readme) as fh:
+        text = fh.read()
+    section = text.split("\n## Configuration\n")[1].split("\n## ")[0]
+    prose = re.sub(r"```.*?```", "", section, flags=re.S)
+    named = set(re.findall(r"\w[\w-]*", " ".join(re.findall(r"`([^`]+)`", prose))))
+    keys = set()
+    for tables in (config._EOS, config._ROTATION):
+        keys |= set(tables)
+        for table in tables.values():
+            keys |= set(table)
+    for table in (config._GRID, config._SPHEROID, config._PROFILE,
+                  config._SOLVER, config._SCAN):
+        keys |= set(table)
+    assert sorted(keys - named) == []

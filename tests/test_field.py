@@ -252,22 +252,6 @@ class TestCoreRegion:
         assert core.radius_at(np.array([-0.05]))[0] == 0.0
         assert core.radius_at(np.array([0.05]))[0] == pytest.approx(0.275)
 
-    def test_no_trapping_on_star_shaped_cores(self):
-        grid = cq.CylGrid(1.0, 1.0, 32, 32)
-        assert cq.CoreRegion.spheroid(0.3, 0.2, 1.0).no_trapping_holds(grid)
-        profile = cq.CoreRegion.from_profile(
-            [-0.3, 0.0, 0.3], [0.05, 0.4, 0.05], 1.0
-        )
-        assert profile.no_trapping_holds(grid)
-
-    def test_radial_convexity_rejects_annulus(self):
-        mask = np.zeros((8, 8), dtype=bool)
-        mask[0:2, 4] = True
-        assert cq.mask_is_radially_convex(mask)
-        ring = np.zeros((8, 8), dtype=bool)
-        ring[3:5, 4] = True      # detached from the axis
-        assert not cq.mask_is_radially_convex(ring)
-
     def test_validation(self):
         with pytest.raises(cq.GridError):
             cq.CoreRegion.spheroid(0.0, 0.1, 1.0)

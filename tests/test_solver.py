@@ -250,7 +250,7 @@ class TestScfStep:
 
     def test_zero_multiplier_can_converge(self, le_outcome):
         # the residual tolerance scales with the mean enthalpy, not only |lambda|
-        stats = cq.ResidualStats(1e-12, 1e-12, 0.0, None, 1)
+        stats = cq.ResidualStats(1e-12, 1e-12, None)
         state = cq.ScfState(
             7, le_outcome.state.rho, 0.0, 1e-12, None, stats, 0.0
         )

@@ -57,7 +57,7 @@ import corequilib as cq
 import layertrace
 tracer = layertrace.install(trace_dir)
 with open(config) as fh:
-    eff = cq.effective_config(json.load(fh), need_scan=True)
+    eff = cq.effective_config(json.load(fh))
 cq.run_scan(cq.ScanSpec.from_config(eff), out, budget=2)
 tracer.flush()
 print(os.getpid())
