@@ -26,17 +26,16 @@ import sys
 
 from .config import (
     ConfigError,
-    build_core,
-    build_grid,
     build_problem,
     cpu_budget,
     dump_effective,
     effective_config,
     load_config_file,
 )
-from .eos import EosInversionError, QuadratureError, make_eos
+from .eos import EosInversionError, QuadratureError
 from .lane_emden import polytrope_structure
 from .potential import (
+    ENSEMBLE_FIELDS,
     core_potential,
     ensemble_ratio_maxima,
     kernel_for,
@@ -92,14 +91,13 @@ def _build_parser():
 def _run(args):
     """``solve``, ``scan`` or ``check``: load the config, then dump it or run.
 
-    Before a dump, ``solve`` and ``scan`` build what their run builds, so the
+    Before a dump, every command builds the problem its run builds, so the
     dump exits 1 on the same config errors as the run.
     """
     eff = effective_config(load_config_file(args.config))
     sweep = ScanSpec.from_config(eff) if args.command == "scan" else None
     if args.dump_effective_config:
-        if args.command != "check":
-            build_problem(eff)
+        build_problem(eff)
         sys.stdout.write(dump_effective(eff))
         return 0
     if args.command == "check":
@@ -137,7 +135,8 @@ def _cmd_scan(scan_spec, out):
 
 def _cmd_check(eff):
     threads = cpu_budget()
-    grid = build_grid(eff)
+    spec, _ = build_problem(eff)
+    grid = spec.grid
     refined = type(grid)(grid.r_max, grid.z_max, 2 * grid.n_r, 2 * grid.n_z)
     base_int, base_sup = ensemble_ratio_maxima(grid, threads=threads)
     fine_int, fine_sup = ensemble_ratio_maxima(refined, threads=threads)
@@ -146,23 +145,15 @@ def _cmd_check(eff):
     finite = all(map(math.isfinite, (base_int, base_sup, fine_int, fine_sup)))
     stable = chg_int <= 0.10 and chg_sup <= 0.10
 
-    eos_cfg = dict(eff["eos"])
-    eos = make_eos(**eos_cfg)
-    growth = eos.growth_conditions_known()
+    growth = spec.eos.growth_conditions_known()
 
-    core = build_core(eff)
     core_report = None
     core_ok = True
-    if core.rho_core > 0.0:
-        phi = core_potential(kernel_for(grid, threads), core, 1.0)
-        report = validate_core_potential(phi, core, grid)
+    if spec.core.rho_core > 0.0:
+        phi = core_potential(kernel_for(grid, threads), spec.core, 1.0)
+        report = validate_core_potential(phi, spec.core, grid)
         core_ok = report.passed
-        core_report = {
-            "positive": report.positive,
-            "decays_outward": report.decays_outward,
-            "monotone_above_core": report.monotone_above_core,
-            "passed": report.passed,
-        }
+        core_report = dict(vars(report), passed=report.passed)
 
     passed = finite and stable and core_ok
     payload = {
@@ -172,7 +163,7 @@ def _cmd_check(eff):
         "sup_bound_ratio": {
             "base": base_sup, "refined": fine_sup, "rel_change": chg_sup,
         },
-        "ensemble_fields": 100,
+        "ensemble_fields": ENSEMBLE_FIELDS,
         "grid": {"base": [grid.n_r, grid.n_z], "refined": [refined.n_r, refined.n_z]},
         "eos_growth_conditions": "satisfied" if growth else "unverified",
         "core_potential": core_report,

@@ -265,55 +265,38 @@ def effective_config(raw):
 
 # -- object construction -------------------------------------------------------
 
-def build_grid(eff):
-    g = eff["grid"]
-    return CylGrid(g["r_max"], g["z_max"], g["n_r"], g["n_z"])
-
-
-def build_core(eff):
-    c = eff["core"]
-    if "profile_z" in c:
-        return CoreRegion.from_profile(c["profile_z"], c["profile_a"], c["rho"])
-    return CoreRegion.spheroid(c["a_r"], c["a_z"], c["rho"])
-
-
-def build_rotation(eff):
-    r = eff["rotation"]
-    if r["kind"] == "constant":
-        return RotationLaw.constant(r["omega"])
-    return RotationLaw.profile(r["s"], r["omega"])
-
-
 def build_problem(eff):
     """(ProblemSpec, ScfConfig) from an effective configuration.
 
     Construction errors (an exponent out of range, a core that does not fit
-    the grid, a non-monotone table) surface as ConfigError so the CLI can
-    treat them as usage problems.
+    the grid, a rotation profile that stops short of it, a non-monotone
+    table) surface as ConfigError so the CLI can treat them as usage
+    problems.
     """
     try:
-        e = eff["eos"]
-        eos = make_eos(**e)
-        grid = build_grid(eff)
-        core = build_core(eff)
+        eos = make_eos(**eff["eos"])
+        g, c, r, s = eff["grid"], eff["core"], eff["rotation"], eff["solver"]
+        grid = CylGrid(g["r_max"], g["z_max"], g["n_r"], g["n_z"])
+        if "profile_z" in c:
+            core = CoreRegion.from_profile(c["profile_z"], c["profile_a"], c["rho"])
+        else:
+            core = CoreRegion.spheroid(c["a_r"], c["a_z"], c["rho"])
         core.mask(grid)  # geometry consistency check, fails early
-        rotation = build_rotation(eff)
-        s = eff["solver"]
-        guess = InitialGuess(
-            s["initial_guess"]["kind"], s["initial_guess"].get("path")
-        )
+        if r["kind"] == "constant":
+            rotation = RotationLaw.constant(r["omega"])
+        else:
+            rotation = RotationLaw.profile(r["s"], r["omega"])
+        rotation.j_values(grid.r)  # a profile must reach the grid's edge
         spec = ProblemSpec(
             eos=eos,
             grid=grid,
             core=core,
-            mu=eff["core"]["mu"],
+            mu=c["mu"],
             rotation=rotation,
             mass=s["mass"],
-            initial_guess=guess,
+            initial_guess=InitialGuess(**s["initial_guess"]),
         )
         scf = _scf_config(s)
-    except ConfigError:
-        raise
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
     return spec, scf

@@ -74,14 +74,13 @@ class ResidualStats:
     ineq_violation: float
 
 
-def residual_with_potential(fld, lam, eos, phi_tot, threshold=None):
+def residual_with_potential(fld, lam, eos, phi_tot):
     """Residual statistics of the equilibrium relation at multiplier lam.
 
     ``phi_tot`` is the total potential B(rho) + J + core potential.
     """
     rho = fld.values
-    if threshold is None:
-        threshold = 1e-8 * float(np.max(rho))
+    threshold = 1e-8 * float(np.max(rho))
     resid = eos.enthalpy(rho) - phi_tot - lam
     if fld.mask is not None:
         resid = resid[~fld.mask]

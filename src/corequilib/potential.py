@@ -387,7 +387,11 @@ class Environment:
         )
 
 
-def ensemble_ratio_maxima(grid, n_fields=100, seed=20240901, threads=1):
+#: fields in the diagnostic ensemble of ``ensemble_ratio_maxima``
+ENSEMBLE_FIELDS = 100
+
+
+def ensemble_ratio_maxima(grid, n_fields=ENSEMBLE_FIELDS, seed=20240901, threads=1):
     """Maxima of the two bound ratios over a seeded ensemble of blob fields.
 
     Field number i is drawn from a generator seeded with seed + i, so the

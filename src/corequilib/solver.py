@@ -44,14 +44,9 @@ VERDICTS = ("Converged", "MassRunoff", "LambdaBracketFail", "IterationCap")
 class LambdaBracketError(RuntimeError):
     """No multiplier the EOS can represent holds the requested mass."""
 
-    #: ``mass_of_lambda`` calls the failed solve made
-    evals = 0
-
-
-def _bracket_error(message, evals):
-    err = LambdaBracketError(message)
-    err.evals = evals
-    return err
+    def __init__(self, message, evals):
+        super().__init__(message)
+        self.evals = evals  # mass_of_lambda calls the failed solve made
 
 
 class MassDriftError(RuntimeError):
@@ -158,16 +153,15 @@ class Outcome:
     retried: bool = False
 
 
-def mass_of_lambda(phi_tot, lam, eos, mask, grid, slope=False):
-    """Mass of the density reconstructed at multiplier ``lam``.
+def mass_of_lambda(phi_tot, lam, eos, mask, grid):
+    """``(mass, dmass/dlam, rho)`` of the density reconstructed at ``lam``.
 
-    The density is the inverse enthalpy of ``phi_tot + lam``, with the core
-    cells held at enthalpy -1.  It is continuous and non-decreasing in
-    ``lam``, because the inverse enthalpy is; that is what lets
-    ``solve_lambda`` bracket its root.  With ``slope=True`` the result is
-    ``(mass, dmass/dlam, rho)``: the slope is ``sum(vol * drho/dh)`` over
-    the cells with ``h > 0``, taken from the density ``rho`` this call has
-    inverted.
+    The density ``rho`` is the inverse enthalpy of ``phi_tot + lam``, with
+    the core cells held at enthalpy -1.  Its mass is continuous and
+    non-decreasing in ``lam``, because the inverse enthalpy is; that is what
+    lets ``solve_lambda`` bracket its root.  The slope is
+    ``sum(vol * drho/dh)`` over the cells with ``h > 0``, taken from
+    ``rho``.
     """
     h = phi_tot + lam
     if mask is not None:
@@ -176,8 +170,6 @@ def mass_of_lambda(phi_tot, lam, eos, mask, grid, slope=False):
         h = np.where(mask, -1.0, h)
     rho = eos.enthalpy_inverse(h)
     mass = float(np.sum(rho * grid.vol))
-    if not slope:
-        return mass
     return mass, float(np.sum(eos.density_slope(rho, h) * grid.vol)), rho
 
 
@@ -216,9 +208,7 @@ def solve_lambda(phi_tot, mass, eos, mask, grid, mass_tol, lam0=None):
     lam = lam0 if lam0 is not None and lo < lam0 < hi else hi
     evals = 0
     while True:
-        got, slope, rho = mass_of_lambda(
-            phi_tot, lam, eos, mask, grid, slope=True
-        )
+        got, slope, rho = mass_of_lambda(phi_tot, lam, eos, mask, grid)
         evals += 1
         excess = got - mass
         if abs(excess) <= tol:
@@ -226,7 +216,7 @@ def solve_lambda(phi_tot, mass, eos, mask, grid, mass_tol, lam0=None):
         if excess > 0.0:
             hi, hi_known = lam, True
         elif lam == hi:
-            raise _bracket_error(
+            raise LambdaBracketError(
                 "EOS table ends at enthalpy %g, short of mass %g"
                 % (eos.h_max, mass), evals,
             )
@@ -240,7 +230,7 @@ def solve_lambda(phi_tot, mass, eos, mask, grid, mass_tol, lam0=None):
         else:
             lam = 0.5 * (lo + hi)
             if not lo < lam < hi:
-                raise _bracket_error("multiplier root misses mass_tol", evals)
+                raise LambdaBracketError("multiplier root misses mass_tol", evals)
 
 
 def initial_field(spec, mask):
@@ -341,12 +331,9 @@ class AndersonMixer:
         self._gram[:m, k] = row
 
 
-def scf_step(state, spec, config, env, mixer=None):
-    """Advance one iteration; see the module docstring for the scheme.
-
-    ``mixer`` is the solve's ``AndersonMixer``; without one the step is the
-    damped mix with ``beta = config.alpha``.
-    """
+def scf_step(state, spec, config, env, mixer):
+    """Advance one iteration, mixing with the solve's ``AndersonMixer``; see
+    the module docstring for the scheme."""
     rho = state.rho
     grid = spec.grid
 
@@ -357,8 +344,6 @@ def scf_step(state, spec, config, env, mixer=None):
         state.lam,
     )
 
-    if mixer is None:
-        mixer = AndersonMixer(grid.vol, rho.values.shape, config.alpha)
     mixed = np.maximum(mixer.next_iterate(rho.values, rho_hat), 0.0)
     new_rho = rescale_to_mass(DensityField(grid, mixed, rho.mask), spec.mass)
     update_norm = float(
@@ -454,15 +439,17 @@ def solve(spec, config=None, threads=1):
             verdict = "Converged"
             break
 
-    outcome = _finalize(verdict, state, spec, config, env, trace, mass_errs)
-    outcome.mass_evals += mass_evals
-    outcome.history_resets = mixer.resets
-    return outcome
+    return _finalize(
+        verdict, state, spec, config, env, trace, mass_errs, mass_evals,
+        mixer.resets,
+    )
 
 
-def _finalize(verdict, state, spec, config, env, trace, mass_errs):
+def _finalize(verdict, state, spec, config, env, trace, mass_errs, mass_evals,
+              resets):
     """Recompute diagnostics for the final field so the reported numbers are
-    self-consistent (the in-loop statistics describe the previous iterate)."""
+    self-consistent (the in-loop statistics describe the previous iterate);
+    the loop's ``mass_evals`` and Anderson ``resets`` go into the outcome."""
     rho = state.rho
     b_rho = env.kernel.apply(rho.values)
     phi_tot = b_rho + env.J + env.phi_core
@@ -512,7 +499,8 @@ def _finalize(verdict, state, spec, config, env, trace, mass_errs):
         bound_check=bound,
         trace=trace,
         mass_err_max=float(np.max(mass_errs)) if mass_errs else None,
-        mass_evals=evals,
+        mass_evals=mass_evals + evals,
+        history_resets=resets,
     )
 
 

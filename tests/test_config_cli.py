@@ -703,6 +703,9 @@ PROFILE_CORE = {
 PROFILE_ROTATION = {
     "kind": "profile", "s": [0.0, 1.0, 2.0, 3.0], "omega": [0.3, 0.2, 0.1, 0.0],
 }
+#: a profile that stops short of the outer cell centre of base_raw()'s grid
+SHORT_ROTATION = dict(PROFILE_ROTATION, s=[0.0, 0.25, 0.5, 1.0])
+SHORT_ROTATION_MESSAGE = "rotation profile sampled only to s = 1, grid needs 1.96875"
 SWEEP = {"omega_values": [0.0, 0.5], "mu_values": [0.0, 1.0]}
 DROP = "<dropped>"
 
@@ -902,6 +905,8 @@ CONFIG_FAULTS = [
      "key 'retry_factor' in section 'scan' must be positive"),
     ("scan", faulty("scan", dict(SWEEP, retry_factor="2")),
      "key 'retry_factor' in section 'scan' must be a number"),
+    # rotation against the grid
+    ("solve", faulty("rotation", SHORT_ROTATION), SHORT_ROTATION_MESSAGE),
 ]
 
 
@@ -1009,13 +1014,24 @@ def test_valid_forms_dump_their_effective_config(command, raw, expected):
      "polytrope exponent gamma must exceed 4/3, got 1.2"),
     ("scan", faulty("rotation", PROFILE_ROTATION, scan=True),
      "scans sweep constant rotation; section 'rotation' must have kind 'constant'"),
+    ("check", faulty("eos", dict(POLY, gamma=1.2)),
+     "polytrope exponent gamma must exceed 4/3, got 1.2"),
+    ("check", faulty("core", dict(CORE, a_r=5.0, a_z=5.0)),
+     "core does not fit strictly inside the grid"),
+    ("solve", faulty("rotation", SHORT_ROTATION), SHORT_ROTATION_MESSAGE),
+    ("check", faulty("rotation", SHORT_ROTATION), SHORT_ROTATION_MESSAGE),
 ])
-def test_dump_fails_where_the_run_fails(tmp_path, capsys, command, raw, message):
+def test_dump_fails_where_the_run_fails(
+    tmp_path, capsys, monkeypatch, command, raw, message
+):
+    monkeypatch.setenv("COREQUILIB_THREADS", "1")
     cfg = write_config(tmp_path, raw)
-    assert main([command, "--config", cfg, "--dump-effective-config"]) == 1
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert captured.err == "config error: %s\n" % message
+    run = [] if command == "check" else ["--out", str(tmp_path / "out")]
+    for extra in (["--dump-effective-config"], run):
+        assert main([command, "--config", cfg] + extra) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "config error: %s\n" % message
 
 
 @pytest.mark.parametrize("error", [

@@ -108,7 +108,7 @@ class TestMultiplierSolve:
             cq.random_blob_field(self.grid, np.random.default_rng(1)).values
         )
         lam = -float(np.max(phi)) - 1.0
-        assert cq.mass_of_lambda(phi, lam, self.eos, self.mask, self.grid) == 0.0
+        assert cq.mass_of_lambda(phi, lam, self.eos, self.mask, self.grid)[0] == 0.0
 
     def test_monotone_in_lambda(self):
         phi = cq.kernel_for(self.grid).apply(
@@ -116,7 +116,7 @@ class TestMultiplierSolve:
         )
         lams = np.linspace(-3.0, 3.0, 25)
         masses = [
-            cq.mass_of_lambda(phi, float(l), self.eos, self.mask, self.grid)
+            cq.mass_of_lambda(phi, float(l), self.eos, self.mask, self.grid)[0]
             for l in lams
         ]
         assert all(b >= a for a, b in zip(masses, masses[1:]))
@@ -126,7 +126,7 @@ class TestMultiplierSolve:
         phi = np.full((24, 24), 0.7)
         expected_rho = 0.5
         volume = float(np.sum(self.grid.vol * np.ones((24, 24))))
-        got = cq.mass_of_lambda(phi, 0.3, self.eos, self.mask, self.grid)
+        got = cq.mass_of_lambda(phi, 0.3, self.eos, self.mask, self.grid)[0]
         assert got == pytest.approx(expected_rho * volume, rel=1e-12)
 
     def test_masked_cells_hold_no_mass(self):
@@ -134,7 +134,7 @@ class TestMultiplierSolve:
         mask = np.zeros((24, 24), dtype=bool)
         mask[:12, :] = True
         volume_open = float(np.sum(self.grid.vol * ~mask[:, :]))
-        got = cq.mass_of_lambda(phi, 0.3, self.eos, mask, self.grid)
+        got = cq.mass_of_lambda(phi, 0.3, self.eos, mask, self.grid)[0]
         assert got == pytest.approx(0.5 * volume_open, rel=1e-12)
 
     def test_solve_lambda_recovers_closed_form_multiplier(self):
@@ -145,7 +145,7 @@ class TestMultiplierSolve:
             phi, target, self.eos, self.mask, self.grid, 1e-10
         )
         assert lam == pytest.approx(0.9, abs=1e-9)
-        recovered = cq.mass_of_lambda(phi, lam, self.eos, self.mask, self.grid)
+        recovered = cq.mass_of_lambda(phi, lam, self.eos, self.mask, self.grid)[0]
         assert abs(recovered - target) <= 1e-10 * target
 
     def test_solve_lambda_is_deterministic(self):
@@ -190,7 +190,7 @@ class TestMultiplierSolve:
         got = cq.mass_of_lambda(
             phi_tot, le_outcome.state.lam, le_problem.eos, rho.mask,
             le_problem.grid,
-        )
+        )[0]
         assert abs(got - le_problem.mass) <= 1e-10 * le_problem.mass
 
 
@@ -203,7 +203,10 @@ class TestScfStep:
         state = cq.ScfState(
             0, le_outcome.state.rho, le_outcome.state.lam, None, None, None, None
         )
-        nxt = cq.scf_step(state, le_problem, config, env)
+        mixer = cq.solver.AndersonMixer(
+            le_problem.grid.vol, state.rho.values.shape, config.alpha
+        )
+        nxt = cq.scf_step(state, le_problem, config, env, mixer)
         assert nxt.update_norm <= 3.0 * config.tol_density
         assert nxt.iteration == 1
         assert nxt.mass_err <= config.mass_tol
@@ -225,8 +228,11 @@ class TestScfStep:
 
         state = cq.ScfState(0, rho, None, None, None, None, None)
         for alpha, mix in ((1.0, rho_hat), (0.5, 0.5 * rho.values + 0.5 * rho_hat)):
+            mixer = cq.solver.AndersonMixer(
+                le_problem.grid.vol, rho.values.shape, alpha
+            )
             stepped = cq.scf_step(
-                state, le_problem, cq.ScfConfig(alpha=alpha), env
+                state, le_problem, cq.ScfConfig(alpha=alpha), env, mixer
             )
             expected = cq.rescale_to_mass(
                 cq.DensityField(le_problem.grid, mix, rho.mask), le_problem.mass
@@ -242,7 +248,10 @@ class TestScfStep:
         )
         rho = le_outcome.state.rho
         state = cq.ScfState(5, rho, None, None, None, None, None)
-        nxt = cq.scf_step(state, le_problem, config, env)
+        mixer = cq.solver.AndersonMixer(
+            le_problem.grid.vol, state.rho.values.shape, config.alpha
+        )
+        nxt = cq.scf_step(state, le_problem, config, env, mixer)
         assert nxt.energy == cq.energy_with_potential(
             rho, le_problem.eos, env, env.kernel.apply(rho.values)
         )
