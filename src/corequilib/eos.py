@@ -14,12 +14,13 @@ second inversion.
 ``Polytrope`` (f = k*rho**gamma) implements all four in closed form and is the
 first-class law. ``TabulatedEos`` accepts a monotone sample table of f and
 builds the integral maps by fixed Gauss-Legendre quadrature on a fine grid,
-each piece checked against a lower-order rule; the forward maps extrapolate
-past the table with the power laws fitted at its ends, while the inverse
-refuses enthalpies above the sampled range, where inversion would be pure
-extrapolation.  Its interpolants are ``CubicHermite`` pieces with
-``pchip_slopes`` where the slopes are not known exactly, so the module needs
-numpy alone.
+each piece checked against a lower-order rule.  Each forward map splits its
+densities once into the power-law head below the table, the table and the
+power-law tail above it (the laws fitted at the table's ends), with one log
+and one table lookup per call; the inverse refuses enthalpies above the
+sampled range, where inversion would be pure extrapolation.  Its
+interpolants are ``CubicHermite`` pieces with ``pchip_slopes`` where the
+slopes are not known exactly, so the module needs numpy alone.
 
 The cutoff branch of ``enthalpy_inverse`` (zero density at non-positive
 enthalpy) is what turns the equilibrium relation into a free-boundary problem:
@@ -60,14 +61,14 @@ def _ret(values, scalar):
     return float(values) if scalar else values
 
 
-def _slope_where_positive(rho, h, slope):
-    """``slope(rho, h)`` on the cells with h > 0, and 0 on the rest."""
-    rho = np.asarray(rho, dtype=float)
-    h = np.asarray(h, dtype=float)
-    out = np.zeros_like(h)
-    pos = h > 0.0
-    out[pos] = slope(rho[pos], h[pos])
-    return _ret(out, out.ndim == 0)
+def _law_pressure(x, c, beta, s0, i0):
+    """f(x) = c x**beta on a power-law end of a table."""
+    return c * x ** beta
+
+
+def _law_integral(x, c, beta, s0, i0):
+    """I(x) = I(s0) + int_s0^x c t**(beta - 2) dt on a power-law end."""
+    return i0 + c * (x ** (beta - 1.0) - s0 ** (beta - 1.0)) / (beta - 1.0)
 
 
 def pchip_slopes(x, y):
@@ -107,10 +108,11 @@ class CubicHermite:
     On knot interval i, at offset ``dx = u - x[i]``, the cubic is
     ``((c0 dx + c1) dx + c2) dx + c3`` with the coefficients of
     ``scipy.interpolate.CubicHermiteSpline``; past the ends the end cubics
-    continue.  ``locate`` gives ``(i, dx)``, and ``value`` and ``slope``
-    evaluate the cubic or its derivative there, so a caller that needs
-    both, or needs another interpolant whose knots are a subset of these,
-    looks the point up once.
+    continue.  ``locate`` gives ``(i, dx)``; ``value`` evaluates the cubic
+    there, and ``value_and_slope`` the cubic and its derivative from one
+    gather of the coefficients.  So a caller that needs both, or needs
+    another interpolant whose knots are a subset of these, looks the point
+    up once.
 
     Interval lookup costs a few array operations whatever the number of
     knots: the knot range is cut into uniform buckets as wide as the
@@ -131,7 +133,6 @@ class CubicHermite:
         # highest degree first, one contiguous array per degree: a gather
         # with ``take`` from each is several times faster than one of rows
         self._c = (t / dx, (slope - dydx[:-1]) / dx - t, dydx[:-1], y[:-1])
-        self._dc = (3.0 * self._c[0], 2.0 * self._c[1], self._c[2])
 
         n = x.size
         self._inv_width = 1.0 / max(float(np.min(dx)), (x[-1] - x[0]) / (8 * n))
@@ -160,19 +161,25 @@ class CubicHermite:
             i += u >= self._right.take(i)
         return i, u - self.x.take(i)
 
-    @staticmethod
-    def _horner(coeffs, i, dx):
-        out = coeffs[0].take(i)
-        for c in coeffs[1:]:
+    def value(self, i, dx):
+        out = self._c[0].take(i)
+        for c in self._c[1:]:
             out *= dx
             out += c.take(i)
         return out
 
-    def value(self, i, dx):
-        return self._horner(self._c, i, dx)
-
-    def slope(self, i, dx):
-        return self._horner(self._dc, i, dx)
+    def value_and_slope(self, i, dx):
+        """The cubic and its derivative ``((3 c0) dx + 2 c1) dx + c2``."""
+        c0, c1, c2, c3 = (c.take(i) for c in self._c)
+        slope = 3.0 * c0
+        slope *= dx
+        slope += 2.0 * c1
+        slope *= dx
+        slope += c2
+        for c in (c1, c2, c3):
+            c0 *= dx
+            c0 += c
+        return c0, slope
 
     def __call__(self, u):
         return self.value(*self.locate(u))
@@ -235,9 +242,10 @@ class Polytrope:
     def density_slope(self, rho, h):
         """d rho / dh = rho / ((gamma - 1) h) at ``rho = enthalpy_inverse(h)``;
         0 where h <= 0."""
-        return _slope_where_positive(
-            rho, h, lambda r, x: r / ((self.gamma - 1.0) * x)
-        )
+        h = np.asarray(h, dtype=float)
+        out = np.divide(rho, (self.gamma - 1.0) * h,
+                        out=np.zeros_like(h), where=h > 0.0)
+        return _ret(out, h.ndim == 0)
 
     def growth_conditions_known(self):
         """Whether the fast-growth conditions behind the run-off regime hold.
@@ -273,8 +281,10 @@ class TabulatedEos:
     otherwise the build raises ``QuadratureError``.  Between the fine knots
     the integral is a cubic Hermite interpolant built on its exact slope
     f(s)/s.  Because the samples are fine knots, one interval lookup on the
-    fine grid places a point for both interpolants: the Newton inversion
-    makes one for the residual and one for the slope per step.
+    fine grid places a point for both interpolants: ``enthalpy`` makes one
+    per call, and the Newton inversion one per step, for the residual and
+    its slope together.  Past the table's ends f is the fitted power law
+    c s**beta, and I continues from its value at the end.
     """
 
     kind = "tabulated-generic"
@@ -320,12 +330,12 @@ class TabulatedEos:
         u = np.log(s)
         log_f = np.log(f)
         self._logf = CubicHermite(u, log_f, pchip_slopes(u, log_f))
+        # the power laws past the ends, as (c, beta, s0, I(s0))
+        self._head = (self._c_lo, self._beta_lo, 0.0, 0.0)
         self._build_integral_tables(u)
+        self._tail = (self._c_hi, self._beta_hi, self.s_max, self._I(self._u_max))
 
     # -- construction helpers -------------------------------------------------
-
-    def _f_of_u(self, u):
-        return np.exp(self._logf(u))
 
     def _build_integral_tables(self, u_samples):
         """Tabulate I(s) = int_0^s f(t)/t^2 dt on a dense log grid.
@@ -378,9 +388,7 @@ class TabulatedEos:
                 "the 20- and 10-point rules give %r and %r"
                 % (np.exp(u_fine[i]), np.exp(u_fine[i + 1]), g20[i], g10[i])
             )
-        head = self._c_lo * self.s_min ** (self._beta_lo - 1.0) / (
-            self._beta_lo - 1.0
-        )
+        head = _law_integral(self.s_min, *self._head)
         i_fine = np.cumsum(np.concatenate(([head], g20)))
 
         fs_fine = integrand(u_fine)  # f/s, which is also dI/du
@@ -394,46 +402,39 @@ class TabulatedEos:
 
     # -- the four maps --------------------------------------------------------
 
-    def pressure(self, s):
+    def _split(self, s, law, table):
+        """A map of density, 0 at s = 0: ``law(x, c, beta, s0, i0)`` on the
+        power-law head (0 < s < s_min) and tail (s > s_max), and
+        ``table(x, log x)`` inside the table."""
         s, scalar = _prepared(s)
         out = np.zeros_like(s)
         lo = (s > 0.0) & (s < self.s_min)
         mid = (s >= self.s_min) & (s <= self.s_max)
         hi = s > self.s_max
-        out[lo] = self._c_lo * s[lo] ** self._beta_lo
-        out[mid] = self._f_of_u(np.log(s[mid]))
-        out[hi] = self._c_hi * s[hi] ** self._beta_hi
+        out[lo] = law(s[lo], *self._head)
+        x = s[mid]
+        out[mid] = table(x, np.log(x))
+        out[hi] = law(s[hi], *self._tail)
         return _ret(out, scalar)
 
-    def _integral(self, s):
-        """I(s) on s > 0, with power-law tails outside the table."""
-        out = np.empty_like(s)
-        lo = s < self.s_min
-        mid = (s >= self.s_min) & (s <= self.s_max)
-        hi = s > self.s_max
-        b = self._beta_lo
-        out[lo] = self._c_lo * s[lo] ** (b - 1.0) / (b - 1.0)
-        out[mid] = self._I(np.log(s[mid]))
-        b = self._beta_hi
-        out[hi] = self._I(self._u_max) + self._c_hi * (
-            s[hi] ** (b - 1.0) - self.s_max ** (b - 1.0)
-        ) / (b - 1.0)
-        return out
+    def pressure(self, s):
+        return self._split(s, _law_pressure, lambda x, u: np.exp(self._logf(u)))
 
     def internal_energy(self, s):
-        s, scalar = _prepared(s)
-        out = np.zeros_like(s)
-        pos = s > 0.0
-        out[pos] = s[pos] * self._integral(s[pos])
-        return _ret(out, scalar)
+        """A(s) = s I(s)."""
+        return self._split(s, lambda x, *law: x * _law_integral(x, *law),
+                           lambda x, u: x * self._I(u))
 
     def enthalpy(self, s):
-        s, scalar = _prepared(s)
-        out = np.zeros_like(s)
-        pos = s > 0.0
-        sp = s[pos]
-        out[pos] = self._integral(sp) + self.pressure(sp) / sp
-        return _ret(out, scalar)
+        """A'(s) = I(s) + f(s)/s."""
+        def table(x, u):
+            fine, coarse = self._locate(u)
+            return self._I.value(*fine) + np.exp(self._logf.value(*coarse)) / x
+
+        return self._split(
+            s, lambda x, *law: _law_integral(x, *law) + _law_pressure(x, *law) / x,
+            table,
+        )
 
     def _locate(self, u):
         """One lookup for both interpolants at u in the table: the fine
@@ -443,36 +444,31 @@ class TabulatedEos:
         j = self._coarse_of_fine.take(fine[0])
         return fine, (j, u - self._logf.x.take(j))
 
-    def _enthalpy_slope_u(self, u):
-        """d(A')/du at u = log s (Newton's slope in inversion and in
-        ``density_slope``)."""
+    def _table_enthalpy(self, u):
+        """A'(e^u) and d(A')/du at u = log s in the table, from one lookup
+        (the residual and slope of the Newton inversion; the slope is also
+        ``density_slope``'s)."""
         fine, coarse = self._locate(u)
-        fs = np.exp(self._logf.value(*coarse) - u)  # f/s
-        return self._I.slope(*fine) + fs * (self._logf.slope(*coarse) - 1.0)
+        i_value, i_slope = self._I.value_and_slope(*fine)
+        log_f, log_f_slope = self._logf.value_and_slope(*coarse)
+        fs = np.exp(log_f - u)  # f/s
+        return i_value + fs, i_slope + fs * (log_f_slope - 1.0)
 
     def enthalpy_inverse(self, h):
-        arr = np.asarray(h, dtype=float)
-        scalar = arr.ndim == 0
-        work = np.atleast_1d(arr).astype(float)
-        out = np.zeros_like(work)
-
-        if np.any(work > self.h_max * (1.0 + 1e-12)):
+        h = np.asarray(h, dtype=float)
+        if np.any(h > self.h_max * (1.0 + 1e-12)):
             raise EosRangeError(
                 "enthalpy %g above the sampled range (max %g)"
-                % (float(np.max(work)), self.h_max)
+                % (float(np.max(h)), self.h_max)
             )
-
-        lo = (work > 0.0) & (work <= self.h_min)
+        out = np.zeros_like(h)
+        lo = (h > 0.0) & (h <= self.h_min)
         b = self._beta_lo
-        out[lo] = ((b - 1.0) * work[lo] / (self._c_lo * b)) ** (1.0 / (b - 1.0))
-
-        mid = work > self.h_min
+        out[lo] = ((b - 1.0) * h[lo] / (self._c_lo * b)) ** (1.0 / (b - 1.0))
+        mid = h > self.h_min
         if np.any(mid):
-            out[mid] = self._invert_in_table(work[mid])
-
-        if scalar:
-            return float(out[0])
-        return out.reshape(arr.shape)
+            out[mid] = self._invert_in_table(h[mid])
+        return _ret(out, h.ndim == 0)
 
     def density_slope(self, rho, h):
         """d rho / dh at ``rho = enthalpy_inverse(h)``; 0 where h <= 0.
@@ -481,15 +477,13 @@ class TabulatedEos:
         ``rho / ((beta_lo - 1) h)``; inside the table it is
         ``1 / A''(rho) = rho / (dA'/du)`` at ``u = log rho``.
         """
-        def slope(r, x):
-            out = np.empty_like(r)
-            head = x <= self.h_min
-            out[head] = r[head] / ((self._beta_lo - 1.0) * x[head])
-            r_mid = r[~head]
-            out[~head] = r_mid / self._enthalpy_slope_u(np.log(r_mid))
-            return out
-
-        return _slope_where_positive(rho, h, slope)
+        rho = np.asarray(rho, dtype=float)
+        h = np.asarray(h, dtype=float)
+        den = np.asarray((self._beta_lo - 1.0) * h)
+        table = h > self.h_min
+        den[table] = self._table_enthalpy(np.log(rho[table]))[1]
+        out = np.divide(rho, den, out=np.zeros_like(h), where=h > 0.0)
+        return _ret(out, h.ndim == 0)
 
     def _invert_in_table(self, h):
         """Vector Newton on A'(e^u) = h, seeded by the inverse interpolant."""
@@ -497,13 +491,11 @@ class TabulatedEos:
         u = np.clip(self._inv_seed(np.log(target)), self._u_min, self._u_max)
         tol = 1e-13 * np.maximum(1.0, target)
         for _ in range(60):
-            fine, coarse = self._locate(u)
-            val = self._I.value(*fine) + np.exp(self._logf.value(*coarse) - u)
+            val, slope = self._table_enthalpy(u)
             val -= target
             if np.all(np.abs(val) <= tol):
                 return np.exp(u)
-            u = np.clip(u - val / self._enthalpy_slope_u(u),
-                        self._u_min, self._u_max)
+            u = np.clip(u - val / slope, self._u_min, self._u_max)
         raise EosInversionError(
             "enthalpy inversion did not reach its tolerance in 60 Newton "
             "steps (residual up to %g times it)"

@@ -128,10 +128,10 @@ def run_scan(scan_spec, out, budget=None):
     ``budget`` is the CPU budget, ``cpu_budget()`` by default.  It sets the
     number of workers, at most one per cell, and each worker's kernel gets
     an equal share of it.  One line per cell goes to stderr as its record
-    arrives.
+    arrives.  The first cell's problem is built here first, so a config
+    error ends the scan before ``out`` or a worker exists.
     """
     budget = cpu_budget() if budget is None else budget
-    os.makedirs(out, exist_ok=True)
     n_cells = len(scan_spec.omega_values) * len(scan_spec.mu_values)
     workers = min(budget, n_cells)
     tasks = [
@@ -140,6 +140,8 @@ def run_scan(scan_spec, out, budget=None):
         for i, omega in enumerate(scan_spec.omega_values)
         for j, mu in enumerate(scan_spec.mu_values)
     ]
+    build_problem(tasks[0][3])
+    os.makedirs(out, exist_ok=True)
     cells = {}
     for task, record in zip(tasks, _cell_records(tasks, workers)):
         cells[task[0]] = record

@@ -4,6 +4,7 @@ CLI tests call main() in-process for speed; byte-level determinism and the
 installed entry point are exercised through subprocesses.
 """
 
+import concurrent.futures
 import dataclasses
 import json
 import os
@@ -384,10 +385,30 @@ class TestScanMachinery:
         assert err.startswith("scan error: a worker process died: ")
         assert err.count("\n") == 1
 
+    def test_scan_with_a_bad_config_creates_no_out_and_no_pool(
+        self, monkeypatch, tmp_path, capsys
+    ):
+        monkeypatch.setenv("COREQUILIB_THREADS", "2")
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _no_pool)
+        raw = base_raw(n=16, extra={"scan": dict(SWEEP)})
+        raw["eos"] = dict(POLY, gamma=1.2)
+        cfg = write_config(tmp_path, raw)
+        out = tmp_path / "sweep"
+        assert main(["scan", "--config", cfg, "--out", str(out)]) == 1
+        assert capsys.readouterr().err == (
+            "config error: polytrope exponent gamma must exceed 4/3, got 1.2\n"
+        )
+        assert not out.exists()
+
 
 def _die(task):
     """Stands in for a scan cell whose worker is killed."""
     os._exit(9)
+
+
+def _no_pool(*args, **kwargs):
+    """Stands in for the scan's process pool, which must not be started."""
+    raise AssertionError("a process pool was constructed")
 
 
 class TestCli:
@@ -507,12 +528,13 @@ class TestCli:
         )
 
     def test_eos_inversion_failure_exits_two(self, tmp_path, capsys, monkeypatch):
-        slope = cq.TabulatedEos._enthalpy_slope_u
-        monkeypatch.setattr(
-            cq.TabulatedEos,
-            "_enthalpy_slope_u",
-            lambda self, u: 1e6 * slope(self, u),
-        )
+        table_enthalpy = cq.TabulatedEos._table_enthalpy
+
+        def too_steep(self, u):
+            value, slope = table_enthalpy(self, u)
+            return value, 1e6 * slope
+
+        monkeypatch.setattr(cq.TabulatedEos, "_table_enthalpy", too_steep)
         s = np.geomspace(1e-3, 10.0, 24)
         raw = base_raw(n=24)
         raw["eos"] = {

@@ -226,11 +226,14 @@ class TestTabulatedEos:
         s_tab, f_tab = gamma2_table()
         tab = TabulatedEos(s_tab, f_tab)
         h = tab.enthalpy(np.array([0.37, 3.1]))
-        slope = TabulatedEos._enthalpy_slope_u
+        table_enthalpy = TabulatedEos._table_enthalpy
+
+        def too_steep(self, u):
+            value, slope = table_enthalpy(self, u)
+            return value, 1e6 * slope
+
         # a slope 1e6 times too steep makes every Newton step crawl
-        monkeypatch.setattr(
-            TabulatedEos, "_enthalpy_slope_u", lambda self, u: 1e6 * slope(self, u)
-        )
+        monkeypatch.setattr(TabulatedEos, "_table_enthalpy", too_steep)
         with pytest.raises(EosInversionError, match="60 Newton steps"):
             tab.enthalpy_inverse(h)
 
@@ -354,6 +357,24 @@ def test_power_law_table_reproduces_polytrope_enthalpy(law, t):
     np.testing.assert_allclose(tab.enthalpy(s), ref.enthalpy(s), rtol=1e-8)
 
 
+@given(law=power_law_tables(), t=st.lists(st.floats(0.0, 1.0), min_size=1))
+def test_power_law_table_reproduces_polytrope_past_its_ends(law, t):
+    # one array from a decade below the table to a decade above it, so each
+    # map splits head, table and tail in the same call
+    k, gamma, tab = law
+    lo, hi = tab.s_min / 10.0, tab.s_max * 10.0
+    s = np.concatenate(
+        ([0.0, tab.s_min, tab.s_max], lo * (hi / lo) ** np.array(t))
+    )
+    ref = Polytrope(k, gamma)
+    for name, rtol in (
+        ("pressure", 1e-10), ("internal_energy", 1e-8), ("enthalpy", 1e-8)
+    ):
+        np.testing.assert_allclose(
+            getattr(tab, name)(s), getattr(ref, name)(s), rtol=rtol, err_msg=name
+        )
+
+
 @given(eos=tables(), t=st.floats(0.0, 1.0))
 def test_table_enthalpy_inverse_round_trips(eos, t):
     # from the power-law head below the table to the top of its range
@@ -398,10 +419,10 @@ def test_numpy_interpolants_match_scipy(data):
         np.testing.assert_array_equal(i, inside)
         np.testing.assert_array_equal(dx, q - x[i])
         size = np.max(np.abs(y)) + np.max(np.abs(d)) * np.max(np.diff(x))
+        value, slope = ours.value_and_slope(i, dx)
+        for v in (ours.value(i, dx), value):
+            np.testing.assert_allclose(v, theirs(q), rtol=1e-13, atol=1e-13 * size)
         np.testing.assert_allclose(
-            ours.value(i, dx), theirs(q), rtol=1e-13, atol=1e-13 * size
-        )
-        np.testing.assert_allclose(
-            ours.slope(i, dx), theirs.derivative()(q),
+            slope, theirs.derivative()(q),
             rtol=1e-13, atol=1e-13 * (np.max(np.abs(d)) + slope_of_y),
         )
