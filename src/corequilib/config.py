@@ -270,8 +270,8 @@ def build_problem(eff):
 
     Construction errors (an exponent out of range, a core that does not fit
     the grid, a rotation profile that stops short of it, a non-monotone
-    table) surface as ConfigError so the CLI can treat them as usage
-    problems.
+    table, an initial-guess file that does not fit the grid) surface as
+    ConfigError so the CLI can treat them as usage problems.
     """
     try:
         eos = make_eos(**eff["eos"])

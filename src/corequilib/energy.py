@@ -80,7 +80,7 @@ def residual_with_potential(fld, lam, eos, phi_tot):
     ``phi_tot`` is the total potential B(rho) + J + core potential.
     """
     rho = fld.values
-    threshold = 1e-8 * float(np.max(rho))
+    threshold = field_ops.SUPPORT_REL * float(np.max(rho))
     resid = eos.enthalpy(rho) - phi_tot - lam
     if fld.mask is not None:
         resid = resid[~fld.mask]

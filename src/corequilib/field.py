@@ -191,6 +191,11 @@ def rescale_to_mass(fld, mass):
     return fld.copy_with(fld.values * (mass / current))
 
 
+#: cells above this fraction of the largest density form the support that
+#: the solve's extents and its residuals' split are read off
+SUPPORT_REL = 1e-8
+
+
 def support_extent(fld, threshold=0.0):
     """Radial and vertical reach (d_r, d_z) of cells above ``threshold``."""
     above = fld.values > threshold

@@ -49,6 +49,12 @@ class ScanSpec:
                 "scans sweep constant rotation; section 'rotation' must have "
                 "kind 'constant'"
             )
+        if eff["solver"]["initial_guess"]["kind"] == "from-file":
+            # a retried cell's grown grid can never match the file's
+            raise ConfigError(
+                "scans start each cell on its own grid; key 'initial_guess' "
+                "in section 'solver' must not be 'from-file'"
+            )
         sec = eff["scan"]
         return cls(
             base=eff,

@@ -1,12 +1,14 @@
 """Self-consistent-field iteration for the constrained equilibrium problem.
 
-One step of the scheme: evaluate the total potential of the current density,
-find the multiplier that makes the density reconstructed through the
+Each iterate is evaluated once (``evaluate``): the total potential of its
+density, the multiplier that makes the density reconstructed through the
 inverse enthalpy (with its cutoff at non-positive argument) carry the right
 mass (safeguarded Newton on a bracket read off the potential, warm-started
-from the previous multiplier, see ``solve_lambda``), mix that density with
-Anderson's method (``AndersonMixer``), and renormalize the mass.  Fixed
-points of the map are exactly the discrete equilibria.
+from the previous iterate's multiplier, see ``solve_lambda``), and its
+energy and residuals.  One step (``scf_step``) mixes the iterate with its
+reconstruction by Anderson's method (``AndersonMixer``), renormalizes the
+mass and evaluates the result.  Fixed points of the map are exactly the
+discrete equilibria.
 
 Failure modes are data, not exceptions: the returned ``Outcome`` carries one
 of the verdicts Converged / MassRunoff / LambdaBracketFail / IterationCap.
@@ -23,6 +25,7 @@ import numpy as np
 
 from .field import (
     DensityField,
+    SUPPORT_REL,
     GridError,
     boundary_mass_exceeds,
     read_field_csv,
@@ -67,7 +70,12 @@ class InitialGuess:
 
 @dataclass
 class ProblemSpec:
-    """Everything that defines one equilibrium problem."""
+    """Everything that defines one equilibrium problem.
+
+    A from-file initial guess is read here, once, into ``guess_field``
+    (masked and scaled to the mass), so that a file that does not fit the
+    grid fails where the problem is built.
+    """
 
     eos: object
     grid: object
@@ -76,12 +84,20 @@ class ProblemSpec:
     rotation: object
     mass: float
     initial_guess: InitialGuess = dc_field(default_factory=InitialGuess)
+    guess_field: Optional[DensityField] = dc_field(
+        default=None, init=False, repr=False, compare=False
+    )
 
     def __post_init__(self):
         if not self.mass > 0.0:
             raise ValueError("total mass must be positive")
         if self.mu < 0.0:
             raise ValueError("core strength mu must be non-negative")
+        if self.initial_guess.kind == "from-file":
+            fld = read_field_csv(
+                self.initial_guess.path, self.grid, self.core.mask(self.grid)
+            )
+            self.guess_field = rescale_to_mass(fld, self.mass)
 
 
 @dataclass(frozen=True)
@@ -116,25 +132,29 @@ class ScfConfig:
 
 @dataclass
 class ScfState:
-    """One iterate: the density plus the step's byproducts.
+    """One iterate ``rho`` and what one evaluation of it gives (``evaluate``).
 
-    ``energy`` and ``residual`` describe the density the step started from
-    (its potential is what the step computed), and so do ``runoff``,
-    whether the density reconstructed from that potential holds more than
-    ``runoff_fraction`` of the mass in the boundary margin, and
-    ``mass_evals``, the ``mass_of_lambda`` calls the multiplier took;
-    ``rho`` and ``update_norm`` describe where it landed.
+    ``lam`` is the multiplier at which the density reconstructed from
+    ``rho``'s potential, ``rho_hat``, carries the mass; both are None when
+    no multiplier can.  ``energy``, ``residual`` (at ``lam``; None without
+    it), ``runoff`` (whether ``rho_hat`` holds more than
+    ``runoff_fraction`` of the mass in the boundary margin) and
+    ``mass_evals`` (the ``mass_of_lambda`` calls the multiplier took) are
+    ``rho``'s too, and so is ``mass_err``, its relative mass error.
+    ``update_norm`` is the step's change from the previous iterate, None for
+    the initial guess.
     """
 
     iteration: int
     rho: DensityField
-    lam: Optional[float]
     update_norm: Optional[float]
+    mass_err: Optional[float]
+    lam: Optional[float]
+    rho_hat: Optional[np.ndarray]
     energy: object
     residual: object
-    mass_err: Optional[float]
-    runoff: bool = False
-    mass_evals: int = 0
+    runoff: bool
+    mass_evals: int
 
 
 @dataclass
@@ -144,11 +164,11 @@ class Outcome:
     d_r: float
     d_z: float
     bound_check: object          # BoundCheck for converged constant rotation
-    # rows (iteration, lambda, energy_total, update_norm); trace.csv is
-    # their only copy on disk
+    # row k is (k, lambda and energy_total of iterate k - 1, update_norm of
+    # step k); trace.csv is their only copy on disk
     trace: list
     mass_err_max: float
-    mass_evals: int = 0          # mass_of_lambda calls, final re-solve included
+    mass_evals: int = 0          # mass_of_lambda calls of every iterate
     history_resets: int = 0      # clears of the Anderson history
     retried: bool = False
 
@@ -238,8 +258,7 @@ def initial_field(spec, mask):
     grid = spec.grid
     guess = spec.initial_guess
     if guess.kind == "from-file":
-        fld = read_field_csv(guess.path, grid, mask)
-        return rescale_to_mass(fld, spec.mass)
+        return spec.guess_field
     R, Z = grid.meshes()
     if guess.kind == "gaussian-blob":
         r0 = max(1.5 * spec.core.a_r, 0.2 * grid.r_max)
@@ -331,61 +350,74 @@ class AndersonMixer:
         self._gram[:m, k] = row
 
 
-def scf_step(state, spec, config, env, mixer):
-    """Advance one iteration, mixing with the solve's ``AndersonMixer``; see
-    the module docstring for the scheme."""
-    rho = state.rho
-    grid = spec.grid
+def evaluate(rho, spec, config, env, prev=None):
+    """The ``ScfState`` of iterate ``rho``, made by a step from ``prev``
+    (None for the initial guess).
 
+    One kernel apply, one multiplier solve warm-started from ``prev``'s
+    multiplier, one energy and one residual call.  A ``LambdaBracketError``
+    leaves the state without ``lam``, ``rho_hat`` and ``residual``.
+    """
     b_rho = env.kernel.apply(rho.values)
     phi_tot = b_rho + env.J + env.phi_core
-    lam, rho_hat, evals = solve_lambda(
-        phi_tot, spec.mass, spec.eos, rho.mask, grid, config.mass_tol,
-        state.lam,
-    )
-
-    mixed = np.maximum(mixer.next_iterate(rho.values, rho_hat), 0.0)
-    new_rho = rescale_to_mass(DensityField(grid, mixed, rho.mask), spec.mass)
-    update_norm = float(
-        np.sum(np.abs(new_rho.values - rho.values) * grid.vol)
-    ) / spec.mass
-    mass_err = abs(total_mass(new_rho) - spec.mass) / spec.mass
-
-    report = energy_with_potential(rho, spec.eos, env, b_rho)
-    resid = residual_with_potential(rho, lam, spec.eos, phi_tot)
+    try:
+        lam, rho_hat, evals = solve_lambda(
+            phi_tot, spec.mass, spec.eos, rho.mask, spec.grid, config.mass_tol,
+            None if prev is None else prev.lam,
+        )
+    except LambdaBracketError as err:
+        lam, rho_hat, evals = None, None, err.evals
+    update_norm = None
+    if prev is not None:
+        update_norm = float(
+            np.sum(np.abs(rho.values - prev.rho.values) * spec.grid.vol)
+        ) / spec.mass
     return ScfState(
-        iteration=state.iteration + 1,
-        rho=new_rho,
-        lam=lam,
+        iteration=0 if prev is None else prev.iteration + 1,
+        rho=rho,
         update_norm=update_norm,
-        energy=report,
-        residual=resid,
-        mass_err=mass_err,
+        mass_err=abs(total_mass(rho) - spec.mass) / spec.mass,
+        lam=lam,
+        rho_hat=rho_hat,
+        energy=energy_with_potential(rho, spec.eos, env, b_rho),
+        residual=None if lam is None else residual_with_potential(
+            rho, lam, spec.eos, phi_tot
+        ),
         # judged on the reconstruction: the mixed iterate lags behind it
-        runoff=boundary_mass_exceeds(
-            DensityField(grid, rho_hat, rho.mask),
+        runoff=rho_hat is not None and boundary_mass_exceeds(
+            DensityField(spec.grid, rho_hat, rho.mask),
             config.runoff_margin_cells, config.runoff_fraction,
         ),
         mass_evals=evals,
     )
 
 
-def _is_converged(state, config, eos):
-    """Small update, and residuals small against ``max(|lambda|, <A'>)``.
+def scf_step(state, spec, config, env, mixer):
+    """Advance one iteration from an evaluated ``state`` with a multiplier,
+    mixing with the solve's ``AndersonMixer``; see the module docstring for
+    the scheme."""
+    rho = state.rho
+    mixed = np.maximum(mixer.next_iterate(rho.values, state.rho_hat), 0.0)
+    new_rho = rescale_to_mass(rho.copy_with(mixed), spec.mass)
+    return evaluate(new_rho, spec, config, env, state)
 
-    ``<A'>`` is the mass-weighted mean enthalpy of the iterate, so that a
-    solve with ``lambda = 0`` can converge too.  On the converged cells of
-    the acceptance sweep it stays below ``|lambda|``.
+
+def _is_converged(prev, state, config, eos):
+    """Whether the step from ``prev`` to ``state`` ends the solve.
+
+    It does when the step's update is small and ``prev``'s residuals are
+    small against ``max(|lambda|, <A'>)``.  ``<A'>`` is the mass-weighted
+    mean enthalpy of ``state``'s density, so that a solve with
+    ``lambda = 0`` can converge too.  On the converged cells of the
+    acceptance sweep it stays below ``|lambda|``.
     """
-    if state.update_norm is None or state.update_norm > config.tol_density:
-        return False
-    r = state.residual
-    if r is None or r.eq_max is None or state.lam is None:
+    r = prev.residual
+    if state.update_norm > config.tol_density or r.eq_max is None:
         return False
     rho = state.rho.values
     weights = rho * state.rho.grid.vol
     mean_h = float(np.sum(weights * eos.enthalpy(rho)) / np.sum(weights))
-    tol = config.tol_residual * max(abs(state.lam), mean_h)
+    tol = config.tol_residual * max(abs(prev.lam), mean_h)
     if r.eq_max > tol:
         return False
     return r.ineq_violation is None or r.ineq_violation >= -tol
@@ -395,30 +427,30 @@ def solve(spec, config=None, threads=1):
     """Iterate to a verdict; never raises for physical failure modes.
 
     ``threads`` is the CPU budget of the potential kernel (``AxiKernel``);
-    the outcome does not depend on it.
+    the outcome does not depend on it.  Each step's run-off and convergence
+    tests read the run-off flag, residuals and multiplier of the iterate the
+    step started from, and the update norm and density of the one it made.
     """
     config = config if config is not None else ScfConfig()
     grid = spec.grid
     env = Environment.build(grid, spec.core, spec.mu, spec.rotation, threads)
-    mask = spec.core.mask(grid)
-
-    state = ScfState(0, initial_field(spec, mask), None, None, None, None, None)
+    state = evaluate(initial_field(spec, spec.core.mask(grid)), spec, config, env)
     mixer = AndersonMixer(grid.vol, state.rho.values.shape, config.alpha)
     trace = []
     mass_errs = []
-    mass_evals = 0
+    mass_evals = state.mass_evals
     runoff_streak = 0
     verdict = "IterationCap"
 
     for _ in range(config.max_iter):
-        try:
-            state = scf_step(state, spec, config, env, mixer)
-        except LambdaBracketError as err:
-            mass_evals += err.evals
+        if state.lam is None:
             verdict = "LambdaBracketFail"
             break
+        # rebound first, so the state before prev is freed before the step
+        prev = state
+        state = scf_step(prev, spec, config, env, mixer)
         trace.append(
-            (state.iteration, state.lam, state.energy.total, state.update_norm)
+            (state.iteration, prev.lam, prev.energy.total, state.update_norm)
         )
         mass_errs.append(state.mass_err)
         mass_evals += state.mass_evals
@@ -427,52 +459,16 @@ def solve(spec, config=None, threads=1):
                 "mass renormalization drifted to %g relative" % state.mass_err
             )
 
-        if state.runoff:
-            runoff_streak += 1
-            if runoff_streak >= 3:
-                verdict = "MassRunoff"
-                break
-        else:
-            runoff_streak = 0
-
-        if _is_converged(state, config, spec.eos):
+        runoff_streak = runoff_streak + 1 if prev.runoff else 0
+        if runoff_streak >= 3:
+            verdict = "MassRunoff"
+            break
+        if _is_converged(prev, state, config, spec.eos):
             verdict = "Converged"
             break
 
-    return _finalize(
-        verdict, state, spec, config, env, trace, mass_errs, mass_evals,
-        mixer.resets,
-    )
-
-
-def _finalize(verdict, state, spec, config, env, trace, mass_errs, mass_evals,
-              resets):
-    """Recompute diagnostics for the final field so the reported numbers are
-    self-consistent (the in-loop statistics describe the previous iterate);
-    the loop's ``mass_evals`` and Anderson ``resets`` go into the outcome."""
-    rho = state.rho
-    b_rho = env.kernel.apply(rho.values)
-    phi_tot = b_rho + env.J + env.phi_core
-
-    lam = state.lam
-    evals = 0
-    if verdict != "LambdaBracketFail":
-        try:
-            lam, _, evals = solve_lambda(
-                phi_tot, spec.mass, spec.eos, rho.mask, spec.grid,
-                config.mass_tol, state.lam,
-            )
-        except LambdaBracketError as err:
-            evals = err.evals  # and keep the last in-loop multiplier
-
-    report = energy_with_potential(rho, spec.eos, env, b_rho)
-    resid = None
-    if lam is not None:
-        resid = residual_with_potential(rho, lam, spec.eos, phi_tot)
-
-    threshold = 1e-8 * float(np.max(rho.values)) if np.any(rho.values > 0) else 0.0
-    d_r, d_z = support_extent(rho, threshold)
-
+    rho, resid = state.rho, state.residual
+    d_r, d_z = support_extent(rho, SUPPORT_REL * float(np.max(rho.values)))
     bound = None
     if (
         verdict == "Converged"
@@ -480,27 +476,19 @@ def _finalize(verdict, state, spec, config, env, trace, mass_errs, mass_evals,
         and resid is not None
         and resid.eq_max is not None
     ):
-        bound = multiplier_bound_check(lam, spec.rotation.omega, d_r, resid.eq_max)
-
-    final = ScfState(
-        iteration=state.iteration,
-        rho=rho,
-        lam=lam,
-        update_norm=state.update_norm,
-        energy=report,
-        residual=resid,
-        mass_err=state.mass_err,
-    )
+        bound = multiplier_bound_check(
+            state.lam, spec.rotation.omega, d_r, resid.eq_max
+        )
     return Outcome(
         verdict=verdict,
-        state=final,
+        state=state,
         d_r=d_r,
         d_z=d_z,
         bound_check=bound,
         trace=trace,
         mass_err_max=float(np.max(mass_errs)) if mass_errs else None,
-        mass_evals=mass_evals + evals,
-        history_resets=resets,
+        mass_evals=mass_evals,
+        history_resets=mixer.resets,
     )
 
 

@@ -400,6 +400,29 @@ class TestScanMachinery:
         )
         assert not out.exists()
 
+    def test_scan_from_a_guess_file_exits_one_before_out(
+        self, monkeypatch, tmp_path, capsys
+    ):
+        # a retried cell's grown grid can never match the file, even when
+        # the base grid does
+        monkeypatch.setenv("COREQUILIB_THREADS", "1")
+        guess = tmp_path / "guess.csv"
+        grid = cq.CylGrid(2.0, 2.0, 16, 16)
+        cq.write_field_csv(cq.DensityField(grid, np.ones((16, 16))), guess)
+        raw = base_raw(n=16, extra={"scan": dict(SWEEP)})
+        raw["solver"]["initial_guess"] = {"kind": "from-file", "path": str(guess)}
+        cfg = write_config(tmp_path, raw)
+        out = tmp_path / "sweep"
+        for extra in (["--dump-effective-config"], ["--out", str(out)]):
+            assert main(["scan", "--config", cfg] + extra) == 1
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err == (
+                "config error: scans start each cell on its own grid; key "
+                "'initial_guess' in section 'solver' must not be 'from-file'\n"
+            )
+        assert not out.exists()
+
 
 def _die(task):
     """Stands in for a scan cell whose worker is killed."""
@@ -435,6 +458,30 @@ class TestCli:
         trace_lines = (out / "trace.csv").read_text().splitlines()
         assert trace_lines[0] == "iter,lambda,energy_total,update_norm"
         assert len(trace_lines) == result["iterations"] + 1
+
+    def test_guess_file_that_does_not_fit_the_grid_exits_one(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        monkeypatch.setenv("COREQUILIB_THREADS", "1")
+        guess = tmp_path / "guess.csv"
+        grid = cq.CylGrid(2.0, 2.0, 48, 48)
+        cq.write_field_csv(cq.DensityField(grid, np.ones((48, 48))), guess)
+        raw = base_raw(n=32)
+        raw["solver"]["initial_guess"] = {"kind": "from-file", "path": str(guess)}
+        cfg = write_config(tmp_path, raw)
+        out = tmp_path / "run"
+        for argv in (
+            ["solve", "--config", cfg, "--out", str(out)],
+            ["solve", "--config", cfg, "--dump-effective-config"],
+            ["check", "--config", cfg],
+        ):
+            assert main(argv) == 1
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err == (
+                "config error: field file has 2304 rows, grid needs 1024\n"
+            )
+        assert not out.exists()
 
     def test_solve_requires_out(self, tmp_path):
         cfg = write_config(tmp_path, base_raw())
@@ -1016,7 +1063,13 @@ VALID_FORMS = [
 
 
 @pytest.mark.parametrize("command, raw, expected", VALID_FORMS)
-def test_valid_forms_dump_their_effective_config(command, raw, expected):
+def test_valid_forms_dump_their_effective_config(
+    tmp_path, monkeypatch, command, raw, expected
+):
+    # the from-file form's guess is read where the config is checked
+    monkeypatch.chdir(tmp_path)
+    grid = cq.CylGrid(2.0, 2.0, 32, 32)
+    cq.write_field_csv(cq.DensityField(grid, np.ones((32, 32))), "f.csv")
     text = dump_effective(check_config(command, raw))
     assert text == json.dumps(expected, sort_keys=True, indent=2) + "\n"
     if expected is EFF:

@@ -7,6 +7,7 @@ algebra, verdict taxonomy, determinism, and grid-refinement consistency of
 the converged radius against that oracle.
 """
 
+import dataclasses
 import gc
 import weakref
 
@@ -200,9 +201,7 @@ class TestScfStep:
         env = cq.Environment.build(
             le_problem.grid, le_problem.core, le_problem.mu, le_problem.rotation
         )
-        state = cq.ScfState(
-            0, le_outcome.state.rho, le_outcome.state.lam, None, None, None, None
-        )
+        state = cq.solver.evaluate(le_outcome.state.rho, le_problem, config, env)
         mixer = cq.solver.AndersonMixer(
             le_problem.grid.vol, state.rho.values.shape, config.alpha
         )
@@ -226,7 +225,8 @@ class TestScfStep:
         h = np.where(rho.mask, -1.0, phi_tot + lam)
         rho_hat = le_problem.eos.enthalpy_inverse(h)
 
-        state = cq.ScfState(0, rho, None, None, None, None, None)
+        state = cq.solver.evaluate(rho, le_problem, config, env)
+        np.testing.assert_array_equal(state.rho_hat, rho_hat)
         for alpha, mix in ((1.0, rho_hat), (0.5, 0.5 * rho.values + 0.5 * rho_hat)):
             mixer = cq.solver.AndersonMixer(
                 le_problem.grid.vol, rho.values.shape, alpha
@@ -241,30 +241,39 @@ class TestScfStep:
                 stepped.rho.values, expected.values, rtol=1e-12, atol=1e-300
             )
 
-    def test_step_reports_energy_of_incoming_iterate(self, le_problem, le_outcome):
+    def test_stepped_state_matches_a_fresh_evaluation_of_its_density(
+        self, le_problem, le_outcome
+    ):
         config = cq.ScfConfig()
         env = cq.Environment.build(
             le_problem.grid, le_problem.core, le_problem.mu, le_problem.rotation
         )
         rho = le_outcome.state.rho
-        state = cq.ScfState(5, rho, None, None, None, None, None)
+        state = cq.solver.evaluate(rho, le_problem, config, env)
+        assert state.energy == cq.energy_with_potential(
+            rho, le_problem.eos, env, env.kernel.apply(rho.values)
+        )
         mixer = cq.solver.AndersonMixer(
             le_problem.grid.vol, state.rho.values.shape, config.alpha
         )
         nxt = cq.scf_step(state, le_problem, config, env, mixer)
-        assert nxt.energy == cq.energy_with_potential(
-            rho, le_problem.eos, env, env.kernel.apply(rho.values)
-        )
-        assert nxt.iteration == 6
+        assert nxt.iteration == state.iteration + 1
+        # the same warm start gives the same multiplier, bit for bit
+        fresh = cq.solver.evaluate(nxt.rho, le_problem, config, env, state)
+        assert nxt.lam == fresh.lam
+        assert nxt.energy == fresh.energy
+        assert nxt.residual == fresh.residual
+        assert nxt.energy != state.energy
 
     def test_zero_multiplier_can_converge(self, le_outcome):
         # the residual tolerance scales with the mean enthalpy, not only |lambda|
-        stats = cq.ResidualStats(1e-12, 1e-12, None)
-        state = cq.ScfState(
-            7, le_outcome.state.rho, 0.0, 1e-12, None, stats, 0.0
+        prev = dataclasses.replace(
+            le_outcome.state, lam=0.0,
+            residual=cq.ResidualStats(1e-12, 1e-12, None),
         )
+        state = dataclasses.replace(le_outcome.state, update_norm=1e-12)
         assert cq.solver._is_converged(
-            state, cq.ScfConfig(), cq.Polytrope(1.0, 2.0)
+            prev, state, cq.ScfConfig(), cq.Polytrope(1.0, 2.0)
         )
 
     def test_config_validation(self):
@@ -383,6 +392,27 @@ class TestSolve:
         # the final one included, a warm-started solve takes at most 4 per step
         converged = outcomes["Converged"]
         assert converged.mass_evals <= 4 * (converged.state.iteration + 1)
+
+    def test_an_iterate_without_a_multiplier_ends_the_solve(self, monkeypatch):
+        # the third evaluation, of iterate 2, finds no multiplier
+        solve_lambda = cq.solver.solve_lambda
+        calls = []
+
+        def third_fails(*args, **kwargs):
+            calls.append(args)
+            if len(calls) == 3:
+                raise cq.LambdaBracketError("no multiplier", 5)
+            return solve_lambda(*args, **kwargs)
+
+        monkeypatch.setattr(cq.solver, "solve_lambda", third_fails)
+        for max_iter, verdict in ((10, "LambdaBracketFail"), (2, "IterationCap")):
+            del calls[:]
+            out = cq.solve(le_spec(24), cq.ScfConfig(max_iter=max_iter))
+            assert out.verdict == verdict
+            assert out.state.iteration == len(out.trace) == 2
+            assert out.state.lam is None and out.state.residual is None
+            assert out.state.mass_evals == 5
+            assert len(calls) == 3
 
     def test_iteration_cap(self):
         out = cq.solve(le_spec(32), cq.ScfConfig(max_iter=5))
@@ -522,3 +552,35 @@ class TestSolve:
         assert [row[0] for row in rows] == list(
             range(1, le_outcome.state.iteration + 1)
         )
+
+
+class TestExactYardstick:
+    """The gas round a hard core with no pull, solved in closed form.
+
+    With gamma 2 and k 1 the enthalpy is h = 2 rho.  With no rotation, mu 0
+    and a spherical core of radius a, the solution is spherical, and on the
+    gas h'' + 2h'/r + 2 pi h = 0, so h = (A sin kr + C cos kr) / r with
+    k = sqrt(2 pi).  h'(a) = 0 and h(R) = 0 have a non-zero solution (A, C)
+    only where their 2 x 2 system is singular; that outer radius R gives
+    lambda = -M / R, since outside the gas the potential is M / r.
+    """
+
+    def test_multiplier_at_mu_zero(self):
+        from scipy.optimize import brentq
+
+        a, mass = 0.1, 1.0
+        kappa = np.sqrt(2.0 * np.pi)
+        ka = kappa * a
+
+        def det(radius):
+            # rows: R h(R) = 0 and a^2 h'(a) = 0, in the unknowns (A, C)
+            s, c = np.sin(kappa * radius), np.cos(kappa * radius)
+            return (-s * (ka * np.sin(ka) + np.cos(ka))
+                    - c * (ka * np.cos(ka) - np.sin(ka)))
+
+        # det is -ka at R = a and +ka half a period later
+        radius = brentq(det, a, a + np.pi / kappa, xtol=1e-14)
+        assert radius == pytest.approx(1.255333, abs=1e-6)
+        out = cq.solve(le_spec(96, core=cq.CoreRegion.spheroid(a, a, 10.0)))
+        assert out.verdict == "Converged"
+        assert out.state.lam == pytest.approx(-mass / radius, rel=5e-3)

@@ -5,9 +5,11 @@ and ``COUNTS``).  A renamed call would only show up as a failure under
 ``bench/run.py --trace 1``; this test makes it fail the test suite instead.
 It imports the tracer's tables and looks every name up, the way
 ``layertrace._replace`` does.  A traced scan in a subprocess checks that
-the output layer is still seen after it moved into the pool's workers.
+the output layer is still seen after it moved into the pool's workers, and
+traced solves check that the counters agree with ``result.json``.
 """
 
+import collections
 import importlib
 import importlib.util
 import json
@@ -95,3 +97,54 @@ def test_scan_workers_trace_their_field_writes(tmp_path):
     written = sorted(out.glob("cell_*/field.csv"))
     assert len(written) == 2
     assert counts["field.bytes_written"] == sum(p.stat().st_size for p in written)
+
+
+#: one solve through the CLI, traced
+_TRACED_SOLVE = """
+import sys
+bench, trace_dir, config, out = sys.argv[1:]
+sys.path.insert(0, bench)
+import corequilib.cli
+import layertrace
+tracer = layertrace.install(trace_dir)
+corequilib.cli.main(["solve", "--config", config, "--out", out])
+tracer.flush()
+"""
+
+README_48 = {
+    "eos": {"kind": "polytrope", "k": 1.0, "gamma": 2.0},
+    "grid": {"r_max": 2.0, "z_max": 2.0, "n_r": 48, "n_z": 48},
+    "core": {"a_r": 0.1, "a_z": 0.1, "rho": 10.0, "mu": 1.0},
+    "rotation": {"kind": "constant", "omega": 0.4},
+    "solver": {"mass": 1.0},
+}
+#: a table that ends below the enthalpy the mass needs: no multiplier at all
+_S = [1e-4 * 500.0 ** (i / 23) for i in range(24)]
+SHORT_TABLE = {"kind": "tabulated-generic", "s": _S, "f": [s * s for s in _S]}
+
+
+@pytest.mark.parametrize("raw,verdict", [
+    (README_48, "Converged"),
+    (dict(README_48, eos=SHORT_TABLE), "LambdaBracketFail"),
+], ids=["converged", "bracket-fail"])
+def test_traced_counts_match_the_result(tmp_path, raw, verdict):
+    # each iterate is evaluated once: one apply per iterate, and one more
+    # for the core's potential
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps(raw))
+    trace_dir, out = tmp_path / "trace", tmp_path / "run"
+    trace_dir.mkdir()
+    proc = subprocess.run(
+        [sys.executable, "-c", _TRACED_SOLVE, os.path.dirname(LAYERTRACE),
+         str(trace_dir), str(config), str(out)],
+        capture_output=True, text=True,
+        env=dict(os.environ, COREQUILIB_THREADS="1"),
+    )
+    assert proc.returncode == 0, proc.stderr
+    result = json.loads((out / "result.json").read_text())
+    assert result["verdict"] == verdict
+    spans, counts, _ = _TRACER.load(str(trace_dir))
+    calls = collections.Counter(name for _, name, *_ in spans)
+    assert calls["solver.scf_step"] == result["iterations"]
+    assert counts["solver.mass_evals"] == result["mass_evals"]
+    assert calls["potential.apply"] == result["iterations"] + 2
