@@ -269,9 +269,9 @@ def build_problem(eff):
     """(ProblemSpec, ScfConfig) from an effective configuration.
 
     Construction errors (an exponent out of range, a core that does not fit
-    the grid, a rotation profile that stops short of it, a non-monotone
-    table, an initial-guess file that does not fit the grid) surface as
-    ConfigError so the CLI can treat them as usage problems.
+    the grid or covers no cell centre, a profile that stops short of the
+    grid, a non-monotone table, a guess file that does not fit the grid)
+    surface as ConfigError so the CLI can treat them as usage problems.
     """
     try:
         eos = make_eos(**eff["eos"])
@@ -281,7 +281,12 @@ def build_problem(eff):
             core = CoreRegion.from_profile(c["profile_z"], c["profile_a"], c["rho"])
         else:
             core = CoreRegion.spheroid(c["a_r"], c["a_z"], c["rho"])
-        core.mask(grid)  # geometry consistency check, fails early
+        # mask raises if the core does not fit; a dense one must cover a cell
+        if not core.mask(grid).any() and core.rho_core > 0.0:
+            raise ValueError(
+                "core covers no cell centre of the %d x %d grid with r_max %g "
+                "and z_max %g" % (grid.n_r, grid.n_z, grid.r_max, grid.z_max)
+            )
         if r["kind"] == "constant":
             rotation = RotationLaw.constant(r["omega"])
         else:

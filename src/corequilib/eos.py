@@ -15,12 +15,13 @@ second inversion.
 first-class law. ``TabulatedEos`` accepts a monotone sample table of f and
 builds the integral maps by fixed Gauss-Legendre quadrature on a fine grid,
 each piece checked against a lower-order rule.  Each forward map splits its
-densities once into the power-law head below the table, the table and the
-power-law tail above it (the laws fitted at the table's ends), with one log
-and one table lookup per call; the inverse refuses enthalpies above the
-sampled range, where inversion would be pure extrapolation.  Its
-interpolants are ``CubicHermite`` pieces with ``pchip_slopes`` where the
-slopes are not known exactly, so the module needs numpy alone.
+densities once into the head below the table, the table and the tail above
+it, with one log and one table lookup per call.  Head and tail are the
+``Polytrope``s through the two samples at each end.  The inverse refuses
+enthalpies above the sampled range, where inversion would be pure
+extrapolation.  Its interpolants are ``CubicHermite`` pieces with
+``pchip_slopes`` where the slopes are not known exactly, so the module needs
+numpy alone.
 
 The cutoff branch of ``enthalpy_inverse`` (zero density at non-positive
 enthalpy) is what turns the equilibrium relation into a free-boundary problem:
@@ -59,16 +60,6 @@ def _prepared(s):
 
 def _ret(values, scalar):
     return float(values) if scalar else values
-
-
-def _law_pressure(x, c, beta, s0, i0):
-    """f(x) = c x**beta on a power-law end of a table."""
-    return c * x ** beta
-
-
-def _law_integral(x, c, beta, s0, i0):
-    """I(x) = I(s0) + int_s0^x c t**(beta - 2) dt on a power-law end."""
-    return i0 + c * (x ** (beta - 1.0) - s0 ** (beta - 1.0)) / (beta - 1.0)
 
 
 def pchip_slopes(x, y):
@@ -283,8 +274,8 @@ class TabulatedEos:
     f(s)/s.  Because the samples are fine knots, one interval lookup on the
     fine grid places a point for both interpolants: ``enthalpy`` makes one
     per call, and the Newton inversion one per step, for the residual and
-    its slope together.  Past the table's ends f is the fitted power law
-    c s**beta, and I continues from its value at the end.
+    its slope together.  Past the table's ends f is the ``Polytrope``
+    through the two end samples, and I continues from its value at the end.
     """
 
     kind = "tabulated-generic"
@@ -310,30 +301,26 @@ class TabulatedEos:
         # End-slope fits double as the admissibility check: g = f*s**(-4/3)
         # must fall toward zero at the bottom and rise at the top, which is
         # exactly "fitted exponent > 4/3" at both ends.
-        self._beta_lo = np.log(f[1] / f[0]) / np.log(s[1] / s[0])
-        self._beta_hi = np.log(f[-1] / f[-2]) / np.log(s[-1] / s[-2])
-        if not self._beta_lo > 4.0 / 3.0:
-            raise ValueError(
-                "table slope near zero density is %.3f, must exceed 4/3"
-                % self._beta_lo
-            )
-        if not self._beta_hi > 4.0 / 3.0:
-            raise ValueError(
-                "table slope at high density is %.3f, must exceed 4/3"
-                % self._beta_hi
-            )
-        self._c_lo = f[0] / s[0] ** self._beta_lo
-        self._c_hi = f[-1] / s[-1] ** self._beta_hi
+        beta_lo = np.log(f[1] / f[0]) / np.log(s[1] / s[0])
+        beta_hi = np.log(f[-1] / f[-2]) / np.log(s[-1] / s[-2])
+        for end, beta in (("near zero", beta_lo), ("at high", beta_hi)):
+            if not beta > 4.0 / 3.0:
+                raise ValueError(
+                    "table slope %s density is %.3f, must exceed 4/3" % (end, beta)
+                )
+        # the power laws past the ends, through the two end samples
+        self._head = Polytrope(f[0] / s[0] ** beta_lo, beta_lo)
+        self._tail = Polytrope(f[-1] / s[-1] ** beta_hi, beta_hi)
         self.s_min = float(s[0])
         self.s_max = float(s[-1])
 
         u = np.log(s)
         log_f = np.log(f)
         self._logf = CubicHermite(u, log_f, pchip_slopes(u, log_f))
-        # the power laws past the ends, as (c, beta, s0, I(s0))
-        self._head = (self._c_lo, self._beta_lo, 0.0, 0.0)
         self._build_integral_tables(u)
-        self._tail = (self._c_hi, self._beta_hi, self.s_max, self._I(self._u_max))
+        # I continues past s_max as the tail's A/s plus this constant
+        a_max = self._tail.internal_energy(self.s_max)
+        self._tail_offset = float(self._I(self._u_max)) - a_max / self.s_max
 
     # -- construction helpers -------------------------------------------------
 
@@ -349,8 +336,8 @@ class TabulatedEos:
         ``max_fine_step``, so a table over many decades is as accurate as a
         short one.  All pieces are integrated in one vectorized pass by
         the 20-point Gauss-Legendre rule and checked against the 10-point
-        rule.  The head of the integral (0, s_min] is the fitted power law,
-        integrated in closed form.  I is interpolated between the fine knots
+        rule.  The head of the integral (0, s_min] is the head polytrope's
+        A(s_min)/s_min.  I is interpolated between the fine knots
         by cubic Hermite segments whose end slopes are the integrand itself,
         the exact dI/du.
         """
@@ -388,7 +375,7 @@ class TabulatedEos:
                 "the 20- and 10-point rules give %r and %r"
                 % (np.exp(u_fine[i]), np.exp(u_fine[i + 1]), g20[i], g10[i])
             )
-        head = _law_integral(self.s_min, *self._head)
+        head = self._head.internal_energy(self.s_min) / self.s_min
         i_fine = np.cumsum(np.concatenate(([head], g20)))
 
         fs_fine = integrand(u_fine)  # f/s, which is also dI/du
@@ -402,28 +389,29 @@ class TabulatedEos:
 
     # -- the four maps --------------------------------------------------------
 
-    def _split(self, s, law, table):
-        """A map of density, 0 at s = 0: ``law(x, c, beta, s0, i0)`` on the
-        power-law head (0 < s < s_min) and tail (s > s_max), and
-        ``table(x, log x)`` inside the table."""
+    def _split(self, s, law, table, tail_offset=lambda x: 0.0):
+        """A map of density, 0 at s = 0: ``law(polytrope, x)`` on the head
+        (0 < s < s_min), that plus ``tail_offset(x)``, the map's share of
+        I's offset, on the tail (s > s_max), and ``table(x, log x)``."""
         s, scalar = _prepared(s)
         out = np.zeros_like(s)
         lo = (s > 0.0) & (s < self.s_min)
         mid = (s >= self.s_min) & (s <= self.s_max)
         hi = s > self.s_max
-        out[lo] = law(s[lo], *self._head)
+        out[lo] = law(self._head, s[lo])
         x = s[mid]
         out[mid] = table(x, np.log(x))
-        out[hi] = law(s[hi], *self._tail)
+        x = s[hi]
+        out[hi] = law(self._tail, x) + tail_offset(x)
         return _ret(out, scalar)
 
     def pressure(self, s):
-        return self._split(s, _law_pressure, lambda x, u: np.exp(self._logf(u)))
+        return self._split(s, Polytrope.pressure, lambda x, u: np.exp(self._logf(u)))
 
     def internal_energy(self, s):
         """A(s) = s I(s)."""
-        return self._split(s, lambda x, *law: x * _law_integral(x, *law),
-                           lambda x, u: x * self._I(u))
+        return self._split(s, Polytrope.internal_energy, lambda x, u: x * self._I(u),
+                           lambda x: self._tail_offset * x)
 
     def enthalpy(self, s):
         """A'(s) = I(s) + f(s)/s."""
@@ -431,10 +419,7 @@ class TabulatedEos:
             fine, coarse = self._locate(u)
             return self._I.value(*fine) + np.exp(self._logf.value(*coarse)) / x
 
-        return self._split(
-            s, lambda x, *law: _law_integral(x, *law) + _law_pressure(x, *law) / x,
-            table,
-        )
+        return self._split(s, Polytrope.enthalpy, table, lambda x: self._tail_offset)
 
     def _locate(self, u):
         """One lookup for both interpolants at u in the table: the fine
@@ -461,10 +446,7 @@ class TabulatedEos:
                 "enthalpy %g above the sampled range (max %g)"
                 % (float(np.max(h)), self.h_max)
             )
-        out = np.zeros_like(h)
-        lo = (h > 0.0) & (h <= self.h_min)
-        b = self._beta_lo
-        out[lo] = ((b - 1.0) * h[lo] / (self._c_lo * b)) ** (1.0 / (b - 1.0))
+        out = np.asarray(self._head.enthalpy_inverse(h))  # 0 where h <= 0
         mid = h > self.h_min
         if np.any(mid):
             out[mid] = self._invert_in_table(h[mid])
@@ -473,16 +455,15 @@ class TabulatedEos:
     def density_slope(self, rho, h):
         """d rho / dh at ``rho = enthalpy_inverse(h)``; 0 where h <= 0.
 
-        On the power-law head (h up to ``h_min``) it is
-        ``rho / ((beta_lo - 1) h)``; inside the table it is
-        ``1 / A''(rho) = rho / (dA'/du)`` at ``u = log rho``.
+        On the head (h up to ``h_min``) it is the head polytrope's; inside
+        the table it is ``1 / A''(rho) = rho / (dA'/du)`` at ``u = log rho``.
         """
         rho = np.asarray(rho, dtype=float)
         h = np.asarray(h, dtype=float)
-        den = np.asarray((self._beta_lo - 1.0) * h)
+        out = np.asarray(self._head.density_slope(rho, h))  # 0 where h <= 0
         table = h > self.h_min
-        den[table] = self._table_enthalpy(np.log(rho[table]))[1]
-        out = np.divide(rho, den, out=np.zeros_like(h), where=h > 0.0)
+        x = rho[table]
+        out[table] = x / self._table_enthalpy(np.log(x))[1]
         return _ret(out, h.ndim == 0)
 
     def _invert_in_table(self, h):

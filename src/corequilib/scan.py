@@ -9,10 +9,11 @@ again on the larger grid.
 Cells run in a process pool sized by the command's CPU budget, the
 COREQUILIB_THREADS environment variable (default: all cores), with at most
 one worker per cell; each worker's potential kernel gets ``budget //
-workers`` threads.  Each worker writes its cells' run directories itself
-and hands back only a small record: the cell's omega and mu, its
-``result.json`` payload and its seconds.  No density field crosses the
-process boundary, and a retried cell's grown domain is read from its
+workers`` threads; the kernels of the base and the grown domain are built
+once, before the pool forks its workers.  Each worker writes its cells' run
+directories itself and hands back only a small record: the cell's omega and
+mu, its ``result.json`` payload and its seconds.  No density field crosses
+the process boundary, and a retried cell's grown domain is read from its
 ``effective_config.json``.  Results are deterministic either way because a
 cell's outcome depends only on its own configuration, not on the thread or
 worker count, and the table is assembled in a fixed order.  A worker that
@@ -28,20 +29,25 @@ from dataclasses import dataclass, field as dc_field
 
 from .config import ConfigError, build_problem, cpu_budget
 from .output import fmt_num, write_solve_outputs
+from .potential import kernel_for
 from .solver import solve
 
 
 @dataclass(frozen=True)
 class ScanSpec:
-    """Sweep definition: the base config plus the two value axes."""
+    """Sweep definition: the base config plus the two value axes, and the
+    grids of a cell's first attempt and of its retry."""
 
     base: dict
     omega_values: tuple
     mu_values: tuple
     retry_factor: float
+    grids: tuple
 
     @classmethod
     def from_config(cls, eff):
+        """Check the scan rules and build the first cell's problem on the base
+        and the grown domain, which meets any config error of any cell."""
         if "scan" not in eff:
             raise ConfigError("missing section 'scan'")
         if eff["rotation"]["kind"] != "constant":
@@ -56,11 +62,16 @@ class ScanSpec:
                 "in section 'solver' must not be 'from-file'"
             )
         sec = eff["scan"]
+        omega, mu = sec["omega_values"][0], sec["mu_values"][0]
         return cls(
             base=eff,
             omega_values=tuple(sec["omega_values"]),
             mu_values=tuple(sec["mu_values"]),
             retry_factor=float(sec["retry_factor"]),
+            grids=tuple(
+                build_problem(cell_config(eff, omega, mu, grow=grow))[0].grid
+                for grow in (None, sec["retry_factor"])
+            ),
         )
 
 
@@ -134,8 +145,8 @@ def run_scan(scan_spec, out, budget=None):
     ``budget`` is the CPU budget, ``cpu_budget()`` by default.  It sets the
     number of workers, at most one per cell, and each worker's kernel gets
     an equal share of it.  One line per cell goes to stderr as its record
-    arrives.  The first cell's problem is built here first, so a config
-    error ends the scan before ``out`` or a worker exists.
+    arrives.  The kernels of ``scan_spec.grids``, which every cell shares,
+    are built here before ``out`` or a worker exists.
     """
     budget = cpu_budget() if budget is None else budget
     n_cells = len(scan_spec.omega_values) * len(scan_spec.mu_values)
@@ -146,7 +157,8 @@ def run_scan(scan_spec, out, budget=None):
         for i, omega in enumerate(scan_spec.omega_values)
         for j, mu in enumerate(scan_spec.mu_values)
     ]
-    build_problem(tasks[0][3])
+    for grid in scan_spec.grids:
+        kernel_for(grid, budget // workers)
     os.makedirs(out, exist_ok=True)
     cells = {}
     for task, record in zip(tasks, _cell_records(tasks, workers)):

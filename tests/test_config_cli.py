@@ -163,7 +163,9 @@ class TestEffectiveConfig:
             cq.effective_config(raw)
 
     def test_build_problem_values(self):
-        eff = cq.effective_config(base_raw(omega=0.4, mu=2.0, core_rho=5.0))
+        eff = cq.effective_config(
+            base_raw(omega=0.4, mu=2.0, core_rho=5.0, core_a=0.1)
+        )
         spec, scf = cq.build_problem(eff)
         assert isinstance(spec, cq.ProblemSpec)
         assert isinstance(scf, cq.ScfConfig)
@@ -220,7 +222,7 @@ class TestScanMachinery:
         return base_raw(
             n=n,
             core_rho=10.0,
-            core_a=0.1,
+            core_a=0.15,
             extra={"scan": {"omega_values": [0.0, 1.2], "mu_values": [0.0]}},
         )
 
@@ -254,7 +256,7 @@ class TestScanMachinery:
             base_raw(
                 n=24,
                 core_rho=10.0,
-                core_a=0.1,
+                core_a=0.15,
                 extra={"scan": {"omega_values": [0.3], "mu_values": [2.0]}},
             ),
         )
@@ -307,7 +309,7 @@ class TestScanMachinery:
             base_raw(
                 n=24,
                 core_rho=10.0,
-                core_a=0.1,
+                core_a=0.15,
                 extra={"scan": {"omega_values": [0.0, 0.3], "mu_values": [1.0]}},
             ),
         )
@@ -648,7 +650,7 @@ class TestCli:
         raw = base_raw(
             n=24,
             core_rho=10.0,
-            core_a=0.1,
+            core_a=0.15,
             extra={"scan": {"omega_values": [0.0, 0.3], "mu_values": [1.0]}},
         )
         cfg = write_config(tmp_path, raw)
@@ -669,10 +671,10 @@ class TestCli:
         scan_raw = base_raw(
             n=24,
             core_rho=10.0,
-            core_a=0.1,
+            core_a=0.15,
             extra={"scan": {"omega_values": [0.3], "mu_values": [2.0]}},
         )
-        solve_raw = base_raw(n=24, omega=0.3, mu=2.0, core_rho=10.0, core_a=0.1)
+        solve_raw = base_raw(n=24, omega=0.3, mu=2.0, core_rho=10.0, core_a=0.15)
         scan_cfg = write_config(tmp_path, scan_raw, "scan.json")
         solve_cfg = write_config(tmp_path, solve_raw, "solve.json")
         sweep = tmp_path / "sweep"
@@ -777,6 +779,11 @@ SHORT_ROTATION = dict(PROFILE_ROTATION, s=[0.0, 0.25, 0.5, 1.0])
 SHORT_ROTATION_MESSAGE = "rotation profile sampled only to s = 1, grid needs 1.96875"
 SWEEP = {"omega_values": [0.0, 0.5], "mu_values": [0.0, 1.0]}
 DROP = "<dropped>"
+#: dense cores that cover no cell centre of base_raw()'s grid, and only
+#: of the scan's grown retry grid
+DENSE_CORE = dict(CORE, rho=10.0)
+RETRY_CORE = dict(DENSE_CORE, a_r=0.08, a_z=0.08)
+NO_CELL = "core covers no cell centre of the 32 x 32 grid with r_max %s and z_max %s"
 
 
 def faulty(section, value, scan=False):
@@ -976,6 +983,9 @@ CONFIG_FAULTS = [
      "key 'retry_factor' in section 'scan' must be a number"),
     # rotation against the grid
     ("solve", faulty("rotation", SHORT_ROTATION), SHORT_ROTATION_MESSAGE),
+    # core against the grid and the scan's retry grid
+    ("solve", faulty("core", DENSE_CORE), NO_CELL % (2, 2)),
+    ("scan", faulty("core", RETRY_CORE, scan=True), NO_CELL % (3, 3)),
 ]
 
 
@@ -1095,6 +1105,10 @@ def test_valid_forms_dump_their_effective_config(
      "core does not fit strictly inside the grid"),
     ("solve", faulty("rotation", SHORT_ROTATION), SHORT_ROTATION_MESSAGE),
     ("check", faulty("rotation", SHORT_ROTATION), SHORT_ROTATION_MESSAGE),
+    ("solve", faulty("core", DENSE_CORE), NO_CELL % (2, 2)),
+    ("scan", faulty("core", DENSE_CORE, scan=True), NO_CELL % (2, 2)),
+    ("check", faulty("core", DENSE_CORE), NO_CELL % (2, 2)),
+    ("scan", faulty("core", RETRY_CORE, scan=True), NO_CELL % (3, 3)),
 ])
 def test_dump_fails_where_the_run_fails(
     tmp_path, capsys, monkeypatch, command, raw, message
@@ -1107,6 +1121,7 @@ def test_dump_fails_where_the_run_fails(
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == "config error: %s\n" % message
+    assert not (tmp_path / "out").exists()
 
 
 @pytest.mark.parametrize("error", [

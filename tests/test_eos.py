@@ -383,6 +383,22 @@ def test_table_enthalpy_inverse_round_trips(eos, t):
     assert abs(eos.enthalpy(eos.enthalpy_inverse(h)) - h) <= 1e-10 * max(1.0, h)
 
 
+@given(eos=tables())
+def test_table_maps_are_continuous_at_the_table_ends(eos):
+    # each end value against the next double on the power-law side; a
+    # missing tail offset of I shows only here, since it is about 0 for a
+    # table of a single power law
+    for end, past in ((eos.s_min, np.nextafter(eos.s_min, 0.0)),
+                      (eos.s_max, np.nextafter(eos.s_max, np.inf))):
+        for name in ("pressure", "internal_energy", "enthalpy"):
+            at_end, beyond = getattr(eos, name)(end), getattr(eos, name)(past)
+            assert beyond == pytest.approx(at_end, rel=1e-12), name
+    h_above = np.nextafter(eos.h_min, np.inf)
+    assert eos.enthalpy_inverse(h_above) == pytest.approx(
+        eos.enthalpy_inverse(eos.h_min), rel=1e-12
+    )
+
+
 @st.composite
 def knot_data(draw):
     """(x, y, dydx, queries): strictly increasing knots with spacings over

@@ -52,7 +52,7 @@ def test_solve_scan_and_check_load_no_scipy(tmp_path):
     table = base_raw(n=24, core_rho=10.0, core_a=0.1, mu=1.0, omega=0.4)
     table["eos"] = {"kind": "tabulated-generic", "s": s.tolist(), "f": (s**2).tolist()}
     sweep = base_raw(
-        n=24, core_rho=10.0, core_a=0.1,
+        n=24, core_rho=10.0, core_a=0.15,
         extra={"scan": {"omega_values": [0.0, 0.3], "mu_values": [1.0]}},
     )
     commands = [

@@ -15,6 +15,8 @@ import numpy as np
 import pytest
 
 import corequilib as cq
+from corequilib.scan import cell_config
+from test_acceptance import SCAN_CONFIG
 
 
 def le_spec(n, r_max=2.0, omega=0.0, core=None, mu=0.0, guess=None):
@@ -322,6 +324,29 @@ class TestSolve:
         )
         assert tight.verdict == "Converged"
         assert abs(le_outcome.state.lam - tight.state.lam) <= 1e-9
+
+    def test_a_cell_that_runs_off_when_damped_runs_off_under_anderson(
+        self, monkeypatch
+    ):
+        # extrapolation must not hide a run-off: the acceptance sweep at
+        # 32^2, solved with Anderson mixing and then with plain damping
+        # (a mixer that keeps no history)
+        raw = dict(SCAN_CONFIG, grid=dict(SCAN_CONFIG["grid"], n_r=32, n_z=32))
+        base, sweep = cq.effective_config(raw), SCAN_CONFIG["scan"]
+        cells = [
+            cell_config(base, omega, mu)
+            for omega in sweep["omega_values"] for mu in sweep["mu_values"]
+        ]
+
+        def verdicts():
+            return [cq.solve(*cq.build_problem(cfg)).verdict for cfg in cells]
+
+        anderson = verdicts()
+        monkeypatch.setattr(cq.solver.AndersonMixer, "_push", lambda *args: None)
+        damped = verdicts()
+        runoff = [i for i, verdict in enumerate(damped) if verdict == "MassRunoff"]
+        assert len(runoff) >= 10
+        assert [anderson[i] for i in runoff] == ["MassRunoff"] * len(runoff)
 
     def test_determinism(self):
         a = cq.solve(le_spec(32))

@@ -5,8 +5,9 @@ and ``COUNTS``).  A renamed call would only show up as a failure under
 ``bench/run.py --trace 1``; this test makes it fail the test suite instead.
 It imports the tracer's tables and looks every name up, the way
 ``layertrace._replace`` does.  A traced scan in a subprocess checks that
-the output layer is still seen after it moved into the pool's workers, and
-traced solves check that the counters agree with ``result.json``.
+the output layer is still seen after it moved into the pool's workers and
+that the kernels are built in the scanning process alone, and traced solves
+check that the counters agree with ``result.json``.
 """
 
 import collections
@@ -70,7 +71,7 @@ def test_scan_workers_trace_their_field_writes(tmp_path):
     raw = {
         "eos": {"kind": "polytrope", "k": 1.0, "gamma": 2.0},
         "grid": {"r_max": 2.0, "z_max": 2.0, "n_r": 16, "n_z": 16},
-        "core": {"a_r": 0.2, "a_z": 0.2, "rho": 10.0, "mu": 1.0},
+        "core": {"a_r": 0.25, "a_z": 0.25, "rho": 10.0, "mu": 1.0},
         "solver": {"mass": 1.0},
         "scan": {"omega_values": [0.0, 0.3], "mu_values": [1.0]},
     }
@@ -93,6 +94,8 @@ def test_scan_workers_trace_their_field_writes(tmp_path):
     writers = pids("field.write")
     assert len(writers) == 2
     assert scanner not in writers
+    # the base and the grown domain's kernels, built once before the pool
+    assert pids("potential.kernel_build") == [scanner, scanner]
     assert set(writers) <= set(pids("solver.solve"))
     written = sorted(out.glob("cell_*/field.csv"))
     assert len(written) == 2
