@@ -70,13 +70,12 @@ from .solver import (
     ScfState,
     initial_field,
     mass_of_lambda,
-    outcome_to_dict,
     scf_step,
     solve,
     solve_lambda,
 )
 from .config import ConfigError, build_problem, effective_config, load_config_file
-from .output import write_solve_outputs
-from .scan import ScanSpec, ScanTable, run_scan, write_scan_csv
+from .output import outcome_to_dict, write_scan_csv, write_solve_outputs
+from .scan import ScanSpec, ScanTable, run_scan
 
 __version__ = "0.1.0"

@@ -19,7 +19,7 @@ significant digits, so identical runs produce identical bytes.
 """
 
 import argparse
-import json
+import dataclasses
 import math
 import os
 import sys
@@ -28,11 +28,9 @@ from .config import (
     ConfigError,
     build_problem,
     cpu_budget,
-    dump_effective,
     effective_config,
     load_config_file,
 )
-from .eos import EosInversionError, QuadratureError
 from .lane_emden import polytrope_structure
 from .potential import (
     ENSEMBLE_FIELDS,
@@ -41,15 +39,9 @@ from .potential import (
     kernel_for,
     validate_core_potential,
 )
-from .output import write_solve_outputs
-from .scan import ScanSpec, WorkerDiedError, run_scan, write_scan_csv
-from .solver import MassDriftError, solve
-
-#: numeric failures that are not ValueErrors; ``main`` gives a ValueError
-#: (other than a ConfigError) the same message and exit code
-_NUMERIC_ERRORS = (
-    QuadratureError, EosInversionError, MassDriftError, FloatingPointError,
-)
+from .output import json_text, write_scan_csv, write_solve_outputs
+from .scan import ScanSpec, WorkerDiedError, run_scan
+from .solver import NUMERIC_ERRORS, solve
 
 
 class _Parser(argparse.ArgumentParser):
@@ -98,7 +90,7 @@ def _run(args):
     sweep = ScanSpec.from_config(eff) if args.command == "scan" else None
     if args.dump_effective_config:
         build_problem(eff)
-        sys.stdout.write(dump_effective(eff))
+        sys.stdout.write(json_text(eff))
         return 0
     if args.command == "check":
         return _cmd_check(eff)
@@ -130,6 +122,11 @@ def _cmd_scan(scan_spec, out):
         sys.stdout.write("omega=%-6g %s\n" % (omega, row))
     for note in table.warnings:
         sys.stderr.write("warning: %s\n" % note)
+    failed = sum(record["outcome"] is None for record in table.cells.values())
+    if failed:
+        sys.stderr.write("scan error: %d of %d cells failed\n"
+                         % (failed, len(table.cells)))
+        return 2
     return 0
 
 
@@ -169,24 +166,17 @@ def _cmd_check(eff):
         "core_potential": core_report,
         "passed": passed,
     }
-    sys.stdout.write(json.dumps(payload, sort_keys=True, indent=2) + "\n")
+    sys.stdout.write(json_text(payload))
     return 0 if passed else 2
 
 
 def _cmd_oracle(args):
     structure = polytrope_structure(args.gamma, args.k)
     rho_c = structure.central_density_for_mass(args.mass)
-    payload = {
-        "gamma": structure.gamma,
-        "k": structure.k,
-        "n": structure.n,
-        "xi1": structure.xi1,
-        "theta_slope": structure.theta_slope,
-        "mass": args.mass,
-        "central_density": rho_c,
-        "radius": structure.radius(rho_c),
-    }
-    sys.stdout.write(json.dumps(payload, sort_keys=True, indent=2) + "\n")
+    sys.stdout.write(json_text(dict(
+        dataclasses.asdict(structure), mass=args.mass, central_density=rho_c,
+        radius=structure.radius(rho_c),
+    )))
     return 0
 
 
@@ -197,13 +187,10 @@ def main(argv=None):
     except ConfigError as exc:
         sys.stderr.write("config error: %s\n" % exc)
         return 1
-    except _NUMERIC_ERRORS as exc:
-        sys.stderr.write("numeric error: %s\n" % exc)
-        return 2
     except WorkerDiedError as exc:
         sys.stderr.write("scan error: %s\n" % exc)
         return 2
-    except ValueError as exc:
+    except (*NUMERIC_ERRORS, ValueError) as exc:
         sys.stderr.write("numeric error: %s\n" % exc)
         return 2
     except OSError as exc:

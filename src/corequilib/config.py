@@ -305,8 +305,3 @@ def build_problem(eff):
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
     return spec, scf
-
-
-def dump_effective(eff):
-    """Canonical serialization of an effective config (stable key order)."""
-    return json.dumps(eff, sort_keys=True, indent=2) + "\n"

@@ -12,13 +12,14 @@ one worker per cell; each worker's potential kernel gets ``budget //
 workers`` threads; the kernels of the base and the grown domain are built
 once, before the pool forks its workers.  Each worker writes its cells' run
 directories itself and hands back only a small record: the cell's omega and
-mu, its ``result.json`` payload and its seconds.  No density field crosses
-the process boundary, and a retried cell's grown domain is read from its
-``effective_config.json``.  Results are deterministic either way because a
-cell's outcome depends only on its own configuration, not on the thread or
-worker count, and the table is assembled in a fixed order.  A worker that
-dies, killed by the operating system for instance, ends the scan with
-``WorkerDiedError``.
+mu, its ``result.json`` payload or error and its seconds.  No density field
+crosses the process boundary, and a retried cell's grown domain is read
+from its ``effective_config.json``.  Results are deterministic either way
+because a cell's outcome depends only on its own configuration, not on the
+thread or worker count, and the table is assembled in a fixed order.  A
+cell whose solve raises a numeric error is recorded as failed, with verdict
+``Error``, and the other cells go on.  A worker that dies, killed by the
+operating system for instance, ends the scan with ``WorkerDiedError``.
 """
 
 import copy
@@ -28,9 +29,9 @@ import time
 from dataclasses import dataclass, field as dc_field
 
 from .config import ConfigError, build_problem, cpu_budget
-from .output import fmt_num, write_solve_outputs
+from .output import write_solve_outputs
 from .potential import kernel_for
-from .solver import solve
+from .solver import NUMERIC_ERRORS, solve
 
 
 @dataclass(frozen=True)
@@ -83,7 +84,9 @@ class ScanTable:
     warnings: list = dc_field(default_factory=list)
 
     def verdict(self, i, j):
-        return self.cells[(i, j)]["outcome"]["verdict"]
+        """The cell's verdict, ``Error`` for a cell whose solve raised."""
+        outcome = self.cells[(i, j)]["outcome"]
+        return "Error" if outcome is None else outcome["verdict"]
 
 
 def cell_config(base, omega, mu, grow=None):
@@ -100,23 +103,30 @@ def cell_config(base, omega, mu, grow=None):
 
 def _solve_cell(task):
     """Worker body: solve one cell, retry a run-off once on the grown
-    domain, write the cell's run directory and return its record."""
+    domain, write the cell's run directory and return its record.
+
+    A numeric error ends only its cell (any ValueError is one, because
+    ``ScanSpec.from_config`` met every config error): the record carries
+    the message in ``error`` and None as ``outcome``, and the cell writes
+    no directory.
+    """
     (i, j), omega, mu, cfg, retry_factor, out, threads = task
     start = time.perf_counter()
-    outcome = solve(*build_problem(cfg), threads=threads)
-    if outcome.verdict == "MassRunoff":
-        cfg = cell_config(cfg, omega, mu, grow=retry_factor)
+    record = {"omega": omega, "mu": mu, "outcome": None, "error": None}
+    try:
         outcome = solve(*build_problem(cfg), threads=threads)
-        outcome.retried = True
-    result = write_solve_outputs(
-        os.path.join(out, "cell_%02d_%02d" % (i, j)), cfg, outcome
-    )
-    return {
-        "omega": omega,
-        "mu": mu,
-        "outcome": result,
-        "seconds": time.perf_counter() - start,
-    }
+        if outcome.verdict == "MassRunoff":
+            cfg = cell_config(cfg, omega, mu, grow=retry_factor)
+            outcome = solve(*build_problem(cfg), threads=threads)
+            outcome.retried = True
+    except (*NUMERIC_ERRORS, ValueError) as exc:
+        record["error"] = str(exc)
+    else:
+        record["outcome"] = write_solve_outputs(
+            os.path.join(out, "cell_%02d_%02d" % (i, j)), cfg, outcome
+        )
+    record["seconds"] = time.perf_counter() - start
+    return record
 
 
 class WorkerDiedError(RuntimeError):
@@ -163,12 +173,15 @@ def run_scan(scan_spec, out, budget=None):
     cells = {}
     for task, record in zip(tasks, _cell_records(tasks, workers)):
         cells[task[0]] = record
+        result = record["outcome"]
+        if result is None:
+            sys.stderr.write("cell %02d %02d: numeric error: %s\n"
+                             % (*task[0], record["error"]))
+            continue
         sys.stderr.write(
             "cell %02d %02d: %s, %d iterations, retried %s, %.2f s\n"
-            % (*task[0], record["outcome"]["verdict"],
-               record["outcome"]["iterations"],
-               "yes" if record["outcome"]["retried"] else "no",
-               record["seconds"])
+            % (*task[0], result["verdict"], result["iterations"],
+               "yes" if result["retried"] else "no", record["seconds"])
         )
 
     table = ScanTable(scan_spec.omega_values, scan_spec.mu_values, cells)
@@ -190,28 +203,10 @@ def _monotonicity_warnings(table):
             verdict = table.verdict(i, j)
             if verdict == "Converged":
                 seen_converged = True
-            elif seen_converged:
+            elif seen_converged and verdict != "Error":
                 notes.append(
                     "row omega=%g: converged at smaller mu but %s at mu=%g"
                     % (omega, verdict, mu)
                 )
         # a row that never converges is covered by the verdict table itself
     return notes
-
-
-def write_scan_csv(table, path):
-    """One row per cell: omega,mu,verdict,lambda,iters,d_r,d_z."""
-    with open(path, "w", newline="") as fh:
-        fh.write("omega,mu,verdict,lambda,iters,d_r,d_z\n")
-        for i, omega in enumerate(table.omega_values):
-            for j, mu in enumerate(table.mu_values):
-                out = table.cells[(i, j)]["outcome"]
-                fh.write(
-                    "%s,%s,%s,%s,%d,%s,%s\n"
-                    % (
-                        fmt_num(omega), fmt_num(mu), out["verdict"],
-                        fmt_num(out["lambda"]), out["iterations"],
-                        fmt_num(out["support"]["d_r"]),
-                        fmt_num(out["support"]["d_z"]),
-                    )
-                )

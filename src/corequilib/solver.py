@@ -33,6 +33,7 @@ from .field import (
     support_extent,
     total_mass,
 )
+from .eos import EosInversionError, QuadratureError
 from .potential import Environment
 from .energy import (
     energy_with_potential,
@@ -41,7 +42,6 @@ from .energy import (
 )
 
 GUESS_KINDS = ("gaussian-blob", "uniform-shell", "from-file")
-VERDICTS = ("Converged", "MassRunoff", "LambdaBracketFail", "IterationCap")
 
 
 class LambdaBracketError(RuntimeError):
@@ -54,6 +54,13 @@ class LambdaBracketError(RuntimeError):
 
 class MassDriftError(RuntimeError):
     """Mass renormalization left an iterate off the requested mass."""
+
+
+#: numeric failures of a solve besides a ValueError (not a ConfigError): the
+#: CLI reports them as numeric errors, and a scan as a failed cell
+NUMERIC_ERRORS = (
+    QuadratureError, EosInversionError, MassDriftError, FloatingPointError,
+)
 
 
 @dataclass(frozen=True)
@@ -490,43 +497,3 @@ def solve(spec, config=None, threads=1):
         mass_evals=mass_evals,
         history_resets=mixer.resets,
     )
-
-
-def outcome_to_dict(outcome):
-    """JSON-ready view of an outcome (plain floats, fixed keys, no arrays).
-
-    Each number appears once; ``schema_version`` counts the changes of this
-    layout.
-    """
-    state = outcome.state
-    bound = outcome.bound_check
-    resid = state.residual
-    return {
-        "schema_version": 4,
-        "verdict": outcome.verdict,
-        "lambda": state.lam,
-        "iterations": state.iteration,
-        "retried": outcome.retried,
-        "mass_err_max": outcome.mass_err_max,
-        "mass_evals": outcome.mass_evals,
-        "history_resets": outcome.history_resets,
-        "energy": {
-            "internal": state.energy.internal,
-            "self_gravity": state.energy.self_gravity,
-            "rotation": state.energy.rotation,
-            "core": state.energy.core,
-            "total": state.energy.total,
-        },
-        "support": {"d_r": outcome.d_r, "d_z": outcome.d_z},
-        "multiplier_bound": None if bound is None else {
-            "passed": bound.passed,
-            "bound": bound.bound,
-            "slack": bound.slack,
-            "margin": bound.margin,
-        },
-        "diagnostics": {
-            "el_residual_max": None if resid is None else resid.eq_max,
-            "el_residual_mean": None if resid is None else resid.eq_mean,
-            "ineq_violation": None if resid is None else resid.ineq_violation,
-        },
-    }

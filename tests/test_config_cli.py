@@ -18,7 +18,8 @@ import pytest
 import corequilib as cq
 from corequilib import config
 from corequilib.cli import main
-from corequilib.config import cpu_budget, dump_effective, load_config_file
+from corequilib.config import cpu_budget, load_config_file
+from corequilib.output import json_text
 from corequilib.scan import ScanTable, _monotonicity_warnings, cell_config
 from test_eos import scaled_rule
 
@@ -211,10 +212,10 @@ class TestEffectiveConfig:
 
     def test_dump_is_stable_and_parseable(self):
         eff = cq.effective_config(base_raw())
-        text = dump_effective(eff)
+        text = json_text(eff)
         assert text.endswith("\n")
         assert json.loads(text) == eff
-        assert dump_effective(eff) == text
+        assert json_text(eff) == text
 
 
 class TestScanMachinery:
@@ -387,6 +388,34 @@ class TestScanMachinery:
         assert err.startswith("scan error: a worker process died: ")
         assert err.count("\n") == 1
 
+    @pytest.mark.parametrize("budget", ["1", "2"])
+    def test_scan_goes_on_past_a_cell_that_raises(
+        self, monkeypatch, tmp_path, capsys, budget
+    ):
+        # patched before the pool forks, so the workers inherit it
+        monkeypatch.setenv("COREQUILIB_THREADS", budget)
+        monkeypatch.setattr(cq.scan, "solve", _raise_in_one_cell)
+        sweep = {"scan": {"omega_values": [0.0, 1.0, 1.5], "mu_values": [0.0, 1.0]}}
+        cfg = write_config(tmp_path, base_raw(n=16, extra=sweep))
+        out = tmp_path / "sweep"
+        assert main(["scan", "--config", cfg, "--out", str(out)]) == 2
+        captured = capsys.readouterr()
+        err = captured.err.splitlines()
+        for i, j in ((0, 0), (1, 0), (1, 1), (2, 0), (2, 1)):
+            assert any(line.startswith("cell %02d %02d: " % (i, j)) for line in err)
+            assert (out / ("cell_%02d_%02d" % (i, j)) / "result.json").exists()
+        assert "cell 00 01: numeric error: no inverse at omega 0, mu 1" in err
+        assert err[-1] == "scan error: 1 of 6 cells failed"
+        # an error is no verdict: it breaks no row's monotonicity
+        assert not any(line.startswith("warning:") for line in err)
+        assert not (out / "cell_00_01").exists()
+        rows = (out / "scan.csv").read_text().splitlines()
+        assert len(rows) == 7
+        assert rows[1].split(",")[2] == "Converged"
+        assert rows[2] == "0,1,Error,nan,nan,nan,nan"
+        table = captured.out.splitlines()
+        assert len(table) == 3 and table[0].split()[1:] == ["Converged", "Error"]
+
     def test_scan_with_a_bad_config_creates_no_out_and_no_pool(
         self, monkeypatch, tmp_path, capsys
     ):
@@ -429,6 +458,13 @@ class TestScanMachinery:
 def _die(task):
     """Stands in for a scan cell whose worker is killed."""
     os._exit(9)
+
+
+def _raise_in_one_cell(spec, config, threads=1):
+    """Stands in for a cell's solve that raises at omega 0 and mu 1."""
+    if spec.rotation.omega == 0.0 and spec.mu == 1.0:
+        raise cq.EosInversionError("no inverse at omega 0, mu 1")
+    return cq.solve(spec, config, threads=threads)
 
 
 def _no_pool(*args, **kwargs):
@@ -1080,7 +1116,7 @@ def test_valid_forms_dump_their_effective_config(
     monkeypatch.chdir(tmp_path)
     grid = cq.CylGrid(2.0, 2.0, 32, 32)
     cq.write_field_csv(cq.DensityField(grid, np.ones((32, 32))), "f.csv")
-    text = dump_effective(check_config(command, raw))
+    text = json_text(check_config(command, raw))
     assert text == json.dumps(expected, sort_keys=True, indent=2) + "\n"
     if expected is EFF:
         assert text == MINIMAL_DUMP
