@@ -17,12 +17,20 @@ section dr x dz, which is a consistent second-order regularization (the
 uniform-sphere acceptance test pins its accuracy).
 
 The kernel depends on z only through |z - z'|, so applying it is a discrete
-convolution along z.  Through a length 2*n_z real FFT each apply costs one
-(n_r x n_r) matrix product per frequency, O(n_r^2 n_z) in all, instead of
+convolution along z.  Through a length 2*n_z real FFT each apply is one
+matrix product per frequency, at most O(n_r^2 n_z) work in place of
 O(n_r^2 n_z^2).  The circulant embedding of the weights is even in the z
-offset, so their transform is real: the kernel is stored as float64 and the
-products run through BLAS on the real and imaginary parts of the density's
-transform at once.
+offset, so their transform is real, and the products run through BLAS on
+the real and imaginary parts of the density's transform at once.
+
+The kernel is stored as a hierarchy on the radii (``AxiKernel``): dense
+diagonal leaves, and each off-diagonal pair of ranges once, as orthonormal
+r-bases of rank ``RANK`` shared by all frequencies and a small coefficient
+matrix per frequency.  A grid of fewer than 192 radii is one leaf, and a
+larger one has leaves of 96 to 191 radii.  The stored size,
+``kernel_bytes``, follows from the grid alone: a 192^2 kernel stores
+32.1 MB where a dense one would need 56.9 MB, and a 1024^2 kernel 1.21 GB
+instead of 8.6 GB.
 
 Building and applying a large kernel is split across threads, up to the CPU
 budget its caller passes (``COREQUILIB_THREADS`` on the command line): the
@@ -32,10 +40,11 @@ thread.  A block's arithmetic does not depend on the thread that runs it,
 so neither does any result bit.
 """
 
+import copy
+import math
 import os
 import threading
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
@@ -134,41 +143,130 @@ def _in_threads(work, parts):
         raise errors[0]
 
 
+#: rank of the r-bases of every off-diagonal block of the kernel
+RANK = 48
+#: an off-diagonal block's real-space weights are built in z chunks of at
+#: most about this many bytes
+CHUNK_BYTES = 16_000_000
+#: largest relative Frobenius residual a compressed block may have
+RESIDUAL_LIMIT = 1e-13
+
+
+def _layout(n_r):
+    """Diagonal leaves ``(lo, hi)`` and off-diagonal pairs ``(lo, mid, hi)``
+    of the radii range(n_r).
+
+    A range is split in halves, the first one no longer, while each half
+    keeps at least ``2 * RANK`` radii.  The halves of a split are a pair,
+    range(lo, mid) and range(mid, hi), and the ranges not split are the
+    leaves.
+    """
+    leaves, pairs = [], []
+
+    def split(lo, hi):
+        half = (hi - lo) // 2
+        if half < 2 * RANK:
+            leaves.append((lo, hi))
+            return
+        pairs.append((lo, lo + half, hi))
+        split(lo, lo + half)
+        split(lo + half, hi)
+
+    split(0, n_r)
+    return leaves, pairs
+
+
+def _test_matrix(start, rows):
+    """``rows`` x ``RANK`` numbers, uniform on [-0.5, 0.5): the lowbias32
+    integer hash (C. Wellons, hash-prospector) of the indices from
+    ``start`` on, modulo 2**32.  A reproducible random sketch; importing
+    ``numpy.random`` for one would add about 17 ms and 4 MB to a solve."""
+    x = np.arange(rows * RANK, dtype=np.uint32)
+    x += np.uint32(start % 2**32)
+    x ^= x >> np.uint32(16)
+    x *= np.uint32(0x7FEB352D)
+    x ^= x >> np.uint32(15)
+    x *= np.uint32(0x846CA68B)
+    x ^= x >> np.uint32(16)
+    return (x * 2.0**-32 - 0.5).reshape(rows, RANK)
+
+
+def kernel_bytes(grid):
+    """Bytes the kernel of ``grid`` stores; they follow from the cell counts.
+
+    A leaf of b radii takes ``(n_z + 1) b**2`` numbers, and a pair
+    ``(lo, mid, hi)`` takes ``(hi - lo) RANK`` for its two bases and
+    ``(n_z + 1) RANK**2`` for its coefficients.
+    """
+    leaves, pairs = _layout(grid.n_r)
+    n_f = grid.n_z + 1
+    words = sum(n_f * (hi - lo) ** 2 for lo, hi in leaves)
+    words += sum((hi - lo) * RANK + n_f * RANK**2 for lo, _, hi in pairs)
+    return 8 * words
+
+
 class AxiKernel:
     """Precomputed ring-reduction weights for one grid, FFT-ready.
 
-    ``_fw[f, i, k]`` is the rfft over the z offset of the circulant
-    embedding of the weight table W(i, k, |j - l|), for frequency f, target
-    radius i and source radius k.  The embedding is even in the offset, so
-    its transform is real and is stored as float64, shape
-    ``(n_z + 1, n_r, n_r)``.  ``apply`` multiplies it, one frequency at a
-    time, against the real and imaginary parts of the transformed density
-    in batched matmuls.  Weights include the source ring volume factor, so
-    the product is directly the potential at cell centers.
+    The weight table W(i, k, |j - l|) couples target radius i and source
+    radius k at a z offset.  Its circulant embedding along z is even in the
+    offset, so its rfft is real.  The table is stored as a hierarchy on the
+    radii (``_layout``): a range of radii is halved while each half keeps
+    at least ``2 * RANK`` radii, so a grid of fewer than 192 radii is one
+    leaf, one of 192 two leaves of 96 and one pair, and one of 384 four
+    leaves of 96 and three pairs.
 
-    The kernel takes ``(n_z + 1) * n_r**2 * 8`` bytes.  That size is checked
-    against physical memory before anything is allocated, and the build
-    fills the array one target radius at a time and then finishes it one
-    frequency at a time, so no intermediate larger than a row of the weight
-    table or one ``(n_r, n_r)`` block ever exists per thread.  The weight
-    per unit source radius, ``4 K(m) / sqrt(sep2)``, is symmetric in target
-    and source, so row i computes it and its transform only for the sources
-    k >= i; the lower triangle is mirrored from the upper one before every
-    entry is multiplied by r[k].
+    * A diagonal leaf ``(lo, hi)`` of b radii is stored dense, as the rfft
+      of its weights, shape ``(n_z + 1, b, b)`` for frequency, target and
+      source.  Each row i computes the weight per unit source radius,
+      ``4 K(m) / sqrt(sep2)``, which is symmetric, and its transform for
+      the sources k >= i of the leaf only; the lower triangle is mirrored
+      from the upper one before every entry is multiplied by r[k].
+    * An off-diagonal pair of ranges I = range(lo, mid) and K = range(mid,
+      hi) is stored once, as ``U C[f] V^T`` for the weight per unit source
+      radius.  U and V are orthonormal bases of rank ``RANK`` over the
+      radii of I and K, the same for every frequency.  They come from a
+      seeded random sketch of the block's real-space weights (a randomized
+      range finder: Halko, Martinsson and Tropp, SIAM Rev. 53:217, 2011),
+      and ``C[f]`` is the rfft over z of ``U^T W V``.  The relative
+      Frobenius residual ``|W - U U^T W V V^T| / |W|`` of every pair is
+      computed when it is built, and one above ``RESIDUAL_LIMIT`` raises
+      FloatingPointError.
+
+    ``apply`` transforms the density along z and, per frequency, multiplies
+    each leaf, and for each pair projects the spectrum of sources K times
+    their radii (``V^T r_K x_K``), applies ``C[f]`` and expands with U; the
+    term from sources I to targets K uses the same arrays transposed.
+    Weights include the source ring volume factor, so the product is
+    directly the potential at cell centers.
+
+    Every stored number lives in the one float64 array ``_fw`` of
+    ``kernel_bytes(grid)`` bytes; leaves, bases and coefficients are views
+    into it.  That size is checked against physical memory before anything
+    is allocated.  The pairs are compressed before the leaves are filled,
+    and a pair's real-space weights are built in z chunks of at most about
+    ``CHUNK_BYTES``, twice (to sketch, then to project) when there is more
+    than one chunk.  So beside the kernel the build holds no more than one
+    chunk, or one leaf row per thread.
 
     ``threads`` is the CPU budget the kernel may spend.  It uses one thread
     per ``KERNEL_BYTES_PER_THREAD`` bytes of kernel, at least one and at
-    most ``threads``: the build deals the target rows out to the threads,
-    each with its own row buffer, and then splits the mirror pass into
-    contiguous frequency blocks, and ``apply`` splits its product the same
-    way.  Every row and every frequency is computed by the same arithmetic
-    whichever thread runs it, so the kernel and the potential do not depend
-    on the thread count, bit for bit.
+    most ``threads``.  The build deals the rows of the leaves and of each
+    chunk of pair weights out to the threads and splits the leaves' mirror
+    pass into contiguous frequency blocks; ``apply`` splits its products,
+    leaves and pairs, into the same blocks.  A row or a frequency gets the
+    same arithmetic whichever thread runs it, and a pair's sketches and
+    projections run in the calling thread, so the kernel and the potential
+    do not depend on the thread count, bit for bit.
+
+    ``scale`` multiplies every potential: 1 for a built kernel, and
+    ``s**2`` for the kernel ``scaled`` gives a grid grown by s, which
+    shares this kernel's arrays.
     """
 
     def __init__(self, grid, threads=1):
         self.grid = grid
-        need = (grid.n_z + 1) * grid.n_r**2 * 8
+        need = kernel_bytes(grid)
         have = _physical_memory_bytes()
         if need > have:
             raise GridError(
@@ -178,45 +276,158 @@ class AxiKernel:
         # at most one thread per target row, so each has a row to build
         share = need // KERNEL_BYTES_PER_THREAD
         self.threads = max(1, min(threads, grid.n_r, share))
+        self.scale = 1.0
+        self._r = grid.r
         self._blocks = _split(grid.n_z + 1, self.threads)
-        self._fw = np.empty((grid.n_z + 1, grid.n_r, grid.n_r))
+        leaves, pairs = _layout(grid.n_r)
+        self._fw = np.empty(need // 8)
+        n_f, taken = grid.n_z + 1, 0
+
+        def take(*shape):
+            nonlocal taken
+            size = math.prod(shape)
+            taken += size
+            return self._fw[taken - size:taken].reshape(shape)
+
+        self._leaves = [(lo, hi, take(n_f, hi - lo, hi - lo)) for lo, hi in leaves]
+        self._pairs = [
+            (lo, mid, hi, take(mid - lo, RANK), take(hi - mid, RANK),
+             take(n_f, RANK, RANK))
+            for lo, mid, hi in pairs
+        ]
+        for pair in self._pairs:
+            self._compress(*pair)
         _in_threads(self._build_rows, range(self.threads))
         _in_threads(self._finish_block, self._blocks)
 
+    def _weights(self, rows, sources, offsets):
+        """Weight per unit source radius of the radii range(*rows) against
+        range(*sources) at the z ``offsets``, shape (rows, offsets,
+        sources).  Blocks of rows of about ``2**16`` weights, few enough
+        to stay in cache and enough to outlast a switch of the interpreter
+        lock, are dealt out to the threads."""
+        r = self._r
+        r_s = r[sources[0]:sources[1]]
+        factor = 4.0 * self.grid.dr * self.grid.dz
+        out = np.empty((rows[1] - rows[0], len(offsets), len(r_s)))
+        step = max(1, 2**16 // out[0].size)
+
+        def fill(first):
+            for lo in range(rows[0] + first * step, rows[1], self.threads * step):
+                hi = min(lo + step, rows[1])
+                r_t = r[lo:hi, None, None]
+                sep2 = (r_t + r_s) ** 2 + offsets[:, None] ** 2
+                out[lo - rows[0]:hi - rows[0]] = (
+                    factor * elliptic_k(4.0 * r_t * r_s / sep2) / np.sqrt(sep2)
+                )
+
+        _in_threads(fill, range(self.threads))
+        return out
+
+    def _compress(self, lo, mid, hi, u, v, coef):
+        """Fill one pair's bases ``u``, ``v`` and coefficients ``coef``.
+
+        The weights W[i, z, k] of each z chunk are sketched, unfolded as
+        (i, z k) and as (i z, k), and projected in slices of a few z, so no
+        temporary but the chunk is larger than about 2 MB.  The two sketches
+        of a slice share one seeded test matrix, uniform on [-0.5, 0.5).
+        ``coef`` holds ``U^T W V`` per z until its rfft replaces it.
+        """
+        n_i, n_k, n_z = mid - lo, hi - mid, self.grid.n_z
+        offsets = self.grid.dz * np.arange(n_z)
+        chunks = _split(n_z, -(-n_i * n_k * n_z * 8 // CHUNK_BYTES))
+        step = max(1, 2**18 // (n_i * n_k))
+        drawn = 0
+        y_u, y_v = np.zeros((n_i, RANK)), np.zeros((n_k, RANK))
+        norm2 = 0.0
+        for z0, z1 in chunks:
+            w = self._weights((lo, mid), (mid, hi), offsets[z0:z1])
+            norm2 += float(np.vdot(w, w))
+            for s in range(0, z1 - z0, step):
+                part = w[:, s:s + step]
+                test = _test_matrix(drawn, part.shape[1] * max(n_i, n_k))
+                drawn += test.size
+                y_u += part.reshape(n_i, -1) @ test[:part[0].size]
+                y_v += np.tensordot(
+                    part, test[:part[:, :, 0].size].reshape(n_i, -1, RANK),
+                    axes=([0, 1], [0, 1]),
+                )
+        u[...] = np.linalg.qr(y_u)[0]
+        v[...] = np.linalg.qr(y_v)[0]
+        err2 = 0.0
+        for z0, z1 in chunks:
+            if len(chunks) > 1:
+                w = self._weights((lo, mid), (mid, hi), offsets[z0:z1])
+            for s in range(0, z1 - z0, step):
+                part = w[:, s:s + step].reshape(n_i, -1)
+                t = u.T @ part                  # (RANK, slice z * n_k)
+                part -= u @ t
+                t = t.reshape(-1, n_k)          # (RANK * slice z, n_k)
+                c = t @ v
+                t -= c @ v.T
+                err2 += float(np.vdot(t, t))
+                coef[z0 + s:min(z0 + s + step, z1)] = c.reshape(RANK, -1, RANK).transpose(1, 0, 2)
+            err2 += float(np.vdot(w, w))
+        residual = (err2 / norm2) ** 0.5
+        if residual > RESIDUAL_LIMIT:
+            raise FloatingPointError(
+                "potential kernel block of radii %d-%d against %d-%d has a "
+                "rank-%d residual of %.2e, above %.0e"
+                % (lo, mid - 1, mid, hi - 1, RANK, residual, RESIDUAL_LIMIT)
+            )
+        circ = np.zeros((2 * n_z, RANK))
+        for a in range(RANK):
+            circ[:n_z] = coef[:n_z, a]
+            circ[n_z + 1:] = coef[n_z - 1:0:-1, a]
+            coef[:, a] = np.fft.rfft(circ, axis=0).real
+
     def _build_rows(self, first):
-        """Rows first, first + threads, ... of the upper triangle."""
-        grid, fw = self.grid, self._fw
-        r = grid.r
-        dr, dz = grid.dr, grid.dz
-        n_r, n_z = grid.n_r, grid.n_z
+        """Rows first, first + threads, ... of each leaf's upper triangle."""
+        r = self._r
+        dr, dz = self.grid.dr, self.grid.dz
+        n_z = self.grid.n_z
         offsets = dz * np.arange(n_z)
         # Self-potential of the coincident ring cell: uniform rectangular
         # rod cross section dr x dz, integrated in closed form.
         self_weight = 2.0 * (np.arcsinh(dz / dr) + np.arcsinh(dr / dz)) * dr * dz
 
-        circ = np.zeros((n_r - first, 2 * n_z))
-        for i in range(first, n_r, self.threads):  # target ring radius r[i]
-            r_s = r[i:, None]           # source ring radii r[k], k >= i
-            sep2 = (r[i] + r_s) ** 2 + offsets**2
-            m = 4.0 * r[i] * r_s / sep2
-            m[0, 0] = 0.0               # placeholder; replaced below
-            w = (4.0 * dr * dz) * elliptic_k(m) / np.sqrt(sep2)
-            w[0, 0] = self_weight / r[i]
-            c = circ[: n_r - i]
-            c[:, :n_z] = w
-            c[:, n_z + 1:] = w[:, :0:-1]
-            fw[:, i, i:] = np.fft.rfft(c, axis=1).real.T
+        for lo, hi, leaf in self._leaves:
+            first_row = lo + (first - lo) % self.threads
+            if first_row >= hi:
+                continue
+            circ = np.zeros((hi - first_row, 2 * n_z))
+            for i in range(first_row, hi, self.threads):  # target ring radius r[i]
+                r_s = r[i:hi, None]         # source ring radii r[k], k >= i
+                sep2 = (r[i] + r_s) ** 2 + offsets**2
+                m = 4.0 * r[i] * r_s / sep2
+                m[0, 0] = 0.0               # placeholder; replaced below
+                w = (4.0 * dr * dz) * elliptic_k(m) / np.sqrt(sep2)
+                w[0, 0] = self_weight / r[i]
+                c = circ[: hi - i]
+                c[:, :n_z] = w
+                c[:, n_z + 1:] = w[:, :0:-1]
+                leaf[:, i - lo, i - lo:] = np.fft.rfft(c, axis=1).real.T
 
     def _finish_block(self, block):
-        """Mirror the upper triangle and apply the source radius factor
-        for the frequencies in ``block``, one frequency at a time: a
+        """Mirror each leaf's upper triangle and apply the source radius
+        factor for the frequencies in ``block``, one frequency at a time: a
         frequency's matrix is small enough to stay in cache, where writing
         the mirrored column of each row is not."""
-        lower = np.tri(self.grid.n_r, k=-1, dtype=bool)
-        for f in range(*block):
-            w = self._fw[f]
-            np.copyto(w, w.T, where=lower)
-            w *= self.grid.r
+        for lo, hi, leaf in self._leaves:
+            lower = np.tri(hi - lo, k=-1, dtype=bool)
+            for f in range(*block):
+                w = leaf[f]
+                np.copyto(w, w.T, where=lower)
+                w *= self._r[lo:hi]
+
+    def scaled(self, grid):
+        """The kernel of ``grid``, which has this kernel's cell counts and
+        extents s times its grid's: every weight scales as s**2, so it
+        shares this kernel's arrays and multiplies its potentials by s**2."""
+        kernel = copy.copy(self)
+        kernel.grid = grid
+        kernel.scale = self.scale * (grid.r_max / self.grid.r_max) ** 2
+        return kernel
 
     def apply(self, values):
         """Potential of the density sample array, shape (n_r, n_z)."""
@@ -224,22 +435,73 @@ class AxiKernel:
         spec = np.fft.rfft(values, n=2 * n_z, axis=1)
         # (f, k, 2): per frequency, the real and imaginary parts of the
         # source spectrum as two columns of a real matrix
-        pairs = np.ascontiguousarray(spec.T).view(np.float64).reshape(-1, n_r, 2)
-        prod = np.empty_like(pairs)
+        cols = np.ascontiguousarray(spec.T).view(np.float64).reshape(-1, n_r, 2)
+        prod = np.empty_like(cols)
 
         def product(block):
-            lo, hi = block
-            np.matmul(self._fw[lo:hi], pairs[lo:hi], out=prod[lo:hi])
+            f0, f1 = block
+            x, y = cols[f0:f1], prod[f0:f1]
+            for lo, hi, leaf in self._leaves:
+                np.matmul(leaf[f0:f1], x[:, lo:hi], out=y[:, lo:hi])
+            if self._pairs:
+                x = x * self._r[:, None]
+            for lo, mid, hi, u, v, coef in self._pairs:
+                c = coef[f0:f1]
+                y[:, lo:mid] += u @ (c @ (v.T @ x[:, mid:hi]))
+                y[:, mid:hi] += v @ (c.transpose(0, 2, 1) @ (u.T @ x[:, lo:mid]))
 
         _in_threads(product, self._blocks)
         conv = prod.view(np.complex128)[:, :, 0]
-        return np.fft.irfft(conv.T, n=2 * n_z, axis=1)[:, :n_z]
+        out = np.fft.irfft(conv.T, n=2 * n_z, axis=1)[:, :n_z]
+        if self.scale != 1.0:
+            out *= self.scale
+        return out
 
 
-@lru_cache(maxsize=4)
-def kernel_for(grid, threads=1):
-    """Shared kernel cache; building one is the expensive part of a solve."""
-    return AxiKernel(grid, threads)
+class _KernelCache:
+    """The kernels of the last ``size`` (grid, threads) asked for.
+
+    Building a kernel is the expensive part of a solve.  A grid with the
+    cell counts of a cached kernel's grid, the same threads and both
+    extents grown by one factor, gets that kernel ``scaled``, not a build
+    of its own: a scan's retry grid is its base grid grown so.
+    """
+
+    def __init__(self, size):
+        self.size = size
+        self.hits = 0
+        self._kernels = {}          # (grid, threads) -> kernel, oldest first
+
+    def __call__(self, grid, threads=1):
+        key = (grid, threads)
+        kernel = self._kernels.pop(key, None)
+        if kernel is not None:
+            self.hits += 1
+        else:
+            kernel = next(
+                (k.scaled(grid) for (g, t), k in self._kernels.items()
+                 if t == threads and k.scale == 1.0 and _grown(g, grid)),
+                None,
+            ) or AxiKernel(grid, threads)
+        self._kernels[key] = kernel
+        if len(self._kernels) > self.size:
+            del self._kernels[next(iter(self._kernels))]
+        return kernel
+
+    def cache_clear(self):
+        self._kernels.clear()
+
+
+def _grown(base, grid):
+    """Whether ``grid`` is ``base`` with both extents grown by one factor."""
+    return (
+        (grid.n_r, grid.n_z) == (base.n_r, base.n_z)
+        and grid.r_max * base.z_max == grid.z_max * base.r_max
+    )
+
+
+#: shared kernel cache, ``kernel_for(grid, threads)``
+kernel_for = _KernelCache(4)
 
 
 def core_potential(kernel, core, mu):

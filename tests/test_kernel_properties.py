@@ -1,15 +1,20 @@
 """Property tests of the ring-kernel potential operator on random grids.
 
 Hypothesis draws small grids (8 to 24 cells a side, arbitrary extents) and
-random densities.  The operator must be linear, self-adjoint in the
-volume-weighted inner product, scale as s^2 when the domain grows by s at a
-fixed cell count, and agree with a plain reference operator kept here: the
-same weights with K from the arithmetic-geometric mean, stored as a complex
-spectrum and contracted with einsum.
+random densities; their kernels are one dense leaf.  Grids of 192 to 260
+radii and 8 to 16 rows have two leaves and one compressed pair, and are
+drawn for the same properties.  The operator must be linear, self-adjoint
+in the volume-weighted inner product, scale as s^2 when the domain grows by
+s at a fixed cell count, give the same bits on one thread and on two, and
+agree with a plain reference operator kept here: the same weights with K
+from the arithmetic-geometric mean, stored dense as a complex spectrum and
+contracted with einsum.
 """
 
+from unittest import mock
+
 import numpy as np
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 import corequilib as cq
 
@@ -20,7 +25,18 @@ grids = st.builds(
     n_r=st.integers(8, 24),
     n_z=st.integers(8, 24),
 )
+#: grids whose kernels have two leaves and one compressed pair
+paired_grids = st.builds(
+    cq.CylGrid,
+    r_max=st.floats(0.25, 4.0),
+    z_max=st.floats(0.25, 4.0),
+    n_r=st.integers(192, 260),
+    n_z=st.integers(8, 16),
+)
 seeds = st.integers(0, 2**32 - 1)
+#: each example of a paired grid builds a kernel and, for the reference, a
+#: dense weight table of up to 260 x 260 x 16
+paired = settings(max_examples=10)
 
 
 def random_density(grid, seed):
@@ -65,8 +81,7 @@ def reference_apply(grid, values):
     return np.fft.irfft(conv, n=2 * n_z, axis=1)[:, :n_z]
 
 
-@given(grid=grids, seed=seeds, a=st.floats(-3.0, 3.0), b=st.floats(-3.0, 3.0))
-def test_apply_is_linear(grid, seed, a, b):
+def check_linear(grid, seed, a, b):
     kernel = cq.AxiKernel(grid)
     u = random_density(grid, seed)
     v = random_density(grid, seed + 1)
@@ -76,8 +91,7 @@ def test_apply_is_linear(grid, seed, a, b):
     assert np.max(np.abs(combined - (a * bu + b * bv))) <= 1e-13 * scale
 
 
-@given(grid=grids, seed=seeds)
-def test_apply_is_self_adjoint_in_the_volume_inner_product(grid, seed):
+def check_self_adjoint(grid, seed):
     kernel = cq.AxiKernel(grid)
     u = random_density(grid, seed)
     v = random_density(grid, seed + 1)
@@ -86,15 +100,72 @@ def test_apply_is_self_adjoint_in_the_volume_inner_product(grid, seed):
     assert abs(left - right) <= 1e-12 * max(abs(left), abs(right))
 
 
-@given(grid=grids, s=st.floats(0.25, 4.0))
-def test_kernel_of_a_grown_domain_scales_as_s_squared(grid, s):
+def check_grown_domain(grid, seed, s):
+    # the potential, since a pair's bases do not scale with the domain
     grown = cq.CylGrid(s * grid.r_max, s * grid.z_max, grid.n_r, grid.n_z)
-    base = cq.AxiKernel(grid)._fw
-    assert rel_err(cq.AxiKernel(grown)._fw, s**2 * base) <= 1e-13
+    values = random_density(grid, seed)
+    base = cq.AxiKernel(grid).apply(values)
+    assert rel_err(cq.AxiKernel(grown).apply(values), s**2 * base) <= 1e-13
+
+
+def check_reference(grid, seed):
+    values = random_density(grid, seed)
+    want = reference_apply(grid, values)
+    assert rel_err(cq.AxiKernel(grid).apply(values), want) <= 1e-13
+
+
+@given(grid=grids, seed=seeds, a=st.floats(-3.0, 3.0), b=st.floats(-3.0, 3.0))
+def test_apply_is_linear(grid, seed, a, b):
+    check_linear(grid, seed, a, b)
+
+
+@given(grid=grids, seed=seeds)
+def test_apply_is_self_adjoint_in_the_volume_inner_product(grid, seed):
+    check_self_adjoint(grid, seed)
+
+
+@given(grid=grids, seed=seeds, s=st.floats(0.25, 4.0))
+def test_kernel_of_a_grown_domain_scales_as_s_squared(grid, seed, s):
+    check_grown_domain(grid, seed, s)
 
 
 @given(grid=grids, seed=seeds)
 def test_apply_matches_the_reference_operator(grid, seed):
+    check_reference(grid, seed)
+
+
+@paired
+@given(grid=paired_grids, seed=seeds, a=st.floats(-3.0, 3.0), b=st.floats(-3.0, 3.0))
+def test_compressed_apply_is_linear(grid, seed, a, b):
+    check_linear(grid, seed, a, b)
+
+
+@paired
+@given(grid=paired_grids, seed=seeds)
+def test_compressed_apply_is_self_adjoint(grid, seed):
+    check_self_adjoint(grid, seed)
+
+
+@paired
+@given(grid=paired_grids, seed=seeds, s=st.floats(0.25, 4.0))
+def test_compressed_kernel_of_a_grown_domain_scales_as_s_squared(grid, seed, s):
+    check_grown_domain(grid, seed, s)
+
+
+@paired
+@given(grid=paired_grids, seed=seeds)
+def test_compressed_apply_matches_the_reference_operator(grid, seed):
+    check_reference(grid, seed)
+
+
+@paired
+@given(grid=paired_grids, seed=seeds)
+def test_compressed_kernel_has_the_same_bits_on_two_threads(grid, seed):
     values = random_density(grid, seed)
-    want = reference_apply(grid, values)
-    assert rel_err(cq.AxiKernel(grid).apply(values), want) <= 1e-13
+    serial = cq.AxiKernel(grid, threads=1)
+    # a small kernel gets one thread unless each byte may have one
+    with mock.patch.object(cq.potential, "KERNEL_BYTES_PER_THREAD", 1):
+        threaded = cq.AxiKernel(grid, threads=2)
+    assert (serial.threads, threaded.threads) == (1, 2)
+    np.testing.assert_array_equal(threaded._fw, serial._fw)
+    np.testing.assert_array_equal(threaded.apply(values), serial.apply(values))

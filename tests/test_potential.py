@@ -8,6 +8,7 @@ checked against its power series and, to round-off, against the scipy
 special function, which evaluates the same Cephes approximation.
 """
 
+import json
 import sys
 import threading
 
@@ -16,6 +17,7 @@ import pytest
 from scipy.special import ellipk
 
 import corequilib as cq
+from corequilib.cli import main
 
 
 def elliptic_k_series(m, terms=80):
@@ -143,10 +145,82 @@ class TestKernelAgainstBall:
             cq.AxiKernel(cq.CylGrid(1.0, 1.0, 32, 32))
 
     def test_kernel_is_a_real_spectrum(self):
+        # fewer than 192 radii: one dense leaf, the whole of the one buffer
         kernel = cq.kernel_for(cq.CylGrid(1.0, 2.0, 16, 24))
         assert kernel._fw.dtype == np.float64
-        assert kernel._fw.shape == (25, 16, 16)
+        assert kernel._fw.shape == (25 * 16 * 16,)
         assert kernel._fw.flags["C_CONTIGUOUS"]
+        ((lo, hi, leaf),) = kernel._leaves
+        assert (lo, hi, leaf.shape) == (0, 16, (25, 16, 16))
+        assert np.shares_memory(leaf, kernel._fw) and not kernel._pairs
+
+    def test_kernel_of_192_radii_is_two_leaves_and_one_pair(self):
+        grid = cq.CylGrid(2.0, 2.0, 192, 24)
+        kernel = cq.AxiKernel(grid)
+        assert [(lo, hi, leaf.shape) for lo, hi, leaf in kernel._leaves] == [
+            (0, 96, (25, 96, 96)), (96, 192, (25, 96, 96)),
+        ]
+        ((lo, mid, hi, u, v, coef),) = kernel._pairs
+        assert (lo, mid, hi) == (0, 96, 192)
+        assert (u.shape, v.shape, coef.shape) == ((96, 48), (96, 48), (25, 48, 48))
+        for basis in (u, v):
+            np.testing.assert_allclose(basis.T @ basis, np.eye(48), atol=1e-13)
+        views = [leaf for _, _, leaf in kernel._leaves] + [u, v, coef]
+        assert all(np.shares_memory(view, kernel._fw) for view in views)
+        assert sum(view.size for view in views) == kernel._fw.size
+        assert kernel._fw.nbytes == cq.potential.kernel_bytes(grid)
+
+    def test_kernel_size_follows_from_the_grid_alone(self):
+        # leaves of 128 radii and seven pairs of rank 48, against the
+        # 8.6 GB a dense kernel would need: not refused on an 8 GB box
+        grid = cq.CylGrid(2.0, 2.0, 1024, 1024)
+        # each of the three levels of pairs has bases over all 1024 radii
+        words = 8 * 1025 * 128**2 + 7 * 1025 * 48**2 + 3 * 1024 * 48
+        assert cq.potential.kernel_bytes(grid) == 8 * words == 1_208_219_648
+        assert cq.potential.kernel_bytes(grid) < 8e9 < 1025 * 1024**2 * 8
+        assert cq.potential.kernel_bytes(cq.CylGrid(2.0, 2.0, 96, 96)) == 97 * 96**2 * 8
+        words = 4 * 385 * 96**2 + 3 * 385 * 48**2 + 2 * 384 * 48
+        assert cq.potential.kernel_bytes(cq.CylGrid(2.0, 2.0, 384, 384)) == 8 * words
+
+    def test_memory_is_checked_before_anything_is_built(self, monkeypatch):
+        grid = cq.CylGrid(1.0, 1.0, 192, 16)
+        need = cq.potential.kernel_bytes(grid)
+        monkeypatch.setattr(cq.potential, "_physical_memory_bytes", lambda: need - 1)
+        monkeypatch.setattr(np, "empty", None)  # any allocation would fail
+        with pytest.raises(cq.GridError, match=r"needs %d bytes" % need):
+            cq.AxiKernel(grid)
+
+    def test_a_pair_above_the_residual_limit_is_refused(self, monkeypatch, tmp_path, capsys):
+        # rank 8 cannot hold the pairs of a 192-radius kernel to 1e-13
+        monkeypatch.setattr(cq.potential, "RANK", 8)
+        with pytest.raises(FloatingPointError, match=r"rank-8 residual of .* above 1e-13"):
+            cq.AxiKernel(cq.CylGrid(1.0, 1.0, 192, 8))
+        raw = {
+            "eos": {"kind": "polytrope", "k": 1.0, "gamma": 2.0},
+            "grid": {"r_max": 2.0, "z_max": 2.0, "n_r": 192, "n_z": 8},
+            "core": {"a_r": 0.5, "a_z": 0.5, "rho": 0.0, "mu": 0.0},
+            "solver": {"mass": 1.0},
+        }
+        cfg = tmp_path / "config.json"
+        cfg.write_text(json.dumps(raw))
+        rc = main(["solve", "--config", str(cfg), "--out", str(tmp_path / "o")])
+        assert rc == 2
+        assert capsys.readouterr().err.startswith(
+            "numeric error: potential kernel block of radii "
+        )
+
+    def test_cache_scales_the_kernel_of_a_grown_domain(self):
+        base = cq.kernel_for(cq.CylGrid(1.0, 0.75, 24, 16))
+        grown = cq.kernel_for(cq.CylGrid(1.5, 1.125, 24, 16))
+        assert grown._fw is base._fw and grown.scale == 2.25
+        assert grown.grid == cq.CylGrid(1.5, 1.125, 24, 16)
+        values = cq.random_blob_field(base.grid, np.random.default_rng(5)).values
+        np.testing.assert_array_equal(grown.apply(values), 2.25 * base.apply(values))
+        built = cq.AxiKernel(grown.grid).apply(values)
+        np.testing.assert_allclose(grown.apply(values), built, rtol=0, atol=1e-13 * np.max(built))
+        # other cell counts, or extents grown by two factors, are built
+        assert cq.kernel_for(cq.CylGrid(1.5, 1.0, 24, 16)).scale == 1.0
+        assert cq.kernel_for(cq.CylGrid(1.5, 1.125, 24, 18)).scale == 1.0
 
     def test_kernel_cache_returns_same_object(self):
         k1 = cq.kernel_for(cq.CylGrid(1.0, 1.0, 16, 16))

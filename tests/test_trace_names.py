@@ -6,8 +6,9 @@ and ``COUNTS``).  A renamed call would only show up as a failure under
 It imports the tracer's tables and looks every name up, the way
 ``layertrace._replace`` does.  A traced scan in a subprocess checks that
 the output layer is still seen after it moved into the pool's workers and
-that the kernels are built in the scanning process alone, and traced solves
-check that the counters agree with ``result.json``.
+that the one kernel is built in the scanning process alone, traced solves
+check that the counters agree with ``result.json``, and the kernel size the
+tracer records is the kernel's stored size.
 """
 
 import collections
@@ -17,6 +18,7 @@ import json
 import os
 import subprocess
 import sys
+import types
 
 import pytest
 
@@ -94,12 +96,26 @@ def test_scan_workers_trace_their_field_writes(tmp_path):
     writers = pids("field.write")
     assert len(writers) == 2
     assert scanner not in writers
-    # the base and the grown domain's kernels, built once before the pool
-    assert pids("potential.kernel_build") == [scanner, scanner]
+    # the base kernel, built once before the pool; the grown domain's is
+    # derived from it, not built
+    assert pids("potential.kernel_build") == [scanner]
     assert set(writers) <= set(pids("solver.solve"))
     written = sorted(out.glob("cell_*/field.csv"))
     assert len(written) == 2
     assert counts["field.bytes_written"] == sum(p.stat().st_size for p in written)
+
+
+def test_traced_kernel_size_is_the_stored_kernel():
+    # what potential.kernel_mb records of a 192^2 kernel: its one buffer,
+    # the size kernel_bytes gives before the build, and at most 33 MB
+    grid = corequilib.CylGrid(2.0, 2.0, 192, 192)
+    kernel = corequilib.AxiKernel(grid)
+    peaks = {}
+    recorder = types.SimpleNamespace(peak=peaks.__setitem__)
+    _TRACER._kernel_size(recorder, (kernel,))
+    assert peaks == {"potential.kernel_mb": kernel._fw.nbytes / 1e6}
+    assert kernel._fw.nbytes == corequilib.potential.kernel_bytes(grid)
+    assert peaks["potential.kernel_mb"] <= 33.0
 
 
 #: one solve through the CLI, traced
