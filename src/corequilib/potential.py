@@ -81,19 +81,29 @@ def elliptic_k(m):
     refused instead of returning inf or nan, and a scalar argument gives a
     Python float.
     """
-    arr = np.asarray(m, dtype=float)
-    if np.any(arr < 0.0) or np.any(arr >= 1.0):
+    arr = np.array(m, dtype=float)
+    out = _elliptic_k_into(arr, np.empty_like(arr), np.empty_like(arr))
+    return float(out) if arr.ndim == 0 else out
+
+
+def _elliptic_k_into(m, p, q):
+    """``elliptic_k(m)`` written into ``p``, overwriting ``m`` and ``q``:
+    the same arithmetic with no temporary array, for loops that reuse
+    their buffers."""
+    if np.any(m < 0.0) or np.any(m >= 1.0):
         raise ValueError("elliptic parameter must satisfy 0 <= m < 1")
-    x = 1.0 - arr
-    p = np.full_like(x, _ELLPK_P[0])
-    q = np.full_like(x, _ELLPK_Q[0])
+    x = np.subtract(1.0, m, out=m)
+    p.fill(_ELLPK_P[0])
+    q.fill(_ELLPK_Q[0])
     for a, b in zip(_ELLPK_P[1:], _ELLPK_Q[1:]):
         p *= x
         p += a
         q *= x
         q += b
-    out = p - np.log(x) * q
-    return float(out) if arr.ndim == 0 else out
+    x = np.log(x, out=x)
+    x *= q
+    p -= x
+    return p
 
 
 def _physical_memory_bytes():
@@ -305,7 +315,9 @@ class AxiKernel:
         range(*sources) at the z ``offsets``, shape (rows, offsets,
         sources).  Blocks of rows of about ``2**16`` weights, few enough
         to stay in cache and enough to outlast a switch of the interpreter
-        lock, are dealt out to the threads."""
+        lock, are dealt out to the threads; each thread computes in its own
+        buffers, since allocating and freeing a block's temporaries cost
+        about a third of the weights' time in a fresh process."""
         r = self._r
         r_s = r[sources[0]:sources[1]]
         factor = 4.0 * self.grid.dr * self.grid.dz
@@ -313,13 +325,16 @@ class AxiKernel:
         step = max(1, 2**16 // out[0].size)
 
         def fill(first):
+            work = np.empty((4, step) + out.shape[1:])
             for lo in range(rows[0] + first * step, rows[1], self.threads * step):
                 hi = min(lo + step, rows[1])
+                sep2, m, p, q = (buf[:hi - lo] for buf in work)
                 r_t = r[lo:hi, None, None]
-                sep2 = (r_t + r_s) ** 2 + offsets[:, None] ** 2
-                out[lo - rows[0]:hi - rows[0]] = (
-                    factor * elliptic_k(4.0 * r_t * r_s / sep2) / np.sqrt(sep2)
-                )
+                np.add((r_t + r_s) ** 2, offsets[:, None] ** 2, out=sep2)
+                np.divide(4.0 * r_t * r_s, sep2, out=m)
+                k = _elliptic_k_into(m, p, q)
+                k *= factor
+                np.divide(k, np.sqrt(sep2, out=sep2), out=out[lo - rows[0]:hi - rows[0]])
 
         _in_threads(fill, range(self.threads))
         return out
