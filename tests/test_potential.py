@@ -203,6 +203,7 @@ class TestKernelAgainstBall:
         }
         cfg = tmp_path / "config.json"
         cfg.write_text(json.dumps(raw))
+        cq.kernel_for.cache_clear()
         rc = main(["solve", "--config", str(cfg), "--out", str(tmp_path / "o")])
         assert rc == 2
         assert capsys.readouterr().err.startswith(
@@ -210,6 +211,7 @@ class TestKernelAgainstBall:
         )
 
     def test_cache_scales_the_kernel_of_a_grown_domain(self):
+        cq.kernel_for.cache_clear()  # so that the first grid is built
         base = cq.kernel_for(cq.CylGrid(1.0, 0.75, 24, 16))
         grown = cq.kernel_for(cq.CylGrid(1.5, 1.125, 24, 16))
         assert grown._fw is base._fw and grown.scale == 2.25
