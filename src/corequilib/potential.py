@@ -81,29 +81,19 @@ def elliptic_k(m):
     refused instead of returning inf or nan, and a scalar argument gives a
     Python float.
     """
-    arr = np.array(m, dtype=float)
-    out = _elliptic_k_into(arr, np.empty_like(arr), np.empty_like(arr))
-    return float(out) if arr.ndim == 0 else out
-
-
-def _elliptic_k_into(m, p, q):
-    """``elliptic_k(m)`` written into ``p``, overwriting ``m`` and ``q``:
-    the same arithmetic with no temporary array, for loops that reuse
-    their buffers."""
-    if np.any(m < 0.0) or np.any(m >= 1.0):
+    arr = np.asarray(m, dtype=float)
+    if np.any(arr < 0.0) or np.any(arr >= 1.0):
         raise ValueError("elliptic parameter must satisfy 0 <= m < 1")
-    x = np.subtract(1.0, m, out=m)
-    p.fill(_ELLPK_P[0])
-    q.fill(_ELLPK_Q[0])
+    x = 1.0 - arr
+    p = np.full_like(x, _ELLPK_P[0])
+    q = np.full_like(x, _ELLPK_Q[0])
     for a, b in zip(_ELLPK_P[1:], _ELLPK_Q[1:]):
         p *= x
         p += a
         q *= x
         q += b
-    x = np.log(x, out=x)
-    x *= q
-    p -= x
-    return p
+    out = p - np.log(x) * q
+    return float(out) if arr.ndim == 0 else out
 
 
 def _physical_memory_bytes():
@@ -155,7 +145,7 @@ def _in_threads(work, parts):
 
 #: rank of the r-bases of every off-diagonal block of the kernel
 RANK = 48
-#: an off-diagonal block's real-space weights are built in z chunks of at
+#: an off-diagonal block's real-space weights are built in chunks of at
 #: most about this many bytes
 CHUNK_BYTES = 16_000_000
 #: largest relative Frobenius residual a compressed block may have
@@ -199,6 +189,19 @@ def _test_matrix(start, rows):
     x *= np.uint32(0x846CA68B)
     x ^= x >> np.uint32(16)
     return (x * 2.0**-32 - 0.5).reshape(rows, RANK)
+
+
+def _chunks(n_i, n_k, n_z):
+    """Ranges ``((r0, r1), (z0, z1))`` of rows and z, z major, in which a
+    pair's weights W[i, z, k] of n_i x n_z x n_k are built.
+
+    A chunk takes at most about ``CHUNK_BYTES``: all rows and a range of z,
+    or, where one z of the block is larger than that, a range of rows and
+    one z.
+    """
+    rows = _split(n_i, min(n_i, -(-8 * n_i * n_k // CHUNK_BYTES)))
+    zs = _split(n_z, min(n_z, -(-8 * n_i * n_k * n_z // CHUNK_BYTES)))
+    return [(r, z) for z in zs for r in rows]
 
 
 def kernel_bytes(grid):
@@ -254,10 +257,12 @@ class AxiKernel:
     ``kernel_bytes(grid)`` bytes; leaves, bases and coefficients are views
     into it.  That size is checked against physical memory before anything
     is allocated.  The pairs are compressed before the leaves are filled,
-    and a pair's real-space weights are built in z chunks of at most about
-    ``CHUNK_BYTES``, twice (to sketch, then to project) when there is more
-    than one chunk.  So beside the kernel the build holds no more than one
-    chunk, or one leaf row per thread.
+    and a pair's real-space weights are built in chunks of at most about
+    ``CHUNK_BYTES`` (``_chunks``: all rows and a range of z, or part of the
+    rows and one z where one z of the pair is larger), twice (to sketch,
+    then to project) when there is more than one chunk.  So beside the
+    kernel the build holds no more than one chunk, or one leaf row per
+    thread.
 
     ``threads`` is the CPU budget the kernel may spend.  It uses one thread
     per ``KERNEL_BYTES_PER_THREAD`` bytes of kernel, at least one and at
@@ -315,26 +320,20 @@ class AxiKernel:
         range(*sources) at the z ``offsets``, shape (rows, offsets,
         sources).  Blocks of rows of about ``2**16`` weights, few enough
         to stay in cache and enough to outlast a switch of the interpreter
-        lock, are dealt out to the threads; each thread computes in its own
-        buffers, since allocating and freeing a block's temporaries cost
-        about a third of the weights' time in a fresh process."""
+        lock, are dealt out to the threads."""
         r = self._r
         r_s = r[sources[0]:sources[1]]
-        factor = 4.0 * self.grid.dr * self.grid.dz
         out = np.empty((rows[1] - rows[0], len(offsets), len(r_s)))
         step = max(1, 2**16 // out[0].size)
 
         def fill(first):
-            work = np.empty((4, step) + out.shape[1:])
             for lo in range(rows[0] + first * step, rows[1], self.threads * step):
-                hi = min(lo + step, rows[1])
-                sep2, m, p, q = (buf[:hi - lo] for buf in work)
-                r_t = r[lo:hi, None, None]
-                np.add((r_t + r_s) ** 2, offsets[:, None] ** 2, out=sep2)
-                np.divide(4.0 * r_t * r_s, sep2, out=m)
-                k = _elliptic_k_into(m, p, q)
-                k *= factor
-                np.divide(k, np.sqrt(sep2, out=sep2), out=out[lo - rows[0]:hi - rows[0]])
+                r_t = r[lo:min(lo + step, rows[1]), None, None]
+                sep2 = (r_t + r_s) ** 2 + offsets[:, None] ** 2
+                k = elliptic_k(4.0 * r_t * r_s / sep2)
+                out[lo - rows[0]:lo - rows[0] + len(r_t)] = (
+                    (4.0 * self.grid.dr * self.grid.dz) * k / np.sqrt(sep2)
+                )
 
         _in_threads(fill, range(self.threads))
         return out
@@ -342,47 +341,60 @@ class AxiKernel:
     def _compress(self, lo, mid, hi, u, v, coef):
         """Fill one pair's bases ``u``, ``v`` and coefficients ``coef``.
 
-        The weights W[i, z, k] of each z chunk are sketched, unfolded as
-        (i, z k) and as (i z, k), and projected in slices of a few z, so no
-        temporary but the chunk is larger than about 2 MB.  The two sketches
-        of a slice share one seeded test matrix, uniform on [-0.5, 0.5).
-        ``coef`` holds ``U^T W V`` per z until its rfft replaces it.
+        The weights W[i, z, k] of each chunk (``_chunks``) are taken in
+        slices of a few z, so no temporary but the chunk is larger than
+        about 2 MB.  The sketches are ``W Omega`` over (z, k) and ``W^T
+        Omega`` over (i, z), with the test matrix Omega[z, k] of
+        ``_test_matrix`` at index ``z n_k + k``, read at k = i for the
+        second (the first range of a pair is never the longer one).  Then
+        ``W V`` is formed per slice, ``coef`` gets ``U^T W V`` per z until
+        its rfft replaces it, and the residual is summed exactly as
+        ``|W - W V V^T|^2 + |W V - U U^T W V|^2``, whose two terms are
+        orthogonal.
         """
         n_i, n_k, n_z = mid - lo, hi - mid, self.grid.n_z
         offsets = self.grid.dz * np.arange(n_z)
-        chunks = _split(n_z, -(-n_i * n_k * n_z * 8 // CHUNK_BYTES))
-        step = max(1, 2**18 // (n_i * n_k))
-        drawn = 0
+        chunks = _chunks(n_i, n_k, n_z)
+
+        def slices(w, rows, zs):
+            step = max(1, 2**18 // ((rows[1] - rows[0]) * n_k))
+            for s0 in range(zs[0], zs[1], step):
+                s1 = min(s0 + step, zs[1])
+                yield s0, s1, np.ascontiguousarray(w[:, s0 - zs[0]:s1 - zs[0]])
+
         y_u, y_v = np.zeros((n_i, RANK)), np.zeros((n_k, RANK))
         norm2 = 0.0
-        for z0, z1 in chunks:
-            w = self._weights((lo, mid), (mid, hi), offsets[z0:z1])
+        for (r0, r1), zs in chunks:
+            w = self._weights((lo + r0, lo + r1), (mid, hi), offsets[zs[0]:zs[1]])
             norm2 += float(np.vdot(w, w))
-            for s in range(0, z1 - z0, step):
-                part = w[:, s:s + step]
-                test = _test_matrix(drawn, part.shape[1] * max(n_i, n_k))
-                drawn += test.size
-                y_u += part.reshape(n_i, -1) @ test[:part[0].size]
-                y_v += np.tensordot(
-                    part, test[:part[:, :, 0].size].reshape(n_i, -1, RANK),
-                    axes=([0, 1], [0, 1]),
+            for s0, s1, part in slices(w, (r0, r1), zs):
+                test = _test_matrix(s0 * n_k * RANK, (s1 - s0) * n_k)
+                test = test.reshape(s1 - s0, n_k, RANK)
+                y_u[r0:r1] += part.reshape(r1 - r0, -1) @ test.reshape(-1, RANK)
+                y_v += part.reshape(-1, n_k).T @ (
+                    test[:, r0:r1].transpose(1, 0, 2).reshape(-1, RANK)
                 )
         u[...] = np.linalg.qr(y_u)[0]
         v[...] = np.linalg.qr(y_v)[0]
         err2 = 0.0
-        for z0, z1 in chunks:
+        for (r0, r1), zs in chunks:
             if len(chunks) > 1:
-                w = self._weights((lo, mid), (mid, hi), offsets[z0:z1])
-            for s in range(0, z1 - z0, step):
-                part = w[:, s:s + step].reshape(n_i, -1)
-                t = u.T @ part                  # (RANK, slice z * n_k)
-                part -= u @ t
-                t = t.reshape(-1, n_k)          # (RANK * slice z, n_k)
-                c = t @ v
-                t -= c @ v.T
-                err2 += float(np.vdot(t, t))
-                coef[z0 + s:min(z0 + s + step, z1)] = c.reshape(RANK, -1, RANK).transpose(1, 0, 2)
-            err2 += float(np.vdot(w, w))
+                w = self._weights((lo + r0, lo + r1), (mid, hi), offsets[zs[0]:zs[1]])
+            for s0, s1, part in slices(w, (r0, r1), zs):
+                # a chunk of part of the rows has one z, and the chunks
+                # after it have the same z and the rest of the rows
+                if r0 == 0:
+                    wv = np.empty((n_i, s1 - s0, RANK))
+                part = part.reshape(-1, n_k)
+                t = part @ v                    # (rows * slice z, RANK)
+                part -= t @ v.T
+                err2 += float(np.vdot(part, part))
+                wv[r0:r1] = t.reshape(r1 - r0, s1 - s0, RANK)
+                if r1 == n_i:
+                    c = u.T @ wv.reshape(n_i, -1)   # (RANK, slice z * RANK)
+                    wv -= (u @ c).reshape(wv.shape)
+                    err2 += float(np.vdot(wv, wv))
+                    coef[s0:s1] = c.reshape(RANK, s1 - s0, RANK).transpose(1, 0, 2)
         residual = (err2 / norm2) ** 0.5
         if residual > RESIDUAL_LIMIT:
             raise FloatingPointError(
@@ -474,12 +486,11 @@ class AxiKernel:
 
 
 class _KernelCache:
-    """The kernels of the last ``size`` (grid, threads) asked for.
+    """The kernels of the last ``size`` (grid, threads) asked for or put.
 
-    Building a kernel is the expensive part of a solve.  A grid with the
-    cell counts of a cached kernel's grid, the same threads and both
-    extents grown by one factor, gets that kernel ``scaled``, not a build
-    of its own: a scan's retry grid is its base grid grown so.
+    Building a kernel is the expensive part of a solve.  A caller that
+    knows a grid's kernel without a build, as a scan knows its retry grid's
+    (its base kernel ``scaled``), ``put``s it here.
     """
 
     def __init__(self, size):
@@ -488,31 +499,23 @@ class _KernelCache:
         self._kernels = {}          # (grid, threads) -> kernel, oldest first
 
     def __call__(self, grid, threads=1):
-        key = (grid, threads)
-        kernel = self._kernels.pop(key, None)
-        if kernel is not None:
-            self.hits += 1
+        kernel = self._kernels.get((grid, threads))
+        if kernel is None:
+            kernel = AxiKernel(grid, threads)
         else:
-            kernel = next(
-                (k.scaled(grid) for (g, t), k in self._kernels.items()
-                 if t == threads and k.scale == 1.0 and _grown(g, grid)),
-                None,
-            ) or AxiKernel(grid, threads)
-        self._kernels[key] = kernel
+            self.hits += 1
+        self.put(grid, threads, kernel)
+        return kernel
+
+    def put(self, grid, threads, kernel):
+        """Cache ``kernel`` as the kernel of ``grid`` on ``threads``."""
+        self._kernels.pop((grid, threads), None)
+        self._kernels[(grid, threads)] = kernel
         if len(self._kernels) > self.size:
             del self._kernels[next(iter(self._kernels))]
-        return kernel
 
     def cache_clear(self):
         self._kernels.clear()
-
-
-def _grown(base, grid):
-    """Whether ``grid`` is ``base`` with both extents grown by one factor."""
-    return (
-        (grid.n_r, grid.n_z) == (base.n_r, base.n_z)
-        and grid.r_max * base.z_max == grid.z_max * base.r_max
-    )
 
 
 #: shared kernel cache, ``kernel_for(grid, threads)``

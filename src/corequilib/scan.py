@@ -9,8 +9,9 @@ again on the larger grid.
 Cells run in a process pool sized by the command's CPU budget, the
 COREQUILIB_THREADS environment variable (default: all cores), with at most
 one worker per cell; each worker's potential kernel gets ``budget //
-workers`` threads; the kernels of the base and the grown domain are built
-once, before the pool forks its workers.  Each worker writes its cells' run
+workers`` threads.  The base domain's kernel is built once, before the pool
+forks its workers, and the grown domain's kernel is that kernel scaled by
+s**2 for the retry factor s, with no build of its own.  Each worker writes its cells' run
 directories itself and hands back only a small record: the cell's omega and
 mu, its ``result.json`` payload or error and its seconds.  No density field
 crosses the process boundary, and a retried cell's grown domain is read
@@ -155,8 +156,9 @@ def run_scan(scan_spec, out, budget=None):
     ``budget`` is the CPU budget, ``cpu_budget()`` by default.  It sets the
     number of workers, at most one per cell, and each worker's kernel gets
     an equal share of it.  One line per cell goes to stderr as its record
-    arrives.  The kernels of ``scan_spec.grids``, which every cell shares,
-    are built here before ``out`` or a worker exists.
+    arrives.  The kernel of the base grid, which every cell shares, is
+    built here before ``out`` or a worker exists, and the retry grid's is
+    put in the kernel cache as that kernel scaled by s**2.
     """
     budget = cpu_budget() if budget is None else budget
     n_cells = len(scan_spec.omega_values) * len(scan_spec.mu_values)
@@ -167,8 +169,9 @@ def run_scan(scan_spec, out, budget=None):
         for i, omega in enumerate(scan_spec.omega_values)
         for j, mu in enumerate(scan_spec.mu_values)
     ]
-    for grid in scan_spec.grids:
-        kernel_for(grid, budget // workers)
+    base, grown = scan_spec.grids
+    kernel = kernel_for(base, budget // workers)
+    kernel_for.put(grown, budget // workers, kernel.scaled(grown))
     os.makedirs(out, exist_ok=True)
     cells = {}
     for task, record in zip(tasks, _cell_records(tasks, workers)):

@@ -14,6 +14,7 @@ contracted with einsum.
 from unittest import mock
 
 import numpy as np
+import pytest
 from hypothesis import given, settings, strategies as st
 
 import corequilib as cq
@@ -169,3 +170,20 @@ def test_compressed_kernel_has_the_same_bits_on_two_threads(grid, seed):
     assert (serial.threads, threaded.threads) == (1, 2)
     np.testing.assert_array_equal(threaded._fw, serial._fw)
     np.testing.assert_array_equal(threaded.apply(values), serial.apply(values))
+
+
+@pytest.mark.parametrize("n_z, chunk_bytes, n_chunks", [
+    (64, 16_000_000, 1),   # all of the pair, in slices of 28, 28 and 8 z
+    (64, 4_000_000, 2),    # all rows and 32 z each, in slices of 28 and 4
+    (12, 30_000, 36),      # a third of the rows and one z each
+])
+def test_chunked_pair_matches_the_reference_operator(monkeypatch, n_z, chunk_bytes, n_chunks):
+    grid = cq.CylGrid(1.3, 0.9, 192, n_z)
+    monkeypatch.setattr(cq.potential, "CHUNK_BYTES", chunk_bytes)
+    assert len(cq.potential._chunks(96, 96, n_z)) == n_chunks
+    values = random_density(grid, 11)
+    chunked = cq.AxiKernel(grid, threads=1)
+    assert rel_err(chunked.apply(values), reference_apply(grid, values)) <= 1e-13
+    with mock.patch.object(cq.potential, "KERNEL_BYTES_PER_THREAD", 1):
+        threaded = cq.AxiKernel(grid, threads=2)
+    np.testing.assert_array_equal(threaded._fw, chunked._fw)

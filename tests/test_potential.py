@@ -182,6 +182,18 @@ class TestKernelAgainstBall:
         words = 4 * 385 * 96**2 + 3 * 385 * 48**2 + 2 * 384 * 48
         assert cq.potential.kernel_bytes(cq.CylGrid(2.0, 2.0, 384, 384)) == 8 * words
 
+    @pytest.mark.parametrize("n_i, n_k, n_z", [(96, 96, 192), (192, 192, 384), (2048, 2048, 64)])
+    def test_pair_chunks_are_bounded_and_cover_the_pair(self, n_i, n_k, n_z):
+        # at 4096 radii one z of the top pair (33.5 MB) is above CHUNK_BYTES
+        chunks = cq.potential._chunks(n_i, n_k, n_z)
+        cells = np.zeros((n_i, n_z), dtype=int)
+        for (r0, r1), (z0, z1) in chunks:
+            assert r0 < r1 and z0 < z1
+            assert 8 * (r1 - r0) * (z1 - z0) * n_k <= 2 * cq.potential.CHUNK_BYTES
+            cells[r0:r1, z0:z1] += 1
+        assert np.all(cells == 1)
+        assert len(chunks) == {96: 1, 192: 8, 2048: 64 * 3}[n_i]
+
     def test_memory_is_checked_before_anything_is_built(self, monkeypatch):
         grid = cq.CylGrid(1.0, 1.0, 192, 16)
         need = cq.potential.kernel_bytes(grid)
@@ -210,19 +222,20 @@ class TestKernelAgainstBall:
             "numeric error: potential kernel block of radii "
         )
 
-    def test_cache_scales_the_kernel_of_a_grown_domain(self):
-        cq.kernel_for.cache_clear()  # so that the first grid is built
+    def test_cache_returns_a_put_scaled_kernel(self):
+        cq.kernel_for.cache_clear()
         base = cq.kernel_for(cq.CylGrid(1.0, 0.75, 24, 16))
-        grown = cq.kernel_for(cq.CylGrid(1.5, 1.125, 24, 16))
+        grown_grid = cq.CylGrid(1.5, 1.125, 24, 16)
+        cq.kernel_for.put(grown_grid, 1, base.scaled(grown_grid))
+        grown = cq.kernel_for(grown_grid)
         assert grown._fw is base._fw and grown.scale == 2.25
-        assert grown.grid == cq.CylGrid(1.5, 1.125, 24, 16)
+        assert grown.grid == grown_grid
         values = cq.random_blob_field(base.grid, np.random.default_rng(5)).values
         np.testing.assert_array_equal(grown.apply(values), 2.25 * base.apply(values))
-        built = cq.AxiKernel(grown.grid).apply(values)
+        built = cq.AxiKernel(grown_grid).apply(values)
         np.testing.assert_allclose(grown.apply(values), built, rtol=0, atol=1e-13 * np.max(built))
-        # other cell counts, or extents grown by two factors, are built
-        assert cq.kernel_for(cq.CylGrid(1.5, 1.0, 24, 16)).scale == 1.0
-        assert cq.kernel_for(cq.CylGrid(1.5, 1.125, 24, 18)).scale == 1.0
+        # a grown grid that nobody put is built, whatever is cached
+        assert cq.kernel_for(cq.CylGrid(2.0, 1.5, 24, 16)).scale == 1.0
 
     def test_kernel_cache_returns_same_object(self):
         k1 = cq.kernel_for(cq.CylGrid(1.0, 1.0, 16, 16))
