@@ -193,7 +193,7 @@ def _test_matrix(start, rows):
 
 def _chunks(n_i, n_k, n_z):
     """Ranges ``((r0, r1), (z0, z1))`` of rows and z, z major, in which a
-    pair's weights W[i, z, k] of n_i x n_z x n_k are built.
+    pair's weights W[z, i, k] of n_z x n_i x n_k are built.
 
     A chunk takes at most about ``CHUNK_BYTES``: all rows and a range of z,
     or, where one z of the block is larger than that, a range of rows and
@@ -317,21 +317,21 @@ class AxiKernel:
 
     def _weights(self, rows, sources, offsets):
         """Weight per unit source radius of the radii range(*rows) against
-        range(*sources) at the z ``offsets``, shape (rows, offsets,
+        range(*sources) at the z ``offsets``, shape (offsets, rows,
         sources).  Blocks of rows of about ``2**16`` weights, few enough
         to stay in cache and enough to outlast a switch of the interpreter
         lock, are dealt out to the threads."""
         r = self._r
         r_s = r[sources[0]:sources[1]]
-        out = np.empty((rows[1] - rows[0], len(offsets), len(r_s)))
-        step = max(1, 2**16 // out[0].size)
+        out = np.empty((len(offsets), rows[1] - rows[0], len(r_s)))
+        step = max(1, 2**16 // (len(offsets) * len(r_s)))
 
         def fill(first):
             for lo in range(rows[0] + first * step, rows[1], self.threads * step):
-                r_t = r[lo:min(lo + step, rows[1]), None, None]
-                sep2 = (r_t + r_s) ** 2 + offsets[:, None] ** 2
+                r_t = r[lo:min(lo + step, rows[1]), None]
+                sep2 = (r_t + r_s) ** 2 + offsets[:, None, None] ** 2
                 k = elliptic_k(4.0 * r_t * r_s / sep2)
-                out[lo - rows[0]:lo - rows[0] + len(r_t)] = (
+                out[:, lo - rows[0]:lo - rows[0] + len(r_t)] = (
                     (4.0 * self.grid.dr * self.grid.dz) * k / np.sqrt(sep2)
                 )
 
@@ -341,13 +341,13 @@ class AxiKernel:
     def _compress(self, lo, mid, hi, u, v, coef):
         """Fill one pair's bases ``u``, ``v`` and coefficients ``coef``.
 
-        The weights W[i, z, k] of each chunk (``_chunks``) are taken in
+        The weights W[z, i, k] of each chunk (``_chunks``) are taken in
         slices of a few z, so no temporary but the chunk is larger than
-        about 2 MB.  The sketches are ``W Omega`` over (z, k) and ``W^T
-        Omega`` over (i, z), with the test matrix Omega[z, k] of
+        about 2 MB.  The sketches are ``sum_z W[z] Omega[z]`` and ``sum_z
+        W[z]^T Omega[z]``, with the test matrix Omega[z, k] of
         ``_test_matrix`` at index ``z n_k + k``, read at k = i for the
         second (the first range of a pair is never the longer one).  Then
-        ``W V`` is formed per slice, ``coef`` gets ``U^T W V`` per z until
+        ``W[z] V`` is formed per slice, ``coef`` gets ``U^T W[z] V`` until
         its rfft replaces it, and the residual is summed exactly as
         ``|W - W V V^T|^2 + |W V - U U^T W V|^2``, whose two terms are
         orthogonal.
@@ -360,7 +360,7 @@ class AxiKernel:
             step = max(1, 2**18 // ((rows[1] - rows[0]) * n_k))
             for s0 in range(zs[0], zs[1], step):
                 s1 = min(s0 + step, zs[1])
-                yield s0, s1, np.ascontiguousarray(w[:, s0 - zs[0]:s1 - zs[0]])
+                yield s0, s1, w[s0 - zs[0]:s1 - zs[0]]
 
         y_u, y_v = np.zeros((n_i, RANK)), np.zeros((n_k, RANK))
         norm2 = 0.0
@@ -370,10 +370,8 @@ class AxiKernel:
             for s0, s1, part in slices(w, (r0, r1), zs):
                 test = _test_matrix(s0 * n_k * RANK, (s1 - s0) * n_k)
                 test = test.reshape(s1 - s0, n_k, RANK)
-                y_u[r0:r1] += part.reshape(r1 - r0, -1) @ test.reshape(-1, RANK)
-                y_v += part.reshape(-1, n_k).T @ (
-                    test[:, r0:r1].transpose(1, 0, 2).reshape(-1, RANK)
-                )
+                y_u[r0:r1] += np.matmul(part, test).sum(axis=0)
+                y_v += part.reshape(-1, n_k).T @ test[:, r0:r1].reshape(-1, RANK)
         u[...] = np.linalg.qr(y_u)[0]
         v[...] = np.linalg.qr(y_v)[0]
         err2 = 0.0
@@ -384,17 +382,16 @@ class AxiKernel:
                 # a chunk of part of the rows has one z, and the chunks
                 # after it have the same z and the rest of the rows
                 if r0 == 0:
-                    wv = np.empty((n_i, s1 - s0, RANK))
+                    wv = np.empty((s1 - s0, n_i, RANK))
                 part = part.reshape(-1, n_k)
-                t = part @ v                    # (rows * slice z, RANK)
+                t = part @ v                    # (slice z * rows, RANK)
                 part -= t @ v.T
                 err2 += float(np.vdot(part, part))
-                wv[r0:r1] = t.reshape(r1 - r0, s1 - s0, RANK)
+                wv[:, r0:r1] = t.reshape(s1 - s0, r1 - r0, RANK)
                 if r1 == n_i:
-                    c = u.T @ wv.reshape(n_i, -1)   # (RANK, slice z * RANK)
-                    wv -= (u @ c).reshape(wv.shape)
+                    c = np.matmul(u.T, wv, out=coef[s0:s1])
+                    wv -= u @ c
                     err2 += float(np.vdot(wv, wv))
-                    coef[s0:s1] = c.reshape(RANK, s1 - s0, RANK).transpose(1, 0, 2)
         residual = (err2 / norm2) ** 0.5
         if residual > RESIDUAL_LIMIT:
             raise FloatingPointError(
