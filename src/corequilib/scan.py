@@ -11,16 +11,17 @@ COREQUILIB_THREADS environment variable (default: all cores), with at most
 one worker per cell; each worker's potential kernel gets ``budget //
 workers`` threads.  The base domain's kernel is built once, before the pool
 forks its workers, and the grown domain's kernel is that kernel scaled by
-s**2 for the retry factor s, with no build of its own.  Each worker writes its cells' run
-directories itself and hands back only a small record: the cell's omega and
-mu, its ``result.json`` payload or error and its seconds.  No density field
-crosses the process boundary, and a retried cell's grown domain is read
-from its ``effective_config.json``.  Results are deterministic either way
-because a cell's outcome depends only on its own configuration, not on the
-thread or worker count, and the table is assembled in a fixed order.  A
-cell whose solve raises a numeric error is recorded as failed, with verdict
-``Error``, and the other cells go on.  A worker that dies, killed by the
-operating system for instance, ends the scan with ``WorkerDiedError``.
+s**2 for the retry factor s, with no build of its own.  Each worker writes
+its cells' run directories itself and hands back only a small record: the
+cell's omega and mu, its ``result.json`` payload or error and its seconds.
+No density field crosses the process boundary, and a retried cell's grown
+domain is read from its ``effective_config.json``.  Results are
+deterministic either way because a cell's outcome depends only on its own
+configuration, not on the thread or worker count, and the table is
+assembled in a fixed order.  A cell whose solve raises a numeric error is
+recorded as failed, with verdict ``Error``, and the other cells go on.  A
+worker that dies, killed by the operating system for instance, ends the
+scan with ``WorkerDiedError``.
 """
 
 import copy
