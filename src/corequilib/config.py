@@ -10,6 +10,7 @@ archaeology, and unknown keys are rejected by name instead of ignored.
 import dataclasses
 import functools
 import json
+import math
 import os
 
 from .eos import make_eos
@@ -60,7 +61,12 @@ def cpu_budget():
 def _number(section, key, value, positive=False, nonneg=False):
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ConfigError("key '%s' in section '%s' must be a number" % (key, section))
-    value = float(value)
+    try:
+        value = float(value)
+    except OverflowError:       # an integer beyond the float range
+        value = math.inf
+    if not math.isfinite(value):
+        raise ConfigError("key '%s' in section '%s' must be finite" % (key, section))
     if positive and not value > 0.0:
         raise ConfigError("key '%s' in section '%s' must be positive" % (key, section))
     if nonneg and value < 0.0:

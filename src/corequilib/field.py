@@ -7,6 +7,7 @@ falls inside it.  All integrals use the axisymmetric volume weight
 2*pi*r*dr*dz of the cell center, so a field integrates like a ring stack.
 """
 
+import warnings
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
 
@@ -122,16 +123,6 @@ class CoreRegion:
         is only vacuum between a field point and the core mass.
         """
         return self.a_z
-
-    def radius_at(self, z):
-        """Core boundary radius a(z)."""
-        z = np.asarray(z, dtype=float)
-        if self._profile is not None:
-            return self._profile(z)
-        inside = np.abs(z) < self.a_z
-        out = np.zeros_like(z)
-        out[inside] = self.a_r * np.sqrt(1.0 - (z[inside] / self.a_z) ** 2)
-        return out
 
     def mask(self, grid):
         """Boolean (n_r, n_z) array, True on cells whose center is inside."""
@@ -273,7 +264,10 @@ def read_field_csv(path, grid, mask=None):
     The file must cover exactly this grid's cell centers in dump order;
     coordinates are checked, not trusted.
     """
-    data = np.loadtxt(path, delimiter=",", skiprows=1)
+    with warnings.catch_warnings():
+        # a file without data rows is refused below by its row count
+        warnings.simplefilter("ignore", UserWarning)
+        data = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
     expected = grid.n_r * grid.n_z
     if data.shape != (expected, 3):
         raise GridError(

@@ -32,12 +32,13 @@ larger one has leaves of 96 to 191 radii.  The stored size,
 32.1 MB where a dense one would need 56.9 MB, and a 1024^2 kernel 1.21 GB
 instead of 8.6 GB.
 
-Building and applying a large kernel is split across threads, up to the CPU
-budget its caller passes (``COREQUILIB_THREADS`` on the command line): the
-products are bound by memory bandwidth and run in BLAS with the interpreter
-lock released, so the frequencies split into contiguous blocks, one per
-thread.  A block's arithmetic does not depend on the thread that runs it,
-so neither does any result bit.
+A kernel is built on the calling thread.  Applying a large one is split
+across threads, up to the CPU budget its caller passes
+(``COREQUILIB_THREADS`` on the command line): the products are bound by
+memory bandwidth and run in BLAS with the interpreter lock released, so the
+frequencies split into contiguous blocks, one per thread.  A block's
+arithmetic does not depend on the thread that runs it, so neither does any
+result bit.
 """
 
 import copy
@@ -100,10 +101,11 @@ def _physical_memory_bytes():
     return os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
 
 
-#: a kernel gets one thread per this many of its bytes, up to the caller's
-#: budget.  Starting and joining a thread costs about 0.1 ms, which a small
-#: kernel's work does not repay: on a 2-CPU box two threads lost on a 96^2
-#: kernel (7.2 MB) and won on a 120^2 one (13.9 MB), so two start at 12 MB.
+#: a kernel's ``apply`` gets one thread per this many of its bytes, up to
+#: the caller's budget.  Starting and joining a thread costs about 0.1 ms,
+#: which a small kernel's products do not repay: on a 2-CPU box two threads
+#: lost on a 96^2 kernel (7.2 MB) and won on a 120^2 one (13.9 MB), so two
+#: start at 12 MB.
 KERNEL_BYTES_PER_THREAD = 6_000_000
 
 
@@ -233,8 +235,9 @@ class AxiKernel:
       of its weights, shape ``(n_z + 1, b, b)`` for frequency, target and
       source.  Each row i computes the weight per unit source radius,
       ``4 K(m) / sqrt(sep2)``, which is symmetric, and its transform for
-      the sources k >= i of the leaf only; the lower triangle is mirrored
-      from the upper one before every entry is multiplied by r[k].
+      the sources k >= i of the leaf only (``_fill_leaf``); the lower
+      triangle is mirrored from the upper one before every entry is
+      multiplied by r[k].
     * An off-diagonal pair of ranges I = range(lo, mid) and K = range(mid,
       hi) is stored once, as ``U C[f] V^T`` for the weight per unit source
       radius.  U and V are orthonormal bases of rank ``RANK`` over the
@@ -261,18 +264,16 @@ class AxiKernel:
     ``CHUNK_BYTES`` (``_chunks``: all rows and a range of z, or part of the
     rows and one z where one z of the pair is larger), twice (to sketch,
     then to project) when there is more than one chunk.  So beside the
-    kernel the build holds no more than one chunk, or one leaf row per
-    thread.
+    kernel the build holds no more than one chunk, or the transform rows
+    of one leaf.
 
-    ``threads`` is the CPU budget the kernel may spend.  It uses one thread
-    per ``KERNEL_BYTES_PER_THREAD`` bytes of kernel, at least one and at
-    most ``threads``.  The build deals the rows of the leaves and of each
-    chunk of pair weights out to the threads and splits the leaves' mirror
-    pass into contiguous frequency blocks; ``apply`` splits its products,
-    leaves and pairs, into the same blocks.  A row or a frequency gets the
-    same arithmetic whichever thread runs it, and a pair's sketches and
-    projections run in the calling thread, so the kernel and the potential
-    do not depend on the thread count, bit for bit.
+    The build runs on the calling thread.  ``threads`` is the CPU budget
+    ``apply`` may spend: it uses one thread per ``KERNEL_BYTES_PER_THREAD``
+    bytes of kernel, at least one and at most ``threads``, and splits its
+    products, leaves and pairs, into contiguous frequency blocks, one per
+    thread.  A frequency gets the same arithmetic whichever thread runs
+    it, so the potential does not depend on the thread count, bit for bit,
+    and the kernel does not depend on it at all.
 
     ``scale`` multiplies every potential: 1 for a built kernel, and
     ``s**2`` for the kernel ``scaled`` gives a grid grown by s, which
@@ -288,9 +289,7 @@ class AxiKernel:
                 "potential kernel for a %d x %d grid needs %d bytes, more than "
                 "the %d bytes of physical memory" % (grid.n_r, grid.n_z, need, have)
             )
-        # at most one thread per target row, so each has a row to build
-        share = need // KERNEL_BYTES_PER_THREAD
-        self.threads = max(1, min(threads, grid.n_r, share))
+        self.threads = max(1, min(threads, need // KERNEL_BYTES_PER_THREAD))
         self.scale = 1.0
         self._r = grid.r
         self._blocks = _split(grid.n_z + 1, self.threads)
@@ -312,30 +311,25 @@ class AxiKernel:
         ]
         for pair in self._pairs:
             self._compress(*pair)
-        _in_threads(self._build_rows, range(self.threads))
-        _in_threads(self._finish_block, self._blocks)
+        for leaf in self._leaves:
+            self._fill_leaf(*leaf)
 
     def _weights(self, rows, sources, offsets):
         """Weight per unit source radius of the radii range(*rows) against
         range(*sources) at the z ``offsets``, shape (offsets, rows,
-        sources).  Blocks of rows of about ``2**16`` weights, few enough
-        to stay in cache and enough to outlast a switch of the interpreter
-        lock, are dealt out to the threads."""
+        sources), in blocks of rows of about ``2**16`` weights, few enough
+        to stay in cache."""
         r = self._r
         r_s = r[sources[0]:sources[1]]
         out = np.empty((len(offsets), rows[1] - rows[0], len(r_s)))
         step = max(1, 2**16 // (len(offsets) * len(r_s)))
-
-        def fill(first):
-            for lo in range(rows[0] + first * step, rows[1], self.threads * step):
-                r_t = r[lo:min(lo + step, rows[1]), None]
-                sep2 = (r_t + r_s) ** 2 + offsets[:, None, None] ** 2
-                k = elliptic_k(4.0 * r_t * r_s / sep2)
-                out[:, lo - rows[0]:lo - rows[0] + len(r_t)] = (
-                    (4.0 * self.grid.dr * self.grid.dz) * k / np.sqrt(sep2)
-                )
-
-        _in_threads(fill, range(self.threads))
+        for lo in range(rows[0], rows[1], step):
+            r_t = r[lo:min(lo + step, rows[1]), None]
+            sep2 = (r_t + r_s) ** 2 + offsets[:, None, None] ** 2
+            k = elliptic_k(4.0 * r_t * r_s / sep2)
+            out[:, lo - rows[0]:lo - rows[0] + len(r_t)] = (
+                (4.0 * self.grid.dr * self.grid.dz) * k / np.sqrt(sep2)
+            )
         return out
 
     def _compress(self, lo, mid, hi, u, v, coef):
@@ -405,8 +399,15 @@ class AxiKernel:
             circ[n_z + 1:] = coef[n_z - 1:0:-1, a]
             coef[:, a] = np.fft.rfft(circ, axis=0).real
 
-    def _build_rows(self, first):
-        """Rows first, first + threads, ... of each leaf's upper triangle."""
+    def _fill_leaf(self, lo, hi, leaf):
+        """Fill the diagonal leaf of the radii range(lo, hi).
+
+        Each row i gets its sources k >= i and their rfft, written into the
+        upper triangle; then, one frequency at a time, the lower triangle
+        is mirrored from the upper one and every entry multiplied by r[k]:
+        a frequency's matrix is small enough to stay in cache, where
+        writing the mirrored column of each row is not.
+        """
         r = self._r
         dr, dz = self.grid.dr, self.grid.dz
         n_z = self.grid.n_z
@@ -414,35 +415,22 @@ class AxiKernel:
         # Self-potential of the coincident ring cell: uniform rectangular
         # rod cross section dr x dz, integrated in closed form.
         self_weight = 2.0 * (np.arcsinh(dz / dr) + np.arcsinh(dr / dz)) * dr * dz
-
-        for lo, hi, leaf in self._leaves:
-            first_row = lo + (first - lo) % self.threads
-            if first_row >= hi:
-                continue
-            circ = np.zeros((hi - first_row, 2 * n_z))
-            for i in range(first_row, hi, self.threads):  # target ring radius r[i]
-                r_s = r[i:hi, None]         # source ring radii r[k], k >= i
-                sep2 = (r[i] + r_s) ** 2 + offsets**2
-                m = 4.0 * r[i] * r_s / sep2
-                m[0, 0] = 0.0               # placeholder; replaced below
-                w = (4.0 * dr * dz) * elliptic_k(m) / np.sqrt(sep2)
-                w[0, 0] = self_weight / r[i]
-                c = circ[: hi - i]
-                c[:, :n_z] = w
-                c[:, n_z + 1:] = w[:, :0:-1]
-                leaf[:, i - lo, i - lo:] = np.fft.rfft(c, axis=1).real.T
-
-    def _finish_block(self, block):
-        """Mirror each leaf's upper triangle and apply the source radius
-        factor for the frequencies in ``block``, one frequency at a time: a
-        frequency's matrix is small enough to stay in cache, where writing
-        the mirrored column of each row is not."""
-        for lo, hi, leaf in self._leaves:
-            lower = np.tri(hi - lo, k=-1, dtype=bool)
-            for f in range(*block):
-                w = leaf[f]
-                np.copyto(w, w.T, where=lower)
-                w *= self._r[lo:hi]
+        circ = np.zeros((hi - lo, 2 * n_z))
+        for i in range(lo, hi):         # target ring radius r[i]
+            r_s = r[i:hi, None]         # source ring radii r[k], k >= i
+            sep2 = (r[i] + r_s) ** 2 + offsets**2
+            m = 4.0 * r[i] * r_s / sep2
+            m[0, 0] = 0.0               # placeholder; replaced below
+            w = (4.0 * dr * dz) * elliptic_k(m) / np.sqrt(sep2)
+            w[0, 0] = self_weight / r[i]
+            c = circ[: hi - i]
+            c[:, :n_z] = w
+            c[:, n_z + 1:] = w[:, :0:-1]
+            leaf[:, i - lo, i - lo:] = np.fft.rfft(c, axis=1).real.T
+        lower = np.tri(hi - lo, k=-1, dtype=bool)
+        for w in leaf:
+            np.copyto(w, w.T, where=lower)
+            w *= r[lo:hi]
 
     def scaled(self, grid):
         """The kernel of ``grid``, which has this kernel's cell counts and

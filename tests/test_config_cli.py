@@ -498,28 +498,34 @@ class TestCli:
         assert len(trace_lines) == result["iterations"] + 1
 
     def test_guess_file_that_does_not_fit_the_grid_exits_one(
-        self, tmp_path, capsys, monkeypatch
+        self, tmp_path, capsys, monkeypatch, recwarn
     ):
         monkeypatch.setenv("COREQUILIB_THREADS", "1")
         guess = tmp_path / "guess.csv"
         grid = cq.CylGrid(2.0, 2.0, 48, 48)
         cq.write_field_csv(cq.DensityField(grid, np.ones((48, 48))), guess)
+        lines = guess.read_text().splitlines(keepends=True)
         raw = base_raw(n=32)
         raw["solver"]["initial_guess"] = {"kind": "from-file", "path": str(guess)}
         cfg = write_config(tmp_path, raw)
         out = tmp_path / "run"
-        for argv in (
-            ["solve", "--config", cfg, "--out", str(out)],
-            ["solve", "--config", cfg, "--dump-effective-config"],
-            ["check", "--config", cfg],
-        ):
-            assert main(argv) == 1
-            captured = capsys.readouterr()
-            assert captured.out == ""
-            assert captured.err == (
-                "config error: field file has 2304 rows, grid needs 1024\n"
-            )
+        # the 48^2 field, its first row alone, and its header alone
+        for text, rows in ((None, 2304), (lines[0] + lines[1], 1), (lines[0], 0)):
+            if text is not None:
+                guess.write_text(text)
+            for argv in (
+                ["solve", "--config", cfg, "--out", str(out)],
+                ["solve", "--config", cfg, "--dump-effective-config"],
+                ["check", "--config", cfg],
+            ):
+                assert main(argv) == 1
+                captured = capsys.readouterr()
+                assert captured.out == ""
+                assert captured.err == (
+                    "config error: field file has %d rows, grid needs 1024\n" % rows
+                )
         assert not out.exists()
+        assert not recwarn.list
 
     def test_solve_requires_out(self, tmp_path):
         cfg = write_config(tmp_path, base_raw())
@@ -575,6 +581,39 @@ class TestCli:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert "section 'solver': %s" % key in captured.err
+
+    @pytest.mark.parametrize("command, section, key, value", [
+        ("solve", "core", "mu", float("nan")),
+        ("solve", "core", "rho", float("nan")),
+        ("solve", "rotation", "omega", float("nan")),
+        ("solve", "rotation", "omega", float("inf")),
+        ("solve", "solver", "tol_density", float("inf")),
+        ("solve", "solver", "mass", float("inf")),
+        ("solve", "eos", "k", float("-inf")),
+        # an integer beyond the float range
+        pytest.param("check", "grid", "r_max", 10**400, id="check-grid-r_max-1e400"),
+        ("scan", "scan", "omega_values", [0.0, float("nan")]),
+    ])
+    def test_non_finite_numbers_exit_one(
+        self, tmp_path, capsys, monkeypatch, command, section, key, value
+    ):
+        # json reads NaN, Infinity and -Infinity as floats
+        monkeypatch.setenv("COREQUILIB_THREADS", "1")
+        raw = base_raw(extra={"scan": dict(SWEEP)} if command == "scan" else None)
+        raw[section][key] = value
+        cfg = write_config(tmp_path, raw)
+        out = tmp_path / "run"
+        run = ["--out", str(out)] if command != "check" else []
+        for argv in ([command, "--config", cfg, *run],
+                     [command, "--config", cfg, "--dump-effective-config"]):
+            assert main(argv) == 1
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err == (
+                "config error: key '%s' in section '%s' must be finite\n"
+                % (key, section)
+            )
+        assert not out.exists()
 
     def test_removed_lambda_bracket_key_exits_one(self, tmp_path, capsys):
         raw = base_raw()

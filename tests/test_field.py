@@ -236,6 +236,9 @@ class TestCoreRegion:
         with pytest.raises(cq.GridError):
             cq.CoreRegion.spheroid(0.3, 1.0, 1.0).mask(grid)
 
+    #: cell centers r = 0.01, 0.03, ..., 0.79 and z = -0.45, -0.35, ..., 0.45
+    PROFILE_GRID = cq.CylGrid(0.8, 0.5, 40, 10)
+
     def test_radius_profile_interpolation(self):
         core = cq.CoreRegion.from_profile(
             [-0.2, -0.1, 0.0, 0.1, 0.2],
@@ -243,14 +246,16 @@ class TestCoreRegion:
             2.0,
         )
         assert core.z_top == pytest.approx(0.2)
-        assert core.radius_at(np.array([0.05]))[0] == pytest.approx(0.275)
-        assert core.radius_at(np.array([0.5]))[0] == 0.0
         assert core.rho_core == 2.0
+        # a(z) is 0.275 at |z| = 0.05, 0.175 at |z| = 0.15 and 0 beyond
+        # |z| = 0.2: 14, 9 and 0 cell centers lie inside
+        inside = np.count_nonzero(core.mask(self.PROFILE_GRID), axis=0)
+        np.testing.assert_array_equal(inside, [0, 0, 0, 9, 14, 14, 9, 0, 0, 0])
 
     def test_one_sided_profile_is_zero_on_the_other_side(self):
         core = cq.CoreRegion.from_profile([0.0, 0.1, 0.2], [0.3, 0.25, 0.1], 1.0)
-        assert core.radius_at(np.array([-0.05]))[0] == 0.0
-        assert core.radius_at(np.array([0.05]))[0] == pytest.approx(0.275)
+        inside = np.count_nonzero(core.mask(self.PROFILE_GRID), axis=0)
+        np.testing.assert_array_equal(inside, [0, 0, 0, 0, 0, 14, 9, 0, 0, 0])
 
     def test_validation(self):
         with pytest.raises(cq.GridError):

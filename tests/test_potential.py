@@ -2,8 +2,8 @@
 
 The kernel is checked against the closed-form potential of a uniform ball
 (interior and exterior), operator symmetry, and the far-field point-mass
-limit with a quadrupole-sized envelope; built and applied in threads it must
-give the same bits as on one thread.  The complete elliptic integral is
+limit with a quadrupole-sized envelope; applied in threads it must give the
+same bits as on one thread, and it is built on the calling thread alone.  The complete elliptic integral is
 checked against its power series and, to round-off, against the scipy
 special function, which evaluates the same Cephes approximation.
 """
@@ -277,22 +277,34 @@ class TestKernelThreads:
         np.testing.assert_array_equal(applied, serial.apply(values))
         assert threading.active_count() == alive
 
-    def test_helper_thread_error_reaches_the_caller(self, monkeypatch):
-        real = cq.potential.elliptic_k
+    def test_the_build_starts_no_thread(self, monkeypatch):
+        def refuse(thread):
+            raise RuntimeError("the build started a thread")
 
-        def fails_in_helpers(m):
+        monkeypatch.setattr(threading.Thread, "start", refuse)
+        kernel = cq.AxiKernel(THREADED_GRID, threads=2)
+        assert kernel.threads == 2
+
+    def test_helper_thread_error_reaches_the_caller(self, monkeypatch):
+        kernel = cq.AxiKernel(THREADED_GRID, threads=2)
+        values = cq.random_blob_field(THREADED_GRID, np.random.default_rng(3)).values
+        real = np.matmul
+
+        def fails_in_helpers(*args, **kwargs):
             if threading.current_thread() is not threading.main_thread():
                 raise ValueError("raised in a helper thread")
-            return real(m)
+            return real(*args, **kwargs)
 
-        monkeypatch.setattr(cq.potential, "elliptic_k", fails_in_helpers)
+        monkeypatch.setattr(np, "matmul", fails_in_helpers)
         alive = threading.active_count()
         with pytest.raises(ValueError, match="raised in a helper thread"):
-            cq.AxiKernel(THREADED_GRID, threads=2)
+            kernel.apply(values)
         assert threading.active_count() == alive
 
     def test_started_helpers_are_joined_when_a_start_fails(self, monkeypatch):
         monkeypatch.setattr(cq.potential, "KERNEL_BYTES_PER_THREAD", 1)
+        grid = cq.CylGrid(1.0, 1.0, 24, 40)
+        kernel = cq.AxiKernel(grid, threads=3)
         start = threading.Thread.start
         started = []
 
@@ -304,7 +316,7 @@ class TestKernelThreads:
 
         monkeypatch.setattr(threading.Thread, "start", start_once)
         with pytest.raises(RuntimeError, match="can't start new thread"):
-            cq.AxiKernel(cq.CylGrid(1.0, 1.0, 24, 40), threads=3)
+            kernel.apply(np.ones((grid.n_r, grid.n_z)))
         assert len(started) == 1 and not started[0].is_alive()
 
 
