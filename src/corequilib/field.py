@@ -269,10 +269,12 @@ def read_field_csv(path, grid, mask=None):
         warnings.simplefilter("ignore", UserWarning)
         data = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
     expected = grid.n_r * grid.n_z
-    if data.shape != (expected, 3):
+    if data.shape[0] != expected:
         raise GridError(
-            "field file has %s rows, grid needs %d" % (data.shape[0], expected)
+            "field file has %d rows, grid needs %d" % (data.shape[0], expected)
         )
+    if data.shape[1] != 3:
+        raise GridError("field file has %d columns, not r,z,rho" % data.shape[1])
     R, Z = grid.meshes()
     scale_r = max(1.0, grid.r_max)
     scale_z = max(1.0, grid.z_max)

@@ -340,6 +340,12 @@ class TestFieldCsv:
         cq.write_field_csv(fld, path)
         with pytest.raises(cq.GridError):
             cq.read_field_csv(path, other)
+        # every row without its rho: the right count, one column short
+        path.write_text("".join(
+            line.rsplit(",", 1)[0] + "\n" for line in path.read_text().splitlines()
+        ))
+        with pytest.raises(cq.GridError, match="has 2 columns, not r,z,rho"):
+            cq.read_field_csv(path, grid)
 
 
 def test_random_blob_determinism():
