@@ -3,9 +3,10 @@
 The kernel is checked against the closed-form potential of a uniform ball
 (interior and exterior), operator symmetry, and the far-field point-mass
 limit with a quadrupole-sized envelope; applied in threads it must give the
-same bits as on one thread, and it is built on the calling thread alone.  The complete elliptic integral is
-checked against its power series and, to round-off, against the scipy
-special function, which evaluates the same Cephes approximation.
+same bits as on one thread, and it is built on the calling thread alone.
+The complete elliptic integral is checked against its power series and, to
+round-off, against the scipy special function, which evaluates the same
+Cephes approximation.
 """
 
 import json
