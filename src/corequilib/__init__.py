@@ -46,14 +46,11 @@ from .potential import (
 )
 from .energy import (
     BoundCheck,
-    DilationRangeError,
     EnergyReport,
     ResidualStats,
     energy_with_potential,
     multiplier_bound_check,
-    resample_dilated,
     residual_with_potential,
-    scaling_energy_curve,
 )
 from .lane_emden import (
     PolytropeStructure,

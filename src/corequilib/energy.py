@@ -17,12 +17,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import field as field_ops
-from .field import DensityField
-from .potential import kernel_for
-
-
-class DilationRangeError(ValueError):
-    """A dilated field would poke out of the grid."""
 
 
 @dataclass(frozen=True)
@@ -116,47 +110,3 @@ def multiplier_bound_check(lam, omega, d_r, eq_residual_max):
     bound = -0.5 * float(omega) ** 2 * float(d_r) ** 2
     margin = bound + slack - float(lam)
     return BoundCheck(margin >= 0.0, bound, slack, margin)
-
-
-def resample_dilated(fld, t):
-    """The dilated field rho_t(x) = rho(x/t) / t^3 on the same grid.
-
-    Resampling is nearest-cell-center lookup; the raw result conserves mass
-    up to the staircase error of the lookup, and callers who need the mass
-    exact renormalize afterwards.
-    """
-    if t < 1.0:
-        raise ValueError("dilation factor must be >= 1")
-    grid = fld.grid
-    d_r, d_z = field_ops.support_extent(fld, 0.0)
-    if t * d_r > grid.r_max or t * d_z > grid.z_max:
-        raise DilationRangeError(
-            "support (%.3g, %.3g) dilated by %g exceeds the grid" % (d_r, d_z, t)
-        )
-    src_i = np.clip((grid.r / t / grid.dr).astype(int), 0, grid.n_r - 1)
-    src_j = np.clip(
-        ((grid.z / t + grid.z_max) / grid.dz).astype(int), 0, grid.n_z - 1
-    )
-    vals = fld.values[np.ix_(src_i, src_j)] / t**3
-    return DensityField(grid, vals, fld.mask)
-
-
-def scaling_energy_curve(fld, eos, t_values):
-    """F(rho_t) = internal - self-gravity along the dilation family.
-
-    For a density with negative F at moderate dilation the self-gravity term
-    dominates like 1/t while the internal term decays faster, so the curve
-    is negative with |F|*t rising; that shape is what the acceptance test
-    asserts.
-    """
-    kernel = kernel_for(fld.grid)
-    mass = field_ops.total_mass(fld)
-    vol = fld.grid.vol
-    out = []
-    for t in t_values:
-        dil = field_ops.rescale_to_mass(resample_dilated(fld, t), mass)
-        internal = float(np.sum(eos.internal_energy(dil.values) * vol))
-        self_grav = 0.5 * float(np.sum(dil.values * kernel.apply(dil.values) * vol))
-        out.append(internal - self_grav)
-    return out
-

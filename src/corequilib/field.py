@@ -264,10 +264,21 @@ def read_field_csv(path, grid, mask=None):
     The file must cover exactly this grid's cell centers in dump order;
     coordinates are checked, not trusted.
     """
-    with warnings.catch_warnings():
-        # a file without data rows is refused below by its row count
-        warnings.simplefilter("ignore", UserWarning)
-        data = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
+    try:
+        with warnings.catch_warnings():
+            # a file without data rows is refused below by its row count
+            warnings.simplefilter("ignore", UserWarning)
+            data = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
+    except ValueError:
+        with open(path) as fh:
+            for number, line in enumerate(fh, 1):
+                fields = len(line.split(","))
+                if number > 1 and line.strip() and fields != 3:
+                    raise GridError(
+                        "field file line %d has %d fields, not r,z,rho"
+                        % (number, fields)
+                    ) from None
+        raise
     expected = grid.n_r * grid.n_z
     if data.shape[0] != expected:
         raise GridError(

@@ -14,7 +14,7 @@ with K the complete elliptic integral of the first kind in the parameter
 convention (m = k^2).  The ring-to-itself weight is singular; it is replaced
 by the closed-form self-potential of a uniform rod of rectangular cross
 section dr x dz, which is a consistent second-order regularization (the
-uniform-sphere acceptance test pins its accuracy).
+uniform-sphere acceptance test pins its accuracy).  ``ring_weights`` has both.
 
 The kernel depends on z only through |z - z'|, so applying it is a discrete
 convolution along z.  Through a length 2*n_z real FFT each apply is one
@@ -95,6 +95,38 @@ def elliptic_k(m):
         q += b
     out = p - np.log(x) * q
     return float(out) if arr.ndim == 0 else out
+
+
+def ring_weights(r_t, r_s, offsets, dr, dz):
+    """Weight per unit source radius, ``4 K(m) / sqrt(sep2) * dr * dz``, of
+    rings of radii ``r_s`` on rings of radii ``r_t`` at the z ``offsets``,
+    shape (offsets, targets, sources).  A ring against itself, where m is 1
+    (the same radius at offset 0), gets the rod self weight over its radius.
+    The targets are taken in blocks of about ``2**16`` weights, few enough
+    to stay in cache.
+    """
+    out = np.empty((len(offsets), len(r_t), len(r_s)))
+    rod = 2.0 * (np.arcsinh(dz / dr) + np.arcsinh(dr / dz)) * dr * dz
+    step = max(1, 2**16 // (len(offsets) * len(r_s)))
+    for a in range(0, len(r_t), step):
+        t = r_t[a:a + step, None]
+        sep2 = (t + r_s) ** 2 + offsets[:, None, None] ** 2
+        m = 4.0 * t * r_s / sep2
+        ring = m == 1.0
+        m[ring] = 0.0                   # placeholder; replaced below
+        k = elliptic_k(m)
+        k *= 4.0 * dr * dz
+        w = out[:, a:a + len(t)]
+        np.divide(k, np.sqrt(sep2, out=sep2), out=w)
+        np.copyto(w, rod / t, where=ring)
+    return out
+
+
+def _even_rfft(x):
+    """rfft along axis 0 of the even circulant embedding ``x[0], ...,
+    x[n-1], 0, x[n-1], ..., x[1]`` of n offsets: real, shape (n + 1, ...)."""
+    c = np.concatenate((x, np.zeros_like(x[:1]), x[:0:-1]))
+    return np.fft.rfft(c, axis=0).real
 
 
 def _physical_memory_bytes():
@@ -224,20 +256,20 @@ class AxiKernel:
     """Precomputed ring-reduction weights for one grid, FFT-ready.
 
     The weight table W(i, k, |j - l|) couples target radius i and source
-    radius k at a z offset.  Its circulant embedding along z is even in the
-    offset, so its rfft is real.  The table is stored as a hierarchy on the
-    radii (``_layout``): a range of radii is halved while each half keeps
-    at least ``2 * RANK`` radii, so a grid of fewer than 192 radii is one
-    leaf, one of 192 two leaves of 96 and one pair, and one of 384 four
-    leaves of 96 and three pairs.
+    radius k at a z offset.  Every block of it comes from ``ring_weights``,
+    the one place that holds the weight and the self weight, and is
+    transformed along z by ``_even_rfft``.  The table is stored as a
+    hierarchy on the radii (``_layout``): a range of radii is halved while
+    each half keeps at least ``2 * RANK`` radii, so a grid of fewer than
+    192 radii is one leaf, one of 192 two leaves of 96 and one pair, and
+    one of 384 four leaves of 96 and three pairs.
 
     * A diagonal leaf ``(lo, hi)`` of b radii is stored dense, as the rfft
       of its weights, shape ``(n_z + 1, b, b)`` for frequency, target and
-      source.  Each row i computes the weight per unit source radius,
-      ``4 K(m) / sqrt(sep2)``, which is symmetric, and its transform for
-      the sources k >= i of the leaf only (``_fill_leaf``); the lower
-      triangle is mirrored from the upper one before every entry is
-      multiplied by r[k].
+      source.  The weight per unit source radius is symmetric, so each
+      row i is computed and transformed for the sources k >= i only
+      (``_fill_leaf``); the lower triangle is mirrored from the upper one
+      before every entry is multiplied by r[k].
     * An off-diagonal pair of ranges I = range(lo, mid) and K = range(mid,
       hi) is stored once, as ``U C[f] V^T`` for the weight per unit source
       radius.  U and V are orthonormal bases of rank ``RANK`` over the
@@ -264,8 +296,8 @@ class AxiKernel:
     ``CHUNK_BYTES`` (``_chunks``: all rows and a range of z, or part of the
     rows and one z where one z of the pair is larger), twice (to sketch,
     then to project) when there is more than one chunk.  So beside the
-    kernel the build holds no more than one chunk, or the transform rows
-    of one leaf.
+    kernel the build holds no more than one chunk, or the transform of one
+    pair's coefficients.
 
     The build runs on the calling thread.  ``threads`` is the CPU budget
     ``apply`` may spend: it uses one thread per ``KERNEL_BYTES_PER_THREAD``
@@ -314,24 +346,6 @@ class AxiKernel:
         for leaf in self._leaves:
             self._fill_leaf(*leaf)
 
-    def _weights(self, rows, sources, offsets):
-        """Weight per unit source radius of the radii range(*rows) against
-        range(*sources) at the z ``offsets``, shape (offsets, rows,
-        sources), in blocks of rows of about ``2**16`` weights, few enough
-        to stay in cache."""
-        r = self._r
-        r_s = r[sources[0]:sources[1]]
-        out = np.empty((len(offsets), rows[1] - rows[0], len(r_s)))
-        step = max(1, 2**16 // (len(offsets) * len(r_s)))
-        for lo in range(rows[0], rows[1], step):
-            r_t = r[lo:min(lo + step, rows[1]), None]
-            sep2 = (r_t + r_s) ** 2 + offsets[:, None, None] ** 2
-            k = elliptic_k(4.0 * r_t * r_s / sep2)
-            out[:, lo - rows[0]:lo - rows[0] + len(r_t)] = (
-                (4.0 * self.grid.dr * self.grid.dz) * k / np.sqrt(sep2)
-            )
-        return out
-
     def _compress(self, lo, mid, hi, u, v, coef):
         """Fill one pair's bases ``u``, ``v`` and coefficients ``coef``.
 
@@ -342,50 +356,52 @@ class AxiKernel:
         ``_test_matrix`` at index ``z n_k + k``, read at k = i for the
         second (the first range of a pair is never the longer one).  Then
         ``W[z] V`` is formed per slice, ``coef`` gets ``U^T W[z] V`` until
-        its rfft replaces it, and the residual is summed exactly as
+        its transform replaces it, and the residual is summed exactly as
         ``|W - W V V^T|^2 + |W V - U U^T W V|^2``, whose two terms are
         orthogonal.
         """
+        r_t, r_s = self._r[lo:mid], self._r[mid:hi]
+        dr, dz = self.grid.dr, self.grid.dz
         n_i, n_k, n_z = mid - lo, hi - mid, self.grid.n_z
-        offsets = self.grid.dz * np.arange(n_z)
+        offsets = dz * np.arange(n_z)
         chunks = _chunks(n_i, n_k, n_z)
+        w = None
 
-        def slices(w, rows, zs):
-            step = max(1, 2**18 // ((rows[1] - rows[0]) * n_k))
-            for s0 in range(zs[0], zs[1], step):
-                s1 = min(s0 + step, zs[1])
-                yield s0, s1, w[s0 - zs[0]:s1 - zs[0]]
+        def slices():
+            nonlocal w
+            for (r0, r1), (z0, z1) in chunks:
+                if w is None or len(chunks) > 1:
+                    w = ring_weights(r_t[r0:r1], r_s, offsets[z0:z1], dr, dz)
+                step = max(1, 2**18 // ((r1 - r0) * n_k))
+                for s0 in range(z0, z1, step):
+                    s1 = min(s0 + step, z1)
+                    yield r0, r1, s0, s1, w[s0 - z0:s1 - z0]
 
         y_u, y_v = np.zeros((n_i, RANK)), np.zeros((n_k, RANK))
         norm2 = 0.0
-        for (r0, r1), zs in chunks:
-            w = self._weights((lo + r0, lo + r1), (mid, hi), offsets[zs[0]:zs[1]])
-            norm2 += float(np.vdot(w, w))
-            for s0, s1, part in slices(w, (r0, r1), zs):
-                test = _test_matrix(s0 * n_k * RANK, (s1 - s0) * n_k)
-                test = test.reshape(s1 - s0, n_k, RANK)
-                y_u[r0:r1] += np.matmul(part, test).sum(axis=0)
-                y_v += part.reshape(-1, n_k).T @ test[:, r0:r1].reshape(-1, RANK)
+        for r0, r1, s0, s1, part in slices():
+            norm2 += float(np.vdot(part, part))
+            test = _test_matrix(s0 * n_k * RANK, (s1 - s0) * n_k)
+            test = test.reshape(s1 - s0, n_k, RANK)
+            y_u[r0:r1] += np.matmul(part, test).sum(axis=0)
+            y_v += part.reshape(-1, n_k).T @ test[:, r0:r1].reshape(-1, RANK)
         u[...] = np.linalg.qr(y_u)[0]
         v[...] = np.linalg.qr(y_v)[0]
         err2 = 0.0
-        for (r0, r1), zs in chunks:
-            if len(chunks) > 1:
-                w = self._weights((lo + r0, lo + r1), (mid, hi), offsets[zs[0]:zs[1]])
-            for s0, s1, part in slices(w, (r0, r1), zs):
-                # a chunk of part of the rows has one z, and the chunks
-                # after it have the same z and the rest of the rows
-                if r0 == 0:
-                    wv = np.empty((s1 - s0, n_i, RANK))
-                part = part.reshape(-1, n_k)
-                t = part @ v                    # (slice z * rows, RANK)
-                part -= t @ v.T
-                err2 += float(np.vdot(part, part))
-                wv[:, r0:r1] = t.reshape(s1 - s0, r1 - r0, RANK)
-                if r1 == n_i:
-                    c = np.matmul(u.T, wv, out=coef[s0:s1])
-                    wv -= u @ c
-                    err2 += float(np.vdot(wv, wv))
+        for r0, r1, s0, s1, part in slices():
+            # a chunk of part of the rows has one z, and the chunks after
+            # it have the same z and the rest of the rows
+            if r0 == 0:
+                wv = np.empty((s1 - s0, n_i, RANK))
+            part = part.reshape(-1, n_k)
+            t = part @ v                    # (slice z * rows, RANK)
+            part -= t @ v.T
+            err2 += float(np.vdot(part, part))
+            wv[:, r0:r1] = t.reshape(s1 - s0, r1 - r0, RANK)
+            if r1 == n_i:
+                c = np.matmul(u.T, wv, out=coef[s0:s1])
+                wv -= u @ c
+                err2 += float(np.vdot(wv, wv))
         residual = (err2 / norm2) ** 0.5
         if residual > RESIDUAL_LIMIT:
             raise FloatingPointError(
@@ -393,40 +409,23 @@ class AxiKernel:
                 "rank-%d residual of %.2e, above %.0e"
                 % (lo, mid - 1, mid, hi - 1, RANK, residual, RESIDUAL_LIMIT)
             )
-        circ = np.zeros((2 * n_z, RANK))
-        for a in range(RANK):
-            circ[:n_z] = coef[:n_z, a]
-            circ[n_z + 1:] = coef[n_z - 1:0:-1, a]
-            coef[:, a] = np.fft.rfft(circ, axis=0).real
+        w = None                        # freed before the transform
+        coef[...] = _even_rfft(coef[:n_z])
 
     def _fill_leaf(self, lo, hi, leaf):
         """Fill the diagonal leaf of the radii range(lo, hi).
 
-        Each row i gets its sources k >= i and their rfft, written into the
-        upper triangle; then, one frequency at a time, the lower triangle
-        is mirrored from the upper one and every entry multiplied by r[k]:
-        a frequency's matrix is small enough to stay in cache, where
-        writing the mirrored column of each row is not.
+        Each row i gets the weights of its sources k >= i and their
+        transform, written into the upper triangle; then, one frequency at
+        a time, the lower triangle is mirrored from the upper one and every
+        entry multiplied by r[k]: a frequency's matrix is small enough to
+        stay in cache, where writing the mirrored column of each row is not.
         """
-        r = self._r
-        dr, dz = self.grid.dr, self.grid.dz
-        n_z = self.grid.n_z
-        offsets = dz * np.arange(n_z)
-        # Self-potential of the coincident ring cell: uniform rectangular
-        # rod cross section dr x dz, integrated in closed form.
-        self_weight = 2.0 * (np.arcsinh(dz / dr) + np.arcsinh(dr / dz)) * dr * dz
-        circ = np.zeros((hi - lo, 2 * n_z))
-        for i in range(lo, hi):         # target ring radius r[i]
-            r_s = r[i:hi, None]         # source ring radii r[k], k >= i
-            sep2 = (r[i] + r_s) ** 2 + offsets**2
-            m = 4.0 * r[i] * r_s / sep2
-            m[0, 0] = 0.0               # placeholder; replaced below
-            w = (4.0 * dr * dz) * elliptic_k(m) / np.sqrt(sep2)
-            w[0, 0] = self_weight / r[i]
-            c = circ[: hi - i]
-            c[:, :n_z] = w
-            c[:, n_z + 1:] = w[:, :0:-1]
-            leaf[:, i - lo, i - lo:] = np.fft.rfft(c, axis=1).real.T
+        r, dr, dz = self._r, self.grid.dr, self.grid.dz
+        offsets = dz * np.arange(self.grid.n_z)
+        for i in range(lo, hi):
+            w = ring_weights(r[i:i + 1], r[i:hi], offsets, dr, dz)
+            leaf[:, i - lo, i - lo:] = _even_rfft(w)[:, 0]
         lower = np.tri(hi - lo, k=-1, dtype=bool)
         for w in leaf:
             np.copyto(w, w.T, where=lower)

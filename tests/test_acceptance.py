@@ -15,9 +15,9 @@ import numpy as np
 import pytest
 
 import corequilib as cq
-from corequilib.energy import scaling_energy_curve
 from corequilib.lane_emden import polytrope_structure
 from corequilib.potential import ensemble_ratio_maxima, kernel_for
+from test_energy import scaling_energy_curve
 
 
 def report(num, ok, details):

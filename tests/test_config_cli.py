@@ -509,8 +509,15 @@ class TestCli:
         raw["solver"]["initial_guess"] = {"kind": "from-file", "path": str(guess)}
         cfg = write_config(tmp_path, raw)
         out = tmp_path / "run"
-        # the 48^2 field, its first row alone, and its header alone
-        for text, rows in ((None, 2304), (lines[0] + lines[1], 1), (lines[0], 0)):
+        rows = "field file has %d rows, grid needs 1024"
+        # the 48^2 field, its first row alone, its header alone, and its
+        # first row followed by a row of two fields
+        short = lines[2].rsplit(",", 1)[0] + "\n"
+        for text, message in (
+            (None, rows % 2304), (lines[0] + lines[1], rows % 1),
+            (lines[0], rows % 0),
+            (lines[0] + lines[1] + short, "field file line 3 has 2 fields, not r,z,rho"),
+        ):
             if text is not None:
                 guess.write_text(text)
             for argv in (
@@ -521,9 +528,7 @@ class TestCli:
                 assert main(argv) == 1
                 captured = capsys.readouterr()
                 assert captured.out == ""
-                assert captured.err == (
-                    "config error: field file has %d rows, grid needs 1024\n" % rows
-                )
+                assert captured.err == "config error: %s\n" % message
         assert not out.exists()
         assert not recwarn.list
 
@@ -1202,7 +1207,7 @@ def test_dump_fails_where_the_run_fails(
 @pytest.mark.parametrize("error", [
     cq.QuadratureError, cq.EosRangeError, cq.EosDomainError,
     cq.EosInversionError, cq.GridError, cq.DegenerateFieldError,
-    cq.DilationRangeError, cq.MassDriftError, FloatingPointError,
+    cq.MassDriftError, FloatingPointError,
 ])
 def test_numeric_errors_exit_two(tmp_path, capsys, monkeypatch, error):
     def fail(*args, **kwargs):

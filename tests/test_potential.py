@@ -9,7 +9,10 @@ round-off, against the scipy special function, which evaluates the same
 Cephes approximation.
 """
 
+import ast
 import json
+import math
+import os
 import sys
 import threading
 
@@ -246,6 +249,76 @@ class TestKernelAgainstBall:
 
 #: a grid whose kernel (12.7 MB) is above the two-thread threshold
 THREADED_GRID = cq.CylGrid(2.0, 1.5, 128, 96)
+
+
+class TestRingWeights:
+    # a 96^2 grid is one leaf; 192 x 64 has leaves of radii 0-95 and
+    # 96-191; 100 x 30 has dz twice dr
+    GRIDS = [
+        (cq.CylGrid(2.0, 2.0, 96, 96), 0, 96),
+        (cq.CylGrid(2.0, 2.0, 192, 64), 96, 192),
+        (cq.CylGrid(1.0, 1.0, 100, 30), 0, 100),
+    ]
+
+    @staticmethod
+    def formula(r_t, r_s, offsets, dr, dz):
+        """4 K(m) / sqrt(sep2) dr dz, with scipy's K."""
+        sep2 = (r_t[:, None] + r_s) ** 2 + offsets[:, None, None] ** 2
+        return 4.0 * ellipk(4.0 * r_t[:, None] * r_s / sep2) / np.sqrt(sep2) * dr * dz
+
+    @pytest.mark.parametrize("grid, lo, hi", GRIDS)
+    def test_symmetric_on_a_leaf_bit_for_bit(self, grid, lo, hi):
+        r, offsets = grid.r[lo:hi], grid.dz * np.arange(grid.n_z)
+        w = cq.potential.ring_weights(r, r, offsets, grid.dr, grid.dz)
+        assert w.shape == (grid.n_z, hi - lo, hi - lo)
+        np.testing.assert_array_equal(w, w.transpose(0, 2, 1))
+
+    @pytest.mark.parametrize("grid, lo, hi", GRIDS)
+    def test_coincident_entry_is_the_rod_self_weight(self, grid, lo, hi):
+        r, dr, dz = grid.r[lo:hi], grid.dr, grid.dz
+        w = cq.potential.ring_weights(r, r, np.array([0.0]), dr, dz)[0]
+        rod = 2.0 * (math.asinh(dz / dr) + math.asinh(dr / dz)) * dr * dz / r
+        np.testing.assert_allclose(np.diagonal(w), rod, rtol=1e-15, atol=0.0)
+        off = ~np.eye(hi - lo, dtype=bool)
+        exact = self.formula(r, r, np.array([0.0]), dr, dz)
+        np.testing.assert_allclose(w[off], exact[0][off], rtol=1e-14)
+
+    @pytest.mark.parametrize("grid, lo, hi", GRIDS)
+    def test_no_coincident_entry_off_the_diagonal_or_offset_zero(self, grid, lo, hi):
+        r, dr, dz = grid.r, grid.dr, grid.dz
+        mid = (lo + hi) // 2
+        for r_t, r_s, offsets in (
+            (r[lo:mid], r[mid:hi], dz * np.arange(grid.n_z)),
+            (r[lo:hi], r[lo:hi], dz * np.arange(1, grid.n_z)),
+        ):
+            w = cq.potential.ring_weights(r_t, r_s, offsets, dr, dz)
+            exact = self.formula(r_t, r_s, offsets, dr, dz)
+            np.testing.assert_allclose(w, exact, rtol=1e-14)
+
+
+def test_the_ring_weight_and_its_transform_are_computed_in_one_place():
+    src = os.path.dirname(os.path.abspath(cq.__file__))
+    callers = {}
+
+    def visit(node, scope):
+        for child in ast.iter_child_nodes(node):
+            inner = scope
+            if isinstance(child, (ast.ClassDef, ast.FunctionDef)):
+                inner = scope + [child.name]
+            if isinstance(child, ast.Call):
+                func = child.func
+                name = getattr(func, "attr", getattr(func, "id", None))
+                callers.setdefault(name, set()).add(".".join(scope))
+            visit(child, inner)
+
+    for name in sorted(os.listdir(src)):
+        if name.endswith(".py"):
+            with open(os.path.join(src, name)) as fh:
+                visit(ast.parse(fh.read()), [name[:-3]])
+    assert callers["elliptic_k"] == {"potential.ring_weights"}
+    assert callers["arcsinh"] == {"potential.ring_weights"}
+    assert callers["rfft"] == {"potential._even_rfft", "potential.AxiKernel.apply"}
+    assert "asinh" not in callers
 
 
 class TestKernelThreads:

@@ -609,3 +609,53 @@ class TestExactYardstick:
         out = cq.solve(le_spec(96, core=cq.CoreRegion.spheroid(a, a, 10.0)))
         assert out.verdict == "Converged"
         assert out.state.lam == pytest.approx(-mass / radius, rel=5e-3)
+
+    def test_multiplier_shift_at_omega_0_1(self):
+        """The spherical mean h0 of the enthalpy at omega 0.1, to first order.
+
+        The mean of J = omega^2 s^2 / 2 over a sphere is omega^2 r^2 / 3,
+        whose Laplacian 2 omega^2 adds omega^2 / pi to the solution:
+        h0 = omega^2 / pi + (A sin kr + C cos kr) / r.  Its conditions,
+        h0(R) = 0, h0'(a) = 2 omega^2 a / 3 (the core has no pull) and the
+        mass, are linear in (A, C, 1), so R is a zero of their 3 x 3
+        determinant, and lambda = -M / R - omega^2 R^2 / 3.
+        """
+        from scipy.optimize import brentq
+
+        a, mass = 0.1, 1.0
+        kappa = np.sqrt(2.0 * np.pi)
+
+        def rows(radius, w2):
+            def h(r):       # (sin kr / r, cos kr / r)
+                return np.array([np.sin(kappa * r), np.cos(kappa * r)]) / r
+
+            def dh(r):
+                return kappa * h(r)[::-1] * [1.0, -1.0] - h(r) / r
+
+            def r2h(r):     # antiderivative of r^2 h
+                s, c = np.sin(kappa * r), np.cos(kappa * r)
+                return np.array([s - kappa * r * c, c + kappa * r * s]) / kappa**2
+
+            volume = (radius**3 - a**3) / 3.0
+            return np.array([
+                [*h(radius), w2 / np.pi],
+                [*dh(a), -2.0 * w2 * a / 3.0],
+                [*(2.0 * np.pi * (r2h(radius) - r2h(a))), 2.0 * w2 * volume - mass],
+            ])
+
+        def lam(omega):
+            w2 = omega**2
+            radius = brentq(
+                lambda x: np.linalg.det(rows(x, w2)), a + 1e-3, a + np.pi / kappa,
+                xtol=1e-14,
+            )
+            return -mass / radius - w2 * radius**2 / 3.0
+
+        model = lam(0.1) - lam(0.0)
+        assert model == pytest.approx(-2.06453e-3, abs=1e-8)
+        core = cq.CoreRegion.spheroid(a, a, 10.0)
+        for n, rel in ((96, 5e-3), (192, 2e-3)):
+            outs = [cq.solve(le_spec(n, omega=w, core=core)) for w in (0.1, 0.0)]
+            assert [out.verdict for out in outs] == ["Converged"] * 2
+            shift = outs[0].state.lam - outs[1].state.lam
+            assert shift == pytest.approx(model, rel=rel), n
