@@ -15,7 +15,6 @@ from .eos import (
     Polytrope,
     QuadratureError,
     TabulatedEos,
-    make_eos,
 )
 from .field import (
     CoreRegion,

@@ -13,10 +13,10 @@ import json
 import math
 import os
 
-from .eos import make_eos
+from .eos import Polytrope, TabulatedEos
 from .field import CoreRegion, CylGrid
 from .potential import RotationLaw
-from .solver import InitialGuess, ProblemSpec, ScfConfig
+from .solver import GUESS_KINDS, InitialGuess, ProblemSpec, ScfConfig
 
 _SECTIONS = ("eos", "grid", "core", "rotation", "solver", "scan")
 
@@ -114,34 +114,19 @@ def _growth(section, key, value):
     return value
 
 
+def _text(section, key, value):
+    if not isinstance(value, str):
+        raise ConfigError("key '%s' in section '%s' must be a string" % (key, section))
+    return value
+
+
 def _guess(section, key, value):
     """``solver.initial_guess``: a kind string, or an object with a kind."""
     if value is None:
-        return {"kind": "gaussian-blob"}
+        value = "gaussian-blob"
     if isinstance(value, str):
         value = {"kind": value}
-    if not isinstance(value, dict) or "kind" not in value:
-        raise ConfigError(
-            "key 'initial_guess' in section 'solver' must be a kind string "
-            "or an object with a 'kind'"
-        )
-    for name in value:
-        if name not in ("kind", "path"):
-            raise ConfigError(
-                "unknown key '%s' in section 'solver.initial_guess'" % name
-            )
-    out = {"kind": value["kind"]}
-    if out["kind"] == "from-file":
-        if "path" not in value:
-            raise ConfigError(
-                "missing key 'path' in section 'solver.initial_guess'"
-            )
-        out["path"] = str(value["path"])
-    elif "path" in value:
-        raise ConfigError(
-            "key 'path' in section 'solver.initial_guess' only applies to from-file"
-        )
-    return out
+    return _kind("solver.initial_guess", value, _GUESS)
 
 
 # -- key tables: key -> (check, default or REQUIRED) ---------------------------
@@ -171,6 +156,9 @@ _ROTATION = {
     "constant": {"omega": (_NONNEG, 0.0)},
     "profile": {"s": (_NONNEG_LIST, REQUIRED), "omega": (_NONNEG_LIST, REQUIRED)},
 }
+#: one key table per ``solver.GUESS_KINDS`` kind; only a file has a path
+_GUESS = {kind: {} for kind in GUESS_KINDS}
+_GUESS["from-file"] = {"path": (_text, REQUIRED)}
 #: ``mass``, ``initial_guess`` and every ScfConfig field, type-checked by its
 #: default's type; ScfConfig checks the fields' ranges itself
 _SOLVER = {
@@ -218,8 +206,13 @@ def _kind(section, given, tables):
 
 def _core(sec, grid):
     if sec is None:
-        # pinpoint placeholder: masks nothing, carries no mass
-        tiny = 1e-3 * grid["r_max"]
+        # pinpoint placeholder that fits, masks no cell and carries no mass:
+        # 1e-3 r_max where that does, a quarter of the smallest cell if not
+        g = CylGrid(grid["r_max"], grid["z_max"], grid["n_r"], grid["n_z"])
+        tiny = 1e-3 * g.r_max
+        r0, z0 = g.r[0] / tiny, min(abs(g.z)) / tiny  # the nearest cell centre
+        if not (tiny < g.z_max and r0**2 + z0**2 > 1.0):
+            tiny = 0.25 * min(g.dr, g.dz)
         return {"a_r": tiny, "a_z": tiny, "rho": 0.0, "mu": 0.0}
     profile = isinstance(sec, dict) and ("profile_z" in sec or "profile_a" in sec)
     if profile and ("a_r" in sec or "a_z" in sec):
@@ -280,8 +273,11 @@ def build_problem(eff):
     surface as ConfigError so the CLI can treat them as usage problems.
     """
     try:
-        eos = make_eos(**eff["eos"])
-        g, c, r, s = eff["grid"], eff["core"], eff["rotation"], eff["solver"]
+        e, g, c, r = eff["eos"], eff["grid"], eff["core"], eff["rotation"]
+        if e["kind"] == "polytrope":
+            eos = Polytrope(e["k"], e["gamma"])
+        else:
+            eos = TabulatedEos(e["s"], e["f"])
         grid = CylGrid(g["r_max"], g["z_max"], g["n_r"], g["n_z"])
         if "profile_z" in c:
             core = CoreRegion.from_profile(c["profile_z"], c["profile_a"], c["rho"])
@@ -304,10 +300,10 @@ def build_problem(eff):
             core=core,
             mu=c["mu"],
             rotation=rotation,
-            mass=s["mass"],
-            initial_guess=InitialGuess(**s["initial_guess"]),
+            mass=eff["solver"]["mass"],
+            initial_guess=InitialGuess(**eff["solver"]["initial_guess"]),
         )
-        scf = _scf_config(s)
+        scf = _scf_config(eff["solver"])
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
     return spec, scf

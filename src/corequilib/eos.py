@@ -189,8 +189,6 @@ class Polytrope:
         targets has no minimizer.
     """
 
-    kind = "polytrope"
-
     #: top of the enthalpy range ``enthalpy_inverse`` accepts
     h_max = np.inf
 
@@ -277,8 +275,6 @@ class TabulatedEos:
     its slope together.  Past the table's ends f is the ``Polytrope``
     through the two end samples, and I continues from its value at the end.
     """
-
-    kind = "tabulated-generic"
 
     #: relative tolerance for each piece of the quadrature of f(t)/t^2
     quad_rtol = 1e-12
@@ -487,15 +483,3 @@ class TabulatedEos:
         """Finite samples cannot settle the limits behind the run-off regime."""
         return None
 
-
-def make_eos(kind, **kwargs):
-    """Factory used by the config layer.
-
-    ``kind`` is either ``"polytrope"`` (needs k, gamma) or
-    ``"tabulated-generic"`` (needs s, f sample arrays).
-    """
-    if kind == "polytrope":
-        return Polytrope(kwargs["k"], kwargs["gamma"])
-    if kind == "tabulated-generic":
-        return TabulatedEos(kwargs["s"], kwargs["f"])
-    raise ValueError("unknown eos kind %r" % (kind,))

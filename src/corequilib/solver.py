@@ -13,9 +13,11 @@ discrete equilibria.
 Failure modes are data, not exceptions: the returned ``Outcome`` carries one
 of the verdicts Converged / MassRunoff / LambdaBracketFail / IterationCap.
 Run-off (the reconstructed density piling against the outer boundary for
-three consecutive iterations) and bracket failure (no multiplier can hold
-the requested mass) are the numerical signatures of the parameter regime
-where no equilibrium exists.
+three consecutive iterations, by ``RUNOFF_FRACTION`` and
+``RUNOFF_MARGIN_CELLS``) and bracket failure (the EOS table ends short of
+the enthalpy the requested mass needs) are the numerical signatures of the
+parameter regime where no equilibrium exists.  A mass that cannot be held
+to ``MASS_TOL`` is a numerical failure, ``MassDriftError``, not a verdict.
 """
 
 from dataclasses import dataclass, field as dc_field
@@ -43,9 +45,19 @@ from .energy import (
 
 GUESS_KINDS = ("gaussian-blob", "uniform-shell", "from-file")
 
+#: relative mass error allowed of an iterate and of the density its
+#: multiplier reconstructs; missing it raises ``MassDriftError``
+MASS_TOL = 1e-10
+#: ``MassRunoff`` is three consecutive reconstructions that each hold more
+#: than ``RUNOFF_FRACTION`` of the mass in the boundary margin, the
+#: ``RUNOFF_MARGIN_CELLS`` outermost cells on each side
+#: (``boundary_mass_exceeds``)
+RUNOFF_FRACTION = 0.05
+RUNOFF_MARGIN_CELLS = 2
+
 
 class LambdaBracketError(RuntimeError):
-    """No multiplier the EOS can represent holds the requested mass."""
+    """The EOS table ends before the enthalpy the requested mass needs."""
 
     def __init__(self, message, evals):
         super().__init__(message)
@@ -53,7 +65,9 @@ class LambdaBracketError(RuntimeError):
 
 
 class MassDriftError(RuntimeError):
-    """Mass renormalization left an iterate off the requested mass."""
+    """A density is off the requested mass by more than ``MASS_TOL``: mass
+    renormalization left an iterate off it, or the multiplier's bracket
+    collapsed before its reconstruction reached it."""
 
 
 #: numeric failures of a solve besides a ValueError (not a ConfigError): the
@@ -112,29 +126,25 @@ class ScfConfig:
     """Iteration controls; the defaults are the tested operating point.
 
     The field names are the keys of a config's ``solver`` section, and the
-    messages of the checks below name them.
+    messages of the checks below name them.  No field changes what a
+    physical verdict means: ``MassRunoff`` and ``LambdaBracketFail`` are
+    decided by the constants ``RUNOFF_FRACTION``, ``RUNOFF_MARGIN_CELLS``
+    and ``MASS_TOL``.
     """
 
     alpha: float = 0.5
     tol_density: float = 1e-8
     tol_residual: float = 1e-3
     max_iter: int = 500
-    mass_tol: float = 1e-10
-    runoff_fraction: float = 0.05
-    runoff_margin_cells: int = 2
 
     def __post_init__(self):
         if not 0.0 < self.alpha <= 1.0:
             raise ValueError("alpha must be in (0, 1]")
-        for name in ("tol_density", "tol_residual", "mass_tol"):
+        for name in ("tol_density", "tol_residual"):
             if not getattr(self, name) > 0.0:
                 raise ValueError("%s must be positive" % name)
         if self.max_iter < 1:
             raise ValueError("max_iter must be at least 1")
-        if not 0.0 < self.runoff_fraction < 1.0:
-            raise ValueError("runoff_fraction must be in (0, 1)")
-        if self.runoff_margin_cells < 1:
-            raise ValueError("runoff_margin_cells must be >= 1")
 
 
 @dataclass
@@ -145,7 +155,7 @@ class ScfState:
     ``rho``'s potential, ``rho_hat``, carries the mass; both are None when
     no multiplier can.  ``energy``, ``residual`` (at ``lam``; None without
     it), ``runoff`` (whether ``rho_hat`` holds more than
-    ``runoff_fraction`` of the mass in the boundary margin) and
+    ``RUNOFF_FRACTION`` of the mass in the boundary margin) and
     ``mass_evals`` (the ``mass_of_lambda`` calls the multiplier took) are
     ``rho``'s too, and so is ``mass_err``, its relative mass error.
     ``update_norm`` is the step's change from the previous iterate, None for
@@ -200,11 +210,11 @@ def mass_of_lambda(phi_tot, lam, eos, mask, grid):
     return mass, float(np.sum(eos.density_slope(rho, h) * grid.vol)), rho
 
 
-def solve_lambda(phi_tot, mass, eos, mask, grid, mass_tol, lam0=None):
+def solve_lambda(phi_tot, mass, eos, mask, grid, lam0=None):
     """Multiplier at which the reconstructed density carries ``mass``.
 
     Returns ``(lam, rho, evals)``: a multiplier that reconstructs ``mass``
-    to ``mass_tol`` relative, the density reconstructed there, and the
+    to ``MASS_TOL`` relative, the density reconstructed there, and the
     number of ``mass_of_lambda`` calls it took.  Both ends of the bracket
     follow from the gas cells (those ``mask`` leaves free) of volume ``V``:
 
@@ -221,7 +231,9 @@ def solve_lambda(phi_tot, mass, eos, mask, grid, mass_tol, lam0=None):
     replaced by the midpoint.  ``hi`` is evaluated before the iteration
     relies on it: if its mass falls short, the table ends before the
     enthalpy the mass needs and ``LambdaBracketError`` is raised, which the
-    caller reports as the bracket-failure verdict.
+    caller reports as the bracket-failure verdict.  A bracket that
+    collapses before the mass is met to ``MASS_TOL`` raises
+    ``MassDriftError``.
     """
     gas, vol = phi_tot, np.broadcast_to(grid.vol, phi_tot.shape)
     if mask is not None:
@@ -231,7 +243,7 @@ def solve_lambda(phi_tot, mass, eos, mask, grid, mass_tol, lam0=None):
     lo = -phi_max
     hi = min(mean_h - float(np.min(gas)), eos.h_max - phi_max)
     hi_known = False  # whether the mass at hi is known to reach ``mass``
-    tol = mass_tol * mass
+    tol = MASS_TOL * mass
     lam = lam0 if lam0 is not None and lo < lam0 < hi else hi
     evals = 0
     while True:
@@ -257,7 +269,10 @@ def solve_lambda(phi_tot, mass, eos, mask, grid, mass_tol, lam0=None):
         else:
             lam = 0.5 * (lo + hi)
             if not lo < lam < hi:
-                raise LambdaBracketError("multiplier root misses mass_tol", evals)
+                raise MassDriftError(
+                    "multiplier bracket collapsed at %r with the mass off by "
+                    "%g relative" % (lam, abs(excess) / mass)
+                )
 
 
 def initial_field(spec, mask):
@@ -357,7 +372,7 @@ class AndersonMixer:
         self._gram[:m, k] = row
 
 
-def evaluate(rho, spec, config, env, prev=None):
+def evaluate(rho, spec, env, prev=None):
     """The ``ScfState`` of iterate ``rho``, made by a step from ``prev``
     (None for the initial guess).
 
@@ -369,7 +384,7 @@ def evaluate(rho, spec, config, env, prev=None):
     phi_tot = b_rho + env.J + env.phi_core
     try:
         lam, rho_hat, evals = solve_lambda(
-            phi_tot, spec.mass, spec.eos, rho.mask, spec.grid, config.mass_tol,
+            phi_tot, spec.mass, spec.eos, rho.mask, spec.grid,
             None if prev is None else prev.lam,
         )
     except LambdaBracketError as err:
@@ -393,20 +408,20 @@ def evaluate(rho, spec, config, env, prev=None):
         # judged on the reconstruction: the mixed iterate lags behind it
         runoff=rho_hat is not None and boundary_mass_exceeds(
             DensityField(spec.grid, rho_hat, rho.mask),
-            config.runoff_margin_cells, config.runoff_fraction,
+            RUNOFF_MARGIN_CELLS, RUNOFF_FRACTION,
         ),
         mass_evals=evals,
     )
 
 
-def scf_step(state, spec, config, env, mixer):
+def scf_step(state, spec, env, mixer):
     """Advance one iteration from an evaluated ``state`` with a multiplier,
     mixing with the solve's ``AndersonMixer``; see the module docstring for
     the scheme."""
     rho = state.rho
     mixed = np.maximum(mixer.next_iterate(rho.values, state.rho_hat), 0.0)
     new_rho = rescale_to_mass(rho.copy_with(mixed), spec.mass)
-    return evaluate(new_rho, spec, config, env, state)
+    return evaluate(new_rho, spec, env, state)
 
 
 def _is_converged(prev, state, config, eos):
@@ -441,7 +456,7 @@ def solve(spec, config=None, threads=1):
     config = config if config is not None else ScfConfig()
     grid = spec.grid
     env = Environment.build(grid, spec.core, spec.mu, spec.rotation, threads)
-    state = evaluate(initial_field(spec, spec.core.mask(grid)), spec, config, env)
+    state = evaluate(initial_field(spec, spec.core.mask(grid)), spec, env)
     mixer = AndersonMixer(grid.vol, state.rho.values.shape, config.alpha)
     trace = []
     mass_errs = []
@@ -455,13 +470,13 @@ def solve(spec, config=None, threads=1):
             break
         # rebound first, so the state before prev is freed before the step
         prev = state
-        state = scf_step(prev, spec, config, env, mixer)
+        state = scf_step(prev, spec, env, mixer)
         trace.append(
             (state.iteration, prev.lam, prev.energy.total, state.update_norm)
         )
         mass_errs.append(state.mass_err)
         mass_evals += state.mass_evals
-        if state.mass_err > config.mass_tol:
+        if state.mass_err > MASS_TOL:
             raise MassDriftError(
                 "mass renormalization drifted to %g relative" % state.mass_err
             )

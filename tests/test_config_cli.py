@@ -40,7 +40,7 @@ def base_raw(n=32, omega=0.0, mu=0.0, core_rho=0.0, core_a=0.02, extra=None):
 #: solver values of the right type that ScfConfig's range checks reject
 OUT_OF_RANGE_SOLVER = [
     ("alpha", 1.5),
-    ("runoff_fraction", 2.0),
+    ("tol_residual", 0.0),
 ]
 
 
@@ -67,7 +67,9 @@ class TestEffectiveConfig:
         expected = dataclasses.asdict(cq.ScfConfig())
         expected.update(mass=1.0, initial_guess={"kind": "gaussian-blob"})
         assert eff["solver"] == expected
-        assert cq.build_problem(eff)[1] == cq.ScfConfig()
+        spec, scf = cq.build_problem(eff)
+        assert scf == cq.ScfConfig()
+        assert isinstance(spec.eos, cq.Polytrope)
         assert eff["rotation"] == {"kind": "constant", "omega": 0.0}
         assert eff["core"]["rho"] == 0.0
         assert eff["core"]["mu"] == 0.0
@@ -128,6 +130,21 @@ class TestEffectiveConfig:
         with pytest.raises(cq.ConfigError, match="section 'solver': %s" % key):
             cq.effective_config(raw)
 
+    @pytest.mark.parametrize("grid, a", [
+        ({"r_max": 2, "z_max": 2, "n_r": 32, "n_z": 32}, 2e-3),
+        # above a quarter cell but short of the nearest cell centre: kept
+        ({"r_max": 1, "z_max": 1, "n_r": 600, "n_z": 600}, 1e-3),
+        # 1e-3 r_max would stick out of the grid
+        ({"r_max": 2, "z_max": 0.0015, "n_r": 16, "n_z": 8}, 0.25 * 0.000375),
+        # 1e-3 r_max would cover two cell centres
+        ({"r_max": 1, "z_max": 0.004, "n_r": 600, "n_z": 8}, 0.25 * 0.001),
+    ])
+    def test_coreless_placeholder_fits_and_masks_no_cell(self, grid, a):
+        eff = cq.effective_config({"eos": POLY, "grid": grid})
+        assert eff["core"] == {"a_r": a, "a_z": a, "rho": 0.0, "mu": 0.0}
+        spec, _ = cq.build_problem(eff)
+        assert not spec.core.mask(spec.grid).any()
+
     def test_core_shape_keys_are_exclusive(self):
         raw = base_raw()
         raw["core"] = {"a_r": 0.1, "profile_z": [0.0, 0.1], "profile_a": [0.1, 0.0]}
@@ -145,7 +162,7 @@ class TestEffectiveConfig:
             cq.effective_config(raw)
 
         raw["solver"]["initial_guess"] = {"kind": "gaussian-blob", "path": "x"}
-        with pytest.raises(cq.ConfigError, match="only applies to from-file"):
+        with pytest.raises(cq.ConfigError, match="unknown key 'path'"):
             cq.effective_config(raw)
 
     def test_scan_section_validation(self):
@@ -416,6 +433,22 @@ class TestScanMachinery:
         table = captured.out.splitlines()
         assert len(table) == 3 and table[0].split()[1:] == ["Converged", "Error"]
 
+    def test_collapsed_multiplier_bracket_is_an_error_cell(
+        self, monkeypatch, tmp_path, capsys
+    ):
+        monkeypatch.setenv("COREQUILIB_THREADS", "1")
+        monkeypatch.setattr(cq.solver, "MASS_TOL", 1e-18)
+        sweep = {"scan": {"omega_values": [0.5], "mu_values": [1.0]}}
+        raw = base_raw(n=24, core_rho=10.0, core_a=0.2, extra=sweep)
+        out = tmp_path / "sweep"
+        assert main(["scan", "--config", write_config(tmp_path, raw),
+                     "--out", str(out)]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert err[0].startswith("cell 00 00: numeric error: multiplier bracket ")
+        assert err[-1] == "scan error: 1 of 1 cells failed"
+        rows = (out / "scan.csv").read_text().splitlines()
+        assert rows[1] == "0.5,1,Error,nan,nan,nan,nan"
+
     def test_scan_with_a_bad_config_creates_no_out_and_no_pool(
         self, monkeypatch, tmp_path, capsys
     ):
@@ -628,6 +661,41 @@ class TestCli:
         assert rc == 1
         assert "unknown key 'lambda_bracket' in section 'solver'" in (
             capsys.readouterr().err
+        )
+
+    @pytest.mark.parametrize("key, value", [
+        ("mass_tol", 1e-10), ("runoff_fraction", 0.05), ("runoff_margin_cells", 2),
+    ])
+    @pytest.mark.parametrize("dump", [True, False])
+    def test_removed_verdict_keys_exit_one(self, tmp_path, capsys, key, value, dump):
+        # the tests behind the verdicts are solver constants, not settings
+        raw = base_raw()
+        raw["solver"][key] = value
+        cfg = write_config(tmp_path, raw)
+        extra = ["--dump-effective-config"] if dump else ["--out", str(tmp_path / "o")]
+        assert main(["solve", "--config", cfg] + extra) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            "config error: unknown key '%s' in section 'solver'\n" % key
+        )
+        assert not (tmp_path / "o").exists()
+
+    def test_collapsed_multiplier_bracket_exits_two(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        # no multiplier reconstructs the mass to 1e-18: a numeric failure,
+        # not the LambdaBracketFail verdict
+        monkeypatch.setattr(cq.solver, "MASS_TOL", 1e-18)
+        raw = base_raw(n=32, omega=0.4, mu=1.0, core_rho=10.0, core_a=0.2)
+        cfg = write_config(tmp_path, raw)
+        rc = main(["solve", "--config", cfg, "--out", str(tmp_path / "o")])
+        assert rc == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert re.fullmatch(
+            r"numeric error: multiplier bracket collapsed at \S+ with the mass "
+            r"off by \S+ relative\n", captured.err,
         )
 
     def test_kernel_too_large_for_memory_exits_two(
@@ -1023,25 +1091,23 @@ CONFIG_FAULTS = [
      "section 'solver': tol_density must be positive"),
     ("solve", faulty("solver", {"max_iter": 0}),
      "section 'solver': max_iter must be at least 1"),
-    ("solve", faulty("solver", {"runoff_fraction": 2.0}),
-     "section 'solver': runoff_fraction must be in (0, 1)"),
-    ("solve", faulty("solver", {"runoff_margin_cells": 0}),
-     "section 'solver': runoff_margin_cells must be >= 1"),
+    ("solve", faulty("solver", {"runoff_fraction": 0.05}),
+     "unknown key 'runoff_fraction' in section 'solver'"),
+    ("solve", faulty("solver", {"runoff_margin_cells": 2}),
+     "unknown key 'runoff_margin_cells' in section 'solver'"),
     ("solve", faulty("solver", {"initial_guess": 3}),
-     "key 'initial_guess' in section 'solver' must be a kind string or an "
-     "object with a 'kind'"),
+     "section 'solver.initial_guess' needs a 'kind' key"),
     ("solve", faulty("solver", {"initial_guess": {"path": "field.csv"}}),
-     "key 'initial_guess' in section 'solver' must be a kind string or an "
-     "object with a 'kind'"),
+     "section 'solver.initial_guess' needs a 'kind' key"),
     ("solve", faulty("solver", {"initial_guess": {"kind": "from-file"}}),
      "missing key 'path' in section 'solver.initial_guess'"),
     ("solve", faulty("solver", {"initial_guess": {"kind": "gaussian-blob", "path": "x"}}),
-     "key 'path' in section 'solver.initial_guess' only applies to from-file"),
+     "unknown key 'path' in section 'solver.initial_guess'"),
     ("solve", faulty("solver", {"initial_guess": {"kind": "from-file", "path": "x",
                                                   "at": 1}}),
      "unknown key 'at' in section 'solver.initial_guess'"),
     ("solve", faulty("solver", {"initial_guess": "bogus"}),
-     "unknown initial guess kind 'bogus'"),
+     "unknown solver.initial_guess kind 'bogus'"),
     ("solve", faulty("solver", {"initial_guess": {"kind": "from-file", "path": ""}}),
      "from-file initial guess needs a path"),
     # scan
@@ -1066,6 +1132,13 @@ CONFIG_FAULTS = [
     # core against the grid and the scan's retry grid
     ("solve", faulty("core", DENSE_CORE), NO_CELL % (2, 2)),
     ("scan", faulty("core", RETRY_CORE, scan=True), NO_CELL % (3, 3)),
+    # solver, continued
+    ("solve", faulty("solver", {"mass_tol": 1e-10}),
+     "unknown key 'mass_tol' in section 'solver'"),
+    ("solve", faulty("solver", {"initial_guess": {"kind": "from-file", "path": 3}}),
+     "key 'path' in section 'solver.initial_guess' must be a string"),
+    ("solve", faulty("solver", {"initial_guess": ["gaussian-blob"]}),
+     "section 'solver.initial_guess' needs a 'kind' key"),
 ]
 
 
@@ -1109,10 +1182,7 @@ MINIMAL_DUMP = """\
       "kind": "gaussian-blob"
     },
     "mass": 1.0,
-    "mass_tol": 1e-10,
     "max_iter": 500,
-    "runoff_fraction": 0.05,
-    "runoff_margin_cells": 2,
     "tol_density": 1e-08,
     "tol_residual": 0.001
   }
@@ -1166,13 +1236,27 @@ def test_valid_forms_dump_their_effective_config(
         assert text == MINIMAL_DUMP
 
 
+@pytest.mark.parametrize("grid", [
+    {"r_max": 2, "z_max": 0.0015, "n_r": 16, "n_z": 8},
+    {"r_max": 1, "z_max": 0.004, "n_r": 600, "n_z": 8},
+])
+def test_thin_coreless_grids_solve(tmp_path, capsys, monkeypatch, grid):
+    monkeypatch.setenv("COREQUILIB_THREADS", "1")
+    raw = {"eos": POLY, "grid": grid, "solver": {"max_iter": 3}}
+    out = tmp_path / "o"
+    rc = main(["solve", "--config", write_config(tmp_path, raw), "--out", str(out)])
+    assert rc in (0, 3)
+    assert capsys.readouterr().err == ""
+    assert (out / "result.json").exists()
+
+
 @pytest.mark.parametrize("command, raw, message", [
     ("solve", faulty("eos", dict(POLY, gamma=1.2)),
      "polytrope exponent gamma must exceed 4/3, got 1.2"),
     ("solve", faulty("core", dict(CORE, a_r=5.0, a_z=5.0)),
      "core does not fit strictly inside the grid"),
     ("solve", faulty("solver", {"initial_guess": "bogus"}),
-     "unknown initial guess kind 'bogus'"),
+     "unknown solver.initial_guess kind 'bogus'"),
     ("solve", faulty("eos", dict(TABLE, f=[1e-6, 1e-4, 1e-5, 1.0, 100.0])),
      "f_table must be positive and strictly increasing"),
     ("scan", faulty("eos", dict(POLY, gamma=1.2), scan=True),

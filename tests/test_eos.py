@@ -27,7 +27,6 @@ from corequilib import (
     Polytrope,
     QuadratureError,
     TabulatedEos,
-    make_eos,
 )
 from corequilib.eos import CubicHermite, pchip_slopes
 from test_multiplier_properties import tables
@@ -321,16 +320,6 @@ class TestTabulatedEos:
             warnings.simplefilter("error")
             tab = TabulatedEos(s_tab, s_tab**3)
         assert tab.h_max == pytest.approx(1.5e200, rel=1e-6)
-
-
-def test_factory_dispatch():
-    assert isinstance(make_eos("polytrope", k=1.0, gamma=2.0), Polytrope)
-    s_tab, f_tab = gamma2_table()
-    assert isinstance(
-        make_eos("tabulated-generic", s=s_tab, f=f_tab), TabulatedEos
-    )
-    with pytest.raises(ValueError):
-        make_eos("mystery")
 
 
 @st.composite

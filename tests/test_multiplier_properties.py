@@ -10,7 +10,7 @@ sampled on a jittered log grid).  With ``lo = -max(phi_gas)`` and
 * the mass is non-decreasing in the multiplier;
 * it is exactly zero at ``lo``;
 * ``solve_lambda`` returns a multiplier in ``[lo, hi]`` that reconstructs the
-  mass to ``mass_tol``, with the density reconstructed there, or raises
+  mass to ``solver.MASS_TOL``, with the density reconstructed there, or raises
   ``LambdaBracketError``, and only when the table edge sets ``hi`` and
   cannot hold the mass; with or without a warm start, inside or outside
   ``[lo, hi]``;
@@ -24,7 +24,7 @@ from hypothesis import assume, given, strategies as st
 
 import corequilib as cq
 
-MASS_TOL = 1e-10
+MASS_TOL = cq.solver.MASS_TOL
 
 grids = st.builds(
     cq.CylGrid,
@@ -130,9 +130,7 @@ def test_solve_lambda_meets_mass_tol_inside_the_bracket(problem, eos, scale, sta
     # (0, 1), outside it otherwise
     lam0 = None if start is None else lo + start * (hi - lo)
     try:
-        lam, rho, evals = cq.solve_lambda(
-            phi, mass, eos, mask, grid, MASS_TOL, lam0
-        )
+        lam, rho, evals = cq.solve_lambda(phi, mass, eos, mask, grid, lam0)
     except cq.LambdaBracketError:
         assert table_sets_hi
         assert cap < mass * (1.0 - MASS_TOL)

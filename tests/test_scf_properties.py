@@ -6,7 +6,7 @@ strength, a damping factor, and an iterate made of Gaussian blobs.  The
 iterate is evaluated (``solver.evaluate``) and stepped once with a fresh
 Anderson mixer (``scf_step``).  The step must:
 
-* keep the mass to ``mass_tol``;
+* keep the mass to ``solver.MASS_TOL``;
 * keep the density non-negative, and exactly zero on the core's cells;
 * map an iterate that is symmetric about the equator to one that is
   symmetric within 1e-12 of its largest density.
@@ -50,18 +50,18 @@ def step_once(spec, config, values):
     mask = spec.core.mask(spec.grid)
     rho = cq.rescale_to_mass(cq.DensityField(spec.grid, values, mask), spec.mass)
     env = cq.Environment.build(spec.grid, spec.core, spec.mu, spec.rotation)
-    state = cq.solver.evaluate(rho, spec, config, env)
+    state = cq.solver.evaluate(rho, spec, env)
     assume(state.lam is not None)
     mixer = cq.solver.AndersonMixer(spec.grid.vol, values.shape, config.alpha)
-    return mask, cq.scf_step(state, spec, config, env, mixer)
+    return mask, cq.scf_step(state, spec, env, mixer)
 
 
 @given(problem=problems())
 def test_step_keeps_the_mass_and_the_sign(problem):
     spec, config, blob = problem
     mask, nxt = step_once(spec, config, blob)
-    assert nxt.mass_err <= config.mass_tol
-    assert abs(cq.total_mass(nxt.rho) - spec.mass) <= config.mass_tol * spec.mass
+    assert nxt.mass_err <= cq.solver.MASS_TOL
+    assert abs(cq.total_mass(nxt.rho) - spec.mass) <= cq.solver.MASS_TOL * spec.mass
     assert np.all(nxt.rho.values >= 0.0)
     assert np.all(nxt.rho.values[mask] == 0.0)
 

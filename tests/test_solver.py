@@ -144,9 +144,7 @@ class TestMultiplierSolve:
         phi = np.full((24, 24), 0.7)
         volume = float(np.sum(self.grid.vol * np.ones((24, 24))))
         target = 0.8 * volume          # rho = 0.8 needs phi + lambda = 1.6
-        lam, _, _ = cq.solve_lambda(
-            phi, target, self.eos, self.mask, self.grid, 1e-10
-        )
+        lam, _, _ = cq.solve_lambda(phi, target, self.eos, self.mask, self.grid)
         assert lam == pytest.approx(0.9, abs=1e-9)
         recovered = cq.mass_of_lambda(phi, lam, self.eos, self.mask, self.grid)[0]
         assert abs(recovered - target) <= 1e-10 * target
@@ -155,7 +153,7 @@ class TestMultiplierSolve:
         phi = cq.kernel_for(self.grid).apply(
             cq.random_blob_field(self.grid, np.random.default_rng(3)).values
         )
-        args = (phi, 0.25, self.eos, self.mask, self.grid, 1e-10)
+        args = (phi, 0.25, self.eos, self.mask, self.grid)
         lam_a, rho_a, evals_a = cq.solve_lambda(*args)
         lam_b, rho_b, evals_b = cq.solve_lambda(*args)
         assert (lam_a, evals_a) == (lam_b, evals_b)
@@ -171,7 +169,7 @@ class TestMultiplierSolve:
         gc.collect()
         gc.disable()
         try:
-            cq.solve_lambda(phi, 0.25, self.eos, self.mask, self.grid, 1e-10)
+            cq.solve_lambda(phi, 0.25, self.eos, self.mask, self.grid)
             del phi
             assert ref() is None
         finally:
@@ -182,7 +180,7 @@ class TestMultiplierSolve:
         table = cq.TabulatedEos(s, s**2)
         phi = np.full((24, 24), 0.01)
         with pytest.raises(cq.LambdaBracketError):
-            cq.solve_lambda(phi, 1e6, table, self.mask, self.grid, 1e-10)
+            cq.solve_lambda(phi, 1e6, table, self.mask, self.grid)
 
     def test_converged_potential_holds_target_mass(self, le_problem, le_outcome):
         rho = le_outcome.state.rho
@@ -203,39 +201,35 @@ class TestScfStep:
         env = cq.Environment.build(
             le_problem.grid, le_problem.core, le_problem.mu, le_problem.rotation
         )
-        state = cq.solver.evaluate(le_outcome.state.rho, le_problem, config, env)
+        state = cq.solver.evaluate(le_outcome.state.rho, le_problem, env)
         mixer = cq.solver.AndersonMixer(
             le_problem.grid.vol, state.rho.values.shape, config.alpha
         )
-        nxt = cq.scf_step(state, le_problem, config, env, mixer)
+        nxt = cq.scf_step(state, le_problem, env, mixer)
         assert nxt.update_norm <= 3.0 * config.tol_density
         assert nxt.iteration == 1
-        assert nxt.mass_err <= config.mass_tol
+        assert nxt.mass_err <= cq.solver.MASS_TOL
 
     def test_half_damping_is_the_midpoint_mix(self, le_problem, le_outcome):
         # a step with no Anderson history is the beta-damped mix
-        config = cq.ScfConfig()
         rho = le_outcome.state.rho
         env = cq.Environment.build(
             le_problem.grid, le_problem.core, le_problem.mu, le_problem.rotation
         )
         phi_tot = env.kernel.apply(rho.values) + env.J + env.phi_core
         lam, _, _ = cq.solve_lambda(
-            phi_tot, le_problem.mass, le_problem.eos, rho.mask,
-            le_problem.grid, config.mass_tol,
+            phi_tot, le_problem.mass, le_problem.eos, rho.mask, le_problem.grid
         )
         h = np.where(rho.mask, -1.0, phi_tot + lam)
         rho_hat = le_problem.eos.enthalpy_inverse(h)
 
-        state = cq.solver.evaluate(rho, le_problem, config, env)
+        state = cq.solver.evaluate(rho, le_problem, env)
         np.testing.assert_array_equal(state.rho_hat, rho_hat)
         for alpha, mix in ((1.0, rho_hat), (0.5, 0.5 * rho.values + 0.5 * rho_hat)):
             mixer = cq.solver.AndersonMixer(
                 le_problem.grid.vol, rho.values.shape, alpha
             )
-            stepped = cq.scf_step(
-                state, le_problem, cq.ScfConfig(alpha=alpha), env, mixer
-            )
+            stepped = cq.scf_step(state, le_problem, env, mixer)
             expected = cq.rescale_to_mass(
                 cq.DensityField(le_problem.grid, mix, rho.mask), le_problem.mass
             )
@@ -251,17 +245,17 @@ class TestScfStep:
             le_problem.grid, le_problem.core, le_problem.mu, le_problem.rotation
         )
         rho = le_outcome.state.rho
-        state = cq.solver.evaluate(rho, le_problem, config, env)
+        state = cq.solver.evaluate(rho, le_problem, env)
         assert state.energy == cq.energy_with_potential(
             rho, le_problem.eos, env, env.kernel.apply(rho.values)
         )
         mixer = cq.solver.AndersonMixer(
             le_problem.grid.vol, state.rho.values.shape, config.alpha
         )
-        nxt = cq.scf_step(state, le_problem, config, env, mixer)
+        nxt = cq.scf_step(state, le_problem, env, mixer)
         assert nxt.iteration == state.iteration + 1
         # the same warm start gives the same multiplier, bit for bit
-        fresh = cq.solver.evaluate(nxt.rho, le_problem, config, env, state)
+        fresh = cq.solver.evaluate(nxt.rho, le_problem, env, state)
         assert nxt.lam == fresh.lam
         assert nxt.energy == fresh.energy
         assert nxt.residual == fresh.residual
@@ -287,8 +281,6 @@ class TestScfStep:
             cq.ScfConfig(tol_density=0.0)
         with pytest.raises(ValueError):
             cq.ScfConfig(max_iter=0)
-        with pytest.raises(ValueError):
-            cq.ScfConfig(runoff_fraction=1.0)
 
     def test_initial_guess_validation(self):
         with pytest.raises(ValueError):
