@@ -25,12 +25,12 @@ the real and imaginary parts of the density's transform at once.
 
 The kernel is stored as a hierarchy on the radii (``AxiKernel``): dense
 diagonal leaves, and each off-diagonal pair of ranges once, as orthonormal
-r-bases of rank ``RANK`` shared by all frequencies and a small coefficient
-matrix per frequency.  A grid of fewer than 192 radii is one leaf, and a
-larger one has leaves of 96 to 191 radii.  The stored size,
-``kernel_bytes``, follows from the grid alone: a 192^2 kernel stores
-32.1 MB where a dense one would need 56.9 MB, and a 1024^2 kernel 1.21 GB
-instead of 8.6 GB.
+r-bases shared by all frequencies, of a rank that grows with the log of
+their length, and a small coefficient matrix per frequency.  A grid of
+fewer than 192 radii is one leaf, and a larger one has leaves of 32 to 63
+radii.  The stored size, ``kernel_bytes``, follows from the grid alone: a
+192^2 kernel stores 17.7 MB where a dense one would need 56.9 MB, and a
+1024^2 kernel 0.44 GB instead of 8.6 GB.
 
 A kernel is built on the calling thread.  Applying a large one is split
 across threads, up to the CPU budget its caller passes
@@ -97,15 +97,15 @@ def elliptic_k(m):
     return float(out) if arr.ndim == 0 else out
 
 
-def ring_weights(r_t, r_s, offsets, dr, dz):
+def ring_weights(r_t, r_s, offsets, dr, dz, out=None):
     """Weight per unit source radius, ``4 K(m) / sqrt(sep2) * dr * dz``, of
     rings of radii ``r_s`` on rings of radii ``r_t`` at the z ``offsets``,
-    shape (offsets, targets, sources).  A ring against itself, where m is 1
-    (the same radius at offset 0), gets the rod self weight over its radius.
-    The targets are taken in blocks of about ``2**16`` weights, few enough
-    to stay in cache.
+    shape (offsets, targets, sources), written into ``out`` if given.  A
+    ring against itself, where m is 1 (the same radius at offset 0), gets
+    the rod self weight over its radius.  The targets are taken in blocks
+    of about ``2**16`` weights, few enough to stay in cache.
     """
-    out = np.empty((len(offsets), len(r_t), len(r_s)))
+    out = np.empty((len(offsets), len(r_t), len(r_s))) if out is None else out
     rod = 2.0 * (np.arcsinh(dz / dr) + np.arcsinh(dr / dz)) * dr * dz
     step = max(1, 2**16 // (len(offsets) * len(r_s)))
     for a in range(0, len(r_t), step):
@@ -177,8 +177,6 @@ def _in_threads(work, parts):
         raise errors[0]
 
 
-#: rank of the r-bases of every off-diagonal block of the kernel
-RANK = 48
 #: an off-diagonal block's real-space weights are built in chunks of at
 #: most about this many bytes
 CHUNK_BYTES = 16_000_000
@@ -186,20 +184,27 @@ CHUNK_BYTES = 16_000_000
 RESIDUAL_LIMIT = 1e-13
 
 
+def _rank(b):
+    """Rank of a pair whose first range has b radii, 8 + 3 ceil(log2 b): 26
+    at 48 radii, where an exact SVD needs 20 for ``RESIDUAL_LIMIT``, so a
+    sketch of this rank needs no oversampling."""
+    return 8 + 3 * (b - 1).bit_length()
+
+
 def _layout(n_r):
     """Diagonal leaves ``(lo, hi)`` and off-diagonal pairs ``(lo, mid, hi)``
     of the radii range(n_r).
 
-    A range is split in halves, the first one no longer, while each half
-    keeps at least ``2 * RANK`` radii.  The halves of a split are a pair,
-    range(lo, mid) and range(mid, hi), and the ranges not split are the
-    leaves.
+    A grid of fewer than 192 radii is one leaf.  A larger range is split in
+    halves, the first one no longer, while each half keeps at least 32
+    radii: 192 radii give four leaves of 48, and 1024 give 32 of 32.  The
+    halves of a split are a pair, range(lo, mid) and range(mid, hi).
     """
     leaves, pairs = [], []
 
     def split(lo, hi):
         half = (hi - lo) // 2
-        if half < 2 * RANK:
+        if n_r < 192 or half < 32:
             leaves.append((lo, hi))
             return
         pairs.append((lo, lo + half, hi))
@@ -210,19 +215,19 @@ def _layout(n_r):
     return leaves, pairs
 
 
-def _test_matrix(start, rows):
-    """``rows`` x ``RANK`` numbers, uniform on [-0.5, 0.5): the lowbias32
+def _test_matrix(start, rows, rank):
+    """``rows`` x ``rank`` numbers, uniform on [-0.5, 0.5): the lowbias32
     integer hash (C. Wellons, hash-prospector) of the indices from
     ``start`` on, modulo 2**32.  A reproducible random sketch; importing
     ``numpy.random`` for one would add about 17 ms and 4 MB to a solve."""
-    x = np.arange(rows * RANK, dtype=np.uint32)
+    x = np.arange(rows * rank, dtype=np.uint32)
     x += np.uint32(start % 2**32)
     x ^= x >> np.uint32(16)
     x *= np.uint32(0x7FEB352D)
     x ^= x >> np.uint32(15)
     x *= np.uint32(0x846CA68B)
     x ^= x >> np.uint32(16)
-    return (x * 2.0**-32 - 0.5).reshape(rows, RANK)
+    return (x * 2.0**-32 - 0.5).reshape(rows, rank)
 
 
 def _chunks(n_i, n_k, n_z):
@@ -242,14 +247,23 @@ def kernel_bytes(grid):
     """Bytes the kernel of ``grid`` stores; they follow from the cell counts.
 
     A leaf of b radii takes ``(n_z + 1) b**2`` numbers, and a pair
-    ``(lo, mid, hi)`` takes ``(hi - lo) RANK`` for its two bases and
-    ``(n_z + 1) RANK**2`` for its coefficients.
+    ``(lo, mid, hi)`` of rank ``k = _rank(mid - lo)`` takes ``(hi - lo) k``
+    for its two bases and ``(n_z + 1) k**2`` for its coefficients.
     """
     leaves, pairs = _layout(grid.n_r)
     n_f = grid.n_z + 1
     words = sum(n_f * (hi - lo) ** 2 for lo, hi in leaves)
-    words += sum((hi - lo) * RANK + n_f * RANK**2 for lo, _, hi in pairs)
+    words += sum((hi - lo) * k + n_f * k**2
+                 for lo, mid, hi in pairs for k in [_rank(mid - lo)])
     return 8 * words
+
+
+def buffer_bytes(grid):
+    """Bytes of the buffer in which the kernel's build computes the pairs'
+    weights: their largest chunk (``_chunks``), 0 for a grid of one leaf."""
+    _, pairs = _layout(grid.n_r)
+    return 8 * max([0] + [(r1 - r0) * (z1 - z0) * (hi - mid) for lo, mid, hi in pairs
+                          for (r0, r1), (z0, z1) in _chunks(mid - lo, hi - mid, grid.n_z)])
 
 
 class AxiKernel:
@@ -259,10 +273,10 @@ class AxiKernel:
     radius k at a z offset.  Every block of it comes from ``ring_weights``,
     the one place that holds the weight and the self weight, and is
     transformed along z by ``_even_rfft``.  The table is stored as a
-    hierarchy on the radii (``_layout``): a range of radii is halved while
-    each half keeps at least ``2 * RANK`` radii, so a grid of fewer than
-    192 radii is one leaf, one of 192 two leaves of 96 and one pair, and
-    one of 384 four leaves of 96 and three pairs.
+    hierarchy on the radii (``_layout``): a grid of fewer than 192 radii is
+    one leaf, and a larger one is halved while each half keeps at least 32
+    radii, so one of 192 radii has four leaves of 48 and three pairs, and
+    one of 384 eight leaves of 48 and seven pairs.
 
     * A diagonal leaf ``(lo, hi)`` of b radii is stored dense, as the rfft
       of its weights, shape ``(n_z + 1, b, b)`` for frequency, target and
@@ -272,14 +286,14 @@ class AxiKernel:
       before every entry is multiplied by r[k].
     * An off-diagonal pair of ranges I = range(lo, mid) and K = range(mid,
       hi) is stored once, as ``U C[f] V^T`` for the weight per unit source
-      radius.  U and V are orthonormal bases of rank ``RANK`` over the
-      radii of I and K, the same for every frequency.  They come from a
-      seeded random sketch of the block's real-space weights (a randomized
-      range finder: Halko, Martinsson and Tropp, SIAM Rev. 53:217, 2011),
-      and ``C[f]`` is the rfft over z of ``U^T W V``.  The relative
-      Frobenius residual ``|W - U U^T W V V^T| / |W|`` of every pair is
-      computed when it is built, and one above ``RESIDUAL_LIMIT`` raises
-      FloatingPointError.
+      radius.  U and V are orthonormal bases over the radii of I and K,
+      the same for every frequency, of the rank ``_rank`` gives the length
+      of I.  They come from a seeded random sketch of that rank of the
+      block's real-space weights (a randomized range finder: Halko,
+      Martinsson and Tropp, SIAM Rev. 53:217, 2011), and ``C[f]`` is the
+      rfft over z of ``U^T W V``.  The relative Frobenius residual
+      ``|W - U U^T W V V^T| / |W|`` of every pair is computed when it is
+      built, and one above ``RESIDUAL_LIMIT`` raises FloatingPointError.
 
     ``apply`` transforms the density along z and, per frequency, multiplies
     each leaf, and for each pair projects the spectrum of sources K times
@@ -290,14 +304,13 @@ class AxiKernel:
 
     Every stored number lives in the one float64 array ``_fw`` of
     ``kernel_bytes(grid)`` bytes; leaves, bases and coefficients are views
-    into it.  That size is checked against physical memory before anything
-    is allocated.  The pairs are compressed before the leaves are filled,
-    and a pair's real-space weights are built in chunks of at most about
-    ``CHUNK_BYTES`` (``_chunks``: all rows and a range of z, or part of the
-    rows and one z where one z of the pair is larger), twice (to sketch,
-    then to project) when there is more than one chunk.  So beside the
-    kernel the build holds no more than one chunk, or the transform of one
-    pair's coefficients.
+    into it.  A pair's real-space weights are built in chunks of at most
+    about ``CHUNK_BYTES`` (``_chunks``: all rows and a range of z, or part
+    of the rows and one z where one z of the pair is larger), twice (to
+    sketch, then to project) when there is more than one chunk, all in one
+    buffer of ``buffer_bytes(grid)``, released before the leaves are filled
+    and touch their pages of ``_fw``.  The kernel and the buffer are checked
+    against physical memory before anything is allocated.
 
     The build runs on the calling thread.  ``threads`` is the CPU budget
     ``apply`` may spend: it uses one thread per ``KERNEL_BYTES_PER_THREAD``
@@ -314,12 +327,13 @@ class AxiKernel:
 
     def __init__(self, grid, threads=1):
         self.grid = grid
-        need = kernel_bytes(grid)
+        need, buffer = kernel_bytes(grid), buffer_bytes(grid)
         have = _physical_memory_bytes()
-        if need > have:
+        if need + buffer > have:
             raise GridError(
-                "potential kernel for a %d x %d grid needs %d bytes, more than "
-                "the %d bytes of physical memory" % (grid.n_r, grid.n_z, need, have)
+                "potential kernel for a %d x %d grid needs %d bytes and its "
+                "build %d more, more than the %d bytes of physical memory"
+                % (grid.n_r, grid.n_z, need, buffer, have)
             )
         self.threads = max(1, min(threads, need // KERNEL_BYTES_PER_THREAD))
         self.scale = 1.0
@@ -337,67 +351,69 @@ class AxiKernel:
 
         self._leaves = [(lo, hi, take(n_f, hi - lo, hi - lo)) for lo, hi in leaves]
         self._pairs = [
-            (lo, mid, hi, take(mid - lo, RANK), take(hi - mid, RANK),
-             take(n_f, RANK, RANK))
-            for lo, mid, hi in pairs
+            (lo, mid, hi, take(mid - lo, k), take(hi - mid, k), take(n_f, k, k))
+            for lo, mid, hi in pairs for k in [_rank(mid - lo)]
         ]
+        weights = np.empty(buffer // 8)
         for pair in self._pairs:
-            self._compress(*pair)
+            self._compress(*pair, weights)
+        del weights                     # before the leaves touch their pages
         for leaf in self._leaves:
             self._fill_leaf(*leaf)
 
-    def _compress(self, lo, mid, hi, u, v, coef):
+    def _compress(self, lo, mid, hi, u, v, coef, weights):
         """Fill one pair's bases ``u``, ``v`` and coefficients ``coef``.
 
-        The weights W[z, i, k] of each chunk (``_chunks``) are taken in
-        slices of a few z, so no temporary but the chunk is larger than
-        about 2 MB.  The sketches are ``sum_z W[z] Omega[z]`` and ``sum_z
-        W[z]^T Omega[z]``, with the test matrix Omega[z, k] of
-        ``_test_matrix`` at index ``z n_k + k``, read at k = i for the
-        second (the first range of a pair is never the longer one).  Then
-        ``W[z] V`` is formed per slice, ``coef`` gets ``U^T W[z] V`` until
-        its transform replaces it, and the residual is summed exactly as
-        ``|W - W V V^T|^2 + |W V - U U^T W V|^2``, whose two terms are
-        orthogonal.
+        The weights W[z, i, k] of each chunk (``_chunks``) are written into
+        ``weights``, where a pair of one chunk keeps them for both passes,
+        and taken in slices of a few z, so no temporary is larger than
+        about 0.5 MB.  The sketches
+        are ``sum_z W[z] Omega[z]`` and ``sum_z W[z]^T Omega[z]``, with the
+        test matrix Omega[z, k] of ``_test_matrix`` at index ``z n_k + k``,
+        read at k = i for the second (the first range of a pair is never
+        the longer one).  Then ``W[z] V`` is formed per slice, ``coef`` gets
+        ``U^T W[z] V`` until its transform replaces it, and the residual is
+        summed exactly as ``|W - W V V^T|^2 + |W V - U U^T W V|^2``, whose
+        two terms are orthogonal.
         """
         r_t, r_s = self._r[lo:mid], self._r[mid:hi]
         dr, dz = self.grid.dr, self.grid.dz
         n_i, n_k, n_z = mid - lo, hi - mid, self.grid.n_z
+        rank = u.shape[1]
         offsets = dz * np.arange(n_z)
         chunks = _chunks(n_i, n_k, n_z)
-        w = None
 
-        def slices():
-            nonlocal w
+        def slices(build):
             for (r0, r1), (z0, z1) in chunks:
-                if w is None or len(chunks) > 1:
-                    w = ring_weights(r_t[r0:r1], r_s, offsets[z0:z1], dr, dz)
-                step = max(1, 2**18 // ((r1 - r0) * n_k))
+                w = np.ndarray((z1 - z0, r1 - r0, n_k), buffer=weights)
+                if build:
+                    ring_weights(r_t[r0:r1], r_s, offsets[z0:z1], dr, dz, w)
+                step = max(1, 2**16 // ((r1 - r0) * n_k))
                 for s0 in range(z0, z1, step):
                     s1 = min(s0 + step, z1)
                     yield r0, r1, s0, s1, w[s0 - z0:s1 - z0]
 
-        y_u, y_v = np.zeros((n_i, RANK)), np.zeros((n_k, RANK))
+        y_u, y_v = np.zeros((n_i, rank)), np.zeros((n_k, rank))
         norm2 = 0.0
-        for r0, r1, s0, s1, part in slices():
+        for r0, r1, s0, s1, part in slices(True):
             norm2 += float(np.vdot(part, part))
-            test = _test_matrix(s0 * n_k * RANK, (s1 - s0) * n_k)
-            test = test.reshape(s1 - s0, n_k, RANK)
+            test = _test_matrix(s0 * n_k * rank, (s1 - s0) * n_k, rank)
+            test = test.reshape(s1 - s0, n_k, rank)
             y_u[r0:r1] += np.matmul(part, test).sum(axis=0)
-            y_v += part.reshape(-1, n_k).T @ test[:, r0:r1].reshape(-1, RANK)
+            y_v += part.reshape(-1, n_k).T @ test[:, r0:r1].reshape(-1, rank)
         u[...] = np.linalg.qr(y_u)[0]
         v[...] = np.linalg.qr(y_v)[0]
         err2 = 0.0
-        for r0, r1, s0, s1, part in slices():
+        for r0, r1, s0, s1, part in slices(len(chunks) > 1):
             # a chunk of part of the rows has one z, and the chunks after
             # it have the same z and the rest of the rows
             if r0 == 0:
-                wv = np.empty((s1 - s0, n_i, RANK))
+                wv = np.empty((s1 - s0, n_i, rank))
             part = part.reshape(-1, n_k)
-            t = part @ v                    # (slice z * rows, RANK)
+            t = part @ v                    # (slice z * rows, rank)
             part -= t @ v.T
             err2 += float(np.vdot(part, part))
-            wv[:, r0:r1] = t.reshape(s1 - s0, r1 - r0, RANK)
+            wv[:, r0:r1] = t.reshape(s1 - s0, r1 - r0, rank)
             if r1 == n_i:
                 c = np.matmul(u.T, wv, out=coef[s0:s1])
                 wv -= u @ c
@@ -407,9 +423,8 @@ class AxiKernel:
             raise FloatingPointError(
                 "potential kernel block of radii %d-%d against %d-%d has a "
                 "rank-%d residual of %.2e, above %.0e"
-                % (lo, mid - 1, mid, hi - 1, RANK, residual, RESIDUAL_LIMIT)
+                % (lo, mid - 1, mid, hi - 1, rank, residual, RESIDUAL_LIMIT)
             )
-        w = None                        # freed before the transform
         coef[...] = _even_rfft(coef[:n_z])
 
     def _fill_leaf(self, lo, hi, leaf):

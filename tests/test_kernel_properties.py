@@ -2,7 +2,8 @@
 
 Hypothesis draws small grids (8 to 24 cells a side, arbitrary extents) and
 random densities; their kernels are one dense leaf.  Grids of 192 to 260
-radii and 8 to 16 rows have two leaves and one compressed pair, and are
+radii, or of 384, and 8 to 16 rows have four or eight leaves of 32 to 63
+radii and three or seven compressed pairs on two or three levels, and are
 drawn for the same properties.  The operator must be linear, self-adjoint
 in the volume-weighted inner product, scale as s^2 when the domain grows by
 s at a fixed cell count, give the same bits on one thread and on two, and
@@ -26,12 +27,13 @@ grids = st.builds(
     n_r=st.integers(8, 24),
     n_z=st.integers(8, 24),
 )
-#: grids whose kernels have two leaves and one compressed pair
+#: grids whose kernels have compressed pairs: on two levels up to 255
+#: radii, and on three from 256
 paired_grids = st.builds(
     cq.CylGrid,
     r_max=st.floats(0.25, 4.0),
     z_max=st.floats(0.25, 4.0),
-    n_r=st.integers(192, 260),
+    n_r=st.one_of(st.integers(192, 260), st.just(384)),
     n_z=st.integers(8, 16),
 )
 seeds = st.integers(0, 2**32 - 1)
@@ -42,7 +44,7 @@ coefficients = st.one_of(
     st.just(0.0), st.floats(1e-100, 3.0), st.floats(-3.0, -1e-100)
 )
 #: each example of a paired grid builds a kernel and, for the reference, a
-#: dense weight table of up to 260 x 260 x 16
+#: dense weight table of up to 384 x 384 x 16
 paired = settings(max_examples=10)
 
 
@@ -163,6 +165,7 @@ def test_compressed_kernel_of_a_grown_domain_scales_as_s_squared(grid, seed, s):
 
 @paired
 @given(grid=paired_grids, seed=seeds)
+@example(grid=cq.CylGrid(1.0, 1.0, 384, 8), seed=0)
 def test_compressed_apply_matches_the_reference_operator(grid, seed):
     check_reference(grid, seed)
 
@@ -181,8 +184,8 @@ def test_compressed_kernel_has_the_same_bits_on_two_threads(grid, seed):
 
 
 @pytest.mark.parametrize("n_z, chunk_bytes, n_chunks", [
-    (64, 16_000_000, 1),   # all of the pair, in slices of 28, 28 and 8 z
-    (64, 4_000_000, 2),    # all rows and 32 z each, in slices of 28 and 4
+    (64, 16_000_000, 1),   # all of the pair, in nine slices of 7 z and one of 1
+    (64, 4_000_000, 2),    # all rows and 32 z each, in slices of 7 and 4
     (12, 30_000, 36),      # a third of the rows and one z each
 ])
 def test_chunked_pair_matches_the_reference_operator(monkeypatch, n_z, chunk_bytes, n_chunks):

@@ -3,7 +3,9 @@
 The kernel is checked against the closed-form potential of a uniform ball
 (interior and exterior), operator symmetry, and the far-field point-mass
 limit with a quadrupole-sized envelope; applied in threads it must give the
-same bits as on one thread, and it is built on the calling thread alone.
+same bits as on one thread, and it is built on the calling thread alone,
+in a fresh process without raising the peak resident set by much more
+than the kernel and the buffer of its build.
 The complete elliptic integral is checked against its power series and, to
 round-off, against the scipy special function, which evaluates the same
 Cephes approximation.
@@ -13,6 +15,7 @@ import ast
 import json
 import math
 import os
+import subprocess
 import sys
 import threading
 
@@ -158,33 +161,53 @@ class TestKernelAgainstBall:
         assert (lo, hi, leaf.shape) == (0, 16, (25, 16, 16))
         assert np.shares_memory(leaf, kernel._fw) and not kernel._pairs
 
-    def test_kernel_of_192_radii_is_two_leaves_and_one_pair(self):
+    def test_kernel_of_192_radii_is_four_leaves_and_three_pairs(self):
+        # halves of 96 and quarters of 48 radii; a pair's rank is
+        # 8 + 3 ceil(log2 b) for its first range of b radii: 29 and 26
         grid = cq.CylGrid(2.0, 2.0, 192, 24)
         kernel = cq.AxiKernel(grid)
         assert [(lo, hi, leaf.shape) for lo, hi, leaf in kernel._leaves] == [
-            (0, 96, (25, 96, 96)), (96, 192, (25, 96, 96)),
+            (lo, lo + 48, (25, 48, 48)) for lo in (0, 48, 96, 144)
         ]
-        ((lo, mid, hi, u, v, coef),) = kernel._pairs
-        assert (lo, mid, hi) == (0, 96, 192)
-        assert (u.shape, v.shape, coef.shape) == ((96, 48), (96, 48), (25, 48, 48))
-        for basis in (u, v):
-            np.testing.assert_allclose(basis.T @ basis, np.eye(48), atol=1e-13)
-        views = [leaf for _, _, leaf in kernel._leaves] + [u, v, coef]
+        assert [
+            (lo, mid, hi, u.shape, v.shape, coef.shape)
+            for lo, mid, hi, u, v, coef in kernel._pairs
+        ] == [
+            (0, 96, 192, (96, 29), (96, 29), (25, 29, 29)),
+            (0, 48, 96, (48, 26), (48, 26), (25, 26, 26)),
+            (96, 144, 192, (48, 26), (48, 26), (25, 26, 26)),
+        ]
+        views = [leaf for _, _, leaf in kernel._leaves]
+        for *_, u, v, coef in kernel._pairs:
+            for basis in (u, v):
+                rank = basis.shape[1]
+                np.testing.assert_allclose(basis.T @ basis, np.eye(rank), atol=1e-13)
+            views += [u, v, coef]
         assert all(np.shares_memory(view, kernel._fw) for view in views)
         assert sum(view.size for view in views) == kernel._fw.size
         assert kernel._fw.nbytes == cq.potential.kernel_bytes(grid)
 
     def test_kernel_size_follows_from_the_grid_alone(self):
-        # leaves of 128 radii and seven pairs of rank 48, against the
-        # 8.6 GB a dense kernel would need: not refused on an 8 GB box
+        # 32 leaves of 32 radii, and five levels of pairs: 1, 2, 4, 8 and
+        # 16 pairs of 512 to 32 radii, of ranks 35, 32, 29, 26 and 23, each
+        # level with bases over all 1024 radii; 0.44 GB against the 8.6 GB a
+        # dense kernel would need
         grid = cq.CylGrid(2.0, 2.0, 1024, 1024)
-        # each of the three levels of pairs has bases over all 1024 radii
-        words = 8 * 1025 * 128**2 + 7 * 1025 * 48**2 + 3 * 1024 * 48
-        assert cq.potential.kernel_bytes(grid) == 8 * words == 1_208_219_648
-        assert cq.potential.kernel_bytes(grid) < 8e9 < 1025 * 1024**2 * 8
+        levels = [(1, 35), (2, 32), (4, 29), (8, 26), (16, 23)]
+        words = 32 * 1025 * 32**2 + sum(n * 1025 * k**2 + 1024 * k for n, k in levels)
+        assert cq.potential.kernel_bytes(grid) == 8 * words == 438_059_240
+        assert cq.potential.kernel_bytes(grid) <= 0.6e9 < 1025 * 1024**2 * 8
+        # fewer than 192 radii: one dense leaf, as before
         assert cq.potential.kernel_bytes(cq.CylGrid(2.0, 2.0, 96, 96)) == 97 * 96**2 * 8
-        words = 4 * 385 * 96**2 + 3 * 385 * 48**2 + 2 * 384 * 48
+        # 4 leaves of 48, and pairs of 96 and 48 radii, ranks 29 and 26
+        words = 4 * 193 * 48**2 + 193 * 29**2 + 192 * 29 + 2 * 193 * 26**2 + 192 * 26
+        assert cq.potential.kernel_bytes(cq.CylGrid(2.0, 2.0, 192, 192)) == 8 * words
+        assert 8 * words == 17_699_976 <= 20e6
+        # 8 leaves of 48, and pairs of 192, 96 and 48 radii, ranks 32, 29, 26
+        levels = [(1, 32), (2, 29), (4, 26)]
+        words = 8 * 385 * 48**2 + sum(n * 385 * k**2 + 384 * k for n, k in levels)
         assert cq.potential.kernel_bytes(cq.CylGrid(2.0, 2.0, 384, 384)) == 8 * words
+        assert 8 * words == 73_700_624
 
     @pytest.mark.parametrize("n_i, n_k, n_z", [(96, 96, 192), (192, 192, 384), (2048, 2048, 64)])
     def test_pair_chunks_are_bounded_and_cover_the_pair(self, n_i, n_k, n_z):
@@ -199,16 +222,37 @@ class TestKernelAgainstBall:
         assert len(chunks) == {96: 1, 192: 8, 2048: 64 * 3}[n_i]
 
     def test_memory_is_checked_before_anything_is_built(self, monkeypatch):
+        # the kernel, and beside it the buffer of the top pair's weights,
+        # 96 x 96 radii at 16 z
         grid = cq.CylGrid(1.0, 1.0, 192, 16)
-        need = cq.potential.kernel_bytes(grid)
-        monkeypatch.setattr(cq.potential, "_physical_memory_bytes", lambda: need - 1)
+        need, buffer = cq.potential.kernel_bytes(grid), cq.potential.buffer_bytes(grid)
+        assert buffer == 8 * 96 * 96 * 16
+        assert cq.potential.buffer_bytes(cq.CylGrid(1.0, 1.0, 191, 16)) == 0
         monkeypatch.setattr(np, "empty", None)  # any allocation would fail
-        with pytest.raises(cq.GridError, match=r"needs %d bytes" % need):
-            cq.AxiKernel(grid)
+        for have in (need - 1, need + buffer - 1, need + buffer):
+            monkeypatch.setattr(cq.potential, "_physical_memory_bytes", lambda have=have: have)
+            if have < need + buffer:
+                with pytest.raises(cq.GridError, match=(
+                    r"needs %d bytes and its build %d more, more than the %d "
+                    % (need, buffer, have)
+                )):
+                    cq.AxiKernel(grid)
+            else:  # passes the check, and fails at the first allocation
+                with pytest.raises(TypeError):
+                    cq.AxiKernel(grid)
+
+    @pytest.mark.parametrize("r_max, z_max", [(2.0, 0.001), (0.001, 2.0)])
+    def test_flat_and_tall_grids_keep_every_pair_below_the_residual_limit(self, r_max, z_max):
+        # cells 250 times wider than tall, and 16,000 times taller than
+        # wide: a build that returns has checked all seven pairs of three
+        # levels
+        kernel = cq.AxiKernel(cq.CylGrid(r_max, z_max, 384, 96))
+        ranks = [u.shape[1] for *_, u, _, _ in kernel._pairs]
+        assert ranks == [32, 29, 26, 26, 29, 26, 26]
 
     def test_a_pair_above_the_residual_limit_is_refused(self, monkeypatch, tmp_path, capsys):
         # rank 8 cannot hold the pairs of a 192-radius kernel to 1e-13
-        monkeypatch.setattr(cq.potential, "RANK", 8)
+        monkeypatch.setattr(cq.potential, "_rank", lambda b: 8)
         with pytest.raises(FloatingPointError, match=r"rank-8 residual of .* above 1e-13"):
             cq.AxiKernel(cq.CylGrid(1.0, 1.0, 192, 8))
         raw = {
@@ -252,8 +296,8 @@ THREADED_GRID = cq.CylGrid(2.0, 1.5, 128, 96)
 
 
 class TestRingWeights:
-    # a 96^2 grid is one leaf; 192 x 64 has leaves of radii 0-95 and
-    # 96-191; 100 x 30 has dz twice dr
+    # a 96^2 grid is one leaf; radii 96-191 of 192 x 64 are two leaves
+    # of 48 and their pair; 100 x 30 has dz twice dr
     GRIDS = [
         (cq.CylGrid(2.0, 2.0, 96, 96), 0, 96),
         (cq.CylGrid(2.0, 2.0, 192, 64), 96, 192),
@@ -319,6 +363,45 @@ def test_the_ring_weight_and_its_transform_are_computed_in_one_place():
     assert callers["arcsinh"] == {"potential.ring_weights"}
     assert callers["rfft"] == {"potential._even_rfft", "potential.AxiKernel.apply"}
     assert "asinh" not in callers
+
+
+#: builds the 192^2 kernel, applies it 5 times, and prints the growth of
+#: the process's peak resident set with the kernel's and the buffer's bytes
+FRESH_BUILD = """
+import numpy as np
+import corequilib as cq
+
+def peak():
+    with open("/proc/self/status") as fh:
+        return next(int(line.split()[1]) * 1024 for line in fh if line.startswith("VmHWM:"))
+
+grid = cq.CylGrid(2.0, 2.0, 192, 192)
+values = np.ones((192, 192))
+before = peak()
+kernel = cq.AxiKernel(grid, threads=1)
+for _ in range(5):
+    kernel.apply(values)
+print(peak() - before, cq.potential.kernel_bytes(grid), cq.potential.buffer_bytes(grid))
+"""
+
+
+def test_a_fresh_build_holds_little_beside_the_kernel_and_its_buffer():
+    # on a 2-CPU x86-64 machine the two-leaf layout, whose build left its
+    # temporaries resident, grew 41.7 MB, 1.6 MB above the bound; this
+    # build grows 26 to 28 MB
+    try:
+        with open("/proc/self/status") as fh:
+            if not any(line.startswith("VmHWM:") for line in fh):
+                pytest.skip("no VmHWM in /proc/self/status")
+    except OSError:
+        pytest.skip("no /proc/self/status")
+    proc = subprocess.run(
+        [sys.executable, "-c", FRESH_BUILD], capture_output=True, text=True,
+        env=dict(os.environ, OPENBLAS_NUM_THREADS="1"),
+    )
+    assert proc.returncode == 0, proc.stderr
+    grown, kernel, buffer = map(int, proc.stdout.split())
+    assert grown <= kernel + buffer + 8_000_000
 
 
 class TestKernelThreads:

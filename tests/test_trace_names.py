@@ -107,7 +107,7 @@ def test_scan_workers_trace_their_field_writes(tmp_path):
 
 def test_traced_kernel_size_is_the_stored_kernel():
     # what potential.kernel_mb records of a 192^2 kernel: its one buffer,
-    # the size kernel_bytes gives before the build, and at most 33 MB
+    # the size kernel_bytes gives before the build, and at most 20 MB
     grid = corequilib.CylGrid(2.0, 2.0, 192, 192)
     kernel = corequilib.AxiKernel(grid)
     peaks = {}
@@ -115,7 +115,7 @@ def test_traced_kernel_size_is_the_stored_kernel():
     _TRACER._kernel_size(recorder, (kernel,))
     assert peaks == {"potential.kernel_mb": kernel._fw.nbytes / 1e6}
     assert kernel._fw.nbytes == corequilib.potential.kernel_bytes(grid)
-    assert peaks["potential.kernel_mb"] <= 33.0
+    assert peaks["potential.kernel_mb"] <= 20.0
 
 
 #: one solve through the CLI, traced
