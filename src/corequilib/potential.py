@@ -85,36 +85,41 @@ def elliptic_k(m):
     arr = np.asarray(m, dtype=float)
     if np.any(arr < 0.0) or np.any(arr >= 1.0):
         raise ValueError("elliptic parameter must satisfy 0 <= m < 1")
-    x = 1.0 - arr
-    p = np.full_like(x, _ELLPK_P[0])
-    q = np.full_like(x, _ELLPK_Q[0])
+    out = _ellpk(1.0 - arr)
+    return float(out) if arr.ndim == 0 else out
+
+
+def _ellpk(x):
+    """K(1 - x) on an array of 0 < x <= 1, which the caller forms exactly."""
+    p, q = np.full_like(x, _ELLPK_P[0]), np.full_like(x, _ELLPK_Q[0])
     for a, b in zip(_ELLPK_P[1:], _ELLPK_Q[1:]):
         p *= x
         p += a
         q *= x
         q += b
-    out = p - np.log(x) * q
-    return float(out) if arr.ndim == 0 else out
+    return p - np.log(x) * q
 
 
 def ring_weights(r_t, r_s, offsets, dr, dz, out=None):
     """Weight per unit source radius, ``4 K(m) / sqrt(sep2) * dr * dz``, of
     rings of radii ``r_s`` on rings of radii ``r_t`` at the z ``offsets``,
-    shape (offsets, targets, sources), written into ``out`` if given.  A
-    ring against itself, where m is 1 (the same radius at offset 0), gets
-    the rod self weight over its radius.  The targets are taken in blocks
-    of about ``2**16`` weights, few enough to stay in cache.
+    shape (offsets, targets, sources), written into ``out`` if given.  K
+    gets ``1 - m = ((r_t - r_s)^2 + offset^2) / sep2``, without cancellation
+    at neighbouring rings.  A ring against itself (m = 1: the same radius
+    at offset 0) gets the rod self weight over its radius.  The targets are
+    taken in blocks of about ``2**16`` weights, few enough to stay in cache.
     """
     out = np.empty((len(offsets), len(r_t), len(r_s))) if out is None else out
     rod = 2.0 * (np.arcsinh(dz / dr) + np.arcsinh(dr / dz)) * dr * dz
     step = max(1, 2**16 // (len(offsets) * len(r_s)))
+    off2 = offsets[:, None, None] ** 2
     for a in range(0, len(r_t), step):
         t = r_t[a:a + step, None]
-        sep2 = (t + r_s) ** 2 + offsets[:, None, None] ** 2
-        m = 4.0 * t * r_s / sep2
-        ring = m == 1.0
-        m[ring] = 0.0                   # placeholder; replaced below
-        k = elliptic_k(m)
+        sep2 = (t + r_s) ** 2 + off2
+        x = ((t - r_s) ** 2 + off2) / sep2
+        ring = x == 0.0
+        x[ring] = 1.0                   # placeholder; replaced below
+        k = _ellpk(x)
         k *= 4.0 * dr * dz
         w = out[:, a:a + len(t)]
         np.divide(k, np.sqrt(sep2, out=sep2), out=w)

@@ -9,7 +9,9 @@ in the volume-weighted inner product, scale as s^2 when the domain grows by
 s at a fixed cell count, give the same bits on one thread and on two, and
 agree with a plain reference operator kept here: the same weights with K
 from the arithmetic-geometric mean, stored dense as a complex spectrum and
-contracted with einsum.
+contracted with einsum.  Both form 1 - m without cancellation; from
+4 r r' / sep2 it loses digits at neighbouring rings, and a 384 x 8 grid of
+r_max 0.25 grown by 2.5 then scales as s^2 only to 1.1e-13.
 """
 
 from unittest import mock
@@ -60,10 +62,10 @@ def rel_err(got, want):
     return float(np.max(np.abs(got - want)) / np.max(np.abs(want)))
 
 
-def elliptic_k_agm(m):
-    """K(m) = pi / (2 AGM(1, sqrt(1 - m))), 20 sweeps."""
-    a = np.ones_like(m)
-    b = np.sqrt(1.0 - m)
+def elliptic_k_agm(m1):
+    """K(m) = pi / (2 AGM(1, sqrt(m1))), m1 = 1 - m, 20 sweeps."""
+    a = np.ones_like(m1)
+    b = np.sqrt(m1)
     for _ in range(20):
         a, b = 0.5 * (a + b), np.sqrt(a * b)
     return np.pi / (2.0 * a)
@@ -76,10 +78,10 @@ def reference_apply(grid, values):
     r_t = r[:, None, None]
     r_s = r[None, :, None]
     sep2 = (r_t + r_s) ** 2 + offsets[None, None, :] ** 2
-    m = 4.0 * r_t * r_s / sep2
+    m1 = ((r_t - r_s) ** 2 + offsets[None, None, :] ** 2) / sep2
     diag = np.arange(grid.n_r)
-    m[diag, diag, 0] = 0.0
-    w = 4.0 * r_s * elliptic_k_agm(m) / np.sqrt(sep2) * (dr * dz)
+    m1[diag, diag, 0] = 1.0
+    w = 4.0 * r_s * elliptic_k_agm(m1) / np.sqrt(sep2) * (dr * dz)
     w[diag, diag, 0] = 2.0 * (np.arcsinh(dz / dr) + np.arcsinh(dr / dz)) * dr * dz
     circ = np.zeros((grid.n_r, grid.n_r, 2 * n_z))
     circ[:, :, :n_z] = w
@@ -159,6 +161,7 @@ def test_compressed_apply_is_self_adjoint(grid, seed):
 
 @paired
 @given(grid=paired_grids, seed=seeds, s=st.floats(0.25, 4.0))
+@example(grid=cq.CylGrid(0.25, 1.0, 384, 8), seed=0, s=2.5)
 def test_compressed_kernel_of_a_grown_domain_scales_as_s_squared(grid, seed, s):
     check_grown_domain(grid, seed, s)
 
