@@ -37,7 +37,6 @@ from .potential import (
     RotationLaw,
     bound_ratios,
     core_potential,
-    elliptic_k,
     ensemble_ratio_maxima,
     kernel_for,
     rotation_potential,

@@ -262,7 +262,8 @@ class TabulatedEos:
     is a necessary, not sufficient, validation and is documented as such.
 
     Inside the table f is interpolated monotonically in log-log space, by
-    cubic Hermite pieces with PCHIP slopes, so a power-law table reproduces
+    cubic Hermite pieces with PCHIP slopes, and at the ends with the
+    exponents of the power laws past them, so a power-law table reproduces
     the corresponding ``Polytrope`` to quadrature accuracy.  The integral of
     f(t)/t^2 is summed from pieces on a fine log grid that has every sample
     as a knot.  Each piece is a 20-point Gauss-Legendre sum, accepted only
@@ -312,7 +313,11 @@ class TabulatedEos:
 
         u = np.log(s)
         log_f = np.log(f)
-        self._logf = CubicHermite(u, log_f, pchip_slopes(u, log_f))
+        # end slopes: the head's and the tail's exponents, which keep PCHIP's
+        # shape limits and make A'' continuous where the table meets them
+        slopes = pchip_slopes(u, log_f)
+        slopes[0], slopes[-1] = beta_lo, beta_hi
+        self._logf = CubicHermite(u, log_f, slopes)
         self._build_integral_tables(u)
         # I continues past s_max as the tail's A/s plus this constant
         a_max = self._tail.internal_energy(self.s_max)

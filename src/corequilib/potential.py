@@ -71,26 +71,14 @@ _ELLPK_Q = (
 )
 
 
-def elliptic_k(m):
-    """Complete elliptic integral of the first kind, parameter convention.
-
-    Evaluates the Cephes ``ellpk`` approximation
-    ``K(m) = P(1 - m) - log(1 - m) Q(1 - m)`` with two degree-10
-    polynomials, the same one ``scipy.special.ellipk`` evaluates; its
-    relative error is a few 1e-16 on all of 0 <= m < 1, the logarithmic
-    singularity at m = 1 included.  Parameters outside 0 <= m < 1 are
-    refused instead of returning inf or nan, and a scalar argument gives a
-    Python float.
-    """
-    arr = np.asarray(m, dtype=float)
-    if np.any(arr < 0.0) or np.any(arr >= 1.0):
-        raise ValueError("elliptic parameter must satisfy 0 <= m < 1")
-    out = _ellpk(1.0 - arr)
-    return float(out) if arr.ndim == 0 else out
-
-
 def _ellpk(x):
-    """K(1 - x) on an array of 0 < x <= 1, which the caller forms exactly."""
+    """K(1 - x) on an array of 0 < x <= 1, which the caller forms exactly.
+
+    The complete elliptic integral of the first kind, parameter m = 1 - x,
+    as ``K = P(x) - log(x) Q(x)`` with two degree-10 polynomials, the
+    approximation ``scipy.special.ellipk`` evaluates: its relative error is
+    a few 1e-16, the logarithmic singularity at x = 0 included.
+    """
     p, q = np.full_like(x, _ELLPK_P[0]), np.full_like(x, _ELLPK_Q[0])
     for a, b in zip(_ELLPK_P[1:], _ELLPK_Q[1:]):
         p *= x
@@ -182,9 +170,6 @@ def _in_threads(work, parts):
         raise errors[0]
 
 
-#: an off-diagonal block's real-space weights are built in chunks of at
-#: most about this many bytes
-CHUNK_BYTES = 16_000_000
 #: largest relative Frobenius residual a compressed block may have
 RESIDUAL_LIMIT = 1e-13
 
@@ -235,19 +220,6 @@ def _test_matrix(start, rows, rank):
     return (x * 2.0**-32 - 0.5).reshape(rows, rank)
 
 
-def _chunks(n_i, n_k, n_z):
-    """Ranges ``((r0, r1), (z0, z1))`` of rows and z, z major, in which a
-    pair's weights W[z, i, k] of n_z x n_i x n_k are built.
-
-    A chunk takes at most about ``CHUNK_BYTES``: all rows and a range of z,
-    or, where one z of the block is larger than that, a range of rows and
-    one z.
-    """
-    rows = _split(n_i, min(n_i, -(-8 * n_i * n_k // CHUNK_BYTES)))
-    zs = _split(n_z, min(n_z, -(-8 * n_i * n_k * n_z // CHUNK_BYTES)))
-    return [(r, z) for z in zs for r in rows]
-
-
 def kernel_bytes(grid):
     """Bytes the kernel of ``grid`` stores; they follow from the cell counts.
 
@@ -261,14 +233,6 @@ def kernel_bytes(grid):
     words += sum((hi - lo) * k + n_f * k**2
                  for lo, mid, hi in pairs for k in [_rank(mid - lo)])
     return 8 * words
-
-
-def buffer_bytes(grid):
-    """Bytes of the buffer in which the kernel's build computes the pairs'
-    weights: their largest chunk (``_chunks``), 0 for a grid of one leaf."""
-    _, pairs = _layout(grid.n_r)
-    return 8 * max([0] + [(r1 - r0) * (z1 - z0) * (hi - mid) for lo, mid, hi in pairs
-                          for (r0, r1), (z0, z1) in _chunks(mid - lo, hi - mid, grid.n_z)])
 
 
 class AxiKernel:
@@ -309,13 +273,14 @@ class AxiKernel:
 
     Every stored number lives in the one float64 array ``_fw`` of
     ``kernel_bytes(grid)`` bytes; leaves, bases and coefficients are views
-    into it.  A pair's real-space weights are built in chunks of at most
-    about ``CHUNK_BYTES`` (``_chunks``: all rows and a range of z, or part
-    of the rows and one z where one z of the pair is larger), twice (to
-    sketch, then to project) when there is more than one chunk, all in one
-    buffer of ``buffer_bytes(grid)``, released before the leaves are filled
-    and touch their pages of ``_fw``.  The kernel and the buffer are checked
-    against physical memory before anything is allocated.
+    into it.  The leaves come first, and their pages serve as the scratch
+    in which each pair's real-space weights are built, in chunks of as many
+    z as it holds, twice (to sketch, then to project) when there is more
+    than one chunk; the leaves are filled after the last pair.  One z of a
+    pair larger than the leaves' pages, which happens only when n_r is more
+    than about 128 (n_z + 1), gets an array of its own.  The kernel and
+    that array are checked against physical memory before anything is
+    allocated.
 
     The build runs on the calling thread.  ``threads`` is the CPU budget
     ``apply`` may spend: it uses one thread per ``KERNEL_BYTES_PER_THREAD``
@@ -332,21 +297,24 @@ class AxiKernel:
 
     def __init__(self, grid, threads=1):
         self.grid = grid
-        need, buffer = kernel_bytes(grid), buffer_bytes(grid)
+        leaves, pairs = _layout(grid.n_r)
+        n_f, stored = grid.n_z + 1, kernel_bytes(grid)
+        scratch = n_f * sum((hi - lo) ** 2 for lo, hi in leaves)
+        top = max([0] + [(mid - lo) * (hi - mid) for lo, mid, hi in pairs])
+        need = stored + 8 * (top if top > scratch else 0)
         have = _physical_memory_bytes()
-        if need + buffer > have:
+        if need > have:
             raise GridError(
-                "potential kernel for a %d x %d grid needs %d bytes and its "
-                "build %d more, more than the %d bytes of physical memory"
-                % (grid.n_r, grid.n_z, need, buffer, have)
+                "potential kernel for a %d x %d grid needs %d bytes to build, "
+                "more than the %d bytes of physical memory"
+                % (grid.n_r, grid.n_z, need, have)
             )
-        self.threads = max(1, min(threads, need // KERNEL_BYTES_PER_THREAD))
+        self.threads = max(1, min(threads, stored // KERNEL_BYTES_PER_THREAD))
         self.scale = 1.0
         self._r = grid.r
-        self._blocks = _split(grid.n_z + 1, self.threads)
-        leaves, pairs = _layout(grid.n_r)
-        self._fw = np.empty(need // 8)
-        n_f, taken = grid.n_z + 1, 0
+        self._blocks = _split(n_f, self.threads)
+        self._fw = np.empty(stored // 8)
+        taken = 0
 
         def take(*shape):
             nonlocal taken
@@ -359,24 +327,23 @@ class AxiKernel:
             (lo, mid, hi, take(mid - lo, k), take(hi - mid, k), take(n_f, k, k))
             for lo, mid, hi in pairs for k in [_rank(mid - lo)]
         ]
-        weights = np.empty(buffer // 8)
         for pair in self._pairs:
-            self._compress(*pair, weights)
-        del weights                     # before the leaves touch their pages
+            self._compress(*pair, self._fw[:scratch])
         for leaf in self._leaves:
             self._fill_leaf(*leaf)
 
-    def _compress(self, lo, mid, hi, u, v, coef, weights):
+    def _compress(self, lo, mid, hi, u, v, coef, scratch):
         """Fill one pair's bases ``u``, ``v`` and coefficients ``coef``.
 
-        The weights W[z, i, k] of each chunk (``_chunks``) are written into
-        ``weights``, where a pair of one chunk keeps them for both passes,
-        and taken in slices of a few z, so no temporary is larger than
-        about 0.5 MB.  The sketches
-        are ``sum_z W[z] Omega[z]`` and ``sum_z W[z]^T Omega[z]``, with the
-        test matrix Omega[z, k] of ``_test_matrix`` at index ``z n_k + k``,
-        read at k = i for the second (the first range of a pair is never
-        the longer one).  Then ``W[z] V`` is formed per slice, ``coef`` gets
+        The weights W[z, i, k] are built in ``scratch``, by one
+        ``ring_weights`` call per chunk of as many z as it holds, or in an
+        array of their own one z at a time where one z is larger.  A pair
+        of one chunk keeps them for both passes.  A chunk is taken in
+        slices of a few z, so no temporary is larger than about 0.5 MB.
+        The sketches are ``sum_z W[z] Omega[z]`` and ``sum_z W[z]^T
+        Omega[z]``, with the test matrix Omega[z, k] of ``_test_matrix`` at
+        index ``z n_k + k``, read at k = i for the second (the first range
+        of a pair is never the longer one).  Then ``W[z] V`` is formed per slice, ``coef`` gets
         ``U^T W[z] V`` until its transform replaces it, and the residual is
         summed exactly as ``|W - W V V^T|^2 + |W V - U U^T W V|^2``, whose
         two terms are orthogonal.
@@ -386,43 +353,40 @@ class AxiKernel:
         n_i, n_k, n_z = mid - lo, hi - mid, self.grid.n_z
         rank = u.shape[1]
         offsets = dz * np.arange(n_z)
-        chunks = _chunks(n_i, n_k, n_z)
+        if n_i * n_k > scratch.size:
+            scratch = np.empty(n_i * n_k)
+        chunks = _split(n_z, -(-n_z // (scratch.size // (n_i * n_k))))
+        step = max(1, 2**16 // (n_i * n_k))
 
         def slices(build):
-            for (r0, r1), (z0, z1) in chunks:
-                w = np.ndarray((z1 - z0, r1 - r0, n_k), buffer=weights)
+            for z0, z1 in chunks:
+                w = scratch[:(z1 - z0) * n_i * n_k].reshape(z1 - z0, n_i, n_k)
                 if build:
-                    ring_weights(r_t[r0:r1], r_s, offsets[z0:z1], dr, dz, w)
-                step = max(1, 2**16 // ((r1 - r0) * n_k))
+                    ring_weights(r_t, r_s, offsets[z0:z1], dr, dz, w)
                 for s0 in range(z0, z1, step):
                     s1 = min(s0 + step, z1)
-                    yield r0, r1, s0, s1, w[s0 - z0:s1 - z0]
+                    yield s0, s1, w[s0 - z0:s1 - z0]
 
         y_u, y_v = np.zeros((n_i, rank)), np.zeros((n_k, rank))
         norm2 = 0.0
-        for r0, r1, s0, s1, part in slices(True):
+        for s0, s1, part in slices(True):
             norm2 += float(np.vdot(part, part))
             test = _test_matrix(s0 * n_k * rank, (s1 - s0) * n_k, rank)
             test = test.reshape(s1 - s0, n_k, rank)
-            y_u[r0:r1] += np.matmul(part, test).sum(axis=0)
-            y_v += part.reshape(-1, n_k).T @ test[:, r0:r1].reshape(-1, rank)
+            y_u += np.matmul(part, test).sum(axis=0)
+            y_v += part.reshape(-1, n_k).T @ test[:, :n_i].reshape(-1, rank)
         u[...] = np.linalg.qr(y_u)[0]
         v[...] = np.linalg.qr(y_v)[0]
         err2 = 0.0
-        for r0, r1, s0, s1, part in slices(len(chunks) > 1):
-            # a chunk of part of the rows has one z, and the chunks after
-            # it have the same z and the rest of the rows
-            if r0 == 0:
-                wv = np.empty((s1 - s0, n_i, rank))
+        for s0, s1, part in slices(len(chunks) > 1):
             part = part.reshape(-1, n_k)
             t = part @ v                    # (slice z * rows, rank)
             part -= t @ v.T
             err2 += float(np.vdot(part, part))
-            wv[:, r0:r1] = t.reshape(s1 - s0, r1 - r0, rank)
-            if r1 == n_i:
-                c = np.matmul(u.T, wv, out=coef[s0:s1])
-                wv -= u @ c
-                err2 += float(np.vdot(wv, wv))
+            wv = t.reshape(s1 - s0, n_i, rank)
+            c = np.matmul(u.T, wv, out=coef[s0:s1])
+            wv -= u @ c
+            err2 += float(np.vdot(wv, wv))
         residual = (err2 / norm2) ** 0.5
         if residual > RESIDUAL_LIMIT:
             raise FloatingPointError(

@@ -388,6 +388,18 @@ def test_table_maps_are_continuous_at_the_table_ends(eos):
     )
 
 
+def test_density_slope_is_continuous_at_h_min():
+    # the head polytrope's slope just below h_min, 1 / A'' just above; with
+    # PCHIP's end slope for log f they were 1.6e-4 apart on this table
+    s = np.geomspace(1e-3, 10.0, 40)
+    tab = TabulatedEos(s, 0.7 * s**1.6 + 1.9 * s**2.7)
+    below, above = (
+        tab.density_slope(tab.enthalpy_inverse(h), h)
+        for h in tab.h_min * np.array([1.0 - 1e-12, 1.0 + 1e-12])
+    )
+    assert above == pytest.approx(below, rel=1e-10)
+
+
 @st.composite
 def knot_data(draw):
     """(x, y, dydx, queries): strictly increasing knots with spacings over

@@ -11,7 +11,9 @@ agree with a plain reference operator kept here: the same weights with K
 from the arithmetic-geometric mean, stored dense as a complex spectrum and
 contracted with einsum.  Both form 1 - m without cancellation; from
 4 r r' / sep2 it loses digits at neighbouring rings, and a 384 x 8 grid of
-r_max 0.25 grown by 2.5 then scales as s^2 only to 1.1e-13.
+r_max 0.25 grown by 2.5 then scales as s^2 only to 1.1e-13.  Four fixed
+grids take each path of a pair's build: its weights kept in the leaves'
+pages, in two or five chunks there, or one z at a time beside them.
 """
 
 from unittest import mock
@@ -102,8 +104,8 @@ def check_linear(grid, seed, a, b):
     assert np.max(np.abs(combined - (a * bu + b * bv))) <= 1e-13 * scale
 
 
-def check_self_adjoint(grid, seed):
-    kernel = cq.AxiKernel(grid)
+def check_self_adjoint(kernel, seed):
+    grid = kernel.grid
     u = random_density(grid, seed)
     v = random_density(grid, seed + 1)
     left = float(np.sum(grid.vol * u * kernel.apply(v)))
@@ -133,7 +135,7 @@ def test_apply_is_linear(grid, seed, a, b):
 
 @given(grid=grids, seed=seeds)
 def test_apply_is_self_adjoint_in_the_volume_inner_product(grid, seed):
-    check_self_adjoint(grid, seed)
+    check_self_adjoint(cq.AxiKernel(grid), seed)
 
 
 @given(grid=grids, seed=seeds, s=st.floats(0.25, 4.0))
@@ -156,7 +158,7 @@ def test_compressed_apply_is_linear(grid, seed, a, b):
 @paired
 @given(grid=paired_grids, seed=seeds)
 def test_compressed_apply_is_self_adjoint(grid, seed):
-    check_self_adjoint(grid, seed)
+    check_self_adjoint(cq.AxiKernel(grid), seed)
 
 
 @paired
@@ -186,18 +188,38 @@ def test_compressed_kernel_has_the_same_bits_on_two_threads(grid, seed):
     np.testing.assert_array_equal(threaded.apply(values), serial.apply(values))
 
 
-@pytest.mark.parametrize("n_z, chunk_bytes, n_chunks", [
-    (64, 16_000_000, 1),   # all of the pair, in nine slices of 7 z and one of 1
-    (64, 4_000_000, 2),    # all rows and 32 z each, in slices of 7 and 4
-    (12, 30_000, 36),      # a third of the rows and one z each
-])
-def test_chunked_pair_matches_the_reference_operator(monkeypatch, n_z, chunk_bytes, n_chunks):
-    grid = cq.CylGrid(1.3, 0.9, 192, n_z)
-    monkeypatch.setattr(cq.potential, "CHUNK_BYTES", chunk_bytes)
-    assert len(cq.potential._chunks(96, 96, n_z)) == n_chunks
+@pytest.mark.parametrize("grid, zs, apart", [
+    # the top pair's 96 x 96 x 64 weights fit in the four leaves' 65 x 4 x
+    # 48**2 = 599,040 words and are kept there for both passes
+    (cq.CylGrid(1.3, 0.9, 192, 64), [64], False),
+    # 192 x 192 x 8 = 294,912 weights against the eight leaves' 9 x 8 x
+    # 48**2 = 165,888 words: two chunks of 4 z, built again to project
+    (cq.CylGrid(1.3, 0.9, 384, 8), [4, 4] * 2, False),
+    # two z of 257 x 257 fit in the 165,140 words of 16 leaves, so five
+    # chunks; four would give one of 3 z, more than the leaves hold
+    (cq.CylGrid(1.3, 0.9, 514, 9), [1, 2, 2, 2, 2] * 2, False),
+    # one z of 1100 x 1100 = 1,210,000 weights is more than the 64 leaves'
+    # 680,760 words, so each z is built in an array of its own
+    (cq.CylGrid(2.0, 0.05, 2200, 8), [1] * 16, True),
+], ids=["kept", "two-chunks", "five-chunks", "one-z-apart"])
+def test_pairs_are_built_in_the_leaves_pages_or_one_z_apart(grid, zs, apart):
+    calls = []
+
+    def record(r_t, r_s, offsets, dr, dz, out=None):
+        if len(r_t) == grid.n_r // 2:   # the top pair's
+            calls.append((len(offsets), out.base.size))
+        return ring_weights(r_t, r_s, offsets, dr, dz, out)
+
+    ring_weights = cq.potential.ring_weights
+    with mock.patch.object(cq.potential, "ring_weights", record):
+        kernel = cq.AxiKernel(grid, threads=1)
+    assert [z for z, _ in calls] == zs
+    assert all((size != kernel._fw.size) == apart for _, size in calls)
+    if apart:   # a 1.5 s build, whose dense reference would take over 1 GB
+        check_self_adjoint(kernel, 11)
+        return
     values = random_density(grid, 11)
-    chunked = cq.AxiKernel(grid, threads=1)
-    assert rel_err(chunked.apply(values), reference_apply(grid, values)) <= 1e-13
+    assert rel_err(kernel.apply(values), reference_apply(grid, values)) <= 1e-13
     with mock.patch.object(cq.potential, "KERNEL_BYTES_PER_THREAD", 1):
         threaded = cq.AxiKernel(grid, threads=2)
-    np.testing.assert_array_equal(threaded._fw, chunked._fw)
+    np.testing.assert_array_equal(threaded._fw, kernel._fw)

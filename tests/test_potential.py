@@ -5,10 +5,10 @@ The kernel is checked against the closed-form potential of a uniform ball
 limit with a quadrupole-sized envelope; applied in threads it must give the
 same bits as on one thread, and it is built on the calling thread alone,
 in a fresh process without raising the peak resident set by much more
-than the kernel and the buffer of its build.
-The complete elliptic integral is checked against its power series and, to
-round-off, against the scipy special function, which evaluates the same
-Cephes approximation.
+than the kernel.
+The complete elliptic integral of the ring weights, ``_ellpk`` of 1 - m, is
+checked against its power series and, to round-off, against the scipy
+special function, which evaluates the same Cephes approximation.
 """
 
 import ast
@@ -55,38 +55,37 @@ def ball_potential_exact(a, rho0, dist):
     )
 
 
+def elliptic_k(m):
+    """K(m) from the ring weights' ``_ellpk``, which takes 1 - m."""
+    return cq.potential._ellpk(1.0 - np.asarray(m, dtype=float))
+
+
 class TestEllipticK:
     def test_zero_modulus(self):
-        assert cq.elliptic_k(0.0) == pytest.approx(np.pi / 2.0, rel=1e-15)
+        assert float(elliptic_k(0.0)) == pytest.approx(np.pi / 2.0, rel=1e-15)
 
     def test_against_series_and_scipy(self):
         for m in (0.1, 0.5, 0.9):
-            val = cq.elliptic_k(m)
+            val = float(elliptic_k(m))
             assert val == pytest.approx(elliptic_k_series(m, 400), rel=1e-12)
             assert val == pytest.approx(float(ellipk(m)), rel=1e-13)
 
     def test_known_value(self):
-        assert cq.elliptic_k(0.5) == pytest.approx(1.8540746773013719, rel=1e-12)
+        assert float(elliptic_k(0.5)) == pytest.approx(1.8540746773013719, rel=1e-12)
 
     def test_near_singular_endpoint(self):
-        assert cq.elliptic_k(0.99) == pytest.approx(float(ellipk(0.99)), rel=1e-12)
-
-    def test_domain(self):
-        with pytest.raises(ValueError):
-            cq.elliptic_k(1.0)
-        with pytest.raises(ValueError):
-            cq.elliptic_k(-0.1)
+        assert float(elliptic_k(0.99)) == pytest.approx(float(ellipk(0.99)), rel=1e-12)
 
     def test_array_input(self):
         m = np.array([0.0, 0.3, 0.8])
-        np.testing.assert_allclose(cq.elliptic_k(m), ellipk(m), rtol=1e-12)
+        np.testing.assert_allclose(elliptic_k(m), ellipk(m), rtol=1e-12)
 
     def test_matches_scipy_to_round_off(self):
         # uniform in [0, 1), then up to the logarithmic singularity at m = 1
         m = np.random.default_rng(20261018).random(100_000)
-        np.testing.assert_allclose(cq.elliptic_k(m), ellipk(m), rtol=1e-15, atol=0)
+        np.testing.assert_allclose(elliptic_k(m), ellipk(m), rtol=1e-15, atol=0)
         m = 1.0 - np.logspace(-15.0, 0.0, 3001)
-        np.testing.assert_allclose(cq.elliptic_k(m), ellipk(m), rtol=1e-15, atol=0)
+        np.testing.assert_allclose(elliptic_k(m), ellipk(m), rtol=1e-15, atol=0)
 
 
 class TestKernelAgainstBall:
@@ -209,37 +208,27 @@ class TestKernelAgainstBall:
         assert cq.potential.kernel_bytes(cq.CylGrid(2.0, 2.0, 384, 384)) == 8 * words
         assert 8 * words == 73_700_624
 
-    @pytest.mark.parametrize("n_i, n_k, n_z", [(96, 96, 192), (192, 192, 384), (2048, 2048, 64)])
-    def test_pair_chunks_are_bounded_and_cover_the_pair(self, n_i, n_k, n_z):
-        # at 4096 radii one z of the top pair (33.5 MB) is above CHUNK_BYTES
-        chunks = cq.potential._chunks(n_i, n_k, n_z)
-        cells = np.zeros((n_i, n_z), dtype=int)
-        for (r0, r1), (z0, z1) in chunks:
-            assert r0 < r1 and z0 < z1
-            assert 8 * (r1 - r0) * (z1 - z0) * n_k <= 2 * cq.potential.CHUNK_BYTES
-            cells[r0:r1, z0:z1] += 1
-        assert np.all(cells == 1)
-        assert len(chunks) == {96: 1, 192: 8, 2048: 64 * 3}[n_i]
-
     def test_memory_is_checked_before_anything_is_built(self, monkeypatch):
-        # the kernel, and beside it the buffer of the top pair's weights,
-        # 96 x 96 radii at 16 z
-        grid = cq.CylGrid(1.0, 1.0, 192, 16)
-        need, buffer = cq.potential.kernel_bytes(grid), cq.potential.buffer_bytes(grid)
-        assert buffer == 8 * 96 * 96 * 16
-        assert cq.potential.buffer_bytes(cq.CylGrid(1.0, 1.0, 191, 16)) == 0
         monkeypatch.setattr(np, "empty", None)  # any allocation would fail
-        for have in (need - 1, need + buffer - 1, need + buffer):
-            monkeypatch.setattr(cq.potential, "_physical_memory_bytes", lambda have=have: have)
-            if have < need + buffer:
-                with pytest.raises(cq.GridError, match=(
-                    r"needs %d bytes and its build %d more, more than the %d "
-                    % (need, buffer, have)
-                )):
-                    cq.AxiKernel(grid)
-            else:  # passes the check, and fails at the first allocation
-                with pytest.raises(TypeError):
-                    cq.AxiKernel(grid)
+        # 192 x 16: every pair's weights fit in the leaves' pages, so the
+        # build needs the kernel alone; 2200 x 8: one z of the top pair,
+        # 1100 x 1100 radii, is more than the 680,760 words of its 64
+        # leaves, and is built beside the kernel
+        leaves, _ = cq.potential._layout(2200)
+        assert 9 * sum((hi - lo) ** 2 for lo, hi in leaves) == 680_760 < 1100**2
+        for grid, spill in [(cq.CylGrid(1.0, 1.0, 192, 16), 0),
+                            (cq.CylGrid(2.0, 0.05, 2200, 8), 8 * 1100**2)]:
+            need = cq.potential.kernel_bytes(grid) + spill
+            for have in (need - 1, need):
+                monkeypatch.setattr(cq.potential, "_physical_memory_bytes", lambda have=have: have)
+                if have < need:
+                    with pytest.raises(cq.GridError, match=(
+                        r"needs %d bytes to build, more than the %d " % (need, have)
+                    )):
+                        cq.AxiKernel(grid)
+                else:  # passes the check, and fails at the first allocation
+                    with pytest.raises(TypeError):
+                        cq.AxiKernel(grid)
 
     @pytest.mark.parametrize("r_max, z_max", [(2.0, 0.001), (0.001, 2.0)])
     def test_flat_and_tall_grids_keep_every_pair_below_the_residual_limit(self, r_max, z_max):
@@ -362,16 +351,17 @@ def test_the_ring_weight_and_its_transform_are_computed_in_one_place():
         if name.endswith(".py"):
             with open(os.path.join(src, name)) as fh:
                 visit(ast.parse(fh.read()), [name[:-3]])
-    assert callers["_ellpk"] == {"potential.elliptic_k", "potential.ring_weights"}
-    assert "elliptic_k" not in callers
+    assert callers["_ellpk"] == {"potential.ring_weights"}
     assert callers["arcsinh"] == {"potential.ring_weights"}
     assert callers["rfft"] == {"potential._even_rfft", "potential.AxiKernel.apply"}
     assert "asinh" not in callers
 
 
-#: builds the 192^2 kernel, applies it 5 times, and prints the growth of
-#: the process's peak resident set with the kernel's and the buffer's bytes
+#: builds the kernel of the grid of n_r x n_z cells given as arguments,
+#: applies it 5 times, and prints the growth of the process's peak resident
+#: set with the kernel's bytes
 FRESH_BUILD = """
+import sys
 import numpy as np
 import corequilib as cq
 
@@ -379,20 +369,27 @@ def peak():
     with open("/proc/self/status") as fh:
         return next(int(line.split()[1]) * 1024 for line in fh if line.startswith("VmHWM:"))
 
-grid = cq.CylGrid(2.0, 2.0, 192, 192)
-values = np.ones((192, 192))
+n_r, n_z = map(int, sys.argv[1:])
+grid = cq.CylGrid(2.0, 2.0, n_r, n_z)
+values = np.ones((n_r, n_z))
 before = peak()
 kernel = cq.AxiKernel(grid, threads=1)
 for _ in range(5):
     kernel.apply(values)
-print(peak() - before, cq.potential.kernel_bytes(grid), cq.potential.buffer_bytes(grid))
+print(peak() - before, cq.potential.kernel_bytes(grid))
 """
 
 
-def test_a_fresh_build_holds_little_beside_the_kernel_and_its_buffer():
-    # on a 2-CPU x86-64 machine the two-leaf layout, whose build left its
-    # temporaries resident, grew 41.7 MB, 1.6 MB above the bound; this
-    # build grows 26 to 28 MB
+@pytest.mark.parametrize("n_r, n_z", [
+    (192, 192),  # each pair kept in the leaves' pages for both passes
+    (384, 24),   # the top pair in two chunks of 12 z, built twice
+])
+def test_a_fresh_build_holds_little_beside_the_kernel(n_r, n_z):
+    # on a 2-CPU x86-64 machine the 192^2 build grew 25.3 to 25.4 MB
+    # against a bound of 27.7 MB, and the 384 x 24 one 10.6 to 11.1 MB
+    # against 15.0 MB; with a separate weight buffer they grew 26.1 to
+    # 27.2 MB and 15.7 MB, and a two-leaf layout that left its temporaries
+    # resident grew 41.7 MB at 192^2
     try:
         with open("/proc/self/status") as fh:
             if not any(line.startswith("VmHWM:") for line in fh):
@@ -400,12 +397,12 @@ def test_a_fresh_build_holds_little_beside_the_kernel_and_its_buffer():
     except OSError:
         pytest.skip("no /proc/self/status")
     proc = subprocess.run(
-        [sys.executable, "-c", FRESH_BUILD], capture_output=True, text=True,
-        env=dict(os.environ, OPENBLAS_NUM_THREADS="1"),
+        [sys.executable, "-c", FRESH_BUILD, str(n_r), str(n_z)], capture_output=True,
+        text=True, env=dict(os.environ, OPENBLAS_NUM_THREADS="1"),
     )
     assert proc.returncode == 0, proc.stderr
-    grown, kernel, buffer = map(int, proc.stdout.split())
-    assert grown <= kernel + buffer + 8_000_000
+    grown, kernel = map(int, proc.stdout.split())
+    assert grown <= kernel + 10_000_000
 
 
 class TestKernelThreads:
