@@ -42,6 +42,7 @@ result bit.
 """
 
 import copy
+import functools
 import math
 import os
 import threading
@@ -49,7 +50,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .field import GridError, random_blob_field
+from .field import CylGrid, GridError, random_blob_field
 
 # Coefficients of Cephes ``ellpk`` (S. L. Moshier, Methods and Programs for
 # Mathematical Functions, 1989), highest degree first.
@@ -292,7 +293,8 @@ class AxiKernel:
 
     ``scale`` multiplies every potential: 1 for a built kernel, and
     ``s**2`` for the kernel ``scaled`` gives a grid grown by s, which
-    shares this kernel's arrays.
+    shares this kernel's arrays.  ``kernel_for`` serves every grid so, from
+    the kernel of its shape on radius 1.
     """
 
     def __init__(self, grid, threads=1):
@@ -448,46 +450,26 @@ class AxiKernel:
         _in_threads(product, self._blocks)
         conv = prod.view(np.complex128)[:, :, 0]
         out = np.fft.irfft(conv.T, n=2 * n_z, axis=1)[:, :n_z]
-        if self.scale != 1.0:
-            out *= self.scale
+        out *= self.scale
         return out
 
 
-class _KernelCache:
-    """The kernels of the last ``size`` (grid, threads) asked for or put.
+@functools.lru_cache(maxsize=4)
+def _shape_kernel(n_r, n_z, aspect, threads):
+    """The kernel of the grid of radius 1, ``aspect`` = z_max / r_max and
+    these cell counts; building one is the expensive part of a solve."""
+    return AxiKernel(CylGrid(1.0, aspect, n_r, n_z), threads)
 
-    Building a kernel is the expensive part of a solve.  A caller that
-    knows a grid's kernel without a build, as a scan knows its retry grid's
-    (its base kernel ``scaled``), ``put``s it here.
+
+def kernel_for(grid, threads=1):
+    """The kernel of ``grid``: its shape's kernel on radius 1, ``scaled``.
+
+    A kernel depends on a grid's cell counts and aspect alone, and every
+    weight scales as r_max**2, so all grids of one shape, a scan's base and
+    retry grids among them, share one build.
     """
-
-    def __init__(self, size):
-        self.size = size
-        self.hits = 0
-        self._kernels = {}          # (grid, threads) -> kernel, oldest first
-
-    def __call__(self, grid, threads=1):
-        kernel = self._kernels.get((grid, threads))
-        if kernel is None:
-            kernel = AxiKernel(grid, threads)
-        else:
-            self.hits += 1
-        self.put(grid, threads, kernel)
-        return kernel
-
-    def put(self, grid, threads, kernel):
-        """Cache ``kernel`` as the kernel of ``grid`` on ``threads``."""
-        self._kernels.pop((grid, threads), None)
-        self._kernels[(grid, threads)] = kernel
-        if len(self._kernels) > self.size:
-            del self._kernels[next(iter(self._kernels))]
-
-    def cache_clear(self):
-        self._kernels.clear()
-
-
-#: shared kernel cache, ``kernel_for(grid, threads)``
-kernel_for = _KernelCache(4)
+    shape = grid.n_r, grid.n_z, grid.z_max / grid.r_max
+    return _shape_kernel(*shape, threads).scaled(grid)
 
 
 def core_potential(kernel, core, mu):

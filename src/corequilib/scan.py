@@ -9,10 +9,11 @@ again on the larger grid.
 Cells run in a process pool sized by the command's CPU budget, the
 COREQUILIB_THREADS environment variable (default: all cores), with at most
 one worker per cell; each worker's potential kernel gets ``budget //
-workers`` threads.  The base domain's kernel is built once, before the pool
-forks its workers, and the grown domain's kernel is that kernel scaled by
-s**2 for the retry factor s, with no build of its own.  Each worker writes
-its cells' run directories itself and hands back only a small record: the
+workers`` threads.  The kernels of the base and the grown domain are made
+before the pool forks its workers.  Grids of one shape share one kernel
+(``kernel_for``), so the grown domain needs a build of its own only where
+rounding gives its z_max / r_max another last bit.  Each worker writes its
+cells' run directories itself and hands back only a small record: the
 cell's omega and mu, its ``result.json`` payload or error and its seconds.
 No density field crosses the process boundary, and a retried cell's grown
 domain is read from its ``effective_config.json``.  Results are
@@ -157,9 +158,9 @@ def run_scan(scan_spec, out, budget=None):
     ``budget`` is the CPU budget, ``cpu_budget()`` by default.  It sets the
     number of workers, at most one per cell, and each worker's kernel gets
     an equal share of it.  One line per cell goes to stderr as its record
-    arrives.  The kernel of the base grid, which every cell shares, is
-    built here before ``out`` or a worker exists, and the retry grid's is
-    put in the kernel cache as that kernel scaled by s**2.
+    arrives.  The kernels of the base and the retry grid, which every cell
+    shares, are made here before ``out`` or a worker exists; grids of one
+    shape share one build (``kernel_for``).
     """
     budget = cpu_budget() if budget is None else budget
     n_cells = len(scan_spec.omega_values) * len(scan_spec.mu_values)
@@ -170,9 +171,8 @@ def run_scan(scan_spec, out, budget=None):
         for i, omega in enumerate(scan_spec.omega_values)
         for j, mu in enumerate(scan_spec.mu_values)
     ]
-    base, grown = scan_spec.grids
-    kernel = kernel_for(base, budget // workers)
-    kernel_for.put(grown, budget // workers, kernel.scaled(grown))
+    for grid in scan_spec.grids:
+        kernel_for(grid, budget // workers)
     os.makedirs(out, exist_ok=True)
     cells = {}
     for task, record in zip(tasks, _cell_records(tasks, workers)):

@@ -93,9 +93,9 @@ class InitialGuess:
 class ProblemSpec:
     """Everything that defines one equilibrium problem.
 
-    A from-file initial guess is read here, once, into ``guess_field``
-    (masked and scaled to the mass), so that a file that does not fit the
-    grid fails where the problem is built.
+    The initial guess is built here, once, into ``guess_field``
+    (``initial_field``), so that a guess that cannot be built, such as a
+    file that does not fit the grid, fails where the problem is built.
     """
 
     eos: object
@@ -105,20 +105,14 @@ class ProblemSpec:
     rotation: object
     mass: float
     initial_guess: InitialGuess = dc_field(default_factory=InitialGuess)
-    guess_field: Optional[DensityField] = dc_field(
-        default=None, init=False, repr=False, compare=False
-    )
+    guess_field: DensityField = dc_field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not self.mass > 0.0:
             raise ValueError("total mass must be positive")
         if self.mu < 0.0:
             raise ValueError("core strength mu must be non-negative")
-        if self.initial_guess.kind == "from-file":
-            fld = read_field_csv(
-                self.initial_guess.path, self.grid, self.core.mask(self.grid)
-            )
-            self.guess_field = rescale_to_mass(fld, self.mass)
+        self.guess_field = initial_field(self, self.core.mask(self.grid))
 
 
 @dataclass(frozen=True)
@@ -280,7 +274,7 @@ def initial_field(spec, mask):
     grid = spec.grid
     guess = spec.initial_guess
     if guess.kind == "from-file":
-        return spec.guess_field
+        return rescale_to_mass(read_field_csv(guess.path, grid, mask), spec.mass)
     R, Z = grid.meshes()
     if guess.kind == "gaussian-blob":
         r0 = max(1.5 * spec.core.a_r, 0.2 * grid.r_max)
@@ -456,7 +450,7 @@ def solve(spec, config=None, threads=1):
     config = config if config is not None else ScfConfig()
     grid = spec.grid
     env = Environment.build(grid, spec.core, spec.mu, spec.rotation, threads)
-    state = evaluate(initial_field(spec, spec.core.mask(grid)), spec, env)
+    state = evaluate(spec.guess_field, spec, env)
     mixer = AndersonMixer(grid.vol, state.rho.values.shape, config.alpha)
     trace = []
     mass_errs = []

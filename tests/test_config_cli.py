@@ -702,13 +702,27 @@ class TestCli:
         self, tmp_path, capsys, monkeypatch
     ):
         monkeypatch.setattr(cq.potential, "_physical_memory_bytes", lambda: 64)
-        cq.kernel_for.cache_clear()
+        cq.potential._shape_kernel.cache_clear()
         cfg = write_config(tmp_path, base_raw(n=32))
         rc = main(["solve", "--config", cfg, "--out", str(tmp_path / "o")])
         assert rc == 2
         err = capsys.readouterr().err
         assert err.startswith("numeric error: potential kernel for a 32 x 32 grid")
         assert "needs 270336 bytes" in err and "the 64 bytes" in err
+
+    @pytest.mark.parametrize("command", ["solve", "scan"])
+    def test_out_naming_a_file_exits_one(self, tmp_path, capsys, monkeypatch, command):
+        # a solve meets the file only at its outputs, after its SCF
+        monkeypatch.setenv("COREQUILIB_THREADS", "1")
+        sweep = {"scan": {"omega_values": [0.0], "mu_values": [0.0]}}
+        raw = base_raw(n=16, extra=sweep if command == "scan" else None)
+        out = tmp_path / "taken"
+        out.write_text("")
+        cfg = write_config(tmp_path, raw)
+        assert main([command, "--config", cfg, "--out", str(out)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "io error: [Errno 17] File exists: %r\n" % str(out)
 
     def test_mass_drift_exits_two(self, tmp_path, capsys, monkeypatch):
         rescale = cq.solver.rescale_to_mass
@@ -878,9 +892,10 @@ class TestCli:
             monkeypatch.setenv("COREQUILIB_THREADS", threads)
             out = tmp_path / ("threads-" + threads)
             assert main(["solve", "--config", cfg, "--out", str(out)]) == 0
-        hits = cq.kernel_for.hits
+        info = cq.potential._shape_kernel.cache_info
+        hits = info().hits
         assert cq.kernel_for(cq.CylGrid(2.0, 1.5, 128, 96), 2).threads == 2
-        assert cq.kernel_for.hits == hits + 1  # the solve's kernel
+        assert info().hits == hits + 1  # the solve's kernel
         for name in ("result.json", "field.csv", "trace.csv", "effective_config.json"):
             one = (tmp_path / "threads-1" / name).read_bytes()
             assert one == (tmp_path / "threads-2" / name).read_bytes()
@@ -932,6 +947,16 @@ DROP = "<dropped>"
 DENSE_CORE = dict(CORE, rho=10.0)
 RETRY_CORE = dict(DENSE_CORE, a_r=0.08, a_z=0.08)
 NO_CELL = "core covers no cell centre of the 32 x 32 grid with r_max %s and z_max %s"
+NO_SHELL = "uniform-shell guess does not fit between core and boundary"
+
+
+def shell_guess(n, a, rho, scan=False):
+    """A uniform-shell guess on an n^2 grid of the 1 x 1 box, around a core
+    of radius a: the shell runs from 1.1 a to 0.5."""
+    raw = faulty("solver", {"initial_guess": "uniform-shell"}, scan)
+    raw["grid"] = {"r_max": 1.0, "z_max": 1.0, "n_r": n, "n_z": n}
+    raw["core"] = {"a_r": a, "a_z": a, "rho": rho, "mu": 1.0}
+    return raw
 
 
 def faulty(section, value, scan=False):
@@ -1273,6 +1298,10 @@ def test_thin_coreless_grids_solve(tmp_path, capsys, monkeypatch, grid):
     ("scan", faulty("core", DENSE_CORE, scan=True), NO_CELL % (2, 2)),
     ("check", faulty("core", DENSE_CORE), NO_CELL % (2, 2)),
     ("scan", faulty("core", RETRY_CORE, scan=True), NO_CELL % (3, 3)),
+    ("solve", shell_guess(32, 0.5, 1.0), NO_SHELL),
+    ("check", shell_guess(32, 0.5, 1.0), NO_SHELL),
+    ("scan", shell_guess(32, 0.5, 1.0, scan=True), NO_SHELL),
+    ("solve", shell_guess(16, 0.45, 0.0), "cannot rescale a zero field"),
 ])
 def test_dump_fails_where_the_run_fails(
     tmp_path, capsys, monkeypatch, command, raw, message

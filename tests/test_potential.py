@@ -252,32 +252,31 @@ class TestKernelAgainstBall:
         }
         cfg = tmp_path / "config.json"
         cfg.write_text(json.dumps(raw))
-        cq.kernel_for.cache_clear()
+        cq.potential._shape_kernel.cache_clear()
         rc = main(["solve", "--config", str(cfg), "--out", str(tmp_path / "o")])
         assert rc == 2
         assert capsys.readouterr().err.startswith(
             "numeric error: potential kernel block of radii "
         )
 
-    def test_cache_returns_a_put_scaled_kernel(self):
-        cq.kernel_for.cache_clear()
+    def test_grids_of_one_shape_share_one_kernel(self):
+        cq.potential._shape_kernel.cache_clear()
         base = cq.kernel_for(cq.CylGrid(1.0, 0.75, 24, 16))
         grown_grid = cq.CylGrid(1.5, 1.125, 24, 16)
-        cq.kernel_for.put(grown_grid, 1, base.scaled(grown_grid))
         grown = cq.kernel_for(grown_grid)
         assert grown._fw is base._fw and grown.scale == 2.25
         assert grown.grid == grown_grid
+        assert cq.potential._shape_kernel.cache_info().misses == 1
         values = cq.random_blob_field(base.grid, np.random.default_rng(5)).values
         np.testing.assert_array_equal(grown.apply(values), 2.25 * base.apply(values))
         built = cq.AxiKernel(grown_grid).apply(values)
         np.testing.assert_allclose(grown.apply(values), built, rtol=0, atol=1e-13 * np.max(built))
-        # a grown grid that nobody put is built, whatever is cached
-        assert cq.kernel_for(cq.CylGrid(2.0, 1.5, 24, 16)).scale == 1.0
-
-    def test_kernel_cache_returns_same_object(self):
-        k1 = cq.kernel_for(cq.CylGrid(1.0, 1.0, 16, 16))
-        k2 = cq.kernel_for(cq.CylGrid(1.0, 1.0, 16, 16))
-        assert k1 is k2
+        # a power-of-two radius scales without rounding
+        grid = cq.CylGrid(2.0, 1.5, 24, 16)
+        np.testing.assert_array_equal(
+            cq.kernel_for(grid).apply(values), cq.AxiKernel(grid).apply(values)
+        )
+        assert cq.kernel_for(cq.CylGrid(1.0, 1.0, 24, 16))._fw is not base._fw
 
 
 #: a grid whose kernel (12.7 MB) is above the two-thread threshold
@@ -355,6 +354,9 @@ def test_the_ring_weight_and_its_transform_are_computed_in_one_place():
     assert callers["arcsinh"] == {"potential.ring_weights"}
     assert callers["rfft"] == {"potential._even_rfft", "potential.AxiKernel.apply"}
     assert "asinh" not in callers
+    # and one place builds kernels, which every other grid of a shape scales
+    assert callers["AxiKernel"] == {"potential._shape_kernel"}
+    assert callers["scaled"] == {"potential.kernel_for"}
 
 
 #: builds the kernel of the grid of n_r x n_z cells given as arguments,

@@ -6,7 +6,7 @@ and ``COUNTS``).  A renamed call would only show up as a failure under
 It imports the tracer's tables and looks every name up, the way
 ``layertrace._replace`` does.  A traced scan in a subprocess checks that
 the output layer is still seen after it moved into the pool's workers and
-that the one kernel is built in the scanning process alone, traced solves
+that every kernel is built in the scanning process alone, traced solves
 check that the counters agree with ``result.json``, and the kernel size the
 tracer records is the kernel's stored size.
 """
@@ -69,10 +69,11 @@ print(os.getpid())
 """
 
 
-def test_scan_workers_trace_their_field_writes(tmp_path):
+@pytest.mark.parametrize("r_max,z_max,builds", [(2.0, 2.0, 1), (1.2, 0.75, 2)])
+def test_scan_workers_trace_their_field_writes(tmp_path, r_max, z_max, builds):
     raw = {
         "eos": {"kind": "polytrope", "k": 1.0, "gamma": 2.0},
-        "grid": {"r_max": 2.0, "z_max": 2.0, "n_r": 16, "n_z": 16},
+        "grid": {"r_max": r_max, "z_max": z_max, "n_r": 16, "n_z": 16},
         "core": {"a_r": 0.25, "a_z": 0.25, "rho": 10.0, "mu": 1.0},
         "solver": {"mass": 1.0},
         "scan": {"omega_values": [0.0, 0.3], "mu_values": [1.0]},
@@ -96,12 +97,17 @@ def test_scan_workers_trace_their_field_writes(tmp_path):
     writers = pids("field.write")
     assert len(writers) == 2
     assert scanner not in writers
-    # the base kernel, built once before the pool; the grown domain's is
-    # derived from it, not built
-    assert pids("potential.kernel_build") == [scanner]
+    # every kernel is built before the pool: 2 x 2 has one shape on both
+    # domains, and 1.2 x 0.75 grown by 1.5 has an aspect one ulp off its
+    # base's, whose retried cells use the second build
+    assert pids("potential.kernel_build") == [scanner] * builds
     assert set(writers) <= set(pids("solver.solve"))
     written = sorted(out.glob("cell_*/field.csv"))
     assert len(written) == 2
+    if builds == 2:
+        for path in written:
+            result = json.loads((path.parent / "result.json").read_text())
+            assert result["retried"]
     assert counts["field.bytes_written"] == sum(p.stat().st_size for p in written)
 
 
