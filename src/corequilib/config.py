@@ -146,7 +146,7 @@ _GRID = {
     "n_z": (_CELLS, REQUIRED),
 }
 _STRENGTH = {"rho": (_NONNEG, 0.0), "mu": (_NONNEG, 0.0)}
-_SPHEROID = {"a_r": (_POSITIVE, REQUIRED), "a_z": (_POSITIVE, REQUIRED), **_STRENGTH}
+_SPHEROID = {"a_r": (_NONNEG, REQUIRED), "a_z": (_NONNEG, REQUIRED), **_STRENGTH}
 _PROFILE = {
     "profile_z": (_number_list, REQUIRED),
     "profile_a": (_NONNEG_LIST, REQUIRED),
@@ -204,16 +204,9 @@ def _kind(section, given, tables):
     return {"kind": kind, **_keys(section, rest, tables[kind])}
 
 
-def _core(sec, grid):
-    if sec is None:
-        # pinpoint placeholder that fits, masks no cell and carries no mass:
-        # 1e-3 r_max where that does, a quarter of the smallest cell if not
-        g = CylGrid(grid["r_max"], grid["z_max"], grid["n_r"], grid["n_z"])
-        tiny = 1e-3 * g.r_max
-        r0, z0 = g.r[0] / tiny, min(abs(g.z)) / tiny  # the nearest cell centre
-        if not (tiny < g.z_max and r0**2 + z0**2 > 1.0):
-            tiny = 0.25 * min(g.dr, g.dz)
-        return {"a_r": tiny, "a_z": tiny, "rho": 0.0, "mu": 0.0}
+def _core(sec):
+    if sec is None:   # the empty core: zero semi-axes cover no cell
+        return {"a_r": 0.0, "a_z": 0.0, "rho": 0.0, "mu": 0.0}
     profile = isinstance(sec, dict) and ("profile_z" in sec or "profile_a" in sec)
     if profile and ("a_r" in sec or "a_z" in sec):
         raise ConfigError("section 'core' mixes spheroid keys with profile keys")
@@ -250,7 +243,7 @@ def effective_config(raw):
         "eos": _kind("eos", raw["eos"], _EOS),
         "grid": _keys("grid", raw["grid"], _GRID),
     }
-    eff["core"] = _core(raw.get("core"), eff["grid"])
+    eff["core"] = _core(raw.get("core"))
     rotation = raw.get("rotation")
     eff["rotation"] = _kind(
         "rotation", {"kind": "constant"} if rotation is None else rotation,
@@ -267,9 +260,8 @@ def effective_config(raw):
 def build_problem(eff):
     """(ProblemSpec, ScfConfig) from an effective configuration.
 
-    Construction errors (an exponent out of range, a core that does not fit
-    the grid or covers no cell centre, a profile that stops short of the
-    grid, a non-monotone table, a guess file that does not fit the grid)
+    Each section maps to the object whose construction checks it, and
+    ``ProblemSpec`` checks the sections against each other.  Their errors
     surface as ConfigError so the CLI can treat them as usage problems.
     """
     try:
@@ -283,17 +275,10 @@ def build_problem(eff):
             core = CoreRegion.from_profile(c["profile_z"], c["profile_a"], c["rho"])
         else:
             core = CoreRegion.spheroid(c["a_r"], c["a_z"], c["rho"])
-        # mask raises if the core does not fit; a dense one must cover a cell
-        if not core.mask(grid).any() and core.rho_core > 0.0:
-            raise ValueError(
-                "core covers no cell centre of the %d x %d grid with r_max %g "
-                "and z_max %g" % (grid.n_r, grid.n_z, grid.r_max, grid.z_max)
-            )
         if r["kind"] == "constant":
             rotation = RotationLaw.constant(r["omega"])
         else:
             rotation = RotationLaw.profile(r["s"], r["omega"])
-        rotation.j_values(grid.r)  # a profile must reach the grid's edge
         spec = ProblemSpec(
             eos=eos,
             grid=grid,

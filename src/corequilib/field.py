@@ -70,17 +70,18 @@ class CylGrid:
 class CoreRegion:
     """Axisymmetric rigid region around the origin, with its uniform density.
 
-    The default shape is a spheroid with semi-axes (a_r, a_z).  An arbitrary
-    axisymmetric shape can be given as a radial profile a(z): the region is
-    then {(r, z): r < a(z)}.  Both representations are star-shaped along
-    outward radial rays, so the no-trapping requirement (exterior radial rays
-    never re-enter the region) holds by construction.
+    The default shape is a spheroid with semi-axes (a_r, a_z); one of zero
+    semi-axes is the empty core of a problem without one, and covers no
+    cell.  An arbitrary axisymmetric shape can be given as a radial profile
+    a(z): the region is then {(r, z): r < a(z)}.  Both representations are
+    star-shaped along outward radial rays, so the no-trapping requirement
+    (exterior radial rays never re-enter the region) holds by construction.
     """
 
     def __init__(self, a_r, a_z, rho_core, profile=None):
         if profile is None:
-            if not (a_r > 0.0 and a_z > 0.0):
-                raise GridError("core semi-axes must be positive")
+            if not (a_r >= 0.0 and a_z >= 0.0):
+                raise GridError("core semi-axes must be non-negative")
         if rho_core < 0.0:
             raise ValueError("core density must be non-negative")
         self.a_r = float(a_r)
@@ -111,18 +112,13 @@ class CoreRegion:
         def profile(z):
             return np.interp(z, z_points, a_points, left=0.0, right=0.0)
 
+        # the interpolant is positive up to a positive sample's neighbours
+        inside = a_points > 0.0
+        inside[1:] |= a_points[:-1] > 0.0
+        inside[:-1] |= a_points[1:] > 0.0
         a_r = float(np.max(a_points))
-        a_z = float(np.max(np.abs(z_points[a_points > 0.0])))
+        a_z = float(np.max(np.abs(z_points[inside])))
         return cls(a_r, a_z, rho_core, profile=profile)
-
-    @property
-    def z_top(self):
-        """Height above which the core potential must fall off monotonically.
-
-        Equal to the vertical semi-extent of the region: above the core there
-        is only vacuum between a field point and the core mass.
-        """
-        return self.a_z
 
     def mask(self, grid):
         """Boolean (n_r, n_z) array, True on cells whose center is inside."""
@@ -131,6 +127,8 @@ class CoreRegion:
         R, Z = grid.meshes()
         if self._profile is not None:
             return R < self._profile(Z)
+        if not (self.a_r > 0.0 and self.a_z > 0.0):
+            return np.zeros(R.shape, dtype=bool)
         return (R / self.a_r) ** 2 + (Z / self.a_z) ** 2 <= 1.0
 
 
@@ -202,19 +200,17 @@ def boundary_mass_exceeds(fld, margin_cells, fraction):
 
     The margin is the outermost ``margin_cells`` cells in r together with the
     top and bottom ``margin_cells`` cells in z.  Mass piling up there is the
-    signature of an iterate flowing off the grid instead of settling.
+    signature of an iterate flowing off the grid instead of settling.  A
+    zero field holds no mass anywhere, so its margin exceeds nothing.
     """
     if not 0.0 < fraction < 1.0:
         raise ValueError("fraction must be in (0, 1)")
     if margin_cells < 1:
         raise ValueError("margin_cells must be >= 1")
     m = int(margin_cells)
-    total = total_mass(fld)
-    if total <= 0.0:
-        return False
     weighted = fld.values * fld.grid.vol
     edge = weighted[-m:, :].sum() + weighted[:-m, :m].sum() + weighted[:-m, -m:].sum()
-    return bool(edge > fraction * total)
+    return bool(edge > fraction * float(np.sum(weighted)))
 
 
 def random_blob_field(grid, rng, n_blobs=4, mask=None):

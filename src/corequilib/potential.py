@@ -504,9 +504,8 @@ def validate_core_potential(phi, core, grid):
 
     A valid core potential is strictly positive, peaks well inside the
     domain rather than at its edge, and, above the core's vertical extent,
-    can only fall off as |z| grows at fixed r (there is nothing but vacuum
-    between such a point and the core mass).  Roundoff gets a 1e-12 relative
-    allowance in the monotonicity comparison.
+    can only fall off as |z| grows at fixed r.  Roundoff gets a 1e-12
+    relative allowance in the monotonicity comparison.
     """
     phi = np.asarray(phi, dtype=float)
     positive = bool(np.all(phi > 0.0))
@@ -519,8 +518,9 @@ def validate_core_potential(phi, core, grid):
     decays = bool(peak > 0.0 and boundary < peak)
 
     slack = 1e-12 * max(peak, 1e-300)
-    upper = grid.z > core.z_top
-    lower = grid.z < -core.z_top
+    # above the core there is only vacuum between a point and the core mass
+    upper = grid.z > core.a_z
+    lower = grid.z < -core.a_z
     monotone = True
     if np.count_nonzero(upper) > 1:
         diffs = np.diff(phi[:, upper], axis=1)

@@ -19,10 +19,10 @@ No density field crosses the process boundary, and a retried cell's grown
 domain is read from its ``effective_config.json``.  Results are
 deterministic either way because a cell's outcome depends only on its own
 configuration, not on the thread or worker count, and the table is
-assembled in a fixed order.  A cell whose solve raises a numeric error is
-recorded as failed, with verdict ``Error``, and the other cells go on.  A
-worker that dies, killed by the operating system for instance, ends the
-scan with ``WorkerDiedError``.
+assembled in a fixed order.  A cell whose solve raises a numeric error, or
+whose directory cannot be written, is recorded as failed, with verdict
+``Error``, and the other cells go on.  A worker that dies, killed by the
+operating system for instance, ends the scan with ``WorkerDiedError``.
 """
 
 import copy
@@ -108,10 +108,10 @@ def _solve_cell(task):
     """Worker body: solve one cell, retry a run-off once on the grown
     domain, write the cell's run directory and return its record.
 
-    A numeric error ends only its cell (any ValueError is one, because
-    ``ScanSpec.from_config`` met every config error): the record carries
-    the message in ``error`` and None as ``outcome``, and the cell writes
-    no directory.
+    A numeric error (any ValueError is one, because
+    ``ScanSpec.from_config`` met every config error) or an OSError writing
+    the directory ends only its cell: the record carries the message in
+    ``error``, after its stderr label, and None as ``outcome``.
     """
     (i, j), omega, mu, cfg, retry_factor, out, threads = task
     start = time.perf_counter()
@@ -123,11 +123,14 @@ def _solve_cell(task):
             outcome = solve(*build_problem(cfg), threads=threads)
             outcome.retried = True
     except (*NUMERIC_ERRORS, ValueError) as exc:
-        record["error"] = str(exc)
+        record["error"] = "numeric error: %s" % exc
     else:
-        record["outcome"] = write_solve_outputs(
-            os.path.join(out, "cell_%02d_%02d" % (i, j)), cfg, outcome
-        )
+        try:
+            record["outcome"] = write_solve_outputs(
+                os.path.join(out, "cell_%02d_%02d" % (i, j)), cfg, outcome
+            )
+        except OSError as exc:
+            record["error"] = "io error: %s" % exc
     record["seconds"] = time.perf_counter() - start
     return record
 
@@ -179,8 +182,7 @@ def run_scan(scan_spec, out, budget=None):
         cells[task[0]] = record
         result = record["outcome"]
         if result is None:
-            sys.stderr.write("cell %02d %02d: numeric error: %s\n"
-                             % (*task[0], record["error"]))
+            sys.stderr.write("cell %02d %02d: %s\n" % (*task[0], record["error"]))
             continue
         sys.stderr.write(
             "cell %02d %02d: %s, %d iterations, retried %s, %.2f s\n"

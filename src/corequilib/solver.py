@@ -91,11 +91,13 @@ class InitialGuess:
 
 @dataclass
 class ProblemSpec:
-    """Everything that defines one equilibrium problem.
+    """Everything that defines one equilibrium problem, checked as a whole.
 
-    The initial guess is built here, once, into ``guess_field``
-    (``initial_field``), so that a guess that cannot be built, such as a
-    file that does not fit the grid, fails where the problem is built.
+    The core must fit the grid and, if dense, cover a cell centre, and a
+    rotation profile must reach the grid's edge.  The initial guess is
+    built here, once, into ``guess_field`` (``initial_field``), so that one
+    that cannot be built, such as a file that does not fit the grid, fails
+    where the problem is built.
     """
 
     eos: object
@@ -112,7 +114,14 @@ class ProblemSpec:
             raise ValueError("total mass must be positive")
         if self.mu < 0.0:
             raise ValueError("core strength mu must be non-negative")
-        self.guess_field = initial_field(self, self.core.mask(self.grid))
+        grid, mask = self.grid, self.core.mask(self.grid)
+        if self.core.rho_core > 0.0 and not mask.any():
+            raise ValueError(
+                "core covers no cell centre of the %d x %d grid with r_max %g "
+                "and z_max %g" % (grid.n_r, grid.n_z, grid.r_max, grid.z_max)
+            )
+        self.rotation.j_values(grid.r)
+        self.guess_field = initial_field(self, mask)
 
 
 @dataclass(frozen=True)

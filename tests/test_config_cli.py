@@ -73,7 +73,7 @@ class TestEffectiveConfig:
         assert eff["rotation"] == {"kind": "constant", "omega": 0.0}
         assert eff["core"]["rho"] == 0.0
         assert eff["core"]["mu"] == 0.0
-        assert eff["core"]["a_r"] == pytest.approx(1e-3)
+        assert eff["core"]["a_r"] == eff["core"]["a_z"] == 0.0
         assert "scan" not in eff
 
     def test_materialization_is_idempotent(self):
@@ -130,18 +130,17 @@ class TestEffectiveConfig:
         with pytest.raises(cq.ConfigError, match="section 'solver': %s" % key):
             cq.effective_config(raw)
 
-    @pytest.mark.parametrize("grid, a", [
-        ({"r_max": 2, "z_max": 2, "n_r": 32, "n_z": 32}, 2e-3),
-        # above a quarter cell but short of the nearest cell centre: kept
-        ({"r_max": 1, "z_max": 1, "n_r": 600, "n_z": 600}, 1e-3),
-        # 1e-3 r_max would stick out of the grid
-        ({"r_max": 2, "z_max": 0.0015, "n_r": 16, "n_z": 8}, 0.25 * 0.000375),
-        # 1e-3 r_max would cover two cell centres
-        ({"r_max": 1, "z_max": 0.004, "n_r": 600, "n_z": 8}, 0.25 * 0.001),
+    @pytest.mark.parametrize("grid", [
+        {"r_max": 2, "z_max": 2, "n_r": 32, "n_z": 32},
+        {"r_max": 1, "z_max": 1, "n_r": 600, "n_z": 600},
+        # a core of 1e-3 r_max would stick out of the grid
+        {"r_max": 2, "z_max": 0.0015, "n_r": 16, "n_z": 8},
+        # a core of 1e-3 r_max would cover two cell centres
+        {"r_max": 1, "z_max": 0.004, "n_r": 600, "n_z": 8},
     ])
-    def test_coreless_placeholder_fits_and_masks_no_cell(self, grid, a):
+    def test_coreless_config_gets_the_empty_core(self, grid):
         eff = cq.effective_config({"eos": POLY, "grid": grid})
-        assert eff["core"] == {"a_r": a, "a_z": a, "rho": 0.0, "mu": 0.0}
+        assert eff["core"] == {"a_r": 0.0, "a_z": 0.0, "rho": 0.0, "mu": 0.0}
         spec, _ = cq.build_problem(eff)
         assert not spec.core.mask(spec.grid).any()
 
@@ -432,6 +431,42 @@ class TestScanMachinery:
         assert rows[2] == "0,1,Error,nan,nan,nan,nan"
         table = captured.out.splitlines()
         assert len(table) == 3 and table[0].split()[1:] == ["Converged", "Error"]
+
+    def test_a_cell_that_cannot_be_written_is_an_error_cell(
+        self, monkeypatch, tmp_path, capsys
+    ):
+        monkeypatch.setenv("COREQUILIB_THREADS", "1")
+        sweep = {"scan": {"omega_values": [0.0], "mu_values": [0.0, 1.0]}}
+        out = tmp_path / "sweep"
+        out.mkdir()
+        (out / "cell_00_00").write_text("in the way")
+        cfg = write_config(tmp_path, base_raw(n=16, extra=sweep))
+        assert main(["scan", "--config", cfg, "--out", str(out)]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert err[0].startswith("cell 00 00: io error: [Errno 17] File exists: ")
+        assert err[1].startswith("cell 00 01: Converged, ")
+        assert err[-1] == "scan error: 1 of 2 cells failed"
+        rows = (out / "scan.csv").read_text().splitlines()
+        assert rows[1] == "0,0,Error,nan,nan,nan,nan"
+        assert rows[2].split(",")[2] == "Converged"
+        assert (out / "cell_00_01" / "result.json").exists()
+
+    def test_scan_prints_the_table_warnings(self, monkeypatch, tmp_path, capsys):
+        monkeypatch.setenv("COREQUILIB_THREADS", "1")
+        run_scan = cq.cli.run_scan
+
+        def with_a_warning(*args):
+            table = run_scan(*args)
+            table.warnings.append("row omega=0: a note")
+            return table
+
+        monkeypatch.setattr(cq.cli, "run_scan", with_a_warning)
+        sweep = {"scan": {"omega_values": [0.0], "mu_values": [0.0]}}
+        cfg = write_config(tmp_path, base_raw(n=16, extra=sweep))
+        assert main(["scan", "--config", cfg, "--out", str(tmp_path / "s")]) == 0
+        captured = capsys.readouterr()
+        assert captured.err.splitlines()[-1] == "warning: row omega=0: a note"
+        assert captured.out.split() == ["omega=0", "Converged"]
 
     def test_collapsed_multiplier_bracket_is_an_error_cell(
         self, monkeypatch, tmp_path, capsys
@@ -978,6 +1013,15 @@ def check_config(command, raw):
     return eff
 
 
+#: a profile core whose one positive sample is at z = 0, but whose
+#: interpolant reaches |z| = 1, past the grid's z_max 0.5
+TALL_PROFILE = dict(
+    faulty("core", dict(PROFILE_CORE, profile_z=[-1.0, 0.0, 1.0],
+                        profile_a=[0.0, 0.5, 0.0])),
+    grid={"r_max": 2.0, "z_max": 0.5, "n_r": 32, "n_z": 16},
+)
+
+
 #: (command, config, message): each config breaks exactly one rule; a
 #: string is the config file's text and None a file that does not exist
 CONFIG_FAULTS = [
@@ -1055,8 +1099,8 @@ CONFIG_FAULTS = [
     ("solve", faulty("core", dict(CORE, radius=0.1)),
      "unknown key 'radius' in section 'core'"),
     ("solve", faulty("core", {"a_r": 0.02}), "missing key 'a_z' in section 'core'"),
-    ("solve", faulty("core", dict(CORE, a_r=0.0)),
-     "key 'a_r' in section 'core' must be positive"),
+    ("solve", faulty("core", dict(CORE, a_r=-0.02)),
+     "key 'a_r' in section 'core' must be non-negative"),
     ("solve", faulty("core", dict(CORE, rho=-1.0)),
      "key 'rho' in section 'core' must be non-negative"),
     ("solve", faulty("core", dict(CORE, mu="1")),
@@ -1164,6 +1208,8 @@ CONFIG_FAULTS = [
      "key 'path' in section 'solver.initial_guess' must be a string"),
     ("solve", faulty("solver", {"initial_guess": ["gaussian-blob"]}),
      "section 'solver.initial_guess' needs a 'kind' key"),
+    # core against the grid, continued
+    ("solve", TALL_PROFILE, "core does not fit strictly inside the grid"),
 ]
 
 
@@ -1181,8 +1227,8 @@ def test_every_config_fault_has_its_message(tmp_path, command, raw, message):
 MINIMAL_DUMP = """\
 {
   "core": {
-    "a_r": 0.002,
-    "a_z": 0.002,
+    "a_r": 0.0,
+    "a_z": 0.0,
     "mu": 0.0,
     "rho": 0.0
   },
@@ -1275,6 +1321,24 @@ def test_thin_coreless_grids_solve(tmp_path, capsys, monkeypatch, grid):
     assert (out / "result.json").exists()
 
 
+def test_a_placeholder_core_solves_as_the_empty_core(tmp_path, monkeypatch):
+    # older effective configs name a pinpoint core of 1e-3 r_max and no mass
+    # where the config had no core; they run as the empty core does
+    monkeypatch.setenv("COREQUILIB_THREADS", "1")
+    raw = {"eos": POLY, "grid": dict(MINIMAL["grid"], n_r=16, n_z=16)}
+    placeholder = dict(cq.effective_config(raw),
+                       core={"a_r": 0.002, "a_z": 0.002, "rho": 0.0, "mu": 0.0})
+    runs = {}
+    for name, cfg in (("empty", raw), ("placeholder", placeholder)):
+        out = tmp_path / name
+        rc = main(["solve", "--config", write_config(tmp_path, cfg, name + ".json"),
+                   "--out", str(out)])
+        assert rc == 0
+        runs[name] = {f: (out / f).read_bytes()
+                      for f in ("result.json", "field.csv", "trace.csv")}
+    assert runs["placeholder"] == runs["empty"]
+
+
 @pytest.mark.parametrize("command, raw, message", [
     ("solve", faulty("eos", dict(POLY, gamma=1.2)),
      "polytrope exponent gamma must exceed 4/3, got 1.2"),
@@ -1302,6 +1366,8 @@ def test_thin_coreless_grids_solve(tmp_path, capsys, monkeypatch, grid):
     ("check", shell_guess(32, 0.5, 1.0), NO_SHELL),
     ("scan", shell_guess(32, 0.5, 1.0, scan=True), NO_SHELL),
     ("solve", shell_guess(16, 0.45, 0.0), "cannot rescale a zero field"),
+    ("solve", TALL_PROFILE, "core does not fit strictly inside the grid"),
+    ("check", TALL_PROFILE, "core does not fit strictly inside the grid"),
 ])
 def test_dump_fails_where_the_run_fails(
     tmp_path, capsys, monkeypatch, command, raw, message

@@ -154,6 +154,11 @@ class TestSupportAndBoundary:
         z_edge[2, 0] = 1.0
         assert cq.boundary_mass_exceeds(cq.DensityField(grid, z_edge), 2, 0.5)
 
+    def test_zero_field_exceeds_no_boundary_fraction(self):
+        grid = cq.CylGrid(1.0, 1.0, 16, 16)
+        zero = cq.DensityField(grid, np.zeros((16, 16)))
+        assert cq.boundary_mass_exceeds(zero, 2, 0.01) is False
+
     def test_boundary_fraction_threshold(self):
         grid = cq.CylGrid(1.0, 1.0, 16, 16)
         vals = np.zeros((16, 16))
@@ -245,7 +250,7 @@ class TestCoreRegion:
             [0.1, 0.25, 0.3, 0.25, 0.1],
             2.0,
         )
-        assert core.z_top == pytest.approx(0.2)
+        assert core.a_z == pytest.approx(0.2)
         assert core.rho_core == 2.0
         # a(z) is 0.275 at |z| = 0.05, 0.175 at |z| = 0.15 and 0 beyond
         # |z| = 0.2: 14, 9 and 0 cell centers lie inside
@@ -257,9 +262,26 @@ class TestCoreRegion:
         inside = np.count_nonzero(core.mask(self.PROFILE_GRID), axis=0)
         np.testing.assert_array_equal(inside, [0, 0, 0, 0, 0, 14, 9, 0, 0, 0])
 
+    def test_profile_extent_reaches_the_next_zero_sample(self):
+        # the interpolant is positive on |z| < 1, not only at z = 0
+        core = cq.CoreRegion.from_profile([-1.0, 0.0, 1.0], [0.0, 0.5, 0.0], 1.0)
+        assert core.a_z == 1.0
+        assert core.a_r == 0.5
+        with pytest.raises(cq.GridError, match="does not fit strictly inside"):
+            core.mask(cq.CylGrid(2.0, 0.5, 32, 16))
+
+    def test_zero_semi_axis_covers_no_cell(self):
+        grid = cq.CylGrid(1.0, 1.0, 16, 9)   # a row of cell centres at z = 0
+        for a_r, a_z in ((0.0, 0.0), (0.0, 0.5), (0.5, 0.0)):
+            mask = cq.CoreRegion.spheroid(a_r, a_z, 1.0).mask(grid)
+            assert mask.shape == (16, 9) and not mask.any()
+        # a profile sampled only at z = 0 keeps its row there
+        mask = cq.CoreRegion.from_profile([0.0], [0.3], 1.0).mask(grid)
+        assert np.count_nonzero(mask) == np.count_nonzero(mask[:, 4]) == 5
+
     def test_validation(self):
         with pytest.raises(cq.GridError):
-            cq.CoreRegion.spheroid(0.0, 0.1, 1.0)
+            cq.CoreRegion.spheroid(-0.1, 0.1, 1.0)
         with pytest.raises(ValueError):
             cq.CoreRegion.spheroid(0.1, 0.1, -1.0)
         with pytest.raises(ValueError):

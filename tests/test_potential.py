@@ -331,7 +331,9 @@ class TestRingWeights:
             np.testing.assert_allclose(w, exact, rtol=1e-14)
 
 
-def test_the_ring_weight_and_its_transform_are_computed_in_one_place():
+def source_callers():
+    """Each function name called in the package, with the set of scopes
+    (``module.Class.function``) that call it."""
     src = os.path.dirname(os.path.abspath(cq.__file__))
     callers = {}
 
@@ -350,6 +352,11 @@ def test_the_ring_weight_and_its_transform_are_computed_in_one_place():
         if name.endswith(".py"):
             with open(os.path.join(src, name)) as fh:
                 visit(ast.parse(fh.read()), [name[:-3]])
+    return callers
+
+
+def test_the_ring_weight_and_its_transform_are_computed_in_one_place():
+    callers = source_callers()
     assert callers["_ellpk"] == {"potential.ring_weights"}
     assert callers["arcsinh"] == {"potential.ring_weights"}
     assert callers["rfft"] == {"potential._even_rfft", "potential.AxiKernel.apply"}
@@ -357,6 +364,18 @@ def test_the_ring_weight_and_its_transform_are_computed_in_one_place():
     # and one place builds kernels, which every other grid of a shape scales
     assert callers["AxiKernel"] == {"potential._shape_kernel"}
     assert callers["scaled"] == {"potential.kernel_for"}
+
+
+def test_one_place_checks_a_problem():
+    # the core's cells and the rotation's reach are checked where the
+    # problem is built; otherwise only the potentials that need them ask
+    callers = source_callers()
+    assert callers["mask"] == {
+        "solver.ProblemSpec.__post_init__", "potential.core_potential",
+    }
+    assert callers["j_values"] == {
+        "solver.ProblemSpec.__post_init__", "potential.rotation_potential",
+    }
 
 
 #: builds the kernel of the grid of n_r x n_z cells given as arguments,

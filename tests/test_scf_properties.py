@@ -29,13 +29,16 @@ def problems(draw):
     )
     a_r = draw(st.floats(0.05, 0.4)) * grid.r_max
     a_z = draw(st.floats(0.05, 0.4)) * grid.z_max
+    core = cq.CoreRegion.spheroid(a_r, a_z, draw(st.floats(0.0, 20.0)))
+    # ProblemSpec refuses a dense core that covers no cell centre
+    assume(core.rho_core == 0.0 or core.mask(grid).any())
     spec = cq.ProblemSpec(
         eos=cq.Polytrope(
             draw(st.floats(0.2, 5.0)),
             draw(st.floats(4.0 / 3.0, 3.0, exclude_min=True)),
         ),
         grid=grid,
-        core=cq.CoreRegion.spheroid(a_r, a_z, draw(st.floats(0.0, 20.0))),
+        core=core,
         mu=draw(st.floats(0.0, 10.0)),
         rotation=cq.RotationLaw.constant(draw(st.floats(0.0, 1.5))),
         mass=draw(st.floats(0.2, 5.0)),

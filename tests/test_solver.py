@@ -182,6 +182,38 @@ class TestMultiplierSolve:
         with pytest.raises(cq.LambdaBracketError):
             cq.solve_lambda(phi, 1e6, table, self.mask, self.grid)
 
+    def test_a_newton_step_past_the_bracket_probes_hi(self, monkeypatch):
+        # from lam0 just above lo = -max(phi) the mass is tiny, so the Newton
+        # step overshoots the bracket and the second probe is hi itself
+        grid = cq.CylGrid(1.0, 1.0, 16, 16)
+        R, Z = grid.meshes()
+        phi = 1.0 / np.sqrt(R**2 + Z**2 + 0.1)
+        mask = np.zeros((16, 16), dtype=bool)
+        lam0 = -float(np.max(phi)) + 1e-3
+        probes = []
+        mass_of_lambda = cq.solver.mass_of_lambda
+
+        def recorded(phi_tot, lam, *args):
+            probes.append(lam)
+            return mass_of_lambda(phi_tot, lam, *args)
+
+        monkeypatch.setattr(cq.solver, "mass_of_lambda", recorded)
+        eos = cq.Polytrope(1.0, 5.0 / 3.0)
+        volume = float(np.sum(grid.vol * np.ones((16, 16))))
+        hi = float(eos.enthalpy(1.0 / volume)) - float(np.min(phi))
+        cq.solve_lambda(phi, 1.0, eos, mask, grid, lam0)
+        assert probes[0] == lam0
+        assert probes[1] == pytest.approx(hi, rel=1e-14)
+        # why: a table that ends short of the mass is found short at hi, a
+        # bracket failure, not a collapse of the bracket below it
+        s = np.geomspace(1e-3, 1.0, 24)
+        table = cq.TabulatedEos(s, s ** (5.0 / 3.0))
+        del probes[:]
+        with pytest.raises(cq.LambdaBracketError) as err:
+            cq.solve_lambda(phi, 1.0, table, mask, grid, lam0)
+        assert err.value.evals == 2
+        assert probes == [lam0, table.h_max - float(np.max(phi))]
+
     def test_converged_potential_holds_target_mass(self, le_problem, le_outcome):
         rho = le_outcome.state.rho
         env = cq.Environment.build(
@@ -193,6 +225,36 @@ class TestMultiplierSolve:
             le_problem.grid,
         )[0]
         assert abs(got - le_problem.mass) <= 1e-10 * le_problem.mass
+
+
+class TestProblemSpec:
+    """``ProblemSpec`` refuses what the CLI refuses, with its messages."""
+
+    GRID = cq.CylGrid(1.0, 1.0, 8, 8)   # cell centres from r, |z| = 0.0625
+
+    def spec(self, core, rotation=cq.RotationLaw.constant(0.0)):
+        return cq.ProblemSpec(
+            eos=cq.Polytrope(1.0, 2.0), grid=self.GRID, core=core, mu=1.0,
+            rotation=rotation, mass=1.0,
+        )
+
+    def test_a_dense_core_must_cover_a_cell_centre(self):
+        with pytest.raises(ValueError) as err:
+            self.spec(cq.CoreRegion.spheroid(0.05, 0.05, 10.0))
+        assert str(err.value) == (
+            "core covers no cell centre of the 8 x 8 grid with r_max 1 and "
+            "z_max 1"
+        )
+        spec = self.spec(cq.CoreRegion.spheroid(0.05, 0.05, 0.0))
+        assert not spec.guess_field.mask.any()
+
+    def test_a_rotation_profile_must_reach_the_grid_edge(self):
+        short = cq.RotationLaw.profile([0.0, 0.1, 0.25, 0.5], [0.3, 0.2, 0.1, 0.0])
+        with pytest.raises(ValueError) as err:
+            self.spec(cq.CoreRegion.spheroid(0.0, 0.0, 0.0), short)
+        assert str(err.value) == (
+            "rotation profile sampled only to s = 0.5, grid needs 0.9375"
+        )
 
 
 class TestScfStep:
