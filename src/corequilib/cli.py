@@ -8,7 +8,7 @@ Subcommands:
 * ``oracle lane-emden --gamma G --k K [--mass M]``  ODE reference constants
 
 Exit codes: 0 success, 1 usage or config problem, 2 numeric failure or a
-scan worker that died, 3 when a solve finishes with a non-Converged verdict
+scan with a failed cell, 3 when a solve finishes with a non-Converged verdict
 (the scripting hook for existence scans driven from the shell).
 
 ``COREQUILIB_THREADS`` is the command's CPU budget (default: the CPU count);
@@ -40,7 +40,7 @@ from .potential import (
     validate_core_potential,
 )
 from .output import json_text, write_scan_csv, write_solve_outputs
-from .scan import ScanSpec, WorkerDiedError, run_scan
+from .scan import ScanSpec, run_scan
 from .solver import NUMERIC_ERRORS, solve
 
 
@@ -187,9 +187,6 @@ def main(argv=None):
     except ConfigError as exc:
         sys.stderr.write("config error: %s\n" % exc)
         return 1
-    except WorkerDiedError as exc:
-        sys.stderr.write("scan error: %s\n" % exc)
-        return 2
     except (*NUMERIC_ERRORS, ValueError) as exc:
         sys.stderr.write("numeric error: %s\n" % exc)
         return 2

@@ -10,6 +10,7 @@ of rho*B(rho), rotation integrates rho*J and core integrates rho against the
 variation vanish on the gas support: the enthalpy A'(rho) matches the total
 potential plus the multiplier there, and stays above it on the vacuum side.
 The residual statistics here quantify both halves of that statement.
+``conclude`` reads all of it off the density a solve reports.
 """
 
 from dataclasses import dataclass
@@ -110,3 +111,34 @@ def multiplier_bound_check(lam, omega, d_r, eq_residual_max):
     bound = -0.5 * float(omega) ** 2 * float(d_r) ** 2
     margin = bound + slack - float(lam)
     return BoundCheck(margin >= 0.0, bound, slack, margin)
+
+
+def conclude(state, spec, env, converged):
+    """What a solve that ends at ``state`` writes and reports, as the
+    keyword arguments of its ``Outcome``.
+
+    With a multiplier that is ``state``'s reconstruction, exactly zero where
+    ``phi_tot + lam <= 0`` and on the core, whose energy and residuals at
+    ``lam`` come from its own potential, one more apply.  Without one it is
+    the iterate, with its energy and no residuals.  The support extents are
+    read at ``SUPPORT_REL`` of the peak; a ``converged`` solve with a
+    multiplier under constant rotation also gets the multiplier bound.
+    """
+    if state.lam is None:
+        rho, energy, resid = state.rho, state.energy, None
+    else:
+        rho = field_ops.DensityField(spec.grid, state.rho_hat, state.rho.mask)
+        b_rho = env.kernel.apply(rho.values)
+        energy = energy_with_potential(rho, spec.eos, env, b_rho)
+        resid = residual_with_potential(
+            rho, state.lam, spec.eos, b_rho + env.J + env.phi_core
+        )
+    threshold = field_ops.SUPPORT_REL * float(np.max(rho.values))
+    d_r, d_z = field_ops.support_extent(rho, threshold)
+    bound = None
+    if converged and resid is not None and spec.rotation.kind == "constant":
+        bound = multiplier_bound_check(
+            state.lam, spec.rotation.omega, d_r, resid.eq_max
+        )
+    return dict(rho=rho, energy=energy, residual=resid, d_r=d_r, d_z=d_z,
+                bound_check=bound)

@@ -194,9 +194,9 @@ def support_extent(fld, threshold=0.0):
     return float(fld.grid.r[i.max()]), float(np.max(np.abs(fld.grid.z[j])))
 
 
-def boundary_mass_exceeds(fld, margin_cells, fraction):
+def boundary_mass_exceeds(values, grid, margin_cells, fraction):
     """True when the outer-boundary margin holds more than ``fraction`` of
-    the total mass.
+    the total mass of the density samples ``values`` on ``grid``.
 
     The margin is the outermost ``margin_cells`` cells in r together with the
     top and bottom ``margin_cells`` cells in z.  Mass piling up there is the
@@ -208,7 +208,7 @@ def boundary_mass_exceeds(fld, margin_cells, fraction):
     if margin_cells < 1:
         raise ValueError("margin_cells must be >= 1")
     m = int(margin_cells)
-    weighted = fld.values * fld.grid.vol
+    weighted = values * grid.vol
     edge = weighted[-m:, :].sum() + weighted[:-m, :m].sum() + weighted[:-m, -m:].sum()
     return bool(edge > fraction * float(np.sum(weighted)))
 

@@ -2,9 +2,10 @@
 
 ``write_solve_outputs`` is the one path from an ``Outcome`` to a run
 directory: ``solve`` writes into ``--out``, and each scan worker into its
-cell's ``cell_II_JJ/``.  ``result.json`` holds the summary, ``trace.csv``
-the only per-iteration record; ``field.csv`` is written by
-``field.write_field_csv``.  ``write_scan_csv`` writes a sweep's
+cell's ``cell_II_JJ/``.  ``field.csv`` (``field.write_field_csv``) holds
+the density the solve reports, the last iterate's reconstruction for every
+verdict with a multiplier, and ``result.json`` its summary; ``trace.csv``
+is the only record of the iterates.  ``write_scan_csv`` writes a sweep's
 ``scan.csv``, and ``json_text`` is the one JSON serialization, of run
 directories and of what the commands print.  Every file is deterministic:
 fixed key order, no timestamps and 17 significant digits, so identical runs
@@ -36,9 +37,9 @@ def outcome_to_dict(outcome):
     """
     state = outcome.state
     bound = outcome.bound_check
-    resid = state.residual
+    resid = outcome.residual
     return {
-        "schema_version": 4,
+        "schema_version": 5,
         "verdict": outcome.verdict,
         "lambda": state.lam,
         "iterations": state.iteration,
@@ -46,7 +47,7 @@ def outcome_to_dict(outcome):
         "mass_err_max": outcome.mass_err_max,
         "mass_evals": outcome.mass_evals,
         "history_resets": outcome.history_resets,
-        "energy": asdict(state.energy),
+        "energy": asdict(outcome.energy),
         "support": {"d_r": outcome.d_r, "d_z": outcome.d_z},
         "multiplier_bound": None if bound is None else asdict(bound),
         "diagnostics": {
@@ -76,7 +77,7 @@ def write_solve_outputs(outdir, eff, outcome):
     os.makedirs(outdir, exist_ok=True)
     _write_json(os.path.join(outdir, "result.json"), result)
     _write_json(os.path.join(outdir, "effective_config.json"), eff)
-    write_field_csv(outcome.state.rho, os.path.join(outdir, "field.csv"))
+    write_field_csv(outcome.rho, os.path.join(outdir, "field.csv"))
     _write_trace_csv(os.path.join(outdir, "trace.csv"), outcome.trace)
     return result
 

@@ -465,11 +465,13 @@ def kernel_for(grid, threads=1):
     """The kernel of ``grid``: its shape's kernel on radius 1, ``scaled``.
 
     A kernel depends on a grid's cell counts and aspect alone, and every
-    weight scales as r_max**2, so all grids of one shape, a scan's base and
-    retry grids among them, share one build.
+    weight scales as r_max**2, so all grids of one shape share one build.
+    The aspect is taken to 14 significant digits, so a scan's retry grids,
+    whose extents are grown by separate multiplications, keep their base's
+    shape where rounding gives z_max / r_max another last bit.
     """
-    shape = grid.n_r, grid.n_z, grid.z_max / grid.r_max
-    return _shape_kernel(*shape, threads).scaled(grid)
+    aspect = float("%.14g" % (grid.z_max / grid.r_max))
+    return _shape_kernel(grid.n_r, grid.n_z, aspect, threads).scaled(grid)
 
 
 def core_potential(kernel, core, mu):

@@ -11,18 +11,17 @@ COREQUILIB_THREADS environment variable (default: all cores), with at most
 one worker per cell; each worker's potential kernel gets ``budget //
 workers`` threads.  The kernels of the base and the grown domain are made
 before the pool forks its workers.  Grids of one shape share one kernel
-(``kernel_for``), so the grown domain needs a build of its own only where
-rounding gives its z_max / r_max another last bit.  Each worker writes its
-cells' run directories itself and hands back only a small record: the
-cell's omega and mu, its ``result.json`` payload or error and its seconds.
-No density field crosses the process boundary, and a retried cell's grown
-domain is read from its ``effective_config.json``.  Results are
-deterministic either way because a cell's outcome depends only on its own
-configuration, not on the thread or worker count, and the table is
-assembled in a fixed order.  A cell whose solve raises a numeric error, or
-whose directory cannot be written, is recorded as failed, with verdict
-``Error``, and the other cells go on.  A worker that dies, killed by the
-operating system for instance, ends the scan with ``WorkerDiedError``.
+(``kernel_for``), so the grown domain shares the base domain's build.  Each
+worker writes its cells' run directories itself and hands back only a small
+record: the cell's omega and mu, its ``result.json`` payload or error and
+its seconds.  No density field crosses the process boundary, and a retried
+cell's grown domain is read from its ``effective_config.json``.  Results
+are deterministic either way because a cell's outcome depends only on its
+own configuration, not on the thread or worker count, and the table is
+assembled in a fixed order.  A cell whose solve raises a numeric error,
+whose directory cannot be written, or whose worker dies before its record
+is back, killed by the operating system for instance, is recorded as
+failed, with verdict ``Error``, and the other cells keep their records.
 """
 
 import copy
@@ -135,12 +134,12 @@ def _solve_cell(task):
     return record
 
 
-class WorkerDiedError(RuntimeError):
-    """A worker process of the scan's pool ended before its cells did."""
-
-
 def _cell_records(tasks, workers):
-    """Each task's record, in task order, as the cells finish."""
+    """Each task's record, in task order, as the cells finish.
+
+    A worker that dies breaks the pool: each cell whose record is not back
+    by then gets an error record, ``worker died: ...``.
+    """
     if workers == 1:
         yield from map(_solve_cell, tasks)
         return
@@ -148,11 +147,14 @@ def _cell_records(tasks, workers):
     from concurrent.futures import ProcessPoolExecutor
     from concurrent.futures.process import BrokenProcessPool
 
-    try:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            yield from pool.map(_solve_cell, tasks)
-    except BrokenProcessPool as exc:
-        raise WorkerDiedError("a worker process died: %s" % exc) from exc
+    with ProcessPoolExecutor(max_workers=workers) as pool:
+        futures = [pool.submit(_solve_cell, task) for task in tasks]
+        for (_, omega, mu, *_), future in zip(tasks, futures):
+            try:
+                yield future.result()
+            except BrokenProcessPool as exc:
+                yield {"omega": omega, "mu": mu, "outcome": None,
+                       "error": "worker died: %s" % exc, "seconds": None}
 
 
 def run_scan(scan_spec, out, budget=None):

@@ -5,10 +5,11 @@ density, the multiplier that makes the density reconstructed through the
 inverse enthalpy (with its cutoff at non-positive argument) carry the right
 mass (safeguarded Newton on a bracket read off the potential, warm-started
 from the previous iterate's multiplier, see ``solve_lambda``), and its
-energy and residuals.  One step (``scf_step``) mixes the iterate with its
-reconstruction by Anderson's method (``AndersonMixer``), renormalizes the
-mass and evaluates the result.  Fixed points of the map are exactly the
-discrete equilibria.
+energy; its residuals only once a step from it is small enough to end the
+solve.  One step (``scf_step``) mixes the iterate with its reconstruction by
+Anderson's method (``AndersonMixer``), renormalizes the mass and evaluates
+the result.  Fixed points of the map are exactly the discrete equilibria.
+A solve reports its last iterate's reconstruction (``energy.conclude``).
 
 Failure modes are data, not exceptions: the returned ``Outcome`` carries one
 of the verdicts Converged / MassRunoff / LambdaBracketFail / IterationCap.
@@ -27,21 +28,15 @@ import numpy as np
 
 from .field import (
     DensityField,
-    SUPPORT_REL,
     GridError,
     boundary_mass_exceeds,
     read_field_csv,
     rescale_to_mass,
-    support_extent,
     total_mass,
 )
 from .eos import EosInversionError, QuadratureError
 from .potential import Environment
-from .energy import (
-    energy_with_potential,
-    multiplier_bound_check,
-    residual_with_potential,
-)
+from .energy import conclude, energy_with_potential, residual_with_potential
 
 GUESS_KINDS = ("gaussian-blob", "uniform-shell", "from-file")
 
@@ -154,25 +149,24 @@ class ScfConfig:
 class ScfState:
     """One iterate ``rho`` and what one evaluation of it gives (``evaluate``).
 
-    ``lam`` is the multiplier at which the density reconstructed from
-    ``rho``'s potential, ``rho_hat``, carries the mass; both are None when
-    no multiplier can.  ``energy``, ``residual`` (at ``lam``; None without
-    it), ``runoff`` (whether ``rho_hat`` holds more than
-    ``RUNOFF_FRACTION`` of the mass in the boundary margin) and
-    ``mass_evals`` (the ``mass_of_lambda`` calls the multiplier took) are
-    ``rho``'s too, and so is ``mass_err``, its relative mass error.
-    ``update_norm`` is the step's change from the previous iterate, None for
-    the initial guess.
+    ``phi_tot`` is ``rho``'s total potential.  ``lam`` is the multiplier at
+    which the density reconstructed from it, ``rho_hat``, carries the mass;
+    both are None when no multiplier can.  ``energy``, ``runoff`` (whether
+    ``rho_hat`` holds more than ``RUNOFF_FRACTION`` of the mass in the
+    boundary margin) and ``mass_evals`` (the ``mass_of_lambda`` calls the
+    multiplier took) are ``rho``'s too, and so is ``mass_err``, its
+    relative mass error.  ``update_norm`` is the step's change from the
+    previous iterate, None for the initial guess.
     """
 
     iteration: int
     rho: DensityField
     update_norm: Optional[float]
     mass_err: Optional[float]
+    phi_tot: np.ndarray
     lam: Optional[float]
     rho_hat: Optional[np.ndarray]
     energy: object
-    residual: object
     runoff: bool
     mass_evals: int
 
@@ -180,10 +174,14 @@ class ScfState:
 @dataclass
 class Outcome:
     verdict: str
-    state: ScfState
+    state: ScfState              # the last iterate
+    # what is written and reported, as ``energy.conclude`` gives it
+    rho: DensityField
+    energy: object
+    residual: object
     d_r: float
     d_z: float
-    bound_check: object          # BoundCheck for converged constant rotation
+    bound_check: object
     # row k is (k, lambda and energy_total of iterate k - 1, update_norm of
     # step k); trace.csv is their only copy on disk
     trace: list
@@ -380,8 +378,8 @@ def evaluate(rho, spec, env, prev=None):
     (None for the initial guess).
 
     One kernel apply, one multiplier solve warm-started from ``prev``'s
-    multiplier, one energy and one residual call.  A ``LambdaBracketError``
-    leaves the state without ``lam``, ``rho_hat`` and ``residual``.
+    multiplier and one energy call.  A ``LambdaBracketError`` leaves the
+    state without ``lam`` and ``rho_hat``.
     """
     b_rho = env.kernel.apply(rho.values)
     phi_tot = b_rho + env.J + env.phi_core
@@ -402,16 +400,13 @@ def evaluate(rho, spec, env, prev=None):
         rho=rho,
         update_norm=update_norm,
         mass_err=abs(total_mass(rho) - spec.mass) / spec.mass,
+        phi_tot=phi_tot,
         lam=lam,
         rho_hat=rho_hat,
         energy=energy_with_potential(rho, spec.eos, env, b_rho),
-        residual=None if lam is None else residual_with_potential(
-            rho, lam, spec.eos, phi_tot
-        ),
         # judged on the reconstruction: the mixed iterate lags behind it
         runoff=rho_hat is not None and boundary_mass_exceeds(
-            DensityField(spec.grid, rho_hat, rho.mask),
-            RUNOFF_MARGIN_CELLS, RUNOFF_FRACTION,
+            rho_hat, spec.grid, RUNOFF_MARGIN_CELLS, RUNOFF_FRACTION
         ),
         mass_evals=evals,
     )
@@ -430,15 +425,16 @@ def scf_step(state, spec, env, mixer):
 def _is_converged(prev, state, config, eos):
     """Whether the step from ``prev`` to ``state`` ends the solve.
 
-    It does when the step's update is small and ``prev``'s residuals are
-    small against ``max(|lambda|, <A'>)``.  ``<A'>`` is the mass-weighted
-    mean enthalpy of ``state``'s density, so that a solve with
-    ``lambda = 0`` can converge too.  On the converged cells of the
-    acceptance sweep it stays below ``|lambda|``.
+    It does when the step's update is small and ``prev``'s residuals, only
+    then computed from its kept potential, are small against
+    ``max(|lambda|, <A'>)``.  ``<A'>`` is the mass-weighted mean enthalpy
+    of ``state``'s density, so that a solve with ``lambda = 0`` can
+    converge too.  On the converged cells of the acceptance sweep it stays
+    below ``|lambda|``.  A density of positive mass always has a support.
     """
-    r = prev.residual
-    if state.update_norm > config.tol_density or r.eq_max is None:
+    if state.update_norm > config.tol_density:
         return False
+    r = residual_with_potential(prev.rho, prev.lam, eos, prev.phi_tot)
     rho = state.rho.values
     weights = rho * state.rho.grid.vol
     mean_h = float(np.sum(weights * eos.enthalpy(rho)) / np.sum(weights))
@@ -453,8 +449,9 @@ def solve(spec, config=None, threads=1):
 
     ``threads`` is the CPU budget of the potential kernel (``AxiKernel``);
     the outcome does not depend on it.  Each step's run-off and convergence
-    tests read the run-off flag, residuals and multiplier of the iterate the
-    step started from, and the update norm and density of the one it made.
+    tests read the run-off flag, potential and multiplier of the iterate
+    the step started from, and the update norm and density of the one it
+    made.
     """
     config = config if config is not None else ScfConfig()
     grid = spec.grid
@@ -492,26 +489,15 @@ def solve(spec, config=None, threads=1):
             verdict = "Converged"
             break
 
-    rho, resid = state.rho, state.residual
-    d_r, d_z = support_extent(rho, SUPPORT_REL * float(np.max(rho.values)))
-    bound = None
-    if (
-        verdict == "Converged"
-        and spec.rotation.kind == "constant"
-        and resid is not None
-        and resid.eq_max is not None
-    ):
-        bound = multiplier_bound_check(
-            state.lam, spec.rotation.omega, d_r, resid.eq_max
-        )
+    resets = mixer.resets
+    # free the mixing history and the previous iterate before the last apply
+    prev = mixer = None
     return Outcome(
         verdict=verdict,
         state=state,
-        d_r=d_r,
-        d_z=d_z,
-        bound_check=bound,
+        **conclude(state, spec, env, verdict == "Converged"),
         trace=trace,
         mass_err_max=float(np.max(mass_errs)) if mass_errs else None,
         mass_evals=mass_evals,
-        history_resets=mixer.resets,
+        history_resets=resets,
     )

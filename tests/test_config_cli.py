@@ -6,11 +6,13 @@ installed entry point are exercised through subprocesses.
 
 import concurrent.futures
 import dataclasses
+import functools
 import json
 import os
 import re
 import subprocess
 import sys
+import time
 
 import numpy as np
 import pytest
@@ -285,7 +287,7 @@ class TestScanMachinery:
         core_mask = spec.core.mask(spec.grid)
         assert np.any(core_mask)
         written = cq.read_field_csv(tmp_path / "cell_00_00" / "field.csv", spec.grid)
-        np.testing.assert_array_equal(written.values, solved.state.rho.values)
+        np.testing.assert_array_equal(written.values, solved.rho.values)
         assert np.all(written.values[core_mask] == 0.0)
 
     def test_retry_marks_and_grows_runoff_cells(self, tmp_path):
@@ -394,15 +396,27 @@ class TestScanMachinery:
         assert cpu_budget() >= 1
 
     def test_scan_worker_that_dies_exits_two(self, monkeypatch, tmp_path, capsys):
+        # the worker of the cell at omega 0.3 dies once the cell at omega 0
+        # is written: only the dead worker's cell is lost
         monkeypatch.setenv("COREQUILIB_THREADS", "2")
-        monkeypatch.setattr(cq.scan, "_solve_cell", _die)
+        out = tmp_path / "sweep"
+        monkeypatch.setattr(cq.scan, "solve", functools.partial(
+            _die_at_omega_0_3, out / "cell_00_00" / "result.json"
+        ))
         sweep = {"scan": {"omega_values": [0.0, 0.3], "mu_values": [0.0]}}
-        raw = base_raw(n=16, extra=sweep)
-        cfg = write_config(tmp_path, raw)
-        assert main(["scan", "--config", cfg, "--out", str(tmp_path / "sweep")]) == 2
-        err = capsys.readouterr().err
-        assert err.startswith("scan error: a worker process died: ")
-        assert err.count("\n") == 1
+        cfg = write_config(tmp_path, base_raw(n=16, extra=sweep))
+        assert main(["scan", "--config", cfg, "--out", str(out)]) == 2
+        captured = capsys.readouterr()
+        err = captured.err.splitlines()
+        assert len(err) == 3
+        assert re.fullmatch(r"cell 00 00: \w+, \d+ iterations, .*", err[0])
+        assert err[1].startswith("cell 01 00: worker died: A process in the ")
+        assert err[2] == "scan error: 1 of 2 cells failed"
+        rows = (out / "scan.csv").read_text().splitlines()
+        assert rows[2] == "0.29999999999999999,0,Error,nan,nan,nan,nan"
+        assert rows[1].split(",")[2] == captured.out.split()[1] != "Error"
+        assert (out / "cell_00_00" / "field.csv").exists()
+        assert not (out / "cell_01_00").exists()
 
     @pytest.mark.parametrize("budget", ["1", "2"])
     def test_scan_goes_on_past_a_cell_that_raises(
@@ -523,8 +537,16 @@ class TestScanMachinery:
         assert not out.exists()
 
 
-def _die(task):
-    """Stands in for a scan cell whose worker is killed."""
+def _die_at_omega_0_3(written, spec, config, threads=1):
+    """Stands in for a cell's solve whose worker is killed at omega 0.3,
+    once the file ``written`` exists and the record written with it has had
+    time to reach the pool."""
+    if spec.rotation.omega != 0.3:
+        return cq.solve(spec, config, threads=threads)
+    deadline = time.monotonic() + 60.0
+    while not os.path.exists(written) and time.monotonic() < deadline:
+        time.sleep(0.01)
+    time.sleep(0.5)
     os._exit(9)
 
 

@@ -147,7 +147,7 @@ class TestResiduals:
 
     def test_converged_solve_satisfies_both_sides(self, le_problem, le_outcome):
         lam = le_outcome.state.lam
-        stats = le_outcome.state.residual
+        stats = le_outcome.residual
         assert stats.eq_max is not None
         assert stats.eq_max <= 1e-3 * abs(lam)
         assert stats.ineq_violation >= -1e-3 * abs(lam)
@@ -282,11 +282,11 @@ def test_diagnostics_report_keys_and_wiring(le_problem, le_outcome):
     env = cq.Environment.build(
         le_problem.grid, le_problem.core, le_problem.mu, le_problem.rotation
     )
-    rho = le_outcome.state.rho
+    rho = le_outcome.rho
     rep = cq.energy_with_potential(
         rho, le_problem.eos, env, env.kernel.apply(rho.values)
     )
-    stats = le_outcome.state.residual
+    stats = le_outcome.residual
     diag = cq.outcome_to_dict(le_outcome)
     assert diag["energy"] == {
         "internal": rep.internal,
@@ -306,7 +306,8 @@ def test_diagnostics_report_keys_and_wiring(le_problem, le_outcome):
 
     bare = dataclasses.replace(
         le_outcome,
-        state=dataclasses.replace(le_outcome.state, lam=None, residual=None),
+        state=dataclasses.replace(le_outcome.state, lam=None),
+        residual=None,
         bound_check=None,
     )
     empty = cq.outcome_to_dict(bare)

@@ -142,22 +142,20 @@ class TestSupportAndBoundary:
         grid = cq.CylGrid(1.0, 1.0, 16, 16)
         center = np.zeros((16, 16))
         center[2, 8] = 1.0
-        assert not cq.boundary_mass_exceeds(
-            cq.DensityField(grid, center), 2, 0.01
-        )
+        assert not cq.boundary_mass_exceeds(center, grid, 2, 0.01)
 
         outer = np.zeros((16, 16))
         outer[15, 8] = 1.0
-        assert cq.boundary_mass_exceeds(cq.DensityField(grid, outer), 2, 0.5)
+        assert cq.boundary_mass_exceeds(outer, grid, 2, 0.5)
 
         z_edge = np.zeros((16, 16))
         z_edge[2, 0] = 1.0
-        assert cq.boundary_mass_exceeds(cq.DensityField(grid, z_edge), 2, 0.5)
+        assert cq.boundary_mass_exceeds(z_edge, grid, 2, 0.5)
 
     def test_zero_field_exceeds_no_boundary_fraction(self):
         grid = cq.CylGrid(1.0, 1.0, 16, 16)
-        zero = cq.DensityField(grid, np.zeros((16, 16)))
-        assert cq.boundary_mass_exceeds(zero, 2, 0.01) is False
+        zero = np.zeros((16, 16))
+        assert cq.boundary_mass_exceeds(zero, grid, 2, 0.01) is False
 
     def test_boundary_fraction_threshold(self):
         grid = cq.CylGrid(1.0, 1.0, 16, 16)
@@ -165,17 +163,16 @@ class TestSupportAndBoundary:
         # equal masses inside and on the edge: edge fraction is exactly 1/2
         vals[2, 8] = 1.0 / grid.vol[2, 0]
         vals[15, 8] = 1.0 / grid.vol[15, 0]
-        fld = cq.DensityField(grid, vals)
-        assert cq.boundary_mass_exceeds(fld, 2, 0.4)
-        assert not cq.boundary_mass_exceeds(fld, 2, 0.6)
+        assert cq.boundary_mass_exceeds(vals, grid, 2, 0.4)
+        assert not cq.boundary_mass_exceeds(vals, grid, 2, 0.6)
 
     def test_boundary_argument_validation(self):
         grid = cq.CylGrid(1.0, 1.0, 16, 16)
-        fld = cq.DensityField(grid, np.ones((16, 16)))
+        ones = np.ones((16, 16))
         with pytest.raises(ValueError):
-            cq.boundary_mass_exceeds(fld, 2, 1.5)
+            cq.boundary_mass_exceeds(ones, grid, 2, 1.5)
         with pytest.raises(ValueError):
-            cq.boundary_mass_exceeds(fld, 0, 0.1)
+            cq.boundary_mass_exceeds(ones, grid, 0, 0.1)
 
 
 class TestDensityFieldValidation:

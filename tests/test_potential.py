@@ -12,6 +12,8 @@ special function, which evaluates the same Cephes approximation.
 """
 
 import ast
+import dataclasses
+import itertools
 import json
 import math
 import os
@@ -25,6 +27,7 @@ from scipy.special import ellipk, ellipkm1
 
 import corequilib as cq
 from corequilib.cli import main
+from corequilib.scan import cell_config
 
 
 def elliptic_k_series(m, terms=80):
@@ -277,6 +280,21 @@ class TestKernelAgainstBall:
             cq.kernel_for(grid).apply(values), cq.AxiKernel(grid).apply(values)
         )
         assert cq.kernel_for(cq.CylGrid(1.0, 1.0, 24, 16))._fw is not base._fw
+
+    def test_every_retry_grid_of_a_sweep_of_extents_shares_its_base_kernel(self):
+        # the extents {0.5, ..., 1.5}^2, grown by 1.5 as a scan grows them:
+        # 56 of the 121 grown grids have z_max / r_max one ulp off the base
+        extents = [round(0.5 + 0.1 * i, 10) for i in range(11)]
+        off = 0
+        for r_max, z_max in itertools.product(extents, extents):
+            base = cq.CylGrid(r_max, z_max, 8, 8)
+            cfg = {"grid": dataclasses.asdict(base), "core": {}}
+            grown = cq.CylGrid(**cell_config(cfg, 0.0, 0.0, grow=1.5)["grid"])
+            off += grown.z_max / grown.r_max != z_max / r_max
+            cq.potential._shape_kernel.cache_clear()
+            assert cq.kernel_for(grown)._fw is cq.kernel_for(base)._fw
+            assert cq.potential._shape_kernel.cache_info().misses == 1
+        assert off == 56
 
 
 #: a grid whose kernel (12.7 MB) is above the two-thread threshold

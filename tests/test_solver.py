@@ -38,6 +38,34 @@ def le_spec(n, r_max=2.0, omega=0.0, core=None, mu=0.0, guess=None):
     )
 
 
+def recorded_residuals(monkeypatch):
+    """The residuals the solver computes from now on, in call order."""
+    got = []
+
+    def recorded(*args):
+        got.append(cq.residual_with_potential(*args))
+        return got[-1]
+
+    monkeypatch.setattr(cq.solver, "residual_with_potential", recorded)
+    return got
+
+
+def third_multiplier_fails(monkeypatch):
+    """Make the third evaluation, of iterate 2, find no multiplier after 5
+    mass evaluations; returns the list of the multiplier solves' args."""
+    solve_lambda = cq.solver.solve_lambda
+    calls = []
+
+    def third_fails(*args, **kwargs):
+        calls.append(args)
+        if len(calls) == 3:
+            raise cq.LambdaBracketError("no multiplier", 5)
+        return solve_lambda(*args, **kwargs)
+
+    monkeypatch.setattr(cq.solver, "solve_lambda", third_fails)
+    return calls
+
+
 def equator_edge_radius(outcome, grid):
     """Support radius with the staircase removed.
 
@@ -300,16 +328,17 @@ class TestScfStep:
             )
 
     def test_stepped_state_matches_a_fresh_evaluation_of_its_density(
-        self, le_problem, le_outcome
+        self, le_problem, le_outcome, monkeypatch
     ):
         config = cq.ScfConfig()
+        eos = le_problem.eos
         env = cq.Environment.build(
             le_problem.grid, le_problem.core, le_problem.mu, le_problem.rotation
         )
         rho = le_outcome.state.rho
         state = cq.solver.evaluate(rho, le_problem, env)
         assert state.energy == cq.energy_with_potential(
-            rho, le_problem.eos, env, env.kernel.apply(rho.values)
+            rho, eos, env, env.kernel.apply(rho.values)
         )
         mixer = cq.solver.AndersonMixer(
             le_problem.grid.vol, state.rho.values.shape, config.alpha
@@ -320,19 +349,36 @@ class TestScfStep:
         fresh = cq.solver.evaluate(nxt.rho, le_problem, env, state)
         assert nxt.lam == fresh.lam
         assert nxt.energy == fresh.energy
-        assert nxt.residual == fresh.residual
+        np.testing.assert_array_equal(nxt.phi_tot, fresh.phi_tot)
         assert nxt.energy != state.energy
+        # a step from nxt computes nxt's residual only once its update is
+        # small, and from nxt's potential kept since its evaluation
+        residuals = recorded_residuals(monkeypatch)
+        small = dataclasses.replace(fresh, update_norm=config.tol_density)
+        large = dataclasses.replace(fresh, update_norm=2.0 * config.tol_density)
+        assert not cq.solver._is_converged(nxt, large, config, eos)
+        assert residuals == []
+        cq.solver._is_converged(nxt, small, config, eos)
+        phi_tot = env.kernel.apply(nxt.rho.values) + env.J + env.phi_core
+        assert residuals == [
+            cq.residual_with_potential(nxt.rho, nxt.lam, eos, phi_tot)
+        ]
 
-    def test_zero_multiplier_can_converge(self, le_outcome):
-        # the residual tolerance scales with the mean enthalpy, not only |lambda|
+    def test_zero_multiplier_can_converge(self, le_outcome, monkeypatch):
+        # the residual tolerance scales with the mean enthalpy, not only
+        # |lambda|: at lambda 0 the kept potential leaves a residual of 1e-12
+        eos = cq.Polytrope(1.0, 2.0)
+        rho = le_outcome.state.rho
         prev = dataclasses.replace(
-            le_outcome.state, lam=0.0,
-            residual=cq.ResidualStats(1e-12, 1e-12, None),
+            le_outcome.state, lam=0.0, phi_tot=eos.enthalpy(rho.values) - 1e-12
         )
         state = dataclasses.replace(le_outcome.state, update_norm=1e-12)
-        assert cq.solver._is_converged(
-            prev, state, cq.ScfConfig(), cq.Polytrope(1.0, 2.0)
-        )
+        residuals = recorded_residuals(monkeypatch)
+        assert cq.solver._is_converged(prev, state, cq.ScfConfig(), eos)
+        assert residuals == [
+            cq.residual_with_potential(rho, 0.0, eos, prev.phi_tot)
+        ]
+        assert residuals[0].eq_max > 0.0
 
     def test_config_validation(self):
         with pytest.raises(ValueError):
@@ -423,7 +469,9 @@ class TestSolve:
         out = cq.solve(le_spec(48, omega=0.3, core=core, mu=1.0))
         assert out.verdict == "Converged"
         assert out.d_r <= 0.9 * 2.0
-        assert not cq.boundary_mass_exceeds(out.state.rho, 2, 0.05)
+        assert not cq.boundary_mass_exceeds(
+            out.rho.values, out.rho.grid, 2, 0.05
+        )
         assert out.bound_check is not None and out.bound_check.passed
 
     def test_fast_rotation_without_core_support_fails(self):
@@ -473,23 +521,13 @@ class TestSolve:
         assert converged.mass_evals <= 4 * (converged.state.iteration + 1)
 
     def test_an_iterate_without_a_multiplier_ends_the_solve(self, monkeypatch):
-        # the third evaluation, of iterate 2, finds no multiplier
-        solve_lambda = cq.solver.solve_lambda
-        calls = []
-
-        def third_fails(*args, **kwargs):
-            calls.append(args)
-            if len(calls) == 3:
-                raise cq.LambdaBracketError("no multiplier", 5)
-            return solve_lambda(*args, **kwargs)
-
-        monkeypatch.setattr(cq.solver, "solve_lambda", third_fails)
+        calls = third_multiplier_fails(monkeypatch)
         for max_iter, verdict in ((10, "LambdaBracketFail"), (2, "IterationCap")):
             del calls[:]
             out = cq.solve(le_spec(24), cq.ScfConfig(max_iter=max_iter))
             assert out.verdict == verdict
             assert out.state.iteration == len(out.trace) == 2
-            assert out.state.lam is None and out.state.residual is None
+            assert out.state.lam is None and out.residual is None
             assert out.state.mass_evals == 5
             assert len(calls) == 3
 
@@ -594,7 +632,7 @@ class TestSolve:
             "mass_err_max", "mass_evals", "multiplier_bound", "retried",
             "schema_version", "support", "verdict",
         ]
-        assert back["schema_version"] == 4
+        assert back["schema_version"] == 5
         assert back["mass_evals"] == le_outcome.mass_evals
         assert back["mass_evals"] >= le_outcome.state.iteration + 1
         assert back["history_resets"] == le_outcome.history_resets
@@ -604,11 +642,11 @@ class TestSolve:
         assert sorted(back["energy"]) == [
             "core", "internal", "rotation", "self_gravity", "total",
         ]
-        assert back["energy"]["total"] == le_outcome.state.energy.total
+        assert back["energy"]["total"] == le_outcome.energy.total
         assert back["support"]["d_r"] == le_outcome.d_r
         assert back["multiplier_bound"]["passed"] is True
         assert back["multiplier_bound"]["margin"] == le_outcome.bound_check.margin
-        stats = le_outcome.state.residual
+        stats = le_outcome.residual
         assert back["diagnostics"] == {
             "el_residual_max": stats.eq_max,
             "el_residual_mean": stats.eq_mean,
@@ -631,6 +669,56 @@ class TestSolve:
         assert [row[0] for row in rows] == list(
             range(1, le_outcome.state.iteration + 1)
         )
+
+
+class TestWrittenDensity:
+    """What a solve writes is its last iterate's reconstruction, or the
+    iterate itself where no multiplier exists."""
+
+    @pytest.mark.parametrize("omega,verdict", [
+        (0.3, "Converged"), (1.2, "MassRunoff"),
+    ])
+    def test_field_csv_is_the_reconstruction(self, tmp_path, omega, verdict):
+        core = cq.CoreRegion.spheroid(0.25, 0.25, 5.0)
+        spec = le_spec(32, omega=omega, core=core, mu=1.0)
+        out = cq.solve(spec)
+        assert out.verdict == verdict
+        cq.write_solve_outputs(tmp_path, {}, out)
+        written = cq.read_field_csv(tmp_path / "field.csv", spec.grid).values
+        state = out.state
+        np.testing.assert_array_equal(written, state.rho_hat)
+        np.testing.assert_array_equal(written, out.rho.values)
+        gas = (state.phi_tot + state.lam > 0.0) & ~core.mask(spec.grid)
+        assert np.all(written[~gas] == 0.0) and np.all(written[gas] > 0.0)
+        assert np.any(state.rho.values[~gas] > 0.0)  # the iterate's mist
+        mass = float(np.sum(written * spec.grid.vol))
+        assert abs(mass - spec.mass) <= cq.solver.MASS_TOL * spec.mass
+        # what result.json reports is read off the written density
+        env = cq.Environment.build(spec.grid, core, spec.mu, spec.rotation)
+        b_rho = env.kernel.apply(written)
+        assert out.energy == cq.energy_with_potential(
+            out.rho, spec.eos, env, b_rho
+        )
+        assert out.residual == cq.residual_with_potential(
+            out.rho, state.lam, spec.eos, b_rho + env.J + env.phi_core
+        )
+        assert (out.d_r, out.d_z) == cq.support_extent(
+            out.rho, cq.field.SUPPORT_REL * float(np.max(written))
+        )
+
+    def test_a_bracket_failure_writes_its_iterate(self, monkeypatch, tmp_path):
+        third_multiplier_fails(monkeypatch)
+        spec = le_spec(24)
+        out = cq.solve(spec)
+        assert out.verdict == "LambdaBracketFail"
+        assert out.rho is out.state.rho and out.energy is out.state.energy
+        payload = cq.write_solve_outputs(tmp_path, {}, out)
+        written = cq.read_field_csv(tmp_path / "field.csv", spec.grid).values
+        np.testing.assert_array_equal(written, out.state.rho.values)
+        assert payload["energy"]["total"] == out.state.energy.total
+        assert set(payload["diagnostics"].values()) == {None}
+        threshold = cq.field.SUPPORT_REL * float(np.max(written))
+        assert (out.d_r, out.d_z) == cq.support_extent(out.state.rho, threshold)
 
 
 class TestExactYardstick:

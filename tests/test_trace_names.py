@@ -69,7 +69,7 @@ print(os.getpid())
 """
 
 
-@pytest.mark.parametrize("r_max,z_max,builds", [(2.0, 2.0, 1), (1.2, 0.75, 2)])
+@pytest.mark.parametrize("r_max,z_max,builds", [(2.0, 2.0, 1), (1.2, 0.75, 1)])
 def test_scan_workers_trace_their_field_writes(tmp_path, r_max, z_max, builds):
     raw = {
         "eos": {"kind": "polytrope", "k": 1.0, "gamma": 2.0},
@@ -98,13 +98,13 @@ def test_scan_workers_trace_their_field_writes(tmp_path, r_max, z_max, builds):
     assert len(writers) == 2
     assert scanner not in writers
     # every kernel is built before the pool: 2 x 2 has one shape on both
-    # domains, and 1.2 x 0.75 grown by 1.5 has an aspect one ulp off its
-    # base's, whose retried cells use the second build
+    # domains, and so has 1.2 x 0.75, though grown by 1.5 its aspect is
+    # one ulp off its base's; both of its cells are retried
     assert pids("potential.kernel_build") == [scanner] * builds
     assert set(writers) <= set(pids("solver.solve"))
     written = sorted(out.glob("cell_*/field.csv"))
     assert len(written) == 2
-    if builds == 2:
+    if r_max == 1.2:
         for path in written:
             result = json.loads((path.parent / "result.json").read_text())
             assert result["retried"]
@@ -153,8 +153,9 @@ SHORT_TABLE = {"kind": "tabulated-generic", "s": _S, "f": [s * s for s in _S]}
     (dict(README_48, eos=SHORT_TABLE), "LambdaBracketFail"),
 ], ids=["converged", "bracket-fail"])
 def test_traced_counts_match_the_result(tmp_path, raw, verdict):
-    # each iterate is evaluated once: one apply per iterate, and one more
-    # for the core's potential
+    # each iterate is evaluated once: one apply per iterate, one more for
+    # the core's potential and, with a multiplier, one for the potential of
+    # the written reconstruction
     config = tmp_path / "config.json"
     config.write_text(json.dumps(raw))
     trace_dir, out = tmp_path / "trace", tmp_path / "run"
@@ -172,4 +173,5 @@ def test_traced_counts_match_the_result(tmp_path, raw, verdict):
     calls = collections.Counter(name for _, name, *_ in spans)
     assert calls["solver.scf_step"] == result["iterations"]
     assert counts["solver.mass_evals"] == result["mass_evals"]
-    assert calls["potential.apply"] == result["iterations"] + 2
+    written = 0 if result["lambda"] is None else 1
+    assert calls["potential.apply"] == result["iterations"] + 2 + written
