@@ -39,7 +39,6 @@ from .potential import (
     core_potential,
     ensemble_ratio_maxima,
     kernel_for,
-    rotation_potential,
     validate_core_potential,
 )
 from .energy import (

@@ -147,7 +147,8 @@ def _cmd_check(eff):
     core_report = None
     core_ok = True
     if spec.core.rho_core > 0.0:
-        phi = core_potential(kernel_for(grid, threads), spec.core, 1.0)
+        kernel = kernel_for(grid, threads)
+        phi = core_potential(kernel, spec.mask, spec.core.rho_core, 1.0)
         report = validate_core_potential(phi, spec.core, grid)
         core_ok = report.passed
         core_report = dict(vars(report), passed=report.passed)
@@ -171,6 +172,14 @@ def _cmd_check(eff):
 
 
 def _cmd_oracle(args):
+    # the mass relation printed below needs the index 1 / (gamma - 1) below 3
+    for name, least, shown in (("gamma", 4.0 / 3.0, "4/3"), ("k", 0.0, "0"),
+                               ("mass", 0.0, "0")):
+        value = getattr(args, name)
+        if not (math.isfinite(value) and value > least):
+            sys.stderr.write("oracle: --%s must be finite and exceed %s\n"
+                             % (name, shown))
+            return 1
     structure = polytrope_structure(args.gamma, args.k)
     rho_c = structure.central_density_for_mass(args.mass)
     sys.stdout.write(json_text(dict(
@@ -187,7 +196,7 @@ def main(argv=None):
     except ConfigError as exc:
         sys.stderr.write("config error: %s\n" % exc)
         return 1
-    except (*NUMERIC_ERRORS, ValueError) as exc:
+    except (*NUMERIC_ERRORS, ArithmeticError, ValueError) as exc:
         sys.stderr.write("numeric error: %s\n" % exc)
         return 2
     except OSError as exc:

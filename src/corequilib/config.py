@@ -291,4 +291,6 @@ def build_problem(eff):
         scf = _scf_config(eff["solver"])
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
+    except OverflowError as exc:  # the square of a huge omega or r_max
+        raise ConfigError("a config value overflows a float") from exc
     return spec, scf

@@ -72,14 +72,13 @@ class ResidualStats:
 def residual_with_potential(fld, lam, eos, phi_tot):
     """Residual statistics of the equilibrium relation at multiplier lam.
 
-    ``phi_tot`` is the total potential B(rho) + J + core potential.
-    """
+    ``phi_tot`` is the total potential B(rho) + J + core potential; the
+    core cells, ``fld.mask``, are left out."""
     rho = fld.values
     threshold = field_ops.SUPPORT_REL * float(np.max(rho))
-    resid = eos.enthalpy(rho) - phi_tot - lam
-    if fld.mask is not None:
-        resid = resid[~fld.mask]
-        rho = rho[~fld.mask]
+    gas = ~fld.mask
+    resid = (eos.enthalpy(rho) - phi_tot - lam)[gas]
+    rho = rho[gas]
     on = rho > threshold
     eq_max = eq_mean = None
     if np.any(on):
@@ -127,7 +126,7 @@ def conclude(state, spec, env, converged):
     if state.lam is None:
         rho, energy, resid = state.rho, state.energy, None
     else:
-        rho = field_ops.DensityField(spec.grid, state.rho_hat, state.rho.mask)
+        rho = field_ops.DensityField(spec.grid, state.rho_hat, spec.mask)
         b_rho = env.kernel.apply(rho.values)
         energy = energy_with_potential(rho, spec.eos, env, b_rho)
         resid = residual_with_potential(

@@ -474,18 +474,17 @@ def kernel_for(grid, threads=1):
     return _shape_kernel(grid.n_r, grid.n_z, aspect, threads).scaled(grid)
 
 
-def core_potential(kernel, core, mu):
-    """mu times the potential of the rigid core's uniform density.
+def core_potential(kernel, mask, rho_core, mu):
+    """mu times the potential of density ``rho_core`` on the cells ``mask``.
 
     Evaluated on all cells, core interior included; the solver only reads it
     off-core but the interior values are useful for diagnostics.
     """
     if mu < 0.0:
         raise ValueError("core strength mu must be non-negative")
-    grid = kernel.grid
-    if mu == 0.0 or core.rho_core == 0.0:
-        return np.zeros((grid.n_r, grid.n_z))
-    return mu * kernel.apply(np.where(core.mask(grid), core.rho_core, 0.0))
+    if mu == 0.0 or rho_core == 0.0:
+        return np.zeros(mask.shape)
+    return mu * kernel.apply(np.where(mask, rho_core, 0.0))
 
 
 @dataclass
@@ -590,19 +589,14 @@ class RotationLaw:
         return self._j_of(r) - self._j_of(0.0)
 
 
-def rotation_potential(law, grid):
-    """J at every cell center, shape (n_r, n_z); constant along z."""
-    per_radius = law.j_values(grid.r)
-    return np.repeat(per_radius[:, None], grid.n_z, axis=1)
-
-
 @dataclass(eq=False)
 class Environment:
     """Fixed context of one problem: the kernel and the potentials of the
     rotation and the core.
 
-    ``phi_core`` already carries the strength factor mu, so the total
-    potential a density feels is B(rho) + J + phi_core.
+    ``J`` is the problem's (``ProblemSpec.J``) and ``phi_core`` already
+    carries the strength factor mu, so the total potential a density feels
+    is B(rho) + J + phi_core.  ``build`` pays for the kernel and the core.
     """
 
     kernel: AxiKernel
@@ -610,13 +604,10 @@ class Environment:
     phi_core: np.ndarray
 
     @classmethod
-    def build(cls, grid, core, mu, rotation, threads=1):
-        kernel = kernel_for(grid, threads)
-        return cls(
-            kernel=kernel,
-            J=rotation_potential(rotation, grid),
-            phi_core=core_potential(kernel, core, mu),
-        )
+    def build(cls, spec, threads=1):
+        kernel = kernel_for(spec.grid, threads)
+        phi_core = core_potential(kernel, spec.mask, spec.core.rho_core, spec.mu)
+        return cls(kernel, spec.J, phi_core)
 
 
 #: fields in the diagnostic ensemble of ``ensemble_ratio_maxima``

@@ -89,7 +89,9 @@ class ProblemSpec:
     """Everything that defines one equilibrium problem, checked as a whole.
 
     The core must fit the grid and, if dense, cover a cell centre, and a
-    rotation profile must reach the grid's edge.  The initial guess is
+    rotation profile must reach the grid's edge.  What those checks derive
+    is kept: ``mask``, the core's cells, and ``J``, the centrifugal
+    potential of shape ``(n_r, 1)``, per radius.  The initial guess is
     built here, once, into ``guess_field`` (``initial_field``), so that one
     that cannot be built, such as a file that does not fit the grid, fails
     where the problem is built.
@@ -102,6 +104,8 @@ class ProblemSpec:
     rotation: object
     mass: float
     initial_guess: InitialGuess = dc_field(default_factory=InitialGuess)
+    mask: np.ndarray = dc_field(init=False, repr=False, compare=False)
+    J: np.ndarray = dc_field(init=False, repr=False, compare=False)
     guess_field: DensityField = dc_field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -109,14 +113,14 @@ class ProblemSpec:
             raise ValueError("total mass must be positive")
         if self.mu < 0.0:
             raise ValueError("core strength mu must be non-negative")
-        grid, mask = self.grid, self.core.mask(self.grid)
-        if self.core.rho_core > 0.0 and not mask.any():
+        grid, self.mask = self.grid, self.core.mask(self.grid)
+        if self.core.rho_core > 0.0 and not self.mask.any():
             raise ValueError(
                 "core covers no cell centre of the %d x %d grid with r_max %g "
                 "and z_max %g" % (grid.n_r, grid.n_z, grid.r_max, grid.z_max)
             )
-        self.rotation.j_values(grid.r)
-        self.guess_field = initial_field(self, mask)
+        self.J = self.rotation.j_values(grid.r)[:, None]
+        self.guess_field = initial_field(self)
 
 
 @dataclass(frozen=True)
@@ -201,11 +205,9 @@ def mass_of_lambda(phi_tot, lam, eos, mask, grid):
     ``sum(vol * drho/dh)`` over the cells with ``h > 0``, taken from
     ``rho``.
     """
-    h = phi_tot + lam
-    if mask is not None:
-        # keep core cells out of the inversion so a bounded EOS table is
-        # not asked about enthalpies it will never see in the gas region
-        h = np.where(mask, -1.0, h)
+    # keep core cells out of the inversion so a bounded EOS table is not
+    # asked about enthalpies it will never see in the gas region
+    h = np.where(mask, -1.0, phi_tot + lam)
     rho = eos.enthalpy_inverse(h)
     mass = float(np.sum(rho * grid.vol))
     return mass, float(np.sum(eos.density_slope(rho, h) * grid.vol)), rho
@@ -236,9 +238,7 @@ def solve_lambda(phi_tot, mass, eos, mask, grid, lam0=None):
     collapses before the mass is met to ``MASS_TOL`` raises
     ``MassDriftError``.
     """
-    gas, vol = phi_tot, np.broadcast_to(grid.vol, phi_tot.shape)
-    if mask is not None:
-        gas, vol = gas[~mask], vol[~mask]
+    gas, vol = phi_tot[~mask], np.broadcast_to(grid.vol, phi_tot.shape)[~mask]
     phi_max = float(np.max(gas))
     mean_h = float(eos.enthalpy(mass / float(np.sum(vol))))
     lo = -phi_max
@@ -276,9 +276,9 @@ def solve_lambda(phi_tot, mass, eos, mask, grid, lam0=None):
                 )
 
 
-def initial_field(spec, mask):
+def initial_field(spec):
     """Build the configured initial guess, masked and scaled to the mass."""
-    grid = spec.grid
+    grid, mask = spec.grid, spec.mask
     guess = spec.initial_guess
     if guess.kind == "from-file":
         return rescale_to_mass(read_field_csv(guess.path, grid, mask), spec.mass)
@@ -385,7 +385,7 @@ def evaluate(rho, spec, env, prev=None):
     phi_tot = b_rho + env.J + env.phi_core
     try:
         lam, rho_hat, evals = solve_lambda(
-            phi_tot, spec.mass, spec.eos, rho.mask, spec.grid,
+            phi_tot, spec.mass, spec.eos, spec.mask, spec.grid,
             None if prev is None else prev.lam,
         )
     except LambdaBracketError as err:
@@ -454,10 +454,9 @@ def solve(spec, config=None, threads=1):
     made.
     """
     config = config if config is not None else ScfConfig()
-    grid = spec.grid
-    env = Environment.build(grid, spec.core, spec.mu, spec.rotation, threads)
+    env = Environment.build(spec, threads)
     state = evaluate(spec.guess_field, spec, env)
-    mixer = AndersonMixer(grid.vol, state.rho.values.shape, config.alpha)
+    mixer = AndersonMixer(spec.grid.vol, state.rho.values.shape, config.alpha)
     trace = []
     mass_errs = []
     mass_evals = state.mass_evals

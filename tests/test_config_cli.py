@@ -446,6 +446,24 @@ class TestScanMachinery:
         table = captured.out.splitlines()
         assert len(table) == 3 and table[0].split()[1:] == ["Converged", "Error"]
 
+    @pytest.mark.parametrize("budget", ["1", "2"])
+    def test_a_cell_whose_config_overflows_is_an_error_cell(
+        self, monkeypatch, tmp_path, capsys, budget
+    ):
+        monkeypatch.setenv("COREQUILIB_THREADS", budget)
+        sweep = {"scan": {"omega_values": [0.0, 1e200], "mu_values": [0.0]}}
+        cfg = write_config(tmp_path, base_raw(n=16, extra=sweep))
+        out = tmp_path / "sweep"
+        assert main(["scan", "--config", cfg, "--out", str(out)]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert err[1] == "cell 01 00: numeric error: %s" % OVERFLOW
+        assert err[-1] == "scan error: 1 of 2 cells failed"
+        rows = (out / "scan.csv").read_text().splitlines()
+        assert rows[1].split(",")[2] == "Converged"
+        assert rows[2] == "9.9999999999999997e+199,0,Error,nan,nan,nan,nan"
+        assert (out / "cell_00_00" / "result.json").exists()
+        assert not (out / "cell_01_00").exists()
+
     def test_a_cell_that_cannot_be_written_is_an_error_cell(
         self, monkeypatch, tmp_path, capsys
     ):
@@ -653,9 +671,34 @@ class TestCli:
         )
 
     def test_numeric_problems_exit_two(self, capsys):
-        # index above the invertibility threshold: the oracle cannot map
-        # mass to central density
-        assert main(["oracle", "lane-emden", "--gamma", "1.3"]) == 2
+        # central densities out of a float's range: an overflow, and a zero
+        # raised to a negative power
+        for argv in (["--gamma", "1.34", "--mass", "1e300"], ["--gamma", "1.3334"]):
+            assert main(["oracle", "lane-emden"] + argv) == 2
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert re.fullmatch(r"numeric error: [^\n]+\n", captured.err)
+
+    @pytest.mark.parametrize("argv, name, least", [
+        (["--gamma", "2", "--k", "-1"], "k", "0"),
+        (["--gamma", "2", "--k", "0"], "k", "0"),
+        (["--gamma", "2", "--k", "inf"], "k", "0"),
+        (["--gamma", "2", "--mass", "-1"], "mass", "0"),
+        (["--gamma", "2", "--mass", "0"], "mass", "0"),
+        (["--gamma", "2", "--mass=-inf"], "mass", "0"),
+        (["--gamma", "nan"], "gamma", "4/3"),
+        # the mass relation needs the index n = 1 / (gamma - 1) below 3
+        (["--gamma", "1.0"], "gamma", "4/3"),
+        (["--gamma", "1.3"], "gamma", "4/3"),
+        (["--gamma", repr(4.0 / 3.0)], "gamma", "4/3"),
+    ])
+    def test_oracle_refuses_bad_arguments(self, capsys, argv, name, least):
+        assert main(["oracle", "lane-emden"] + argv) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "oracle: --%s must be finite and exceed %s\n" % (
+            name, least
+        )
 
     def test_dump_effective_config(self, tmp_path, capsys):
         cfg = write_config(tmp_path, base_raw())
@@ -1044,6 +1087,21 @@ TALL_PROFILE = dict(
 )
 
 
+OVERFLOW = "a config value overflows a float"
+#: a rotation whose omega**2 overflows a float
+FAST_ROTATION = faulty("rotation", {"kind": "constant", "omega": 1e200})
+#: a grid of extent 1e200 and a core that fits it: the guess's width squared
+#: overflows a float, after numpy has squared the cell centres to inf
+HUGE_GRID = dict(
+    faulty("grid", {"r_max": 1e200, "z_max": 1e200, "n_r": 32, "n_z": 32}),
+    core={"a_r": 1e199, "a_z": 1e199, "rho": 1.0, "mu": 1.0},
+    rotation={"kind": "constant", "omega": 1.0},
+)
+SQUARES_TO_INF = pytest.mark.filterwarnings(
+    "ignore:overflow encountered in square:RuntimeWarning"
+)
+
+
 #: (command, config, message): each config breaks exactly one rule; a
 #: string is the config file's text and None a file that does not exist
 CONFIG_FAULTS = [
@@ -1232,6 +1290,9 @@ CONFIG_FAULTS = [
      "section 'solver.initial_guess' needs a 'kind' key"),
     # core against the grid, continued
     ("solve", TALL_PROFILE, "core does not fit strictly inside the grid"),
+    # values whose squares overflow a float
+    ("solve", FAST_ROTATION, OVERFLOW),
+    pytest.param("solve", HUGE_GRID, OVERFLOW, marks=SQUARES_TO_INF),
 ]
 
 
@@ -1390,6 +1451,8 @@ def test_a_placeholder_core_solves_as_the_empty_core(tmp_path, monkeypatch):
     ("solve", shell_guess(16, 0.45, 0.0), "cannot rescale a zero field"),
     ("solve", TALL_PROFILE, "core does not fit strictly inside the grid"),
     ("check", TALL_PROFILE, "core does not fit strictly inside the grid"),
+    ("solve", FAST_ROTATION, OVERFLOW),
+    pytest.param("solve", HUGE_GRID, OVERFLOW, marks=SQUARES_TO_INF),
 ])
 def test_dump_fails_where_the_run_fails(
     tmp_path, capsys, monkeypatch, command, raw, message

@@ -12,13 +12,22 @@ import pytest
 import corequilib as cq
 
 
+def problem(grid, core, mu, rotation):
+    """A ``ProblemSpec`` with these fixed fields; its EOS and mass do not
+    enter its ``Environment``."""
+    return cq.ProblemSpec(
+        eos=cq.Polytrope(1.0, 2.0), grid=grid, core=core, mu=mu,
+        rotation=rotation, mass=1.0,
+    )
+
+
 def trivial_env(grid):
-    return cq.Environment.build(
+    return cq.Environment.build(problem(
         grid,
         cq.CoreRegion.spheroid(1e-3 * grid.r_max, 1e-3 * grid.z_max, 0.0),
         0.0,
         cq.RotationLaw.constant(0.0),
-    )
+    ))
 
 
 def ball_field(grid, a, rho0):
@@ -55,7 +64,9 @@ class TestEnergyReport:
     def test_total_is_the_stored_combination(self):
         grid = cq.CylGrid(1.0, 1.0, 48, 48)
         core = cq.CoreRegion.spheroid(0.2, 0.2, 1.5)
-        env = cq.Environment.build(grid, core, 1.0, cq.RotationLaw.constant(0.5))
+        env = cq.Environment.build(
+            problem(grid, core, 1.0, cq.RotationLaw.constant(0.5))
+        )
         fld = cq.random_blob_field(grid, np.random.default_rng(8), mask=core.mask(grid))
         rep = cq.energy_with_potential(
             fld, cq.Polytrope(1.0, 2.0), env, env.kernel.apply(fld.values)
@@ -90,8 +101,8 @@ class TestEnergyReport:
         law = cq.RotationLaw.constant(0.0)
         fld = cq.random_blob_field(grid, np.random.default_rng(4), mask=core.mask(grid))
         eos = cq.Polytrope(1.0, 2.0)
-        env1 = cq.Environment.build(grid, core, 1.0, law)
-        env2 = cq.Environment.build(grid, core, 2.0, law)
+        env1 = cq.Environment.build(problem(grid, core, 1.0, law))
+        env2 = cq.Environment.build(problem(grid, core, 2.0, law))
         rep1 = cq.energy_with_potential(fld, eos, env1, env1.kernel.apply(fld.values))
         rep2 = cq.energy_with_potential(fld, eos, env2, env2.kernel.apply(fld.values))
         assert rep2.core == pytest.approx(2.0 * rep1.core, rel=1e-13)
@@ -101,12 +112,12 @@ class TestEnergyReport:
     def test_rotation_term_closed_form(self):
         grid = cq.CylGrid(1.0, 1.0, 48, 48)
         omega = 0.8
-        env = cq.Environment.build(
+        env = cq.Environment.build(problem(
             grid,
             cq.CoreRegion.spheroid(1e-3, 1e-3, 0.0),
             0.0,
             cq.RotationLaw.constant(omega),
-        )
+        ))
         fld = cq.random_blob_field(grid, np.random.default_rng(4))
         rep = cq.energy_with_potential(
             fld, cq.Polytrope(1.0, 2.0), env, env.kernel.apply(fld.values)
@@ -122,7 +133,9 @@ class TestEnergyReport:
         eos = cq.Polytrope(1.0, 2.0)
 
         def total(omega, mu):
-            env = cq.Environment.build(grid, core, mu, cq.RotationLaw.constant(omega))
+            env = cq.Environment.build(
+                problem(grid, core, mu, cq.RotationLaw.constant(omega))
+            )
             b_rho = env.kernel.apply(fld.values)
             return cq.energy_with_potential(fld, eos, env, b_rho).total
 
@@ -134,7 +147,9 @@ class TestResiduals:
     def test_zero_field_has_no_equality_side(self):
         grid = cq.CylGrid(1.0, 1.0, 32, 32)
         core = cq.CoreRegion.spheroid(0.2, 0.2, 1.0)
-        env = cq.Environment.build(grid, core, 1.0, cq.RotationLaw.constant(0.5))
+        env = cq.Environment.build(
+            problem(grid, core, 1.0, cq.RotationLaw.constant(0.5))
+        )
         fld = cq.DensityField(grid, np.zeros((32, 32)), core.mask(grid))
         lam = -float(np.max(env.J + env.phi_core)) - 1.0
         phi_tot = env.kernel.apply(fld.values) + env.J + env.phi_core
@@ -158,9 +173,7 @@ class TestResiduals:
         rho = le_outcome.state.rho
         eos = le_problem.eos
         lam = le_outcome.state.lam
-        env = cq.Environment.build(
-            le_problem.grid, le_problem.core, le_problem.mu, le_problem.rotation
-        )
+        env = cq.Environment.build(le_problem)
         phi_tot = env.kernel.apply(rho.values) + env.J + env.phi_core
 
         i, j = np.unravel_index(np.argmax(rho.values), rho.values.shape)
@@ -279,9 +292,7 @@ class TestDilation:
 def test_diagnostics_report_keys_and_wiring(le_problem, le_outcome):
     import dataclasses
 
-    env = cq.Environment.build(
-        le_problem.grid, le_problem.core, le_problem.mu, le_problem.rotation
-    )
+    env = cq.Environment.build(le_problem)
     rho = le_outcome.rho
     rep = cq.energy_with_potential(
         rho, le_problem.eos, env, env.kernel.apply(rho.values)

@@ -1,8 +1,8 @@
 """Property tests of the multiplier solve on random grids and equations of state.
 
 Hypothesis draws small grids (8 to 20 cells a side), a potential made by the
-ring kernel from a few Gaussian blobs and shifted by a constant, with or
-without a core mask, and either a polytrope with gamma in (4/3, 3] or a
+ring kernel from a few Gaussian blobs and shifted by a constant, the mask
+of a core or of the empty core, and either a polytrope with gamma in (4/3, 3] or a
 random admissible table (a sum of two power laws with exponents above 4/3,
 sampled on a jittered log grid).  With ``lo = -max(phi_gas)`` and
 ``hi = min(A'(M / V_gas) - min(phi_gas), h_max - max(phi_gas))``:
@@ -61,24 +61,22 @@ eoses = st.one_of(polytropes, tables())
 
 @st.composite
 def problems(draw):
-    """(phi, mask, grid): a blob potential, with or without a core mask."""
+    """(phi, mask, grid): a blob potential, and a core's mask or the empty
+    core's."""
     grid = draw(grids)
     rng = np.random.default_rng(draw(seeds))
     blob = cq.random_blob_field(grid, rng).values
     phi = cq.AxiKernel(grid).apply(blob) + draw(st.floats(-2.0, 2.0))
-    mask = None
+    a = 0.0
     if draw(st.booleans()):
         a = draw(st.floats(0.1, 0.5)) * min(grid.r_max, grid.z_max)
-        mask = cq.CoreRegion.spheroid(a, a, 0.0).mask(grid)
+    mask = cq.CoreRegion.spheroid(a, a, 0.0).mask(grid)
     return phi, mask, grid
 
 
 def gas_cells(phi, mask, grid):
     """Potential and volume of the cells the mask leaves free."""
-    vol = np.broadcast_to(grid.vol, phi.shape)
-    if mask is None:
-        return phi.ravel(), vol.ravel()
-    return phi[~mask], vol[~mask]
+    return phi[~mask], np.broadcast_to(grid.vol, phi.shape)[~mask]
 
 
 def bracket(phi, mass, eos, mask, grid):

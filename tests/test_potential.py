@@ -28,6 +28,7 @@ from scipy.special import ellipk, ellipkm1
 import corequilib as cq
 from corequilib.cli import main
 from corequilib.scan import cell_config
+from test_energy import problem
 
 
 def elliptic_k_series(m, terms=80):
@@ -385,15 +386,11 @@ def test_the_ring_weight_and_its_transform_are_computed_in_one_place():
 
 
 def test_one_place_checks_a_problem():
-    # the core's cells and the rotation's reach are checked where the
-    # problem is built; otherwise only the potentials that need them ask
+    # the core's cells and the rotation's potential are derived, and
+    # checked, once, where the problem is built; the rest read them there
     callers = source_callers()
-    assert callers["mask"] == {
-        "solver.ProblemSpec.__post_init__", "potential.core_potential",
-    }
-    assert callers["j_values"] == {
-        "solver.ProblemSpec.__post_init__", "potential.rotation_potential",
-    }
+    assert callers["mask"] == {"solver.ProblemSpec.__post_init__"}
+    assert callers["j_values"] == {"solver.ProblemSpec.__post_init__"}
 
 
 #: builds the kernel of the grid of n_r x n_z cells given as arguments,
@@ -524,18 +521,21 @@ class TestCorePotential:
         core = cq.CoreRegion.spheroid(0.15, 0.15, 2.0)
         hollow = cq.CoreRegion.spheroid(0.15, 0.15, 0.0)
 
-        def no_mask(self, grid):
-            raise AssertionError("a vanishing core potential built the mask")
+        mask = core.mask(grid)
 
-        monkeypatch.setattr(cq.CoreRegion, "mask", no_mask)
-        assert np.all(cq.core_potential(kernel, core, 0.0) == 0.0)
-        assert np.all(cq.core_potential(kernel, hollow, 1.0) == 0.0)
+        def no_apply(self, values):
+            raise AssertionError("a vanishing core potential applied the kernel")
+
+        monkeypatch.setattr(cq.AxiKernel, "apply", no_apply)
+        for shell, mu in ((core, 0.0), (hollow, 1.0)):
+            phi = cq.core_potential(kernel, mask, shell.rho_core, mu)
+            assert phi.shape == (32, 32) and np.all(phi == 0.0)
 
     def test_negative_mu_rejected(self):
         grid = cq.CylGrid(1.0, 1.0, 32, 32)
         core = cq.CoreRegion.spheroid(0.15, 0.15, 2.0)
         with pytest.raises(ValueError):
-            cq.core_potential(cq.kernel_for(grid), core, -1.0)
+            cq.core_potential(cq.kernel_for(grid), core.mask(grid), 2.0, -1.0)
 
     def test_exterior_matches_point_mass_of_core(self):
         grid = cq.CylGrid(1.0, 1.0, 64, 64)
@@ -543,7 +543,7 @@ class TestCorePotential:
         core = cq.CoreRegion.spheroid(0.15, 0.15, 2.0)
         mask = core.mask(grid)
         core_mass = float(np.sum(np.where(mask, 2.0, 0.0) * grid.vol))
-        phi = cq.core_potential(kernel, core, 1.0)
+        phi = cq.core_potential(kernel, mask, 2.0, 1.0)
         for target in (0.4, 0.6, 0.8):
             j = int(np.argmin(np.abs(grid.z - target)))
             dist = float(np.hypot(grid.r[0], grid.z[j]))
@@ -553,14 +553,15 @@ class TestCorePotential:
         grid = cq.CylGrid(1.0, 1.0, 32, 32)
         kernel = cq.kernel_for(grid)
         core = cq.CoreRegion.spheroid(0.15, 0.15, 2.0)
-        one = cq.core_potential(kernel, core, 1.0)
-        two = cq.core_potential(kernel, core, 2.0)
+        mask = core.mask(grid)
+        one = cq.core_potential(kernel, mask, 2.0, 1.0)
+        two = cq.core_potential(kernel, mask, 2.0, 2.0)
         np.testing.assert_array_equal(two, 2.0 * one)
 
     def test_validation_accepts_physical_core_field(self):
         grid = cq.CylGrid(1.0, 1.0, 64, 64)
         core = cq.CoreRegion.spheroid(0.15, 0.15, 2.0)
-        phi = cq.core_potential(cq.kernel_for(grid), core, 1.0)
+        phi = cq.core_potential(cq.kernel_for(grid), core.mask(grid), 2.0, 1.0)
         report = cq.validate_core_potential(phi, core, grid)
         assert report.positive
         assert report.decays_outward
@@ -582,6 +583,9 @@ class TestCorePotential:
         assert not rising_report.passed
 
 
+EMPTY_CORE = cq.CoreRegion.spheroid(0.0, 0.0, 0.0)
+
+
 class TestRotationLaw:
     def test_constant_closed_form(self):
         law = cq.RotationLaw.constant(2.0)
@@ -589,9 +593,9 @@ class TestRotationLaw:
         assert law.j_values(np.array([1.5]))[0] == pytest.approx(4.5, rel=1e-14)
 
     def test_zero_rotation(self):
-        law = cq.RotationLaw.constant(0.0)
         grid = cq.CylGrid(1.0, 1.0, 16, 16)
-        assert np.all(cq.rotation_potential(law, grid) == 0.0)
+        spec = problem(grid, EMPTY_CORE, 0.0, cq.RotationLaw.constant(0.0))
+        assert np.all(spec.J == 0.0)
 
     def test_negative_speed_rejected(self):
         with pytest.raises(ValueError):
@@ -621,14 +625,15 @@ class TestRotationLaw:
         with pytest.raises(ValueError):
             cq.RotationLaw.profile(s, -np.ones_like(s))
 
-    def test_rotation_potential_is_z_independent(self):
+    def test_problem_keeps_j_per_radius(self):
+        # one value per radius, which broadcasts over z
         grid = cq.CylGrid(1.0, 1.0, 16, 24)
         law = cq.RotationLaw.constant(1.3)
-        J = cq.rotation_potential(law, grid)
-        assert J.shape == (16, 24)
-        np.testing.assert_array_equal(J, np.broadcast_to(J[:, :1], J.shape))
+        spec = problem(grid, EMPTY_CORE, 0.0, law)
+        assert spec.J.shape == (16, 1)
+        np.testing.assert_array_equal(spec.J[:, 0], law.j_values(grid.r))
         np.testing.assert_allclose(
-            J[:, 0], 0.5 * 1.3**2 * grid.r**2, rtol=1e-14
+            spec.J[:, 0], 0.5 * 1.3**2 * grid.r**2, rtol=1e-14
         )
 
 
@@ -636,13 +641,13 @@ class TestEnvironment:
     def test_build_wires_rotation_and_core(self):
         grid = cq.CylGrid(1.0, 1.0, 32, 32)
         core = cq.CoreRegion.spheroid(0.15, 0.15, 2.0)
-        law = cq.RotationLaw.constant(0.7)
-        env = cq.Environment.build(grid, core, 1.5, law)
-        np.testing.assert_allclose(
-            env.J, cq.rotation_potential(law, grid), rtol=0.0, atol=0.0
-        )
+        spec = problem(grid, core, 1.5, cq.RotationLaw.constant(0.7))
+        env = cq.Environment.build(spec)
+        assert env.J is spec.J
+        np.testing.assert_array_equal(spec.mask, core.mask(grid))
         np.testing.assert_array_equal(
-            env.phi_core, cq.core_potential(env.kernel, core, 1.5)
+            env.phi_core,
+            1.5 * env.kernel.apply(np.where(spec.mask, 2.0, 0.0)),
         )
 
 

@@ -52,7 +52,7 @@ def step_once(spec, config, values):
     """The iterate ``values`` scaled to the mass, and its successor."""
     mask = spec.core.mask(spec.grid)
     rho = cq.rescale_to_mass(cq.DensityField(spec.grid, values, mask), spec.mass)
-    env = cq.Environment.build(spec.grid, spec.core, spec.mu, spec.rotation)
+    env = cq.Environment.build(spec)
     state = cq.solver.evaluate(rho, spec, env)
     assume(state.lam is not None)
     mixer = cq.solver.AndersonMixer(spec.grid.vol, values.shape, config.alpha)

@@ -244,9 +244,7 @@ class TestMultiplierSolve:
 
     def test_converged_potential_holds_target_mass(self, le_problem, le_outcome):
         rho = le_outcome.state.rho
-        env = cq.Environment.build(
-            le_problem.grid, le_problem.core, le_problem.mu, le_problem.rotation
-        )
+        env = cq.Environment.build(le_problem)
         phi_tot = env.kernel.apply(rho.values) + env.J + env.phi_core
         got = cq.mass_of_lambda(
             phi_tot, le_outcome.state.lam, le_problem.eos, rho.mask,
@@ -288,9 +286,7 @@ class TestProblemSpec:
 class TestScfStep:
     def test_fixed_point_makes_a_tiny_update(self, le_problem, le_outcome):
         config = cq.ScfConfig()
-        env = cq.Environment.build(
-            le_problem.grid, le_problem.core, le_problem.mu, le_problem.rotation
-        )
+        env = cq.Environment.build(le_problem)
         state = cq.solver.evaluate(le_outcome.state.rho, le_problem, env)
         mixer = cq.solver.AndersonMixer(
             le_problem.grid.vol, state.rho.values.shape, config.alpha
@@ -303,9 +299,7 @@ class TestScfStep:
     def test_half_damping_is_the_midpoint_mix(self, le_problem, le_outcome):
         # a step with no Anderson history is the beta-damped mix
         rho = le_outcome.state.rho
-        env = cq.Environment.build(
-            le_problem.grid, le_problem.core, le_problem.mu, le_problem.rotation
-        )
+        env = cq.Environment.build(le_problem)
         phi_tot = env.kernel.apply(rho.values) + env.J + env.phi_core
         lam, _, _ = cq.solve_lambda(
             phi_tot, le_problem.mass, le_problem.eos, rho.mask, le_problem.grid
@@ -332,9 +326,7 @@ class TestScfStep:
     ):
         config = cq.ScfConfig()
         eos = le_problem.eos
-        env = cq.Environment.build(
-            le_problem.grid, le_problem.core, le_problem.mu, le_problem.rotation
-        )
+        env = cq.Environment.build(le_problem)
         rho = le_outcome.state.rho
         state = cq.solver.evaluate(rho, le_problem, env)
         assert state.energy == cq.energy_with_potential(
@@ -694,7 +686,7 @@ class TestWrittenDensity:
         mass = float(np.sum(written * spec.grid.vol))
         assert abs(mass - spec.mass) <= cq.solver.MASS_TOL * spec.mass
         # what result.json reports is read off the written density
-        env = cq.Environment.build(spec.grid, core, spec.mu, spec.rotation)
+        env = cq.Environment.build(spec)
         b_rho = env.kernel.apply(written)
         assert out.energy == cq.energy_with_potential(
             out.rho, spec.eos, env, b_rho
