@@ -20,7 +20,6 @@ from .field import (
     CoreRegion,
     CylGrid,
     DegenerateFieldError,
-    DensityField,
     GridError,
     boundary_mass_exceeds,
     random_blob_field,

@@ -10,7 +10,8 @@ of rho*B(rho), rotation integrates rho*J and core integrates rho against the
 variation vanish on the gas support: the enthalpy A'(rho) matches the total
 potential plus the multiplier there, and stays above it on the vacuum side.
 The residual statistics here quantify both halves of that statement.
-``conclude`` reads all of it off the density a solve reports.
+``conclude`` reads all of it off the density a solve reports.  Each takes a
+density array and its problem (``solver.ProblemSpec``): grid, EOS, mask, J.
 """
 
 from dataclasses import dataclass
@@ -31,18 +32,17 @@ class EnergyReport:
     total: float
 
 
-def energy_with_potential(fld, eos, env, b_rho):
-    """Energy terms of a density field, given its potential B(rho).
+def energy_with_potential(rho, spec, env, b_rho):
+    """Energy terms of the density ``rho`` of ``spec``, given B(rho).
 
-    ``env`` supplies the precomputed rotation and core potentials; see
-    ``potential.Environment``.  ``b_rho`` is ``env.kernel.apply(fld.values)``
-    or a sample the caller already holds.
+    ``spec`` supplies the EOS and J, and ``env`` the core potential; see
+    ``potential.Environment``.  ``b_rho`` is ``env.kernel.apply(rho)`` or a
+    sample the caller already holds.
     """
-    vol = fld.grid.vol
-    rho = fld.values
-    internal = float(np.sum(eos.internal_energy(rho) * vol))
+    vol = spec.grid.vol
+    internal = float(np.sum(spec.eos.internal_energy(rho) * vol))
     self_grav = 0.5 * float(np.sum(rho * b_rho * vol))
-    rotation = float(np.sum(rho * env.J * vol))
+    rotation = float(np.sum(rho * spec.J * vol))
     core = float(np.sum(rho * env.phi_core * vol))
     return EnergyReport(
         internal=internal,
@@ -69,15 +69,14 @@ class ResidualStats:
     ineq_violation: float
 
 
-def residual_with_potential(fld, lam, eos, phi_tot):
+def residual_with_potential(rho, lam, spec, phi_tot):
     """Residual statistics of the equilibrium relation at multiplier lam.
 
-    ``phi_tot`` is the total potential B(rho) + J + core potential; the
-    core cells, ``fld.mask``, are left out."""
-    rho = fld.values
+    ``phi_tot`` is the total potential B(rho) + J + core potential of the
+    density ``rho`` of ``spec``; the core cells, ``spec.mask``, are left out."""
     threshold = field_ops.SUPPORT_REL * float(np.max(rho))
-    gas = ~fld.mask
-    resid = (eos.enthalpy(rho) - phi_tot - lam)[gas]
+    gas = ~spec.mask
+    resid = (spec.eos.enthalpy(rho) - phi_tot - lam)[gas]
     rho = rho[gas]
     on = rho > threshold
     eq_max = eq_mean = None
@@ -126,14 +125,14 @@ def conclude(state, spec, env, converged):
     if state.lam is None:
         rho, energy, resid = state.rho, state.energy, None
     else:
-        rho = field_ops.DensityField(spec.grid, state.rho_hat, spec.mask)
-        b_rho = env.kernel.apply(rho.values)
-        energy = energy_with_potential(rho, spec.eos, env, b_rho)
+        rho = state.rho_hat
+        b_rho = env.kernel.apply(rho)
+        energy = energy_with_potential(rho, spec, env, b_rho)
         resid = residual_with_potential(
-            rho, state.lam, spec.eos, b_rho + env.J + env.phi_core
+            rho, state.lam, spec, b_rho + spec.J + env.phi_core
         )
-    threshold = field_ops.SUPPORT_REL * float(np.max(rho.values))
-    d_r, d_z = field_ops.support_extent(rho, threshold)
+    threshold = field_ops.SUPPORT_REL * float(np.max(rho))
+    d_r, d_z = field_ops.support_extent(rho, spec.grid, threshold)
     bound = None
     if converged and resid is not None and spec.rotation.kind == "constant":
         bound = multiplier_bound_check(

@@ -1,14 +1,16 @@
-"""Cylindrical grids, core geometry, and masked axisymmetric density fields.
+"""Cylindrical grids, core geometry, and the densities that live on them.
 
 The computational domain is the cylinder 0 <= r <= r_max, |z| <= z_max with
 uniform cell-centered spacing.  A rigid core occupies an axisymmetric region
-around the origin; gas density is forced to zero on every cell whose center
-falls inside it.  All integrals use the axisymmetric volume weight
-2*pi*r*dr*dz of the cell center, so a field integrates like a ring stack.
+around the origin.  A density is an ``(n_r, n_z)`` array on its problem's
+grid (``solver.ProblemSpec``), non-negative and zero on every core cell.
+All integrals use the axisymmetric volume weight 2*pi*r*dr*dz of the cell
+center, so a density integrates like a ring stack.
 """
 
+import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property, lru_cache
 
 import numpy as np
@@ -40,6 +42,12 @@ class CylGrid:
             raise GridError("grid needs at least 8 cells per direction")
         if not (self.r_max > 0.0 and self.z_max > 0.0):
             raise GridError("grid extents must be positive")
+        # the box's volume and squared extents bound every cell volume and
+        # squared coordinate: checked in Python floats, before numpy overflows
+        square = self.r_max * self.r_max
+        if not (math.isfinite(square + self.z_max * self.z_max)
+                and math.isfinite(2.0 * math.pi * square * self.z_max)):
+            raise OverflowError("grid extents overflow a float")
 
     @property
     def dr(self):
@@ -132,52 +140,21 @@ class CoreRegion:
         return (R / self.a_r) ** 2 + (Z / self.a_z) ** 2 <= 1.0
 
 
-@dataclass(eq=False)
-class DensityField:
-    """Non-negative density samples on a grid, zero on core cells.
-
-    ``mask`` is True inside the core; construction zeroes those cells, so
-    the exclusion of the core region is a structural invariant rather than
-    something each operation has to maintain.
-    """
-
-    grid: CylGrid
-    values: np.ndarray
-    mask: np.ndarray = field(default=None)
-
-    def __post_init__(self):
-        vals = np.array(self.values, dtype=float)
-        if vals.shape != (self.grid.n_r, self.grid.n_z):
-            raise GridError(
-                "field shape %s does not match grid (%d, %d)"
-                % (vals.shape, self.grid.n_r, self.grid.n_z)
-            )
-        if not np.all(np.isfinite(vals)):
-            raise ValueError("density values must be finite")
-        if np.any(vals < 0.0):
-            raise ValueError("density values must be non-negative")
-        if self.mask is not None:
-            vals[self.mask] = 0.0
-        self.values = vals
-
-    def copy_with(self, values):
-        """Fresh field with the same grid/mask and new values."""
-        return DensityField(self.grid, values, self.mask)
-
-
-def total_mass(fld):
+def total_mass(rho, grid):
     """Integral of the density with the axisymmetric volume weight."""
-    return float(np.sum(fld.values * fld.grid.vol))
+    return float(np.sum(rho * grid.vol))
 
 
-def rescale_to_mass(fld, mass):
-    """Scale the field to the requested total mass (shape preserved)."""
+def rescale_to_mass(rho, grid, mass):
+    """Scale the density to the requested total mass (shape preserved)."""
     if mass <= 0.0:
         raise ValueError("target mass must be positive")
-    current = total_mass(fld)
+    current = total_mass(rho, grid)
+    if not math.isfinite(current):   # the guess and every iterate pass here
+        raise ValueError("density values must be finite")
     if current <= 0.0:
         raise DegenerateFieldError("cannot rescale a zero field")
-    return fld.copy_with(fld.values * (mass / current))
+    return rho * (mass / current)
 
 
 #: cells above this fraction of the largest density form the support that
@@ -185,13 +162,13 @@ def rescale_to_mass(fld, mass):
 SUPPORT_REL = 1e-8
 
 
-def support_extent(fld, threshold=0.0):
+def support_extent(rho, grid, threshold=0.0):
     """Radial and vertical reach (d_r, d_z) of cells above ``threshold``."""
-    above = fld.values > threshold
+    above = rho > threshold
     if not np.any(above):
         return 0.0, 0.0
     i, j = np.nonzero(above)
-    return float(fld.grid.r[i.max()]), float(np.max(np.abs(fld.grid.z[j])))
+    return float(grid.r[i.max()]), float(np.max(np.abs(grid.z[j])))
 
 
 def boundary_mass_exceeds(values, grid, margin_cells, fraction):
@@ -213,8 +190,8 @@ def boundary_mass_exceeds(values, grid, margin_cells, fraction):
     return bool(edge > fraction * float(np.sum(weighted)))
 
 
-def random_blob_field(grid, rng, n_blobs=4, mask=None):
-    """Seeded smooth positive test field: a sum of Gaussian bumps.
+def random_blob_field(grid, rng, n_blobs=4):
+    """Seeded smooth positive test density: a sum of Gaussian bumps.
 
     Used by the diagnostic inequality ensemble.  The bumps are continuous
     functions of (r, z) sampled at cell centers, so the same seed produces a
@@ -228,7 +205,7 @@ def random_blob_field(grid, rng, n_blobs=4, mask=None):
         width = rng.uniform(0.05, 0.2) * grid.r_max
         amp = rng.uniform(0.1, 1.0)
         vals += amp * np.exp(-((R - r_c) ** 2 + (Z - z_c) ** 2) / (2.0 * width**2))
-    return DensityField(grid, vals, mask)
+    return vals
 
 
 # -- dump format ---------------------------------------------------------------
@@ -242,23 +219,24 @@ def _field_template(grid):
     return "r,z,rho\n" + "".join([head + head.join(tails) for head in heads])
 
 
-def write_field_csv(fld, path):
-    """Write the field as ``r,z,rho`` rows, row-major over (r, z) cells.
+def write_field_csv(rho, path, grid):
+    """Write ``rho`` as ``r,z,rho`` rows, row-major over ``grid``'s cells.
 
     Values carry 17 significant digits, enough to reproduce the binary
     doubles exactly; masked cells appear with rho = 0.  The coordinates
     come from a per-grid template, so a file costs one string format.
     """
-    text = _field_template(fld.grid) % tuple(fld.values.ravel().tolist())
+    text = _field_template(grid) % tuple(rho.ravel().tolist())
     with open(path, "w", newline="") as fh:
         fh.write(text)
 
 
 def read_field_csv(path, grid, mask=None):
-    """Read a field dump back onto ``grid``.
+    """Read a field dump back onto ``grid`` as a density array.
 
     The file must cover exactly this grid's cell centers in dump order;
-    coordinates are checked, not trusted.
+    coordinates and densities (finite, non-negative) are checked, not
+    trusted.  The cells of ``mask``, a core's, read as zero.
     """
     try:
         with warnings.catch_warnings():
@@ -288,4 +266,9 @@ def read_field_csv(path, grid, mask=None):
     if (np.max(np.abs(data[:, 0].reshape(R.shape) - R)) > 1e-9 * scale_r
             or np.max(np.abs(data[:, 1].reshape(Z.shape) - Z)) > 1e-9 * scale_z):
         raise GridError("field file coordinates do not match the grid")
-    return DensityField(grid, data[:, 2].reshape(R.shape), mask)
+    rho = data[:, 2].reshape(R.shape)
+    if not np.all(np.isfinite(rho)):
+        raise ValueError("density values must be finite")
+    if np.any(rho < 0.0):
+        raise ValueError("density values must be non-negative")
+    return rho if mask is None else np.where(mask, 0.0, rho)

@@ -77,7 +77,7 @@ def write_solve_outputs(outdir, eff, outcome):
     os.makedirs(outdir, exist_ok=True)
     _write_json(os.path.join(outdir, "result.json"), result)
     _write_json(os.path.join(outdir, "effective_config.json"), eff)
-    write_field_csv(outcome.rho, os.path.join(outdir, "field.csv"))
+    write_field_csv(outcome.rho, os.path.join(outdir, "field.csv"), outcome.grid)
     _write_trace_csv(os.path.join(outdir, "trace.csv"), outcome.trace)
     return result
 

@@ -591,23 +591,21 @@ class RotationLaw:
 
 @dataclass(eq=False)
 class Environment:
-    """Fixed context of one problem: the kernel and the potentials of the
-    rotation and the core.
+    """What a solve builds for its problem: the kernel and the core potential.
 
-    ``J`` is the problem's (``ProblemSpec.J``) and ``phi_core`` already
-    carries the strength factor mu, so the total potential a density feels
-    is B(rho) + J + phi_core.  ``build`` pays for the kernel and the core.
+    ``phi_core`` carries the strength factor mu, so with the problem's
+    ``ProblemSpec.J`` a density feels B(rho) + J + phi_core.  ``build`` pays
+    for the kernel and the core.
     """
 
     kernel: AxiKernel
-    J: np.ndarray
     phi_core: np.ndarray
 
     @classmethod
     def build(cls, spec, threads=1):
         kernel = kernel_for(spec.grid, threads)
         phi_core = core_potential(kernel, spec.mask, spec.core.rho_core, spec.mu)
-        return cls(kernel, spec.J, phi_core)
+        return cls(kernel, phi_core)
 
 
 #: fields in the diagnostic ensemble of ``ensemble_ratio_maxima``
@@ -626,15 +624,15 @@ def ensemble_ratio_maxima(grid, n_fields=ENSEMBLE_FIELDS, seed=20240901, threads
     max_sup = 0.0
     for i in range(n_fields):
         rng = np.random.default_rng(seed + i)
-        fld = random_blob_field(grid, rng)
-        ratio_int, ratio_sup = bound_ratios(fld, kernel)
+        rho = random_blob_field(grid, rng)
+        ratio_int, ratio_sup = bound_ratios(rho, kernel)
         max_int = max(max_int, ratio_int)
         max_sup = max(max_sup, ratio_sup)
     return max_int, max_sup
 
 
-def bound_ratios(fld, kernel):
-    """The two diagnostic inequality ratios for a positive-mass field.
+def bound_ratios(rho, kernel):
+    """The two diagnostic inequality ratios of a positive-mass density.
 
     Returns (self_energy_bound_ratio, sup_bound_ratio):
 
@@ -645,15 +643,15 @@ def bound_ratios(fld, kernel):
     density; watching the empirical maxima stay put under grid refinement is
     the numerical check that the discrete operator inherits the bounds.
     """
-    vol = fld.grid.vol
-    mass = float(np.sum(fld.values * vol))
+    vol = kernel.grid.vol
+    mass = float(np.sum(rho * vol))
     if mass <= 0.0:
         raise ValueError("bound ratios need a field with positive mass")
-    b = kernel.apply(fld.values)
-    self_energy = float(np.sum(fld.values * b * vol))
-    norm_43 = float(np.sum(fld.values ** (4.0 / 3.0) * vol))
+    b = kernel.apply(rho)
+    self_energy = float(np.sum(rho * b * vol))
+    norm_43 = float(np.sum(rho ** (4.0 / 3.0) * vol))
     ratio_int = self_energy / (norm_43 * mass ** (2.0 / 3.0))
     ratio_sup = float(np.max(b)) / (
-        mass ** (2.0 / 3.0) * float(np.max(fld.values)) ** (1.0 / 3.0)
+        mass ** (2.0 / 3.0) * float(np.max(rho)) ** (1.0 / 3.0)
     )
     return ratio_int, ratio_sup

@@ -1,7 +1,8 @@
 """Self-consistent-field iteration for the constrained equilibrium problem.
 
-Each iterate is evaluated once (``evaluate``): the total potential of its
-density, the multiplier that makes the density reconstructed through the
+An iterate is a density array on its problem's grid, zero on the core
+(``ProblemSpec``).  Each is evaluated once (``evaluate``): its total
+potential, the multiplier that makes the density reconstructed through the
 inverse enthalpy (with its cutoff at non-positive argument) carry the right
 mass (safeguarded Newton on a bracket read off the potential, warm-started
 from the previous iterate's multiplier, see ``solve_lambda``), and its
@@ -21,13 +22,13 @@ parameter regime where no equilibrium exists.  A mass that cannot be held
 to ``MASS_TOL`` is a numerical failure, ``MassDriftError``, not a verdict.
 """
 
+import math
 from dataclasses import dataclass, field as dc_field
 from typing import Optional
 
 import numpy as np
 
 from .field import (
-    DensityField,
     GridError,
     boundary_mass_exceeds,
     read_field_csv,
@@ -88,13 +89,15 @@ class InitialGuess:
 class ProblemSpec:
     """Everything that defines one equilibrium problem, checked as a whole.
 
-    The core must fit the grid and, if dense, cover a cell centre, and a
-    rotation profile must reach the grid's edge.  What those checks derive
-    is kept: ``mask``, the core's cells, and ``J``, the centrifugal
-    potential of shape ``(n_r, 1)``, per radius.  The initial guess is
-    built here, once, into ``guess_field`` (``initial_field``), so that one
-    that cannot be built, such as a file that does not fit the grid, fails
-    where the problem is built.
+    The core must fit the grid and, if dense, cover a cell centre; a
+    rotation profile must reach the grid's edge, and a constant rotation's
+    J must stay a finite float there.  What those checks derive is kept:
+    ``mask``, the core's cells, and ``J``, the centrifugal potential of
+    shape ``(n_r, 1)``, per radius.  Every density of the problem is an
+    array on ``grid``, zero on ``mask``: the initial guess too, built here,
+    once, into ``guess_field`` (``initial_field``), so that one that cannot
+    be built, such as a file that does not fit the grid, fails where the
+    problem is built.
     """
 
     eos: object
@@ -106,7 +109,7 @@ class ProblemSpec:
     initial_guess: InitialGuess = dc_field(default_factory=InitialGuess)
     mask: np.ndarray = dc_field(init=False, repr=False, compare=False)
     J: np.ndarray = dc_field(init=False, repr=False, compare=False)
-    guess_field: DensityField = dc_field(init=False, repr=False, compare=False)
+    guess_field: np.ndarray = dc_field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not self.mass > 0.0:
@@ -119,6 +122,11 @@ class ProblemSpec:
                 "core covers no cell centre of the %d x %d grid with r_max %g "
                 "and z_max %g" % (grid.n_r, grid.n_z, grid.r_max, grid.z_max)
             )
+        # J grows with r, so (omega r_max)**2 bounds it: checked in Python
+        # floats, before numpy overflows
+        if self.rotation.kind == "constant" and not math.isfinite(
+                (self.rotation.omega * grid.r_max) ** 2):
+            raise OverflowError("the centrifugal potential overflows a float")
         self.J = self.rotation.j_values(grid.r)[:, None]
         self.guess_field = initial_field(self)
 
@@ -151,7 +159,7 @@ class ScfConfig:
 
 @dataclass
 class ScfState:
-    """One iterate ``rho`` and what one evaluation of it gives (``evaluate``).
+    """One iterate, the array ``rho``, and what evaluating it gives.
 
     ``phi_tot`` is ``rho``'s total potential.  ``lam`` is the multiplier at
     which the density reconstructed from it, ``rho_hat``, carries the mass;
@@ -164,7 +172,7 @@ class ScfState:
     """
 
     iteration: int
-    rho: DensityField
+    rho: np.ndarray
     update_norm: Optional[float]
     mass_err: Optional[float]
     phi_tot: np.ndarray
@@ -177,10 +185,13 @@ class ScfState:
 
 @dataclass
 class Outcome:
+    """A solve's verdict, last iterate, and what it writes and reports."""
+
     verdict: str
     state: ScfState              # the last iterate
+    grid: object                 # the problem's, which ``rho`` lives on
     # what is written and reported, as ``energy.conclude`` gives it
-    rho: DensityField
+    rho: np.ndarray
     energy: object
     residual: object
     d_r: float
@@ -281,7 +292,7 @@ def initial_field(spec):
     grid, mask = spec.grid, spec.mask
     guess = spec.initial_guess
     if guess.kind == "from-file":
-        return rescale_to_mass(read_field_csv(guess.path, grid, mask), spec.mass)
+        return rescale_to_mass(read_field_csv(guess.path, grid, mask), grid, spec.mass)
     R, Z = grid.meshes()
     if guess.kind == "gaussian-blob":
         r0 = max(1.5 * spec.core.a_r, 0.2 * grid.r_max)
@@ -296,7 +307,7 @@ def initial_field(spec):
             )
         s = np.sqrt(R**2 + Z**2)
         vals = ((s >= inner) & (s <= outer)).astype(float)
-    return rescale_to_mass(DensityField(grid, vals, mask), spec.mass)
+    return rescale_to_mass(np.where(mask, 0.0, vals), grid, spec.mass)
 
 
 #: number of earlier iterates the Anderson mixer draws on
@@ -381,8 +392,8 @@ def evaluate(rho, spec, env, prev=None):
     multiplier and one energy call.  A ``LambdaBracketError`` leaves the
     state without ``lam`` and ``rho_hat``.
     """
-    b_rho = env.kernel.apply(rho.values)
-    phi_tot = b_rho + env.J + env.phi_core
+    b_rho = env.kernel.apply(rho)
+    phi_tot = b_rho + spec.J + env.phi_core
     try:
         lam, rho_hat, evals = solve_lambda(
             phi_tot, spec.mass, spec.eos, spec.mask, spec.grid,
@@ -393,17 +404,17 @@ def evaluate(rho, spec, env, prev=None):
     update_norm = None
     if prev is not None:
         update_norm = float(
-            np.sum(np.abs(rho.values - prev.rho.values) * spec.grid.vol)
+            np.sum(np.abs(rho - prev.rho) * spec.grid.vol)
         ) / spec.mass
     return ScfState(
         iteration=0 if prev is None else prev.iteration + 1,
         rho=rho,
         update_norm=update_norm,
-        mass_err=abs(total_mass(rho) - spec.mass) / spec.mass,
+        mass_err=abs(total_mass(rho, spec.grid) - spec.mass) / spec.mass,
         phi_tot=phi_tot,
         lam=lam,
         rho_hat=rho_hat,
-        energy=energy_with_potential(rho, spec.eos, env, b_rho),
+        energy=energy_with_potential(rho, spec, env, b_rho),
         # judged on the reconstruction: the mixed iterate lags behind it
         runoff=rho_hat is not None and boundary_mass_exceeds(
             rho_hat, spec.grid, RUNOFF_MARGIN_CELLS, RUNOFF_FRACTION
@@ -416,13 +427,12 @@ def scf_step(state, spec, env, mixer):
     """Advance one iteration from an evaluated ``state`` with a multiplier,
     mixing with the solve's ``AndersonMixer``; see the module docstring for
     the scheme."""
-    rho = state.rho
-    mixed = np.maximum(mixer.next_iterate(rho.values, state.rho_hat), 0.0)
-    new_rho = rescale_to_mass(rho.copy_with(mixed), spec.mass)
-    return evaluate(new_rho, spec, env, state)
+    mixed = mixer.next_iterate(state.rho, state.rho_hat)
+    rho = rescale_to_mass(np.maximum(mixed, 0.0), spec.grid, spec.mass)
+    return evaluate(rho, spec, env, state)
 
 
-def _is_converged(prev, state, config, eos):
+def _is_converged(prev, state, config, spec):
     """Whether the step from ``prev`` to ``state`` ends the solve.
 
     It does when the step's update is small and ``prev``'s residuals, only
@@ -434,10 +444,10 @@ def _is_converged(prev, state, config, eos):
     """
     if state.update_norm > config.tol_density:
         return False
-    r = residual_with_potential(prev.rho, prev.lam, eos, prev.phi_tot)
-    rho = state.rho.values
-    weights = rho * state.rho.grid.vol
-    mean_h = float(np.sum(weights * eos.enthalpy(rho)) / np.sum(weights))
+    r = residual_with_potential(prev.rho, prev.lam, spec, prev.phi_tot)
+    rho = state.rho
+    weights = rho * spec.grid.vol
+    mean_h = float(np.sum(weights * spec.eos.enthalpy(rho)) / np.sum(weights))
     tol = config.tol_residual * max(abs(prev.lam), mean_h)
     if r.eq_max > tol:
         return False
@@ -456,7 +466,7 @@ def solve(spec, config=None, threads=1):
     config = config if config is not None else ScfConfig()
     env = Environment.build(spec, threads)
     state = evaluate(spec.guess_field, spec, env)
-    mixer = AndersonMixer(spec.grid.vol, state.rho.values.shape, config.alpha)
+    mixer = AndersonMixer(spec.grid.vol, state.rho.shape, config.alpha)
     trace = []
     mass_errs = []
     mass_evals = state.mass_evals
@@ -484,7 +494,7 @@ def solve(spec, config=None, threads=1):
         if runoff_streak >= 3:
             verdict = "MassRunoff"
             break
-        if _is_converged(prev, state, config, spec.eos):
+        if _is_converged(prev, state, config, spec):
             verdict = "Converged"
             break
 
@@ -494,6 +504,7 @@ def solve(spec, config=None, threads=1):
     return Outcome(
         verdict=verdict,
         state=state,
+        grid=spec.grid,
         **conclude(state, spec, env, verdict == "Converged"),
         trace=trace,
         mass_err_max=float(np.max(mass_errs)) if mass_errs else None,

@@ -287,8 +287,8 @@ class TestScanMachinery:
         core_mask = spec.core.mask(spec.grid)
         assert np.any(core_mask)
         written = cq.read_field_csv(tmp_path / "cell_00_00" / "field.csv", spec.grid)
-        np.testing.assert_array_equal(written.values, solved.rho.values)
-        assert np.all(written.values[core_mask] == 0.0)
+        np.testing.assert_array_equal(written, solved.rho)
+        assert np.all(written[core_mask] == 0.0)
 
     def test_retry_marks_and_grows_runoff_cells(self, tmp_path):
         eff = cq.effective_config(self.scan_raw())
@@ -539,7 +539,7 @@ class TestScanMachinery:
         monkeypatch.setenv("COREQUILIB_THREADS", "1")
         guess = tmp_path / "guess.csv"
         grid = cq.CylGrid(2.0, 2.0, 16, 16)
-        cq.write_field_csv(cq.DensityField(grid, np.ones((16, 16))), guess)
+        cq.write_field_csv(np.ones((16, 16)), guess, grid)
         raw = base_raw(n=16, extra={"scan": dict(SWEEP)})
         raw["solver"]["initial_guess"] = {"kind": "from-file", "path": str(guess)}
         cfg = write_config(tmp_path, raw)
@@ -611,8 +611,11 @@ class TestCli:
         monkeypatch.setenv("COREQUILIB_THREADS", "1")
         guess = tmp_path / "guess.csv"
         grid = cq.CylGrid(2.0, 2.0, 48, 48)
-        cq.write_field_csv(cq.DensityField(grid, np.ones((48, 48))), guess)
+        cq.write_field_csv(np.ones((48, 48)), guess, grid)
         lines = guess.read_text().splitlines(keepends=True)
+        fits = tmp_path / "fits.csv"
+        cq.write_field_csv(np.ones((32, 32)), fits, cq.CylGrid(2.0, 2.0, 32, 32))
+        fit = fits.read_text().splitlines(keepends=True)
         raw = base_raw(n=32)
         raw["solver"]["initial_guess"] = {"kind": "from-file", "path": str(guess)}
         cfg = write_config(tmp_path, raw)
@@ -621,10 +624,14 @@ class TestCli:
         # the 48^2 field, its first row alone, its header alone, and its
         # first row followed by a row of two fields
         short = lines[2].rsplit(",", 1)[0] + "\n"
+        # the 32^2 field with its second rho not finite, or negative
+        bad = "".join(fit[:2]) + fit[2].rsplit(",", 1)[0] + ",%s\n" + "".join(fit[3:])
         for text, message in (
             (None, rows % 2304), (lines[0] + lines[1], rows % 1),
             (lines[0], rows % 0),
             (lines[0] + lines[1] + short, "field file line 3 has 2 fields, not r,z,rho"),
+            (bad % "nan", "density values must be finite"),
+            (bad % "-0.5", "density values must be non-negative"),
         ):
             if text is not None:
                 guess.write_text(text)
@@ -827,8 +834,8 @@ class TestCli:
     def test_mass_drift_exits_two(self, tmp_path, capsys, monkeypatch):
         rescale = cq.solver.rescale_to_mass
 
-        def off_by_a_millionth(fld, mass):
-            return rescale(fld, mass * (1.0 + 1e-6))
+        def off_by_a_millionth(rho, grid, mass):
+            return rescale(rho, grid, mass * (1.0 + 1e-6))
 
         monkeypatch.setattr(cq.solver, "rescale_to_mass", off_by_a_millionth)
         cfg = write_config(tmp_path, base_raw(n=24))
@@ -837,6 +844,27 @@ class TestCli:
         assert capsys.readouterr().err.startswith(
             "numeric error: mass renormalization drifted to 1e-06 relative"
         )
+
+    def test_a_non_finite_iterate_exits_two(self, tmp_path, capsys, monkeypatch):
+        # no check inside the loop looks at an iterate's cells: a NaN in the
+        # third mixed one of the README solve must still end as a numeric
+        # error, found by the renormalization that every iterate passes
+        next_iterate = cq.solver.AndersonMixer.next_iterate
+        mixed = []
+
+        def poisoned(self, x, g):
+            mixed.append(next_iterate(self, x, g))
+            if len(mixed) == 3:
+                mixed[-1][40, 48] = np.nan
+            return mixed[-1]
+
+        monkeypatch.setattr(cq.solver.AndersonMixer, "next_iterate", poisoned)
+        raw = base_raw(n=96, omega=0.4, mu=1.0, core_rho=10.0, core_a=0.1)
+        cfg = write_config(tmp_path, raw)
+        rc = main(["solve", "--config", cfg, "--out", str(tmp_path / "o")])
+        assert rc == 2 and len(mixed) == 3
+        err = capsys.readouterr().err
+        assert err == "numeric error: density values must be finite\n"
 
     def test_eos_inversion_failure_exits_two(self, tmp_path, capsys, monkeypatch):
         table_enthalpy = cq.TabulatedEos._table_enthalpy
@@ -1090,16 +1118,23 @@ TALL_PROFILE = dict(
 OVERFLOW = "a config value overflows a float"
 #: a rotation whose omega**2 overflows a float
 FAST_ROTATION = faulty("rotation", {"kind": "constant", "omega": 1e200})
-#: a grid of extent 1e200 and a core that fits it: the guess's width squared
-#: overflows a float, after numpy has squared the cell centres to inf
-HUGE_GRID = dict(
-    faulty("grid", {"r_max": 1e200, "z_max": 1e200, "n_r": 32, "n_z": 32}),
-    core={"a_r": 1e199, "a_z": 1e199, "rho": 1.0, "mu": 1.0},
-    rotation={"kind": "constant", "omega": 1.0},
-)
-SQUARES_TO_INF = pytest.mark.filterwarnings(
-    "ignore:overflow encountered in square:RuntimeWarning"
-)
+
+
+def huge_grid(extent, omega=1.0):
+    """A grid of this extent, a core of a tenth of it, and rotation omega."""
+    return dict(
+        faulty("grid", {"r_max": extent, "z_max": extent, "n_r": 32, "n_z": 32}),
+        core={"a_r": extent / 10, "a_z": extent / 10, "rho": 1.0, "mu": 1.0},
+        rotation={"kind": "constant", "omega": omega},
+    )
+
+
+#: the grid's squared extent overflows a float
+HUGE_GRID = huge_grid(1e200)
+#: the squares fit a float, but not the box volume, which bounds the cells'
+BIG_BOX = huge_grid(1e120)
+#: the grid fits a float, but not the centrifugal potential at its edge
+FAST_EDGE = huge_grid(1e60, omega=1e100)
 
 
 #: (command, config, message): each config breaks exactly one rule; a
@@ -1290,9 +1325,11 @@ CONFIG_FAULTS = [
      "section 'solver.initial_guess' needs a 'kind' key"),
     # core against the grid, continued
     ("solve", TALL_PROFILE, "core does not fit strictly inside the grid"),
-    # values whose squares overflow a float
+    # values whose squares or products overflow a float
     ("solve", FAST_ROTATION, OVERFLOW),
-    pytest.param("solve", HUGE_GRID, OVERFLOW, marks=SQUARES_TO_INF),
+    ("solve", HUGE_GRID, OVERFLOW),
+    ("solve", BIG_BOX, OVERFLOW),
+    ("solve", FAST_EDGE, OVERFLOW),
 ]
 
 
@@ -1383,7 +1420,7 @@ def test_valid_forms_dump_their_effective_config(
     # the from-file form's guess is read where the config is checked
     monkeypatch.chdir(tmp_path)
     grid = cq.CylGrid(2.0, 2.0, 32, 32)
-    cq.write_field_csv(cq.DensityField(grid, np.ones((32, 32))), "f.csv")
+    cq.write_field_csv(np.ones((32, 32)), "f.csv", grid)
     text = json_text(check_config(command, raw))
     assert text == json.dumps(expected, sort_keys=True, indent=2) + "\n"
     if expected is EFF:
@@ -1452,7 +1489,9 @@ def test_a_placeholder_core_solves_as_the_empty_core(tmp_path, monkeypatch):
     ("solve", TALL_PROFILE, "core does not fit strictly inside the grid"),
     ("check", TALL_PROFILE, "core does not fit strictly inside the grid"),
     ("solve", FAST_ROTATION, OVERFLOW),
-    pytest.param("solve", HUGE_GRID, OVERFLOW, marks=SQUARES_TO_INF),
+    ("solve", HUGE_GRID, OVERFLOW),
+    ("solve", BIG_BOX, OVERFLOW),
+    ("solve", FAST_EDGE, OVERFLOW),
 ])
 def test_dump_fails_where_the_run_fails(
     tmp_path, capsys, monkeypatch, command, raw, message

@@ -65,7 +65,7 @@ def problems(draw):
     core's."""
     grid = draw(grids)
     rng = np.random.default_rng(draw(seeds))
-    blob = cq.random_blob_field(grid, rng).values
+    blob = cq.random_blob_field(grid, rng)
     phi = cq.AxiKernel(grid).apply(blob) + draw(st.floats(-2.0, 2.0))
     a = 0.0
     if draw(st.booleans()):

@@ -44,8 +44,7 @@ def elliptic_k_series(m, terms=80):
 
 def ball_field(grid, a, rho0):
     R, Z = grid.meshes()
-    vals = np.where(R**2 + Z**2 <= a**2, rho0, 0.0)
-    return cq.DensityField(grid, vals)
+    return np.where(R**2 + Z**2 <= a**2, rho0, 0.0)
 
 
 def ball_potential_exact(a, rho0, dist):
@@ -96,7 +95,7 @@ class TestKernelAgainstBall:
     def test_interior_and_exterior_match_closed_form(self):
         grid = cq.CylGrid(1.0, 1.0, 128, 128)
         fld = ball_field(grid, 0.2, 1.0)
-        phi = cq.kernel_for(grid).apply(fld.values)
+        phi = cq.kernel_for(grid).apply(fld)
         R, Z = grid.meshes()
         exact = ball_potential_exact(0.2, 1.0, np.sqrt(R**2 + Z**2))
         rel = np.abs(phi - exact) / exact
@@ -112,8 +111,8 @@ class TestKernelAgainstBall:
         kernel = cq.kernel_for(grid)
         f1 = cq.random_blob_field(grid, np.random.default_rng(11))
         f2 = cq.random_blob_field(grid, np.random.default_rng(22))
-        left = float(np.sum(f1.values * kernel.apply(f2.values) * grid.vol))
-        right = float(np.sum(f2.values * kernel.apply(f1.values) * grid.vol))
+        left = float(np.sum(f1 * kernel.apply(f2) * grid.vol))
+        right = float(np.sum(f2 * kernel.apply(f1) * grid.vol))
         scale = max(abs(left), abs(right))
         assert abs(left - right) <= 1e-10 * scale
 
@@ -122,8 +121,8 @@ class TestKernelAgainstBall:
         kernel = cq.kernel_for(grid)
         f1 = cq.random_blob_field(grid, np.random.default_rng(5))
         f2 = cq.random_blob_field(grid, np.random.default_rng(6))
-        phi1 = kernel.apply(f1.values)
-        phi12 = kernel.apply(f1.values + f2.values)
+        phi1 = kernel.apply(f1)
+        phi12 = kernel.apply(f1 + f2)
         assert np.all(phi12 - phi1 >= -1e-12 * phi12.max())
 
     def test_far_field_point_mass_limit(self):
@@ -132,9 +131,8 @@ class TestKernelAgainstBall:
         R, Z = grid.meshes()
         a_r, a_z = 0.12, 0.06
         vals = np.where((R / a_r) ** 2 + (Z / a_z) ** 2 <= 1.0, 1.0, 0.0)
-        fld = cq.DensityField(grid, vals)
-        mass = cq.total_mass(fld)
-        phi = kernel.apply(fld.values)
+        mass = cq.total_mass(vals, grid)
+        phi = kernel.apply(vals)
 
         def deviation(i, j):
             dist = float(np.hypot(grid.r[i], grid.z[j]))
@@ -271,7 +269,7 @@ class TestKernelAgainstBall:
         assert grown._fw is base._fw and grown.scale == 2.25
         assert grown.grid == grown_grid
         assert cq.potential._shape_kernel.cache_info().misses == 1
-        values = cq.random_blob_field(base.grid, np.random.default_rng(5)).values
+        values = cq.random_blob_field(base.grid, np.random.default_rng(5))
         np.testing.assert_array_equal(grown.apply(values), 2.25 * base.apply(values))
         built = cq.AxiKernel(grown_grid).apply(values)
         np.testing.assert_allclose(grown.apply(values), built, rtol=0, atol=1e-13 * np.max(built))
@@ -456,7 +454,7 @@ class TestKernelThreads:
         self, monkeypatch, grid, threads, bytes_per_thread
     ):
         monkeypatch.setattr(cq.potential, "KERNEL_BYTES_PER_THREAD", bytes_per_thread)
-        values = cq.random_blob_field(grid, np.random.default_rng(3)).values
+        values = cq.random_blob_field(grid, np.random.default_rng(3))
         alive = threading.active_count()
         serial = cq.AxiKernel(grid, threads=1)
         interval = sys.getswitchinterval()
@@ -481,7 +479,7 @@ class TestKernelThreads:
 
     def test_helper_thread_error_reaches_the_caller(self, monkeypatch):
         kernel = cq.AxiKernel(THREADED_GRID, threads=2)
-        values = cq.random_blob_field(THREADED_GRID, np.random.default_rng(3)).values
+        values = cq.random_blob_field(THREADED_GRID, np.random.default_rng(3))
         real = np.matmul
 
         def fails_in_helpers(*args, **kwargs):
@@ -643,7 +641,6 @@ class TestEnvironment:
         core = cq.CoreRegion.spheroid(0.15, 0.15, 2.0)
         spec = problem(grid, core, 1.5, cq.RotationLaw.constant(0.7))
         env = cq.Environment.build(spec)
-        assert env.J is spec.J
         np.testing.assert_array_equal(spec.mask, core.mask(grid))
         np.testing.assert_array_equal(
             env.phi_core,
@@ -670,6 +667,4 @@ class TestBoundRatios:
     def test_zero_mass_rejected(self):
         grid = cq.CylGrid(1.0, 1.0, 24, 24)
         with pytest.raises(ValueError):
-            cq.bound_ratios(
-                cq.DensityField(grid, np.zeros((24, 24))), cq.kernel_for(grid)
-            )
+            cq.bound_ratios(np.zeros((24, 24)), cq.kernel_for(grid))

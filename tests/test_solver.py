@@ -74,8 +74,8 @@ def equator_edge_radius(outcome, grid):
     to second order, which is what the refinement test needs.
     """
     j = grid.n_z // 2
-    prof = outcome.state.rho.values[:, j]
-    thr = 1e-8 * outcome.state.rho.values.max()
+    prof = outcome.state.rho[:, j]
+    thr = 1e-8 * outcome.state.rho.max()
     k = int(np.nonzero(prof > thr)[0].max())
     return float(grid.r[k] + grid.dr * prof[k] / (prof[k - 1] - prof[k]))
 
@@ -136,14 +136,14 @@ class TestMultiplierSolve:
 
     def test_deep_cutoff_gives_zero_mass(self):
         phi = cq.kernel_for(self.grid).apply(
-            cq.random_blob_field(self.grid, np.random.default_rng(1)).values
+            cq.random_blob_field(self.grid, np.random.default_rng(1))
         )
         lam = -float(np.max(phi)) - 1.0
         assert cq.mass_of_lambda(phi, lam, self.eos, self.mask, self.grid)[0] == 0.0
 
     def test_monotone_in_lambda(self):
         phi = cq.kernel_for(self.grid).apply(
-            cq.random_blob_field(self.grid, np.random.default_rng(2)).values
+            cq.random_blob_field(self.grid, np.random.default_rng(2))
         )
         lams = np.linspace(-3.0, 3.0, 25)
         masses = [
@@ -179,7 +179,7 @@ class TestMultiplierSolve:
 
     def test_solve_lambda_is_deterministic(self):
         phi = cq.kernel_for(self.grid).apply(
-            cq.random_blob_field(self.grid, np.random.default_rng(3)).values
+            cq.random_blob_field(self.grid, np.random.default_rng(3))
         )
         args = (phi, 0.25, self.eos, self.mask, self.grid)
         lam_a, rho_a, evals_a = cq.solve_lambda(*args)
@@ -191,7 +191,7 @@ class TestMultiplierSolve:
         # without the cyclic collector, a potential kept alive by the root
         # finder would pile up, one per SCF iteration
         phi = cq.kernel_for(self.grid).apply(
-            cq.random_blob_field(self.grid, np.random.default_rng(4)).values
+            cq.random_blob_field(self.grid, np.random.default_rng(4))
         )
         ref = weakref.ref(phi)
         gc.collect()
@@ -245,9 +245,9 @@ class TestMultiplierSolve:
     def test_converged_potential_holds_target_mass(self, le_problem, le_outcome):
         rho = le_outcome.state.rho
         env = cq.Environment.build(le_problem)
-        phi_tot = env.kernel.apply(rho.values) + env.J + env.phi_core
+        phi_tot = env.kernel.apply(rho) + le_problem.J + env.phi_core
         got = cq.mass_of_lambda(
-            phi_tot, le_outcome.state.lam, le_problem.eos, rho.mask,
+            phi_tot, le_outcome.state.lam, le_problem.eos, le_problem.mask,
             le_problem.grid,
         )[0]
         assert abs(got - le_problem.mass) <= 1e-10 * le_problem.mass
@@ -272,7 +272,7 @@ class TestProblemSpec:
             "z_max 1"
         )
         spec = self.spec(cq.CoreRegion.spheroid(0.05, 0.05, 0.0))
-        assert not spec.guess_field.mask.any()
+        assert not spec.mask.any()
 
     def test_a_rotation_profile_must_reach_the_grid_edge(self):
         short = cq.RotationLaw.profile([0.0, 0.1, 0.25, 0.5], [0.3, 0.2, 0.1, 0.0])
@@ -289,7 +289,7 @@ class TestScfStep:
         env = cq.Environment.build(le_problem)
         state = cq.solver.evaluate(le_outcome.state.rho, le_problem, env)
         mixer = cq.solver.AndersonMixer(
-            le_problem.grid.vol, state.rho.values.shape, config.alpha
+            le_problem.grid.vol, state.rho.shape, config.alpha
         )
         nxt = cq.scf_step(state, le_problem, env, mixer)
         assert nxt.update_norm <= 3.0 * config.tol_density
@@ -300,25 +300,26 @@ class TestScfStep:
         # a step with no Anderson history is the beta-damped mix
         rho = le_outcome.state.rho
         env = cq.Environment.build(le_problem)
-        phi_tot = env.kernel.apply(rho.values) + env.J + env.phi_core
+        mask = le_problem.mask
+        phi_tot = env.kernel.apply(rho) + le_problem.J + env.phi_core
         lam, _, _ = cq.solve_lambda(
-            phi_tot, le_problem.mass, le_problem.eos, rho.mask, le_problem.grid
+            phi_tot, le_problem.mass, le_problem.eos, mask, le_problem.grid
         )
-        h = np.where(rho.mask, -1.0, phi_tot + lam)
+        h = np.where(mask, -1.0, phi_tot + lam)
         rho_hat = le_problem.eos.enthalpy_inverse(h)
 
         state = cq.solver.evaluate(rho, le_problem, env)
         np.testing.assert_array_equal(state.rho_hat, rho_hat)
-        for alpha, mix in ((1.0, rho_hat), (0.5, 0.5 * rho.values + 0.5 * rho_hat)):
+        for alpha, mix in ((1.0, rho_hat), (0.5, 0.5 * rho + 0.5 * rho_hat)):
             mixer = cq.solver.AndersonMixer(
-                le_problem.grid.vol, rho.values.shape, alpha
+                le_problem.grid.vol, rho.shape, alpha
             )
             stepped = cq.scf_step(state, le_problem, env, mixer)
             expected = cq.rescale_to_mass(
-                cq.DensityField(le_problem.grid, mix, rho.mask), le_problem.mass
+                np.where(mask, 0.0, mix), le_problem.grid, le_problem.mass
             )
             np.testing.assert_allclose(
-                stepped.rho.values, expected.values, rtol=1e-12, atol=1e-300
+                stepped.rho, expected, rtol=1e-12, atol=1e-300
             )
 
     def test_stepped_state_matches_a_fresh_evaluation_of_its_density(
@@ -330,10 +331,10 @@ class TestScfStep:
         rho = le_outcome.state.rho
         state = cq.solver.evaluate(rho, le_problem, env)
         assert state.energy == cq.energy_with_potential(
-            rho, eos, env, env.kernel.apply(rho.values)
+            rho, le_problem, env, env.kernel.apply(rho)
         )
         mixer = cq.solver.AndersonMixer(
-            le_problem.grid.vol, state.rho.values.shape, config.alpha
+            le_problem.grid.vol, state.rho.shape, config.alpha
         )
         nxt = cq.scf_step(state, le_problem, env, mixer)
         assert nxt.iteration == state.iteration + 1
@@ -348,27 +349,29 @@ class TestScfStep:
         residuals = recorded_residuals(monkeypatch)
         small = dataclasses.replace(fresh, update_norm=config.tol_density)
         large = dataclasses.replace(fresh, update_norm=2.0 * config.tol_density)
-        assert not cq.solver._is_converged(nxt, large, config, eos)
+        assert not cq.solver._is_converged(nxt, large, config, le_problem)
         assert residuals == []
-        cq.solver._is_converged(nxt, small, config, eos)
-        phi_tot = env.kernel.apply(nxt.rho.values) + env.J + env.phi_core
+        cq.solver._is_converged(nxt, small, config, le_problem)
+        phi_tot = env.kernel.apply(nxt.rho) + le_problem.J + env.phi_core
         assert residuals == [
-            cq.residual_with_potential(nxt.rho, nxt.lam, eos, phi_tot)
+            cq.residual_with_potential(nxt.rho, nxt.lam, le_problem, phi_tot)
         ]
 
-    def test_zero_multiplier_can_converge(self, le_outcome, monkeypatch):
+    def test_zero_multiplier_can_converge(
+        self, le_problem, le_outcome, monkeypatch
+    ):
         # the residual tolerance scales with the mean enthalpy, not only
         # |lambda|: at lambda 0 the kept potential leaves a residual of 1e-12
-        eos = cq.Polytrope(1.0, 2.0)
+        eos = le_problem.eos
         rho = le_outcome.state.rho
         prev = dataclasses.replace(
-            le_outcome.state, lam=0.0, phi_tot=eos.enthalpy(rho.values) - 1e-12
+            le_outcome.state, lam=0.0, phi_tot=eos.enthalpy(rho) - 1e-12
         )
         state = dataclasses.replace(le_outcome.state, update_norm=1e-12)
         residuals = recorded_residuals(monkeypatch)
-        assert cq.solver._is_converged(prev, state, cq.ScfConfig(), eos)
+        assert cq.solver._is_converged(prev, state, cq.ScfConfig(), le_problem)
         assert residuals == [
-            cq.residual_with_potential(rho, 0.0, eos, prev.phi_tot)
+            cq.residual_with_potential(rho, 0.0, le_problem, prev.phi_tot)
         ]
         assert residuals[0].eq_max > 0.0
 
@@ -394,14 +397,14 @@ class TestSolve:
         st = cq.polytrope_structure(2.0, 1.0)
         rho_c = st.central_density_for_mass(1.0)
         radius = st.radius(rho_c)
-        cell = le_outcome.state.rho.grid.dz
+        cell = le_outcome.grid.dz
         assert le_outcome.verdict == "Converged"
         assert le_outcome.state.iteration <= 200
         # support extents are cell-center quantized, so allow one cell on top
         # of the physical tolerance at this coarse unit-test resolution
         assert le_outcome.d_r == pytest.approx(radius, rel=0.03, abs=1.2 * cell)
         assert le_outcome.d_z == pytest.approx(radius, rel=0.03, abs=1.2 * cell)
-        assert le_outcome.state.rho.values.max() == pytest.approx(rho_c, rel=0.03)
+        assert le_outcome.state.rho.max() == pytest.approx(rho_c, rel=0.03)
         assert le_outcome.state.lam < 0.0
         assert le_outcome.mass_err_max <= 1e-10
 
@@ -445,7 +448,7 @@ class TestSolve:
         b = cq.solve(le_spec(32))
         assert a.verdict == b.verdict
         assert a.trace == b.trace
-        np.testing.assert_array_equal(a.state.rho.values, b.state.rho.values)
+        np.testing.assert_array_equal(a.state.rho, b.state.rho)
         assert a.state.lam == b.state.lam
 
     def test_core_cells_stay_empty(self):
@@ -454,16 +457,14 @@ class TestSolve:
         assert out.verdict == "Converged"
         mask = core.mask(cq.CylGrid(2.0, 2.0, 48, 48))
         assert np.any(mask)
-        assert np.all(out.state.rho.values[mask] == 0.0)
+        assert np.all(out.state.rho[mask] == 0.0)
 
     def test_small_rotation_with_core_converges_compactly(self):
         core = cq.CoreRegion.spheroid(0.1, 0.1, 10.0)
         out = cq.solve(le_spec(48, omega=0.3, core=core, mu=1.0))
         assert out.verdict == "Converged"
         assert out.d_r <= 0.9 * 2.0
-        assert not cq.boundary_mass_exceeds(
-            out.rho.values, out.rho.grid, 2, 0.05
-        )
+        assert not cq.boundary_mass_exceeds(out.rho, out.grid, 2, 0.05)
         assert out.bound_check is not None and out.bound_check.passed
 
     def test_fast_rotation_without_core_support_fails(self):
@@ -476,8 +477,8 @@ class TestSolve:
     def test_mass_drift_is_a_typed_error(self, monkeypatch):
         rescale = cq.solver.rescale_to_mass
 
-        def off_by_a_millionth(fld, mass):
-            return rescale(fld, mass * (1.0 + 1e-6))
+        def off_by_a_millionth(rho, grid, mass):
+            return rescale(rho, grid, mass * (1.0 + 1e-6))
 
         monkeypatch.setattr(cq.solver, "rescale_to_mass", off_by_a_millionth)
         with pytest.raises(cq.MassDriftError, match="drifted to 1e-06 relative"):
@@ -575,8 +576,8 @@ class TestSolve:
         assert short.verdict == wide.verdict == "Converged"
         assert short.state.iteration == wide.state.iteration
         assert short.state.lam == pytest.approx(wide.state.lam, rel=1e-8)
-        assert short.state.rho.values.max() == pytest.approx(
-            wide.state.rho.values.max(), rel=1e-8
+        assert short.state.rho.max() == pytest.approx(
+            wide.state.rho.max(), rel=1e-8
         )
 
     def test_uniform_shell_guess_reaches_the_same_solution(self, le_outcome):
@@ -588,7 +589,7 @@ class TestSolve:
         self, le_outcome, tmp_path
     ):
         path = tmp_path / "start.csv"
-        cq.write_field_csv(le_outcome.state.rho, path)
+        cq.write_field_csv(le_outcome.state.rho, path, le_outcome.grid)
         out = cq.solve(
             le_spec(48, guess=cq.InitialGuess(kind="from-file", path=str(path)))
         )
@@ -676,26 +677,24 @@ class TestWrittenDensity:
         out = cq.solve(spec)
         assert out.verdict == verdict
         cq.write_solve_outputs(tmp_path, {}, out)
-        written = cq.read_field_csv(tmp_path / "field.csv", spec.grid).values
+        written = cq.read_field_csv(tmp_path / "field.csv", spec.grid)
         state = out.state
         np.testing.assert_array_equal(written, state.rho_hat)
-        np.testing.assert_array_equal(written, out.rho.values)
+        np.testing.assert_array_equal(written, out.rho)
         gas = (state.phi_tot + state.lam > 0.0) & ~core.mask(spec.grid)
         assert np.all(written[~gas] == 0.0) and np.all(written[gas] > 0.0)
-        assert np.any(state.rho.values[~gas] > 0.0)  # the iterate's mist
+        assert np.any(state.rho[~gas] > 0.0)  # the iterate's mist
         mass = float(np.sum(written * spec.grid.vol))
         assert abs(mass - spec.mass) <= cq.solver.MASS_TOL * spec.mass
         # what result.json reports is read off the written density
         env = cq.Environment.build(spec)
         b_rho = env.kernel.apply(written)
-        assert out.energy == cq.energy_with_potential(
-            out.rho, spec.eos, env, b_rho
-        )
+        assert out.energy == cq.energy_with_potential(out.rho, spec, env, b_rho)
         assert out.residual == cq.residual_with_potential(
-            out.rho, state.lam, spec.eos, b_rho + env.J + env.phi_core
+            out.rho, state.lam, spec, b_rho + spec.J + env.phi_core
         )
         assert (out.d_r, out.d_z) == cq.support_extent(
-            out.rho, cq.field.SUPPORT_REL * float(np.max(written))
+            out.rho, spec.grid, cq.field.SUPPORT_REL * float(np.max(written))
         )
 
     def test_a_bracket_failure_writes_its_iterate(self, monkeypatch, tmp_path):
@@ -705,12 +704,14 @@ class TestWrittenDensity:
         assert out.verdict == "LambdaBracketFail"
         assert out.rho is out.state.rho and out.energy is out.state.energy
         payload = cq.write_solve_outputs(tmp_path, {}, out)
-        written = cq.read_field_csv(tmp_path / "field.csv", spec.grid).values
-        np.testing.assert_array_equal(written, out.state.rho.values)
+        written = cq.read_field_csv(tmp_path / "field.csv", spec.grid)
+        np.testing.assert_array_equal(written, out.state.rho)
         assert payload["energy"]["total"] == out.state.energy.total
         assert set(payload["diagnostics"].values()) == {None}
         threshold = cq.field.SUPPORT_REL * float(np.max(written))
-        assert (out.d_r, out.d_z) == cq.support_extent(out.state.rho, threshold)
+        assert (out.d_r, out.d_z) == cq.support_extent(
+            out.state.rho, spec.grid, threshold
+        )
 
 
 class TestExactYardstick:
