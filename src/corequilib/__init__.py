@@ -31,14 +31,12 @@ from .field import (
 )
 from .potential import (
     AxiKernel,
-    CoreFieldReport,
     Environment,
     RotationLaw,
     bound_ratios,
     core_potential,
     ensemble_ratio_maxima,
     kernel_for,
-    validate_core_potential,
 )
 from .energy import (
     BoundCheck,

@@ -11,7 +11,7 @@ Exit codes: 0 success, 1 usage or config problem, 2 numeric failure or a
 scan with a failed cell, 3 when a solve finishes with a non-Converged verdict
 (the scripting hook for existence scans driven from the shell).
 
-``COREQUILIB_THREADS`` is the command's CPU budget (default: the CPU count);
+``COREQUILIB_THREADS`` is a scan's CPU budget (default: the CPU count);
 see ``config.cpu_budget``.
 
 All emitted files are deterministic: fixed key order, no timestamps, 17
@@ -27,18 +27,11 @@ import sys
 from .config import (
     ConfigError,
     build_problem,
-    cpu_budget,
     effective_config,
     load_config_file,
 )
 from .lane_emden import polytrope_structure
-from .potential import (
-    ENSEMBLE_FIELDS,
-    core_potential,
-    ensemble_ratio_maxima,
-    kernel_for,
-    validate_core_potential,
-)
+from .potential import ENSEMBLE_FIELDS, ensemble_ratio_maxima
 from .output import json_text, write_scan_csv, write_solve_outputs
 from .scan import ScanSpec, run_scan
 from .solver import NUMERIC_ERRORS, solve
@@ -103,7 +96,7 @@ def _run(args):
 
 
 def _cmd_solve(eff, out):
-    outcome = solve(*build_problem(eff), threads=cpu_budget())
+    outcome = solve(*build_problem(eff))
     result = write_solve_outputs(out, eff, outcome)
     sys.stdout.write(
         "verdict=%s lambda=%s iterations=%d out=%s\n"
@@ -131,29 +124,18 @@ def _cmd_scan(scan_spec, out):
 
 
 def _cmd_check(eff):
-    threads = cpu_budget()
     spec, _ = build_problem(eff)
     grid = spec.grid
     refined = type(grid)(grid.r_max, grid.z_max, 2 * grid.n_r, 2 * grid.n_z)
-    base_int, base_sup = ensemble_ratio_maxima(grid, threads=threads)
-    fine_int, fine_sup = ensemble_ratio_maxima(refined, threads=threads)
+    base_int, base_sup = ensemble_ratio_maxima(grid)
+    fine_int, fine_sup = ensemble_ratio_maxima(refined)
     chg_int = abs(fine_int - base_int) / base_int
     chg_sup = abs(fine_sup - base_sup) / base_sup
     finite = all(map(math.isfinite, (base_int, base_sup, fine_int, fine_sup)))
     stable = chg_int <= 0.10 and chg_sup <= 0.10
 
     growth = spec.eos.growth_conditions_known()
-
-    core_report = None
-    core_ok = True
-    if spec.core.rho_core > 0.0:
-        kernel = kernel_for(grid, threads)
-        phi = core_potential(kernel, spec.mask, spec.core.rho_core, 1.0)
-        report = validate_core_potential(phi, spec.core, grid)
-        core_ok = report.passed
-        core_report = dict(vars(report), passed=report.passed)
-
-    passed = finite and stable and core_ok
+    passed = finite and stable
     payload = {
         "self_energy_bound_ratio": {
             "base": base_int, "refined": fine_int, "rel_change": chg_int,
@@ -164,7 +146,6 @@ def _cmd_check(eff):
         "ensemble_fields": ENSEMBLE_FIELDS,
         "grid": {"base": [grid.n_r, grid.n_z], "refined": [refined.n_r, refined.n_z]},
         "eos_growth_conditions": "satisfied" if growth else "unverified",
-        "core_potential": core_report,
         "passed": passed,
     }
     sys.stdout.write(json_text(payload))

@@ -41,8 +41,8 @@ def load_config_file(path):
 def cpu_budget():
     """The command's CPU budget: ``COREQUILIB_THREADS``, or the CPU count.
 
-    A scan spends it on worker processes and a solve or check on the
-    potential kernel's threads; see ``scan.run_scan`` and ``AxiKernel``.
+    It sizes a scan's pool of worker processes (``scan.run_scan``); solve
+    and check do not read it.
     """
     raw = os.environ.get("COREQUILIB_THREADS", "").strip()
     if raw:

@@ -9,6 +9,7 @@ center, so a density integrates like a ring stack.
 """
 
 import math
+import sys
 import warnings
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
@@ -43,11 +44,15 @@ class CylGrid:
         if not (self.r_max > 0.0 and self.z_max > 0.0):
             raise GridError("grid extents must be positive")
         # the box's volume and squared extents bound every cell volume and
-        # squared coordinate: checked in Python floats, before numpy overflows
+        # squared coordinate from above, and the innermost cell's volume
+        # pi dr^2 dz bounds the cell volumes from below: checked in Python
+        # floats, before numpy overflows or underflows
         square = self.r_max * self.r_max
         if not (math.isfinite(square + self.z_max * self.z_max)
                 and math.isfinite(2.0 * math.pi * square * self.z_max)):
             raise OverflowError("grid extents overflow a float")
+        if math.pi * self.dr * self.dr * self.dz < sys.float_info.min:
+            raise GridError("grid cells are too small for a float")
 
     @property
     def dr(self):

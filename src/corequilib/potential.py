@@ -32,20 +32,13 @@ radii.  The stored size, ``kernel_bytes``, follows from the grid alone: a
 192^2 kernel stores 17.7 MB where a dense one would need 56.9 MB, and a
 1024^2 kernel 0.44 GB instead of 8.6 GB.
 
-A kernel is built on the calling thread.  Applying a large one is split
-across threads, up to the CPU budget its caller passes
-(``COREQUILIB_THREADS`` on the command line): the products are bound by
-memory bandwidth and run in BLAS with the interpreter lock released, so the
-frequencies split into contiguous blocks, one per thread.  A block's
-arithmetic does not depend on the thread that runs it, so neither does any
-result bit.
+A kernel is built and applied on the calling thread.
 """
 
 import copy
 import functools
 import math
 import os
-import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -127,48 +120,10 @@ def _physical_memory_bytes():
     return os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
 
 
-#: a kernel's ``apply`` gets one thread per this many of its bytes, up to
-#: the caller's budget.  Starting and joining a thread costs about 0.1 ms,
-#: which a small kernel's products do not repay: on a 2-CPU box two threads
-#: lost on a 96^2 kernel (7.2 MB) and won on a 120^2 one (13.9 MB), so two
-#: start at 12 MB.
-KERNEL_BYTES_PER_THREAD = 6_000_000
-
-
 def _split(n, parts):
     """``parts`` contiguous (lo, hi) ranges covering range(n)."""
     edges = [n * p // parts for p in range(parts + 1)]
     return list(zip(edges[:-1], edges[1:]))
-
-
-def _in_threads(work, parts):
-    """Call ``work(part)`` for every entry of ``parts`` at once.
-
-    The first part runs in the calling thread and every other in a helper
-    thread, and all helpers are joined before this returns or raises, so no
-    thread outlives the call.  An exception raised in a helper is raised
-    again here.
-    """
-    errors = []
-
-    def run(part):
-        try:
-            work(part)
-        except BaseException as exc:  # handed to the calling thread
-            errors.append(exc)
-
-    started = []
-    try:
-        for part in parts[1:]:
-            helper = threading.Thread(target=run, args=(part,))
-            helper.start()
-            started.append(helper)
-        work(parts[0])
-    finally:
-        for helper in started:
-            helper.join()
-    if errors:
-        raise errors[0]
 
 
 #: largest relative Frobenius residual a compressed block may have
@@ -283,21 +238,13 @@ class AxiKernel:
     that array are checked against physical memory before anything is
     allocated.
 
-    The build runs on the calling thread.  ``threads`` is the CPU budget
-    ``apply`` may spend: it uses one thread per ``KERNEL_BYTES_PER_THREAD``
-    bytes of kernel, at least one and at most ``threads``, and splits its
-    products, leaves and pairs, into contiguous frequency blocks, one per
-    thread.  A frequency gets the same arithmetic whichever thread runs
-    it, so the potential does not depend on the thread count, bit for bit,
-    and the kernel does not depend on it at all.
-
     ``scale`` multiplies every potential: 1 for a built kernel, and
     ``s**2`` for the kernel ``scaled`` gives a grid grown by s, which
     shares this kernel's arrays.  ``kernel_for`` serves every grid so, from
     the kernel of its shape on radius 1.
     """
 
-    def __init__(self, grid, threads=1):
+    def __init__(self, grid):
         self.grid = grid
         leaves, pairs = _layout(grid.n_r)
         n_f, stored = grid.n_z + 1, kernel_bytes(grid)
@@ -311,10 +258,8 @@ class AxiKernel:
                 "more than the %d bytes of physical memory"
                 % (grid.n_r, grid.n_z, need, have)
             )
-        self.threads = max(1, min(threads, stored // KERNEL_BYTES_PER_THREAD))
         self.scale = 1.0
         self._r = grid.r
-        self._blocks = _split(n_f, self.threads)
         self._fw = np.empty(stored // 8)
         taken = 0
 
@@ -434,20 +379,12 @@ class AxiKernel:
         # source spectrum as two columns of a real matrix
         cols = np.ascontiguousarray(spec.T).view(np.float64).reshape(-1, n_r, 2)
         prod = np.empty_like(cols)
-
-        def product(block):
-            f0, f1 = block
-            x, y = cols[f0:f1], prod[f0:f1]
-            for lo, hi, leaf in self._leaves:
-                np.matmul(leaf[f0:f1], x[:, lo:hi], out=y[:, lo:hi])
-            if self._pairs:
-                x = x * self._r[:, None]
-            for lo, mid, hi, u, v, coef in self._pairs:
-                c = coef[f0:f1]
-                y[:, lo:mid] += u @ (c @ (v.T @ x[:, mid:hi]))
-                y[:, mid:hi] += v @ (c.transpose(0, 2, 1) @ (u.T @ x[:, lo:mid]))
-
-        _in_threads(product, self._blocks)
+        for lo, hi, leaf in self._leaves:
+            np.matmul(leaf, cols[:, lo:hi], out=prod[:, lo:hi])
+        x = cols * self._r[:, None] if self._pairs else cols
+        for lo, mid, hi, u, v, coef in self._pairs:
+            prod[:, lo:mid] += u @ (coef @ (v.T @ x[:, mid:hi]))
+            prod[:, mid:hi] += v @ (coef.transpose(0, 2, 1) @ (u.T @ x[:, lo:mid]))
         conv = prod.view(np.complex128)[:, :, 0]
         out = np.fft.irfft(conv.T, n=2 * n_z, axis=1)[:, :n_z]
         out *= self.scale
@@ -455,13 +392,13 @@ class AxiKernel:
 
 
 @functools.lru_cache(maxsize=4)
-def _shape_kernel(n_r, n_z, aspect, threads):
+def _shape_kernel(n_r, n_z, aspect):
     """The kernel of the grid of radius 1, ``aspect`` = z_max / r_max and
     these cell counts; building one is the expensive part of a solve."""
-    return AxiKernel(CylGrid(1.0, aspect, n_r, n_z), threads)
+    return AxiKernel(CylGrid(1.0, aspect, n_r, n_z))
 
 
-def kernel_for(grid, threads=1):
+def kernel_for(grid):
     """The kernel of ``grid``: its shape's kernel on radius 1, ``scaled``.
 
     A kernel depends on a grid's cell counts and aspect alone, and every
@@ -471,65 +408,20 @@ def kernel_for(grid, threads=1):
     shape where rounding gives z_max / r_max another last bit.
     """
     aspect = float("%.14g" % (grid.z_max / grid.r_max))
-    return _shape_kernel(grid.n_r, grid.n_z, aspect, threads).scaled(grid)
+    return _shape_kernel(grid.n_r, grid.n_z, aspect).scaled(grid)
 
 
 def core_potential(kernel, mask, rho_core, mu):
     """mu times the potential of density ``rho_core`` on the cells ``mask``.
 
-    Evaluated on all cells, core interior included; the solver only reads it
-    off-core but the interior values are useful for diagnostics.
+    Evaluated on all cells, core interior included; the solver reads it
+    off the core only.
     """
     if mu < 0.0:
         raise ValueError("core strength mu must be non-negative")
     if mu == 0.0 or rho_core == 0.0:
         return np.zeros(mask.shape)
     return mu * kernel.apply(np.where(mask, rho_core, 0.0))
-
-
-@dataclass
-class CoreFieldReport:
-    """Outcome of the core-potential sanity checks."""
-
-    positive: bool
-    decays_outward: bool
-    monotone_above_core: bool
-
-    @property
-    def passed(self):
-        return self.positive and self.decays_outward and self.monotone_above_core
-
-
-def validate_core_potential(phi, core, grid):
-    """Check the physical shape of a core potential sample.
-
-    A valid core potential is strictly positive, peaks well inside the
-    domain rather than at its edge, and, above the core's vertical extent,
-    can only fall off as |z| grows at fixed r.  Roundoff gets a 1e-12
-    relative allowance in the monotonicity comparison.
-    """
-    phi = np.asarray(phi, dtype=float)
-    positive = bool(np.all(phi > 0.0))
-
-    peak = float(np.max(phi)) if phi.size else 0.0
-    boundary = max(
-        float(np.max(phi[-1, :])), float(np.max(phi[:, 0])),
-        float(np.max(phi[:, -1])),
-    )
-    decays = bool(peak > 0.0 and boundary < peak)
-
-    slack = 1e-12 * max(peak, 1e-300)
-    # above the core there is only vacuum between a point and the core mass
-    upper = grid.z > core.a_z
-    lower = grid.z < -core.a_z
-    monotone = True
-    if np.count_nonzero(upper) > 1:
-        diffs = np.diff(phi[:, upper], axis=1)
-        monotone &= bool(np.all(diffs <= slack))
-    if np.count_nonzero(lower) > 1:
-        diffs = np.diff(phi[:, lower], axis=1)
-        monotone &= bool(np.all(diffs >= -slack))
-    return CoreFieldReport(positive, decays, monotone)
 
 
 class RotationLaw:
@@ -558,9 +450,15 @@ class RotationLaw:
                 raise ValueError("profile s samples must start at 0 and increase")
             if np.any(om < 0.0):
                 raise ValueError("angular speed samples must be non-negative")
+            # Omega^2, s Omega^2 and the J it integrates to, of order
+            # (s Omega)^2: checked in Python floats before numpy overflows
+            s_max = float(s[-1])
+            square = float(np.max(om)) ** 2
+            if not math.isfinite(square * s_max + square * s_max * s_max):
+                raise OverflowError("rotation profile overflows a float")
             self.kind = kind
             self.omega = None
-            self._s_max = float(s[-1])
+            self._s_max = s_max
             # imported here: solve, scan and check run without scipy
             from scipy.interpolate import CubicSpline
 
@@ -602,8 +500,8 @@ class Environment:
     phi_core: np.ndarray
 
     @classmethod
-    def build(cls, spec, threads=1):
-        kernel = kernel_for(spec.grid, threads)
+    def build(cls, spec):
+        kernel = kernel_for(spec.grid)
         phi_core = core_potential(kernel, spec.mask, spec.core.rho_core, spec.mu)
         return cls(kernel, phi_core)
 
@@ -612,14 +510,14 @@ class Environment:
 ENSEMBLE_FIELDS = 100
 
 
-def ensemble_ratio_maxima(grid, n_fields=ENSEMBLE_FIELDS, seed=20240901, threads=1):
+def ensemble_ratio_maxima(grid, n_fields=ENSEMBLE_FIELDS, seed=20240901):
     """Maxima of the two bound ratios over a seeded ensemble of blob fields.
 
     Field number i is drawn from a generator seeded with seed + i, so the
     ensemble is reproducible and, because the blobs are smooth functions of
     position, consistent across grid refinements.
     """
-    kernel = kernel_for(grid, threads)
+    kernel = kernel_for(grid)
     max_int = 0.0
     max_sup = 0.0
     for i in range(n_fields):

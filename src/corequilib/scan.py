@@ -8,8 +8,7 @@ again on the larger grid.
 
 Cells run in a process pool sized by the command's CPU budget, the
 COREQUILIB_THREADS environment variable (default: all cores), with at most
-one worker per cell; each worker's potential kernel gets ``budget //
-workers`` threads.  The kernels of the base and the grown domain are made
+one worker per cell.  The kernels of the base and the grown domain are made
 before the pool forks its workers.  Grids of one shape share one kernel
 (``kernel_for``), so the grown domain shares the base domain's build.  Each
 worker writes its cells' run directories itself and hands back only a small
@@ -17,7 +16,7 @@ record: the cell's omega and mu, its ``result.json`` payload or error and
 its seconds.  No density field crosses the process boundary, and a retried
 cell's grown domain is read from its ``effective_config.json``.  Results
 are deterministic either way because a cell's outcome depends only on its
-own configuration, not on the thread or worker count, and the table is
+own configuration, not on the worker count, and the table is
 assembled in a fixed order.  A cell whose solve raises a numeric error,
 whose directory cannot be written, or whose worker dies before its record
 is back, killed by the operating system for instance, is recorded as
@@ -112,14 +111,14 @@ def _solve_cell(task):
     the directory ends only its cell: the record carries the message in
     ``error``, after its stderr label, and None as ``outcome``.
     """
-    (i, j), omega, mu, cfg, retry_factor, out, threads = task
+    (i, j), omega, mu, cfg, retry_factor, out = task
     start = time.perf_counter()
     record = {"omega": omega, "mu": mu, "outcome": None, "error": None}
     try:
-        outcome = solve(*build_problem(cfg), threads=threads)
+        outcome = solve(*build_problem(cfg))
         if outcome.verdict == "MassRunoff":
             cfg = cell_config(cfg, omega, mu, grow=retry_factor)
-            outcome = solve(*build_problem(cfg), threads=threads)
+            outcome = solve(*build_problem(cfg))
             outcome.retried = True
     except (*NUMERIC_ERRORS, ValueError) as exc:
         record["error"] = "numeric error: %s" % exc
@@ -161,8 +160,7 @@ def run_scan(scan_spec, out, budget=None):
     """Solve every cell into ``out/cell_II_JJ/``, retrying run-off cells.
 
     ``budget`` is the CPU budget, ``cpu_budget()`` by default.  It sets the
-    number of workers, at most one per cell, and each worker's kernel gets
-    an equal share of it.  One line per cell goes to stderr as its record
+    number of workers, at most one per cell.  One line per cell goes to stderr as its record
     arrives.  The kernels of the base and the retry grid, which every cell
     shares, are made here before ``out`` or a worker exists; grids of one
     shape share one build (``kernel_for``).
@@ -172,12 +170,12 @@ def run_scan(scan_spec, out, budget=None):
     workers = min(budget, n_cells)
     tasks = [
         ((i, j), omega, mu, cell_config(scan_spec.base, omega, mu),
-         scan_spec.retry_factor, out, budget // workers)
+         scan_spec.retry_factor, out)
         for i, omega in enumerate(scan_spec.omega_values)
         for j, mu in enumerate(scan_spec.mu_values)
     ]
     for grid in scan_spec.grids:
-        kernel_for(grid, budget // workers)
+        kernel_for(grid)
     os.makedirs(out, exist_ok=True)
     cells = {}
     for task, record in zip(tasks, _cell_records(tasks, workers)):

@@ -454,17 +454,15 @@ def _is_converged(prev, state, config, spec):
     return r.ineq_violation is None or r.ineq_violation >= -tol
 
 
-def solve(spec, config=None, threads=1):
+def solve(spec, config=None):
     """Iterate to a verdict; never raises for physical failure modes.
 
-    ``threads`` is the CPU budget of the potential kernel (``AxiKernel``);
-    the outcome does not depend on it.  Each step's run-off and convergence
-    tests read the run-off flag, potential and multiplier of the iterate
-    the step started from, and the update norm and density of the one it
-    made.
+    Each step's run-off and convergence tests read the run-off flag,
+    potential and multiplier of the iterate the step started from, and the
+    update norm and density of the one it made.
     """
     config = config if config is not None else ScfConfig()
-    env = Environment.build(spec, threads)
+    env = Environment.build(spec)
     state = evaluate(spec.guess_field, spec, env)
     mixer = AndersonMixer(spec.grid.vol, state.rho.shape, config.alpha)
     trace = []

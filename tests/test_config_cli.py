@@ -12,6 +12,7 @@ import os
 import re
 import subprocess
 import sys
+import threading
 import time
 
 import numpy as np
@@ -382,16 +383,21 @@ class TestScanMachinery:
     def test_worker_count_env(self, monkeypatch, tmp_path, capsys):
         monkeypatch.setenv("COREQUILIB_THREADS", "3")
         assert cpu_budget() == 3
-        cfg = write_config(tmp_path, base_raw(n=16))
+        sweep = {"scan": {"omega_values": [0.0], "mu_values": [0.0]}}
+        cfg = write_config(tmp_path, base_raw(n=16, extra=sweep))
         for raw, message in (("0", "at least 1"), ("abc", "an integer")):
             monkeypatch.setenv("COREQUILIB_THREADS", raw)
             with pytest.raises(cq.ConfigError):
                 cpu_budget()
-            rc = main(["solve", "--config", cfg, "--out", str(tmp_path / "run")])
+            rc = main(["scan", "--config", cfg, "--out", str(tmp_path / "run")])
             assert rc == 1
             assert capsys.readouterr().err == (
                 "config error: COREQUILIB_THREADS must be %s\n" % message
             )
+        # a solve does not read the budget, not even a malformed one
+        monkeypatch.setenv("COREQUILIB_THREADS", "abc")
+        cfg = write_config(tmp_path, base_raw(n=16), "solve.json")
+        assert main(["solve", "--config", cfg, "--out", str(tmp_path / "run")]) == 0
         monkeypatch.delenv("COREQUILIB_THREADS")
         assert cpu_budget() >= 1
 
@@ -555,12 +561,12 @@ class TestScanMachinery:
         assert not out.exists()
 
 
-def _die_at_omega_0_3(written, spec, config, threads=1):
+def _die_at_omega_0_3(written, spec, config):
     """Stands in for a cell's solve whose worker is killed at omega 0.3,
     once the file ``written`` exists and the record written with it has had
     time to reach the pool."""
     if spec.rotation.omega != 0.3:
-        return cq.solve(spec, config, threads=threads)
+        return cq.solve(spec, config)
     deadline = time.monotonic() + 60.0
     while not os.path.exists(written) and time.monotonic() < deadline:
         time.sleep(0.01)
@@ -568,11 +574,11 @@ def _die_at_omega_0_3(written, spec, config, threads=1):
     os._exit(9)
 
 
-def _raise_in_one_cell(spec, config, threads=1):
+def _raise_in_one_cell(spec, config):
     """Stands in for a cell's solve that raises at omega 0 and mu 1."""
     if spec.rotation.omega == 0.0 and spec.mu == 1.0:
         raise cq.EosInversionError("no inverse at omega 0, mu 1")
-    return cq.solve(spec, config, threads=threads)
+    return cq.solve(spec, config)
 
 
 def _no_pool(*args, **kwargs):
@@ -989,7 +995,7 @@ class TestCli:
         assert payload["ensemble_fields"] == 100
         assert payload["grid"] == {"base": [16, 16], "refined": [32, 32]}
         assert payload["eos_growth_conditions"] == "satisfied"
-        assert payload["core_potential"]["passed"] is True
+        assert "core_potential" not in payload
         for key in ("self_energy_bound_ratio", "sup_bound_ratio"):
             assert payload[key]["rel_change"] <= 0.10
 
@@ -1011,18 +1017,31 @@ class TestCli:
         for name in ("result.json", "field.csv", "trace.csv", "effective_config.json"):
             assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes()
 
-    def test_outputs_do_not_depend_on_the_cpu_budget(self, tmp_path, monkeypatch):
-        # a 128 x 96 grid, whose kernel runs on two threads out of two
+    @staticmethod
+    def grid_128_by_96():
         raw = base_raw(omega=0.4, mu=1.0, core_rho=10.0, core_a=0.1)
         raw["grid"] = {"r_max": 2.0, "z_max": 1.5, "n_r": 128, "n_z": 96}
-        cfg = write_config(tmp_path, raw)
+        return raw
+
+    def test_a_solve_starts_no_thread(self, tmp_path, monkeypatch):
+        def refuse(thread):
+            raise RuntimeError("a thread was started")
+
+        monkeypatch.setenv("COREQUILIB_THREADS", "2")
+        monkeypatch.setattr(threading.Thread, "start", refuse)
+        cfg = write_config(tmp_path, self.grid_128_by_96())
+        assert main(["solve", "--config", cfg, "--out", str(tmp_path / "run")]) == 0
+
+    def test_outputs_do_not_depend_on_the_cpu_budget(self, tmp_path, monkeypatch):
+        # the budget sizes a scan's pool only; a solve does not read it
+        cfg = write_config(tmp_path, self.grid_128_by_96())
         for threads in ("1", "2"):
             monkeypatch.setenv("COREQUILIB_THREADS", threads)
             out = tmp_path / ("threads-" + threads)
             assert main(["solve", "--config", cfg, "--out", str(out)]) == 0
         info = cq.potential._shape_kernel.cache_info
         hits = info().hits
-        assert cq.kernel_for(cq.CylGrid(2.0, 1.5, 128, 96), 2).threads == 2
+        cq.kernel_for(cq.CylGrid(2.0, 1.5, 128, 96))
         assert info().hits == hits + 1  # the solve's kernel
         for name in ("result.json", "field.csv", "trace.csv", "effective_config.json"):
             one = (tmp_path / "threads-1" / name).read_bytes()
@@ -1135,6 +1154,11 @@ HUGE_GRID = huge_grid(1e200)
 BIG_BOX = huge_grid(1e120)
 #: the grid fits a float, but not the centrifugal potential at its edge
 FAST_EDGE = huge_grid(1e60, omega=1e100)
+#: extents so small that the innermost cell's volume is below the least
+#: normal float, or zero
+TINY_CELLS = "grid cells are too small for a float"
+#: a profile rotation whose Omega**2 overflows a float
+FAST_PROFILE = faulty("rotation", dict(PROFILE_ROTATION, omega=[1e200] * 4))
 
 
 #: (command, config, message): each config breaks exactly one rule; a
@@ -1330,6 +1354,9 @@ CONFIG_FAULTS = [
     ("solve", HUGE_GRID, OVERFLOW),
     ("solve", BIG_BOX, OVERFLOW),
     ("solve", FAST_EDGE, OVERFLOW),
+    ("solve", FAST_PROFILE, OVERFLOW),
+    ("solve", huge_grid(1e-150), TINY_CELLS),
+    ("solve", huge_grid(1e-200), TINY_CELLS),
 ]
 
 
@@ -1492,6 +1519,9 @@ def test_a_placeholder_core_solves_as_the_empty_core(tmp_path, monkeypatch):
     ("solve", HUGE_GRID, OVERFLOW),
     ("solve", BIG_BOX, OVERFLOW),
     ("solve", FAST_EDGE, OVERFLOW),
+    ("solve", FAST_PROFILE, OVERFLOW),
+    ("solve", huge_grid(1e-150), TINY_CELLS),
+    ("solve", huge_grid(1e-200), TINY_CELLS),
 ])
 def test_dump_fails_where_the_run_fails(
     tmp_path, capsys, monkeypatch, command, raw, message

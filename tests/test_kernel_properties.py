@@ -6,8 +6,7 @@ radii, or of 384, and 8 to 16 rows have four or eight leaves of 32 to 63
 radii and three or seven compressed pairs on two or three levels, and are
 drawn for the same properties.  The operator must be linear, self-adjoint
 in the volume-weighted inner product, scale as s^2 when the domain grows by
-s at a fixed cell count, give the same bits on one thread and on two, and
-agree with a plain reference operator kept here: the same weights with K
+s at a fixed cell count, and agree with a plain reference operator kept here: the same weights with K
 from the arithmetic-geometric mean, stored dense as a complex spectrum and
 contracted with einsum.  Both form 1 - m without cancellation; from
 4 r r' / sep2 it loses digits at neighbouring rings, and a 384 x 8 grid of
@@ -175,19 +174,6 @@ def test_compressed_apply_matches_the_reference_operator(grid, seed):
     check_reference(grid, seed)
 
 
-@paired
-@given(grid=paired_grids, seed=seeds)
-def test_compressed_kernel_has_the_same_bits_on_two_threads(grid, seed):
-    values = random_density(grid, seed)
-    serial = cq.AxiKernel(grid, threads=1)
-    # a small kernel gets one thread unless each byte may have one
-    with mock.patch.object(cq.potential, "KERNEL_BYTES_PER_THREAD", 1):
-        threaded = cq.AxiKernel(grid, threads=2)
-    assert (serial.threads, threaded.threads) == (1, 2)
-    np.testing.assert_array_equal(threaded._fw, serial._fw)
-    np.testing.assert_array_equal(threaded.apply(values), serial.apply(values))
-
-
 @pytest.mark.parametrize("grid, zs, apart", [
     # the top pair's 96 x 96 x 64 weights fit in the four leaves' 65 x 4 x
     # 48**2 = 599,040 words and are kept there for both passes
@@ -212,7 +198,7 @@ def test_pairs_are_built_in_the_leaves_pages_or_one_z_apart(grid, zs, apart):
 
     ring_weights = cq.potential.ring_weights
     with mock.patch.object(cq.potential, "ring_weights", record):
-        kernel = cq.AxiKernel(grid, threads=1)
+        kernel = cq.AxiKernel(grid)
     assert [z for z, _ in calls] == zs
     assert all((size != kernel._fw.size) == apart for _, size in calls)
     if apart:   # a 1.5 s build, whose dense reference would take over 1 GB
@@ -220,6 +206,3 @@ def test_pairs_are_built_in_the_leaves_pages_or_one_z_apart(grid, zs, apart):
         return
     values = random_density(grid, 11)
     assert rel_err(kernel.apply(values), reference_apply(grid, values)) <= 1e-13
-    with mock.patch.object(cq.potential, "KERNEL_BYTES_PER_THREAD", 1):
-        threaded = cq.AxiKernel(grid, threads=2)
-    np.testing.assert_array_equal(threaded._fw, kernel._fw)

@@ -2,10 +2,9 @@
 
 The kernel is checked against the closed-form potential of a uniform ball
 (interior and exterior), operator symmetry, and the far-field point-mass
-limit with a quadrupole-sized envelope; applied in threads it must give the
-same bits as on one thread, and it is built on the calling thread alone,
-in a fresh process without raising the peak resident set by much more
-than the kernel.
+limit with a quadrupole-sized envelope; it is built and applied on the
+calling thread alone, in a fresh process without raising the peak resident
+set by much more than the kernel.
 The complete elliptic integral of the ring weights, ``_ellpk`` of 1 - m, is
 checked against its power series and, to round-off, against the scipy
 special function, which evaluates the same Cephes approximation.
@@ -296,10 +295,6 @@ class TestKernelAgainstBall:
         assert off == 56
 
 
-#: a grid whose kernel (12.7 MB) is above the two-thread threshold
-THREADED_GRID = cq.CylGrid(2.0, 1.5, 128, 96)
-
-
 class TestRingWeights:
     # a 96^2 grid is one leaf; radii 96-191 of 192 x 64 are two leaves
     # of 48 and their pair; 100 x 30 has dz twice dr
@@ -407,7 +402,7 @@ n_r, n_z = map(int, sys.argv[1:])
 grid = cq.CylGrid(2.0, 2.0, n_r, n_z)
 values = np.ones((n_r, n_z))
 before = peak()
-kernel = cq.AxiKernel(grid, threads=1)
+kernel = cq.AxiKernel(grid)
 for _ in range(5):
     kernel.apply(values)
 print(peak() - before, cq.potential.kernel_bytes(grid))
@@ -440,76 +435,17 @@ def test_a_fresh_build_holds_little_beside_the_kernel(n_r, n_z):
 
 
 class TestKernelThreads:
-    def test_threshold_follows_the_kernel_size(self):
-        assert cq.AxiKernel(cq.CylGrid(2.0, 2.0, 96, 96), threads=2).threads == 1
-        assert cq.AxiKernel(THREADED_GRID, threads=2).threads == 2
-        assert cq.AxiKernel(THREADED_GRID, threads=1).threads == 1
-
-    @pytest.mark.parametrize("grid,threads,bytes_per_thread", [
-        (THREADED_GRID, 2, cq.potential.KERNEL_BYTES_PER_THREAD),
-        # more threads than cores, on blocks of unequal length
-        (cq.CylGrid(1.0, 1.0, 24, 40), 5, 1),
-    ])
-    def test_thread_count_changes_no_bits(
-        self, monkeypatch, grid, threads, bytes_per_thread
-    ):
-        monkeypatch.setattr(cq.potential, "KERNEL_BYTES_PER_THREAD", bytes_per_thread)
-        values = cq.random_blob_field(grid, np.random.default_rng(3))
-        alive = threading.active_count()
-        serial = cq.AxiKernel(grid, threads=1)
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)
-        try:
-            threaded = cq.AxiKernel(grid, threads=threads)
-            applied = threaded.apply(values)
-        finally:
-            sys.setswitchinterval(interval)
-        assert threaded.threads == threads
-        np.testing.assert_array_equal(threaded._fw, serial._fw)
-        np.testing.assert_array_equal(applied, serial.apply(values))
-        assert threading.active_count() == alive
-
     def test_the_build_starts_no_thread(self, monkeypatch):
+        """Nor does the apply: both run on the calling thread."""
         def refuse(thread):
-            raise RuntimeError("the build started a thread")
+            raise RuntimeError("a thread was started")
 
         monkeypatch.setattr(threading.Thread, "start", refuse)
-        kernel = cq.AxiKernel(THREADED_GRID, threads=2)
-        assert kernel.threads == 2
-
-    def test_helper_thread_error_reaches_the_caller(self, monkeypatch):
-        kernel = cq.AxiKernel(THREADED_GRID, threads=2)
-        values = cq.random_blob_field(THREADED_GRID, np.random.default_rng(3))
-        real = np.matmul
-
-        def fails_in_helpers(*args, **kwargs):
-            if threading.current_thread() is not threading.main_thread():
-                raise ValueError("raised in a helper thread")
-            return real(*args, **kwargs)
-
-        monkeypatch.setattr(np, "matmul", fails_in_helpers)
-        alive = threading.active_count()
-        with pytest.raises(ValueError, match="raised in a helper thread"):
-            kernel.apply(values)
-        assert threading.active_count() == alive
-
-    def test_started_helpers_are_joined_when_a_start_fails(self, monkeypatch):
-        monkeypatch.setattr(cq.potential, "KERNEL_BYTES_PER_THREAD", 1)
-        grid = cq.CylGrid(1.0, 1.0, 24, 40)
-        kernel = cq.AxiKernel(grid, threads=3)
-        start = threading.Thread.start
-        started = []
-
-        def start_once(thread):
-            if started:
-                raise RuntimeError("can't start new thread")
-            started.append(thread)
-            start(thread)
-
-        monkeypatch.setattr(threading.Thread, "start", start_once)
-        with pytest.raises(RuntimeError, match="can't start new thread"):
-            kernel.apply(np.ones((grid.n_r, grid.n_z)))
-        assert len(started) == 1 and not started[0].is_alive()
+        # 192 radii: four leaves and three pairs
+        grid = cq.CylGrid(2.0, 1.5, 192, 48)
+        kernel = cq.AxiKernel(grid)
+        phi = kernel.apply(cq.random_blob_field(grid, np.random.default_rng(3)))
+        assert np.all(phi > 0.0)
 
 
 class TestCorePotential:
@@ -555,30 +491,6 @@ class TestCorePotential:
         one = cq.core_potential(kernel, mask, 2.0, 1.0)
         two = cq.core_potential(kernel, mask, 2.0, 2.0)
         np.testing.assert_array_equal(two, 2.0 * one)
-
-    def test_validation_accepts_physical_core_field(self):
-        grid = cq.CylGrid(1.0, 1.0, 64, 64)
-        core = cq.CoreRegion.spheroid(0.15, 0.15, 2.0)
-        phi = cq.core_potential(cq.kernel_for(grid), core.mask(grid), 2.0, 1.0)
-        report = cq.validate_core_potential(phi, core, grid)
-        assert report.positive
-        assert report.decays_outward
-        assert report.monotone_above_core
-        assert report.passed
-
-    def test_validation_rejects_zero_and_rising_fields(self):
-        grid = cq.CylGrid(1.0, 1.0, 64, 64)
-        core = cq.CoreRegion.spheroid(0.15, 0.15, 2.0)
-        zero_report = cq.validate_core_potential(
-            np.zeros((64, 64)), core, grid
-        )
-        assert not zero_report.passed
-
-        R, Z = grid.meshes()
-        rising = 1.0 + Z**2
-        rising_report = cq.validate_core_potential(rising, core, grid)
-        assert not rising_report.monotone_above_core
-        assert not rising_report.passed
 
 
 EMPTY_CORE = cq.CoreRegion.spheroid(0.0, 0.0, 0.0)
